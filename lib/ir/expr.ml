@@ -84,6 +84,16 @@ let rec map_vars f e =
   | Un (op, a) -> Un (op, map_vars f a)
   | Select (c, a, b) -> Select (map_vars f c, map_vars f a, map_vars f b)
 
+(* The shortest of [%.6g] .. [%.17g] that reads back as [f]: exactly
+   [%g]'s text whenever [%g] round-trips, and never two distinct
+   constants printed alike (the sweep cache keys on this text). *)
+let float_to_string f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || Float.equal (float_of_string s) f then s else go (p + 1)
+  in
+  go 6
+
 let ( + ) a b = Bin (Add, a, b)
 let ( - ) a b = Bin (Sub, a, b)
 let ( * ) a b = Bin (Mul, a, b)
@@ -95,7 +105,7 @@ let read a idxs = Read (a, idxs)
 
 let rec to_string = function
   | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%g" f
+  | Float f -> float_to_string f
   | Size -> "N"
   | Var v -> v
   | Read (a, idxs) ->

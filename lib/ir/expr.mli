@@ -62,4 +62,8 @@ val var : string -> t
 val read : string -> t list -> t
 
 val to_string : t -> string
+(** Source-like rendering.  A [Float] prints with the fewest
+    significant digits (at least six, as [%g]) that read back as the
+    same float, so distinct constants never print alike. *)
+
 val pp : Format.formatter -> t -> unit

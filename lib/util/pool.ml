@@ -25,19 +25,6 @@ let scheduler_stats () =
     splits = Metrics.value m_splits;
   }
 
-type strategy = Work_stealing | Fixed_chunk
-
-let env_strategy () =
-  match Sys.getenv_opt "GAT_SCHED" with
-  | Some ("fixed" | "fixed-chunk") -> Some Fixed_chunk
-  | Some ("ws" | "work-stealing") -> Some Work_stealing
-  | _ -> None
-
-let resolve_strategy = function
-  | Some s -> s
-  | None -> (
-      match env_strategy () with Some s -> s | None -> Work_stealing)
-
 let set_default_jobs j =
   (match j with
   | Some j when j < 1 -> invalid_arg "Pool.set_default_jobs: jobs must be >= 1"
@@ -77,9 +64,8 @@ let with_lock m f =
    A unit of schedulable work is a half-open index range [lo, hi)
    packed into one immutable int, so a deque cell is a single atomic
    word and range hand-off needs no allocation.  31 bits per bound
-   caps a work-stealing map at 2^31 - 1 elements; larger inputs (far
-   beyond any in-memory sweep) fall back to the fixed-chunk path,
-   which has no packing. *)
+   caps a parallel map at 2^31 - 1 elements; larger inputs (far beyond
+   any in-memory sweep) run sequentially. *)
 
 let range_bits = 31
 let range_mask = (1 lsl range_bits) - 1
@@ -162,7 +148,7 @@ module Deque = struct
       if Atomic.compare_and_set d.top t (t + 1) then Some v else None
 end
 
-(* ---- shared worker plumbing ---- *)
+(* ---- worker plumbing ---- *)
 
 (* Run one range: timed into the caller's busy accumulator and, when
    tracing, recorded as one span.  Ranges are coarse while the pool is
@@ -287,20 +273,6 @@ let ws_worker ~deques ~remaining ~hungry ~grain ~halt ~exec ~seed ~busy w =
   in
   loop ()
 
-(* The legacy scheduler: fixed chunks handed out from one shared
-   counter.  Kept as an explicit strategy so the benchmark can measure
-   work-stealing against it, and as the fallback for inputs too large
-   to pack into ranges. *)
-let fixed_worker ~next ~n ~chunk ~halt ~exec ~busy _w =
-  let continue_ = ref true in
-  while !continue_ do
-    let start = Atomic.fetch_and_add next chunk in
-    if start >= n || halt () then continue_ := false
-    else
-      let stop = min n (start + chunk) in
-      run_range ~busy ~lo:start ~len:(stop - start) (fun () -> exec start stop)
-  done
-
 (* ---- the unified supervised core loop ----
 
    Both [map] and [map_result] run their workers through here; they
@@ -309,49 +281,29 @@ let fixed_worker ~next ~n ~chunk ~halt ~exec ~busy _w =
    failure budget).  A worker whose body raises parks the exception in
    [failure], which halts every other worker; the first exception is
    re-raised in the caller after all domains have joined. *)
-let run_parallel ?strategy ~jobs:j ~n ~grain_hint ~halt ~exec () =
+let run_parallel ~jobs:j ~n ~grain_hint ~halt ~exec () =
   Metrics.incr m_maps;
-  let strategy =
-    if n > range_mask then Fixed_chunk else resolve_strategy strategy
-  in
   let failure = Atomic.make None in
   let halt () = halt () || Atomic.get failure <> None in
-  let body =
-    match strategy with
-    | Work_stealing ->
-        let deques = Array.init j (fun _ -> Deque.create ()) in
-        (* Contiguous initial partition: one slice per worker, same
-           locality as the fixed chunking it replaces. *)
-        let per = n / j and rem = n mod j in
-        let lo = ref 0 in
-        Array.iteri
-          (fun w d ->
-            let len = per + if w < rem then 1 else 0 in
-            if len > 0 then ignore (Deque.push d (pack !lo (!lo + len)));
-            lo := !lo + len)
-          deques;
-        let remaining = Atomic.make n in
-        let hungry = Atomic.make 0 in
-        let grain =
-          match grain_hint with
-          | Some c -> max 1 c
-          | None -> max 1 (n / (j * 4))
-        in
-        let seed = Atomic.fetch_and_add map_ordinal 1 in
-        fun busy w ->
-          ws_worker ~deques ~remaining ~hungry ~grain ~halt ~exec ~seed ~busy w
-    | Fixed_chunk ->
-        let chunk =
-          match grain_hint with
-          | Some c -> max 1 c
-          | None -> max 1 (n / (j * 8))
-        in
-        let next = Atomic.make 0 in
-        fun busy w -> fixed_worker ~next ~n ~chunk ~halt ~exec ~busy w
+  let deques = Array.init j (fun _ -> Deque.create ()) in
+  (* Contiguous initial partition: one slice per worker. *)
+  let per = n / j and rem = n mod j in
+  let lo = ref 0 in
+  Array.iteri
+    (fun w d ->
+      let len = per + if w < rem then 1 else 0 in
+      if len > 0 then ignore (Deque.push d (pack !lo (!lo + len)));
+      lo := !lo + len)
+    deques;
+  let remaining = Atomic.make n in
+  let hungry = Atomic.make 0 in
+  let grain =
+    match grain_hint with Some c -> max 1 c | None -> max 1 (n / (j * 4))
   in
+  let seed = Atomic.fetch_and_add map_ordinal 1 in
   let worker w () =
     with_worker_accounting @@ fun busy ->
-    try body busy w
+    try ws_worker ~deques ~remaining ~hungry ~grain ~halt ~exec ~seed ~busy w
     with e ->
       let bt = Printexc.get_raw_backtrace () in
       ignore (Atomic.compare_and_set failure None (Some (e, bt)))
@@ -395,10 +347,16 @@ let buffer_contents b =
 
 (* ---- map ---- *)
 
-let map ?strategy ?jobs:requested ?chunk f input =
-  let n = Array.length input in
+(* The worker count a map of [n] elements actually runs with: never
+   more workers than elements, and one (the sequential path) for
+   inputs too long to pack into ranges. *)
+let effective_jobs requested n =
   let j = match requested with Some j -> max 1 j | None -> jobs () in
-  let j = min j n in
+  if n > range_mask then 1 else min j n
+
+let map ?jobs:requested ?chunk f input =
+  let n = Array.length input in
+  let j = effective_jobs requested n in
   if j <= 1 then Array.map f input
   else begin
     let buf = buffer n in
@@ -408,7 +366,7 @@ let map ?strategy ?jobs:requested ?chunk f input =
         arr.(i) <- f input.(i)
       done
     in
-    run_parallel ?strategy ~jobs:j ~n ~grain_hint:chunk
+    run_parallel ~jobs:j ~n ~grain_hint:chunk
       ~halt:(fun () -> false)
       ~exec ();
     buffer_contents buf
@@ -466,12 +424,10 @@ let eval_supervised ~retries f x =
   in
   go 1
 
-let map_result ?strategy ?jobs:requested ?chunk ?(retries = 1) ?max_failures f
-    input =
+let map_result ?jobs:requested ?chunk ?(retries = 1) ?max_failures f input =
   if retries < 0 then invalid_arg "Pool.map_result: retries must be >= 0";
   let n = Array.length input in
-  let j = match requested with Some j -> max 1 j | None -> jobs () in
-  let j = min j n in
+  let j = effective_jobs requested n in
   let failed = Atomic.make 0 in
   (* Set once the failure count passes the budget; workers drain and
      the caller raises. *)
@@ -504,7 +460,7 @@ let map_result ?strategy ?jobs:requested ?chunk ?(retries = 1) ?max_failures f
         incr i
       done
     in
-    run_parallel ?strategy ~jobs:j ~n ~grain_hint:chunk
+    run_parallel ~jobs:j ~n ~grain_hint:chunk
       ~halt:(fun () -> Atomic.get over <> None)
       ~exec ()
   end;

@@ -18,24 +18,13 @@
     a skewed tail (divergent kernels, large unroll factors) is carved
     fine enough to share instead of serializing on one domain.
 
-    Worker count resolution, in priority order: the [?jobs] argument,
-    the process-wide {!set_default_jobs} override, the [GAT_JOBS]
-    environment variable, and finally the machine's recommended domain
-    count.  [jobs = 1] falls back to a plain sequential map — no
-    domains are spawned. *)
-
-type strategy =
-  | Work_stealing  (** Per-worker deques with steal-half and adaptive grain. *)
-  | Fixed_chunk
-      (** The legacy scheduler: fixed chunks from one shared counter.
-          Kept for benchmarking the work-stealing gain and as the
-          automatic fallback for inputs too large to pack into ranges
-          (more than [2^31 - 1] elements). *)
-
-(** Strategy resolution: the [?strategy] argument, then the
-    [GAT_SCHED] environment variable ([ws] / [fixed]), then
-    {!Work_stealing}.  Results are bit-identical under either
-    strategy; only the schedule differs. *)
+    Work stealing is the only parallel path.  Worker count resolution,
+    in priority order: the [?jobs] argument, the process-wide
+    {!set_default_jobs} override, the [GAT_JOBS] environment variable,
+    and finally the machine's recommended domain count.  [jobs = 1]
+    falls back to a plain sequential map — no domains are spawned — and
+    so does any input longer than [2^31 - 1] elements, too many to pack
+    into a deque's index ranges. *)
 
 val jobs : unit -> int
 (** The worker count that {!map} would use right now (>= 1). *)
@@ -45,21 +34,14 @@ val set_default_jobs : int option -> unit
     [GAT_JOBS] / domain-count default.
     @raise Invalid_argument if the override is < 1. *)
 
-val map :
-  ?strategy:strategy ->
-  ?jobs:int ->
-  ?chunk:int ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array
+val map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map f arr] is [Array.map f arr], evaluated by [jobs] domains
     under the work-stealing scheduler.  [?chunk] overrides the
-    balanced-state grain (fixed-chunk strategy: the chunk size).
-    Result order matches input order, and results land in one unboxed
-    buffer — no per-element [Some] allocation.  If any application of
-    [f] raises, every worker halts at its next range boundary and the
-    first exception observed is re-raised in the caller after all
-    workers have stopped. *)
+    balanced-state grain.  Result order matches input order, and
+    results land in one unboxed buffer — no per-element [Some]
+    allocation.  If any application of [f] raises, every worker halts
+    at its next range boundary and the first exception observed is
+    re-raised in the caller after all workers have stopped. *)
 
 val map_list : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!map}; [map_list ~jobs:1 f l] is [List.map f l]. *)
@@ -86,7 +68,6 @@ exception
     have failed; [last] is the failure that crossed the budget. *)
 
 val map_result :
-  ?strategy:strategy ->
   ?jobs:int ->
   ?chunk:int ->
   ?retries:int ->

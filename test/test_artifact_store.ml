@@ -228,6 +228,37 @@ let test_bc_plane_shared_across_processes () =
   Alcotest.(check bool) "served from the BC=32 plane's artifacts" true
     (after.Artifacts.hits - before.Artifacts.hits > 0)
 
+(* Workloads.atax with one edit: tmp starts at 1e-9 instead of 0.0. *)
+let atax_edited =
+  let edit = function Gat_ir.Expr.Float 0.0 -> Gat_ir.Expr.Float 1e-9 | e -> e in
+  let body = List.map (Gat_ir.Stmt.map_exprs edit) kernel.Gat_ir.Kernel.body in
+  { kernel with Gat_ir.Kernel.body }
+
+let sched_counters () =
+  let v name =
+    Option.value ~default:0
+      (List.assoc_opt name (Gat_util.Metrics.counters_snapshot ()))
+  in
+  (v "artifact.sched.hits", v "artifact.sched.misses")
+
+let test_edit_resweeps_delta () =
+  reset ();
+  ignore (Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:64 ~seed:3);
+  (* A "new process" sweeping the edited kernel: in-memory caches gone,
+     the artifact tree still on disk. *)
+  Gat_tuner.Tuner.clear_cache ();
+  let h0, m0 = sched_counters () in
+  ignore
+    (Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 atax_edited gpu ~n:64 ~seed:3);
+  let h1, m1 = sched_counters () in
+  let rescheduled = m1 - m0 and lookups = h1 - h0 + (m1 - m0) in
+  (* O(delta): the edit is noticed (some block rescheduled) and
+     contained (the untouched blocks served from the store). *)
+  Alcotest.(check bool) "the edited block is rescheduled" true (rescheduled > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d block lookups rescheduled" rescheduled lookups)
+    true (rescheduled < lookups)
+
 (* ---- corruption (QCheck) ----
 
    Every truncation and single-byte corruption of a stored entry must
@@ -355,6 +386,8 @@ let () =
                 test_identical_across_kernels_and_gpus;
               Alcotest.test_case "BC plane shared across processes" `Quick
                 test_bc_plane_shared_across_processes;
+              Alcotest.test_case "one-statement edit re-sweeps O(delta)" `Quick
+                test_edit_resweeps_delta;
             ] );
           ( "integrity",
             [

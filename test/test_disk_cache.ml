@@ -151,6 +151,22 @@ let test_key_sensitivity () =
   Alcotest.(check bool) "original still hits" true
     (Disk_cache.find small_space kernel gpu ~n:64 ~seed:42 <> None)
 
+(* Two kernels that differ only beyond %g's six significant digits
+   must not share a key, or a fresh process sweeping the second would
+   be served the first one's results. *)
+let test_float_constants_keyed_exactly () =
+  let with_init c =
+    let init = function
+      | Gat_ir.Expr.Float 0.0 -> Gat_ir.Expr.Float c
+      | e -> e
+    in
+    let body = List.map (Gat_ir.Stmt.map_exprs init) kernel.Gat_ir.Kernel.body in
+    { kernel with Gat_ir.Kernel.body }
+  in
+  let key k = Disk_cache.key small_space k gpu ~n:64 ~seed:42 in
+  Alcotest.(check bool) "1e-9 and 1.0000001e-9 key apart" true
+    (key (with_init 1e-9) <> key (with_init 1.0000001e-9))
+
 let entry_path () =
   Filename.concat scratch
     (Disk_cache.key small_space kernel gpu ~n:64 ~seed:42 ^ ".sweep")
@@ -466,6 +482,8 @@ let () =
               Alcotest.test_case "miss on empty" `Quick test_miss_on_empty;
               Alcotest.test_case "roundtrip bit-exact" `Quick test_store_find_roundtrip;
               Alcotest.test_case "key sensitivity" `Quick test_key_sensitivity;
+              Alcotest.test_case "float constants keyed exactly" `Quick
+                test_float_constants_keyed_exactly;
               Alcotest.test_case "version invalidation" `Quick test_version_invalidation;
               Alcotest.test_case "corruption tolerated" `Quick test_corruption_tolerated;
               Alcotest.test_case "disabled inert" `Quick test_disabled_is_inert;

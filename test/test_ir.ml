@@ -36,7 +36,17 @@ let test_expr_to_string () =
     (to_string (Select (Cmp (Lt, var "i", Size), int 1, int 0)));
   Alcotest.(check string) "minmax" "min(a, b)"
     (to_string (Bin (Min, var "a", var "b")));
-  Alcotest.(check string) "unop" "sqrt(x)" (to_string (Un (Sqrt, var "x")))
+  Alcotest.(check string) "unop" "sqrt(x)" (to_string (Un (Sqrt, var "x")));
+  (* Floats print as %g wherever %g reads back exactly, and with more
+     digits only where it does not. *)
+  List.iter
+    (fun (text, f) -> Alcotest.(check string) text text (to_string (float f)))
+    [ ("0", 0.0); ("0.5", 0.5); ("1e-09", 1e-9); ("1.0000001e-09", 1.0000001e-9) ]
+
+let prop_float_roundtrip =
+  QCheck.Test.make ~count:1000 ~name:"float to_string round-trips"
+    QCheck.float (fun f ->
+      Float.equal (float_of_string (to_string (Float f))) f)
 
 (* ---- Stmt ---- *)
 
@@ -423,6 +433,7 @@ let () =
           Alcotest.test_case "arrays read" `Quick test_arrays_read;
           Alcotest.test_case "map vars" `Quick test_map_vars;
           Alcotest.test_case "to_string" `Quick test_expr_to_string;
+          QCheck_alcotest.to_alcotest prop_float_roundtrip;
         ] );
       ( "stmt",
         [

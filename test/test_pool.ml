@@ -230,28 +230,23 @@ let cost_of ~skew x = if skew && x land 7 = 0 then 2_000 else 20
 let arb_shape =
   let gen =
     QCheck.Gen.(
-      map
-        (fun (n, jobs, chunk, skew, ws) -> (n, jobs, chunk, skew, ws))
-        (tup5 (int_bound 300) (int_range 1 8) (int_range 1 50) bool bool))
+      tup4 (int_bound 300) (int_range 1 8) (int_range 1 50) bool)
   in
   QCheck.make
-    ~print:(fun (n, jobs, chunk, skew, ws) ->
-      Printf.sprintf "n=%d jobs=%d chunk=%d skew=%b ws=%b" n jobs chunk skew
-        ws)
+    ~print:(fun (n, jobs, chunk, skew) ->
+      Printf.sprintf "n=%d jobs=%d chunk=%d skew=%b" n jobs chunk skew)
     gen
-
-let strategy_of ws = if ws then Pool.Work_stealing else Pool.Fixed_chunk
 
 let prop_map_matches_sequential =
   QCheck.Test.make ~count:60 ~name:"map = Array.map across random shapes"
     arb_shape
-    (fun (n, jobs, chunk, skew, ws) ->
+    (fun (n, jobs, chunk, skew) ->
       let input = Array.init n (fun i -> i) in
       let f x =
         ignore (spin (cost_of ~skew x));
         (x * 7) + 3
       in
-      Pool.map ~strategy:(strategy_of ws) ~jobs ~chunk f input
+      Pool.map ~jobs ~chunk f input
       = Array.map f input)
 
 (* Structural comparison of supervised outcomes: values, error
@@ -268,21 +263,19 @@ let prop_map_result_matches_sequential =
   QCheck.Test.make ~count:40
     ~name:"map_result = sequential, failures included"
     (QCheck.pair arb_shape (QCheck.int_range 0 2))
-    (fun ((n, jobs, chunk, skew, ws), retries) ->
+    (fun ((n, jobs, chunk, skew), retries) ->
       let input = Array.init n (fun i -> i) in
       let f x =
         ignore (spin (cost_of ~skew x));
         if x land 15 = 5 then failwith "flaky" else x * 3
       in
-      observe
-        (Pool.map_result ~strategy:(strategy_of ws) ~jobs ~chunk ~retries f
-           input)
+      observe (Pool.map_result ~jobs ~chunk ~retries f input)
       = observe (Pool.map_result ~jobs:1 ~retries f input))
 
 let prop_map_result_under_fault =
   QCheck.Test.make ~count:25 ~name:"map_result = sequential under GAT_FAULT"
     (QCheck.pair arb_shape (QCheck.int_bound 1000))
-    (fun ((n, jobs, chunk, _skew, ws), seed) ->
+    (fun ((n, jobs, chunk, _skew), seed) ->
       let input = Array.init n (fun i -> i) in
       let spec = Printf.sprintf "pooltest:0.3,seed:%d" seed in
       let f x =
@@ -292,12 +285,12 @@ let prop_map_result_under_fault =
       (* Fresh attempt counters before each run: transient injection
          re-rolls per attempt, so identical outcomes require identical
          attempt streams — which exactly-once scheduling guarantees. *)
-      let run jobs strategy =
+      let run jobs =
         Fault.set_spec (Some spec);
-        observe (Pool.map_result ~strategy ~jobs ~chunk ~retries:1 f input)
+        observe (Pool.map_result ~jobs ~chunk ~retries:1 f input)
       in
-      let par = run jobs (strategy_of ws) in
-      let seq = run 1 Pool.Work_stealing in
+      let par = run jobs in
+      let seq = run 1 in
       Fault.set_spec None;
       par = seq)
 
@@ -316,7 +309,7 @@ let test_steals_recorded () =
   let input = Array.init 64 (fun i -> i) in
   let s0 = Pool.scheduler_stats () in
   let out =
-    Pool.map ~strategy:Pool.Work_stealing ~jobs:4
+    Pool.map ~jobs:4
       (fun x ->
         ignore (spin (if x < 32 then 500_000 else 10));
         x)
