@@ -17,8 +17,6 @@
    - [sched]  per basic-block body (the unit of the list scheduler);
    - [ra]     per scheduled program and device;
    - [coal]   per virtual program and device;
-   - [bt]     per virtual program, device and the occupancy-relevant
-              scalars (TC, L1 preference, staging, allocated regs);
    - [verdict] per virtual program and TC (the verifier never reads
               the device or the block count).
 
@@ -74,7 +72,7 @@ let m_degraded = Gat_util.Metrics.counter "artifact.degraded_writes"
 let m_bytes_read = Gat_util.Metrics.counter "artifact.bytes_read"
 let m_bytes_written = Gat_util.Metrics.counter "artifact.bytes_written"
 
-let stage_names = [ "sched"; "ra"; "coal"; "bt"; "verdict" ]
+let stage_names = [ "sched"; "ra"; "coal"; "verdict" ]
 
 let per_stage kind =
   List.map
@@ -127,7 +125,6 @@ let degrade reason =
 let sched_version = "sched/1"
 let ra_version = "ra/1"
 let coal_version = "coal/1"
-let bt_version = "bt/1"
 let verdict_version = "verdict/1"
 
 let versions =
@@ -135,7 +132,6 @@ let versions =
     ("sched", sched_version);
     ("ra", ra_version);
     ("coal", coal_version);
-    ("bt", bt_version);
     ("verdict", verdict_version);
   ]
 
@@ -148,24 +144,13 @@ let ra_key ~gpu scheduled =
   key_of_parts
     [ ra_version; Gat_arch.Gpu.identity gpu; Fingerprint.program scheduled ]
 
-let coal_key ~gpu vp =
-  key_of_parts [ coal_version; Gat_arch.Gpu.identity gpu; Fingerprint.program vp ]
+(* [digest] is [Fingerprint.program] of the virtual program, computed
+   once per compile by the driver. *)
+let coal_key ~gpu digest =
+  key_of_parts [ coal_version; Gat_arch.Gpu.identity gpu; digest ]
 
-let bt_key ~gpu ~(params : Params.t) ~regs_per_thread vp =
-  key_of_parts
-    [
-      bt_version;
-      Gat_arch.Gpu.identity gpu;
-      string_of_int params.Params.threads_per_block;
-      string_of_int params.Params.l1_pref_kb;
-      string_of_int params.Params.staging;
-      string_of_int regs_per_thread;
-      Fingerprint.program vp;
-    ]
-
-let verdict_key ~threads_per_block vp =
-  key_of_parts
-    [ verdict_version; string_of_int threads_per_block; Fingerprint.program vp ]
+let verdict_key ~threads_per_block digest =
+  key_of_parts [ verdict_version; string_of_int threads_per_block; digest ]
 
 (* ---- the sealed-entry envelope ---- *)
 
@@ -306,7 +291,7 @@ let store_sched ~key body =
       addf buf "body %d\n" (List.length body);
       List.iter
         (fun i ->
-          Buffer.add_string buf (Instruction.to_string i);
+          Instruction.add_to_buffer buf i;
           Buffer.add_char buf '\n')
         body)
 
@@ -399,7 +384,7 @@ let store_ra ~key (p : Program.t) (st : Regalloc.stats) =
               (List.length b.Basic_block.body);
             List.iter
               (fun i ->
-                Buffer.add_string buf (Instruction.to_string i);
+                Instruction.add_to_buffer buf i;
                 Buffer.add_char buf '\n')
               b.Basic_block.body;
             emit_term buf b.Basic_block.term)
@@ -529,154 +514,6 @@ let store_coal ~key summary =
             addf buf "group %s %d\n" label (List.length accs);
             List.iter (emit_access buf) accs)
           summary)
-
-(* ---- bt: the flat per-block simulator table ---- *)
-
-let emit_farr buf tag arr =
-  Buffer.add_string buf tag;
-  Array.iter (fun f -> addf buf " %h" f) arr;
-  Buffer.add_char buf '\n'
-
-let farr_line cur tag n =
-  let t = toks (line cur) in
-  expect_tok t tag;
-  let a = Array.init n (fun _ -> float_tok t) in
-  done_toks t;
-  a
-
-let limiter_tag (l : Gat_core.Occupancy.limiter) =
-  match l with
-  | Gat_core.Occupancy.Warps -> "W"
-  | Gat_core.Occupancy.Registers -> "R"
-  | Gat_core.Occupancy.Shared_memory -> "S"
-  | Gat_core.Occupancy.Illegal -> "I"
-
-let limiter_of_tag = function
-  | "W" -> Gat_core.Occupancy.Warps
-  | "R" -> Gat_core.Occupancy.Registers
-  | "S" -> Gat_core.Occupancy.Shared_memory
-  | "I" -> Gat_core.Occupancy.Illegal
-  | _ -> raise Bad
-
-let find_bt ~key =
-  find_with ~stage:"bt" ~version:"1" ~key (fun cur ->
-      let t = toks (line cur) in
-      expect_tok t "bt";
-      let n_blocks = int_tok t in
-      let n_categories = int_tok t in
-      done_toks t;
-      if n_blocks < 0 || n_blocks > 1_000_000 then raise Bad;
-      (* A category-count drift means the throughput model changed
-         under a stale [bt] version — refuse the entry rather than
-         hand the simulator short rows. *)
-      if n_categories <> List.length Gat_arch.Throughput.all_categories then
-        raise Bad;
-      let t = toks (line cur) in
-      expect_tok t "labels";
-      let labels = Array.init n_blocks (fun _ -> tok t) in
-      done_toks t;
-      let index = Hashtbl.create (max 1 n_blocks) in
-      Array.iteri (fun i l -> Hashtbl.replace index l i) labels;
-      let t = toks (line cur) in
-      expect_tok t "residency";
-      let blocks_by_warps = int_tok t in
-      let blocks_by_regs = int_tok t in
-      let blocks_by_smem = int_tok t in
-      let active_blocks = int_tok t in
-      let warps_per_block = int_tok t in
-      let active_warps = int_tok t in
-      let occupancy = float_tok t in
-      let limiter = limiter_of_tag (tok t) in
-      let residency =
-        {
-          Gat_core.Occupancy.blocks_by_warps;
-          blocks_by_regs;
-          blocks_by_smem;
-          active_blocks;
-          warps_per_block;
-          active_warps;
-          occupancy;
-          limiter;
-        }
-      in
-      done_toks t;
-      let issue_cycles = farr_line cur "issue" n_blocks in
-      let global_loads = farr_line cur "gloads" n_blocks in
-      let barriers = farr_line cur "barriers" n_blocks in
-      let instr_counts = farr_line cur "icounts" n_blocks in
-      let mix_counts =
-        Array.init n_blocks (fun _ ->
-            let t = toks (line cur) in
-            expect_tok t "mix";
-            let row = Array.init n_categories (fun _ -> int_tok t) in
-            done_toks t;
-            row)
-      in
-      let var_rows tag =
-        Array.init n_blocks (fun _ ->
-            let t = toks (line cur) in
-            expect_tok t tag;
-            let k = int_tok t in
-            if k < 0 || k > 1_000_000 then raise Bad;
-            let row = Array.init k (fun _ -> float_tok t) in
-            done_toks t;
-            row)
-      in
-      let reg_ops = var_rows "regops" in
-      let mem_transactions = var_rows "memtx" in
-      let mem_load_latency = var_rows "memlat" in
-      {
-        Block_table.n_blocks;
-        n_categories;
-        labels;
-        index;
-        residency;
-        issue_cycles;
-        global_loads;
-        barriers;
-        instr_counts;
-        mix_counts;
-        reg_ops;
-        mem_transactions;
-        mem_load_latency;
-      })
-
-let store_bt ~key (bt : Block_table.t) =
-  if Array.for_all safe_text bt.Block_table.labels then
-    store_with ~stage:"bt" ~version:"1" ~key (fun buf ->
-        addf buf "bt %d %d\n" bt.Block_table.n_blocks
-          bt.Block_table.n_categories;
-        Buffer.add_string buf "labels";
-        Array.iter (fun l -> addf buf " %s" l) bt.Block_table.labels;
-        Buffer.add_char buf '\n';
-        let r = bt.Block_table.residency in
-        addf buf "residency %d %d %d %d %d %d %h %s\n"
-          r.Gat_core.Occupancy.blocks_by_warps r.Gat_core.Occupancy.blocks_by_regs
-          r.Gat_core.Occupancy.blocks_by_smem r.Gat_core.Occupancy.active_blocks
-          r.Gat_core.Occupancy.warps_per_block r.Gat_core.Occupancy.active_warps
-          r.Gat_core.Occupancy.occupancy
-          (limiter_tag r.Gat_core.Occupancy.limiter);
-        emit_farr buf "issue" bt.Block_table.issue_cycles;
-        emit_farr buf "gloads" bt.Block_table.global_loads;
-        emit_farr buf "barriers" bt.Block_table.barriers;
-        emit_farr buf "icounts" bt.Block_table.instr_counts;
-        Array.iter
-          (fun row ->
-            Buffer.add_string buf "mix";
-            Array.iter (fun c -> addf buf " %d" c) row;
-            Buffer.add_char buf '\n')
-          bt.Block_table.mix_counts;
-        let var_rows tag rows =
-          Array.iter
-            (fun row ->
-              addf buf "%s %d" tag (Array.length row);
-              Array.iter (fun f -> addf buf " %h" f) row;
-              Buffer.add_char buf '\n')
-            rows
-        in
-        var_rows "regops" bt.Block_table.reg_ops;
-        var_rows "memtx" bt.Block_table.mem_transactions;
-        var_rows "memlat" bt.Block_table.mem_load_latency)
 
 (* ---- verdict: the full safety report ---- *)
 

@@ -62,23 +62,15 @@ val sched_key : Gat_isa.Instruction.t list -> string
 val ra_key : gpu:Gat_arch.Gpu.t -> Gat_isa.Program.t -> string
 (** Per {e scheduled} program and device. *)
 
-val coal_key : gpu:Gat_arch.Gpu.t -> Gat_isa.Program.t -> string
-(** Per {e virtual} program and device. *)
+val coal_key : gpu:Gat_arch.Gpu.t -> string -> string
+(** [coal_key ~gpu digest]: per {e virtual} program (its
+    {!Gat_isa.Fingerprint.program} [digest], as carried by
+    [Driver.compiled]) and device. *)
 
-val bt_key :
-  gpu:Gat_arch.Gpu.t ->
-  params:Params.t ->
-  regs_per_thread:int ->
-  Gat_isa.Program.t ->
-  string
-(** Per {e virtual} program, device, and the occupancy-relevant
-    scalars (TC, L1 preference, staging, allocated registers) — the
-    backend pipeline downstream of the virtual program is
-    deterministic, so the virtual digest subsumes the physical one. *)
-
-val verdict_key : threads_per_block:int -> Gat_isa.Program.t -> string
-(** Per {e virtual} program and TC; the verifier never reads the
-    device, the block count or the problem size. *)
+val verdict_key : threads_per_block:int -> string -> string
+(** [verdict_key ~threads_per_block digest]: per {e virtual} program
+    digest and TC; the verifier never reads the device, the block
+    count or the problem size. *)
 
 (** {1 Stage entries} *)
 
@@ -102,13 +94,6 @@ val find_coal :
 
 val store_coal :
   key:string -> (string * Gat_analysis.Coalescing.access list) list -> unit
-
-val find_bt : key:string -> Block_table.t option
-(** The full simulator table, label index rebuilt.  An entry whose
-    category count disagrees with the current throughput model reads
-    as a miss. *)
-
-val store_bt : key:string -> Block_table.t -> unit
 
 val find_verdict : key:string -> Gat_analysis.Verify.report option
 (** The full safety report, findings included. *)

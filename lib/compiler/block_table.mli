@@ -10,10 +10,10 @@
     over this table, with no list traversal, no [assoc] scans and no
     per-instruction allocation.
 
-    The table is built inside {!Driver.compile}, so the one-compile-
-    per-point sharing of the sweep engine (and {!Gat_tuner}'s compile
-    cache) amortizes it across every input size a variant is simulated
-    at.
+    The table is built inside {!Driver.compile} on every compile (a
+    build is cheaper than a persisted copy's key and read), so the
+    one-compile-per-point sharing of the sweep engine amortizes it
+    across every input size a variant is simulated at.
 
     Layout invariant: index [i] corresponds to the [i]-th block of
     [program.blocks]; [labels], [index] and every per-block array agree

@@ -5,9 +5,9 @@
    shape; lowering bakes the launch geometry exclusively into the
    per-block execution weights.  The cache key is therefore the
    weight-free structural digest of the virtual program
-   ([Fingerprint.program]) plus the device identity: every variant in
-   the TC×BC plane of a sweep keys identically and compiles the
-   backend exactly once per process.
+   ([Fingerprint.program], computed once by [Driver.compile]) plus the
+   device identity: every variant in the TC×BC plane of a sweep keys
+   identically and compiles the backend exactly once per process.
 
    Two tiers.  The in-memory table gives same-process sharing at
    hashtable speed.  A memory miss then consults the persistent
@@ -109,8 +109,8 @@ let regalloc gpu scheduled =
       Artifacts.store_ra ~key program st;
       (program, st)
 
-let coalescing gpu vp =
-  let key = Artifacts.coal_key ~gpu vp in
+let coalescing gpu ~digest vp =
+  let key = Artifacts.coal_key ~gpu digest in
   match Artifacts.find_coal ~key with
   | Some summary -> summary
   | None ->
@@ -121,7 +121,7 @@ let coalescing gpu vp =
       Artifacts.store_coal ~key summary;
       summary
 
-let compute gpu vp =
+let compute gpu ~digest vp =
   let scheduled =
     Gat_util.Trace.span "compile.schedule" (fun () -> schedule_program vp)
   in
@@ -129,16 +129,15 @@ let compute gpu vp =
     Gat_util.Trace.span "compile.regalloc" (fun () -> regalloc gpu scheduled)
   in
   let mem_summary =
-    Gat_util.Trace.span "compile.coalescing" (fun () -> coalescing gpu vp)
+    Gat_util.Trace.span "compile.coalescing" (fun () -> coalescing gpu ~digest vp)
   in
   { program; alloc_stats; mem_summary }
 
-let run ~(gpu : Gat_arch.Gpu.t) ~(params : Params.t) (vp : Program.t) =
-  ignore params;
+let run ~(gpu : Gat_arch.Gpu.t) ~digest (vp : Program.t) =
   (* The digest covers everything the backend reads — the params that
      shape code (unroll, staging, fast_math) already shaped [vp], so
      they need no separate key component. *)
-  let key = (Gat_arch.Gpu.identity gpu, Fingerprint.program vp) in
+  let key = (Gat_arch.Gpu.identity gpu, digest) in
   let cached =
     Gat_util.Pool.with_lock lock (fun () -> Hashtbl.find_opt table key)
   in
@@ -155,7 +154,7 @@ let run ~(gpu : Gat_arch.Gpu.t) ~(params : Params.t) (vp : Program.t) =
       in
       { program; alloc_stats = e.out_stats; mem_summary = e.out_summary }
   | None ->
-      let r = compute gpu vp in
+      let r = compute gpu ~digest vp in
       Gat_util.Metrics.incr m_misses;
       Gat_util.Pool.with_lock lock (fun () ->
           incr miss_count;

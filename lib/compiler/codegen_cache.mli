@@ -8,7 +8,8 @@
     streams, so their results can be shared across all of those points.
 
     The key is the weight-free structural digest of the virtual
-    program ({!Gat_isa.Fingerprint.program}) plus the device identity
+    program ({!Gat_isa.Fingerprint.program}, computed once per compile
+    and passed in) plus the device identity
     — the shared content-addressed key of the whole backend.  Sound by
     construction: equal digests mean equal labels, bodies and
     terminators, so any kernel that did bake launch geometry into its
@@ -32,13 +33,14 @@ type outcome = {
   mem_summary : (string * Gat_analysis.Coalescing.access list) list;
 }
 
-val run :
-  gpu:Gat_arch.Gpu.t -> params:Params.t -> Gat_isa.Program.t -> outcome
-(** [run ~gpu ~params vp] schedules, register-allocates and
+val run : gpu:Gat_arch.Gpu.t -> digest:string -> Gat_isa.Program.t -> outcome
+(** [run ~gpu ~digest vp] schedules, register-allocates and
     coalescing-analyzes the lowered program [vp], reusing any previous
-    result whose structural digest matches.  [params] is accepted for
-    interface stability only: every parameter that shapes the
-    backend's input already shaped [vp], so the digest subsumes it. *)
+    result with the same [digest].  [digest] must be
+    [Gat_isa.Fingerprint.program vp], which
+    [Driver.compile] computes once per compile; every parameter that shapes the
+    backend's input already shaped [vp], so the digest subsumes the
+    parameters. *)
 
 type stats = { classes : int; hits : int; misses : int }
 

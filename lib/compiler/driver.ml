@@ -3,6 +3,7 @@ type compiled = {
   gpu : Gat_arch.Gpu.t;
   params : Params.t;
   ptx : Gat_isa.Program.t;
+  digest : string;
   program : Gat_isa.Program.t;
   log : Ptxas_info.t;
   alloc_stats : Regalloc.stats;
@@ -47,33 +48,21 @@ let compile kernel gpu params =
                  local traffic) depend only on the instruction streams,
                  which TC and BC never shape — the backend result is
                  memoized across the launch-geometry axes of a sweep. *)
-              let backend = Codegen_cache.run ~gpu ~params virtual_program in
+              (* One structural digest of the virtual program keys
+                 every backend cache and the verdict cache downstream. *)
+              let digest = Gat_isa.Fingerprint.program virtual_program in
+              let backend = Codegen_cache.run ~gpu ~digest virtual_program in
               let program = backend.Codegen_cache.program in
               let alloc_stats = backend.Codegen_cache.alloc_stats in
               let mem_summary = backend.Codegen_cache.mem_summary in
               let log = Ptxas_info.of_program program alloc_stats in
-              (* The simulator table is content-addressed on the
-                 virtual program (the whole backend downstream of it is
-                 deterministic) plus the occupancy-relevant scalars, so
-                 BC-only and N-only variants — and re-runs in other
-                 processes — serve it from the artifact store. *)
+              (* Rebuilt on every compile: a build costs less than
+                 keying and reading back a stored table. *)
               let block_table =
                 Gat_util.Trace.span "compile.block_table" (fun () ->
-                    let key =
-                      Artifacts.bt_key ~gpu ~params
-                        ~regs_per_thread:log.Ptxas_info.registers
-                        virtual_program
-                    in
-                    match Artifacts.find_bt ~key with
-                    | Some bt -> bt
-                    | None ->
-                        let bt =
-                          Block_table.build ~gpu ~params
-                            ~regs_per_thread:log.Ptxas_info.registers
-                            ~mem_summary program
-                        in
-                        Artifacts.store_bt ~key bt;
-                        bt)
+                    Block_table.build ~gpu ~params
+                      ~regs_per_thread:log.Ptxas_info.registers ~mem_summary
+                      program)
               in
               Ok
                 {
@@ -81,6 +70,7 @@ let compile kernel gpu params =
                   gpu;
                   params;
                   ptx = virtual_program;
+                  digest;
                   program;
                   log;
                   alloc_stats;

@@ -13,6 +13,11 @@ type compiled = {
       (** Virtual-register form before scheduling and register
           allocation — what nvcc's PTX stage produces; render with
           {!Gat_isa.Ptx}. *)
+  digest : string;
+      (** [Gat_isa.Fingerprint.program ptx], computed once per compile:
+          the weight-free key that {!Codegen_cache}, {!Artifacts} and
+          the tuner's verdict cache share, so no cache hashes [ptx]
+          again. *)
   program : Gat_isa.Program.t;  (** Physical registers, final code. *)
   log : Ptxas_info.t;
   alloc_stats : Regalloc.stats;
@@ -27,7 +32,8 @@ type compiled = {
       (** Flat per-block static summary (issue cycles, mixes,
           pre-resolved memory factors, residency) — the simulator's hot
           path reads only this, so every per-variant static property is
-          derived once per compile and shared across input sizes. *)
+          derived once per compile and shared across input sizes.
+          Rebuilt on every compile, never stored. *)
 }
 
 val compile :

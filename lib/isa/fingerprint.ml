@@ -9,14 +9,14 @@
    backend cache (in-memory and on-disk) keys its sharing on.
 
    Everything that shapes a backend stage's output IS included: the
-   instruction text (exact, via [Instruction.to_string], which
+   instruction text (exact, via [Instruction.add_to_buffer], which
    round-trips bit-exactly including [%h] float immediates), block
    labels and terminators (branch structure), and the program's
    register/shared-memory footprint.  A one-instruction edit anywhere
    moves the digest; a weight change never does. *)
 
 let add_instruction buf ins =
-  Buffer.add_string buf (Instruction.to_string ins);
+  Instruction.add_to_buffer buf ins;
   Buffer.add_char buf '\n'
 
 let add_body buf body = List.iter (add_instruction buf) body
@@ -32,7 +32,7 @@ let add_terminator buf (term : Basic_block.terminator) =
   | Basic_block.Cond_branch { pred; if_true; if_false } ->
       Buffer.add_string buf "cbr ";
       if pred.Instruction.negated then Buffer.add_char buf '!';
-      Buffer.add_string buf (Register.to_string pred.Instruction.reg);
+      Register.add_to_buffer buf pred.Instruction.reg;
       Buffer.add_char buf ' ';
       Buffer.add_string buf if_true;
       Buffer.add_char buf ' ';
@@ -64,9 +64,8 @@ let program (p : Program.t) =
   (* Name and target distinguish kernels whose code happens to
      coincide; the register/smem footprint feeds occupancy and the
      spill model, so it is input, not noise. *)
-  Buffer.add_string buf
-    (Printf.sprintf "program %s %s %d %d %d\n" p.Program.name
-       (Gat_arch.Compute_capability.to_string p.Program.target)
-       p.Program.regs_per_thread p.Program.smem_static p.Program.smem_dynamic);
+  Printf.bprintf buf "program %s %s %d %d %d\n" p.Program.name
+    (Gat_arch.Compute_capability.to_string p.Program.target)
+    p.Program.regs_per_thread p.Program.smem_static p.Program.smem_dynamic;
   List.iter (add_block buf) p.Program.blocks;
   digest buf

@@ -36,27 +36,35 @@ let uses t =
 
 let register_operands t = List.length (defs t) + List.length (uses t)
 
-let mnemonic_with_cmp t =
-  match t.cmp with
-  | None -> Opcode.mnemonic t.op
-  | Some c -> Opcode.mnemonic t.op ^ "." ^ cmp_name c
+let add_to_buffer buf t =
+  (match t.pred with
+  | Some { negated; reg } ->
+      Buffer.add_char buf '@';
+      if negated then Buffer.add_char buf '!';
+      Register.add_to_buffer buf reg;
+      Buffer.add_char buf ' '
+  | None -> ());
+  Buffer.add_string buf (Opcode.mnemonic t.op);
+  (match t.cmp with
+  | Some c ->
+      Buffer.add_char buf '.';
+      Buffer.add_string buf (cmp_name c)
+  | None -> ());
+  (* Destination first, then sources: " R1, R2, 8". *)
+  Option.iter
+    (fun r ->
+      Buffer.add_char buf ' ';
+      Register.add_to_buffer buf r)
+    t.dst;
+  List.iteri
+    (fun i o ->
+      Buffer.add_string buf (if i = 0 && Option.is_none t.dst then " " else ", ");
+      Operand.add_to_buffer buf o)
+    t.srcs
 
 let to_string t =
   let buf = Buffer.create 48 in
-  (match t.pred with
-  | Some { negated; reg } ->
-      Buffer.add_string buf
-        (Printf.sprintf "@%s%s " (if negated then "!" else "") (Register.to_string reg))
-  | None -> ());
-  Buffer.add_string buf (mnemonic_with_cmp t);
-  let operands =
-    (match t.dst with Some r -> [ Register.to_string r ] | None -> [])
-    @ List.map Operand.to_string t.srcs
-  in
-  if operands <> [] then begin
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf (String.concat ", " operands)
-  end;
+  add_to_buffer buf t;
   Buffer.contents buf
 
 let split_operands s =

@@ -35,7 +35,14 @@ val register_operands : t -> int
 (** Total register operand slots touched (defs + uses); this is the
     per-instruction contribution to the paper's O{_reg} metric. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append the instruction's assembly line (no newline), e.g.
+    ["@!P0 ISETP.GE P1, R2, 8"] — the one printer of the text that
+    {!of_string} parses; {!to_string} and {!Fingerprint} both use it. *)
+
 val to_string : t -> string
+(** {!add_to_buffer} into a fresh string. *)
+
 val of_string : string -> t option
 (** Parse one instruction line as printed by {!to_string}. *)
 

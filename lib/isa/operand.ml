@@ -50,17 +50,26 @@ let registers = function
   | Addr { base; _ } -> [ base ]
   | Imm _ | FImm _ | Special _ -> []
 
-let to_string = function
-  | Reg r -> Register.to_string r
-  | Imm i -> string_of_int i
-  | FImm f -> Printf.sprintf "%h" f
-  | Special s -> special_to_string s
+let add_to_buffer buf = function
+  | Reg r -> Register.add_to_buffer buf r
+  | Imm i -> Buffer.add_string buf (string_of_int i)
+  | FImm f -> Printf.bprintf buf "%h" f
+  | Special s -> Buffer.add_string buf (special_to_string s)
   | Addr { space; base; offset } ->
-      if offset = 0 then
-        Printf.sprintf "[%s:%s]" (space_to_string space) (Register.to_string base)
-      else
-        Printf.sprintf "[%s:%s+%d]" (space_to_string space)
-          (Register.to_string base) offset
+      Buffer.add_char buf '[';
+      Buffer.add_string buf (space_to_string space);
+      Buffer.add_char buf ':';
+      Register.add_to_buffer buf base;
+      if offset <> 0 then begin
+        Buffer.add_char buf '+';
+        Buffer.add_string buf (string_of_int offset)
+      end;
+      Buffer.add_char buf ']'
+
+let to_string t =
+  let buf = Buffer.create 16 in
+  add_to_buffer buf t;
+  Buffer.contents buf
 
 let of_string s =
   let len = String.length s in

@@ -33,6 +33,12 @@ val addr : space -> Register.t -> int -> t
 val registers : t -> Register.t list
 (** Registers mentioned by the operand (address bases included). *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append the operand's assembly text: [R3], [42], a [%h] float
+    literal, [%tid.x], [[global:R2+8]]. *)
+
 val to_string : t -> string
+(** {!add_to_buffer} into a fresh string. *)
+
 val of_string : string -> t option
 val pp : Format.formatter -> t -> unit

@@ -12,10 +12,14 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let add_to_buffer buf t =
+  Buffer.add_char buf (match t.cls with Gpr -> 'R' | Pred -> 'P');
+  Buffer.add_string buf (string_of_int t.id)
+
 let to_string t =
-  match t.cls with
-  | Gpr -> Printf.sprintf "R%d" t.id
-  | Pred -> Printf.sprintf "P%d" t.id
+  let buf = Buffer.create 8 in
+  add_to_buffer buf t;
+  Buffer.contents buf
 
 let of_string s =
   let parse_id prefix =

@@ -19,8 +19,11 @@ val pred : int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append ["R3"] or ["P1"]. *)
+
 val to_string : t -> string
-(** ["R3"] or ["P1"]. *)
+(** {!add_to_buffer} into a fresh string. *)
 
 val of_string : string -> t option
 (** Inverse of {!to_string}. *)

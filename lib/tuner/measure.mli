@@ -20,8 +20,7 @@ val evaluate_compiled :
   Gat_compiler.Driver.compiled -> n:int -> rng:Gat_util.Rng.t -> Variant.t
 (** Measure a pre-compiled variant at size [n].  Compilation is
     size-independent, so the sweep engine compiles once per
-    [(kernel, gpu, params)] (see {!Compile_cache}) and calls this per
-    input size. *)
+    [(kernel, gpu, params)] and calls this per input size. *)
 
 val evaluate :
   Gat_ir.Kernel.t ->

@@ -8,9 +8,21 @@ let point_seed kernel gpu ~seed params =
       gpu.Gat_arch.Gpu.name,
       Gat_compiler.Params.to_string params )
 
+(* Every point is compiled exactly once by construction — per block in
+   [run_range], through [Search.memoized_objective] in [autotune] — so
+   no compiled variant is retained past its use.  [cache.compile.misses]
+   still counts each compile because the benchmark's traced catalog
+   (bench/e2e/catalog.ml) reads it as the compile-cache lookup count;
+   without it that row's hit ratio would be 0/0. *)
+let m_compiles = Gat_util.Metrics.counter "cache.compile.misses"
+
+let compile kernel gpu params =
+  Gat_util.Metrics.incr m_compiles;
+  Gat_compiler.Driver.compile kernel gpu params
+
 let eval_point kernel gpu ~n ~seed params =
   let rng = Gat_util.Rng.create (point_seed kernel gpu ~seed params) in
-  match Compile_cache.get kernel gpu params with
+  match compile kernel gpu params with
   | Error _ -> None
   | Ok compiled ->
       (* Unsafe variants evaluate to None, exactly like invalid ones:
@@ -38,7 +50,6 @@ let sweep_cache : (string, report) Hashtbl.t = Hashtbl.create 16
 
 let clear_cache () =
   Gat_util.Pool.with_lock sweep_lock (fun () -> Hashtbl.reset sweep_cache);
-  Compile_cache.clear ();
   Verdict_cache.clear ();
   Gat_compiler.Codegen_cache.clear ()
 
@@ -175,7 +186,7 @@ let run_range ?jobs ?(retries = 1) ?max_failures
                  collapses the (BC, N) axes to one analysis each. *)
               Result.map
                 (fun c -> (c, Verdict_cache.get c))
-                (Compile_cache.get kernel gpu params) ))
+                (compile kernel gpu params) ))
           blk
       with Gat_util.Pool.Budget_exceeded { failed; last; _ } ->
         budget_exceeded

@@ -4,9 +4,9 @@
     device is the expensive exhaustive baseline.  The sweep engine
     walks the space in blocks, splitting each block into a {e compile
     phase} — size-independent, done exactly once per parameter point
-    and shared by every requested input size (with {!Compile_cache}
-    adding reuse across calls) — and a {e simulate phase} per problem
-    size, and runs both over a {!Gat_util.Pool} of worker domains
+    and shared by every requested input size, with no compiled variant
+    kept past its block — and a {e simulate phase} per problem size,
+    and runs both over a {!Gat_util.Pool} of worker domains
     ([GAT_JOBS] or [?jobs]).
 
     Determinism is by construction: every parameter point derives its
@@ -53,8 +53,8 @@ val point_seed :
 
 val objective :
   Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> n:int -> seed:int -> Search.objective
-(** A memoized objective implementing the measurement protocol,
-    compiling through {!Compile_cache}. *)
+(** A memoized objective implementing the measurement protocol: each
+    point is compiled once, on its first evaluation. *)
 
 val default_block_size : int
 (** Points per sweep block (the checkpoint granularity). *)

@@ -4,7 +4,8 @@
    (virtual-register) program and the thread count — never the
    per-block weights (the only BC-dependent part of the code), the
    device, or the problem size.  The key is therefore the weight-free
-   structural digest of the virtual program plus TC: one verification
+   structural digest of the virtual program (the compile's own
+   [Driver.compiled.digest], never re-hashed here) plus TC: one verification
    per code class per TC, shared across every BC and N point of a
    sweep, with the digest subsuming the structural-equality walk this
    cache used to carry.
@@ -12,8 +13,6 @@
    Two tiers, like the codegen cache: the in-memory table for
    same-process sharing, then the persistent artifact store for
    sharing across runs and processes. *)
-
-open Gat_isa
 
 type stats = { classes : int; hits : int; misses : int }
 
@@ -38,10 +37,11 @@ let clear () =
 
 let get (c : Gat_compiler.Driver.compiled) =
   let vp = c.Gat_compiler.Driver.ptx in
+  let digest = c.Gat_compiler.Driver.digest in
   let tc =
     c.Gat_compiler.Driver.params.Gat_compiler.Params.threads_per_block
   in
-  let key = (Fingerprint.program vp, tc) in
+  let key = (digest, tc) in
   let cached =
     Gat_util.Pool.with_lock lock (fun () -> Hashtbl.find_opt table key)
   in
@@ -52,7 +52,7 @@ let get (c : Gat_compiler.Driver.compiled) =
       report
   | None ->
       let report =
-        let akey = Gat_compiler.Artifacts.verdict_key ~threads_per_block:tc vp in
+        let akey = Gat_compiler.Artifacts.verdict_key ~threads_per_block:tc digest in
         match Gat_compiler.Artifacts.find_verdict ~key:akey with
         | Some report -> report
         | None ->

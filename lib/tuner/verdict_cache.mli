@@ -1,6 +1,7 @@
 (** Per-variant safety-verdict memoization on the shared structural
     key ({!Gat_isa.Fingerprint.program} of the virtual program, plus
-    TC).
+    TC).  The digest is the one {!Gat_compiler.Driver.compile} already
+    computed ([Driver.compiled.digest]); nothing here hashes code.
 
     The verifier's verdict reads only the instruction structure of the
     lowered (virtual-register) program and the thread count — never
@@ -22,7 +23,7 @@
 
 val get : Gat_compiler.Driver.compiled -> Gat_analysis.Verify.report
 (** The verifier's report for this compiled variant's virtual-register
-    program at its TC, memoized. *)
+    program at its TC, memoized on the variant's [digest]. *)
 
 type stats = { classes : int; hits : int; misses : int }
 

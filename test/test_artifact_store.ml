@@ -54,9 +54,9 @@ let test_golden_keys () =
       ( "sched key",
         Artifacts.sched_key (List.hd p.Gat_isa.Program.blocks).Gat_isa.Basic_block.body );
       ("ra key", Artifacts.ra_key ~gpu (physical ()));
-      ("coal key", Artifacts.coal_key ~gpu p);
-      ("bt key", Artifacts.bt_key ~gpu ~params:Params.default ~regs_per_thread:20 p);
-      ("verdict key", Artifacts.verdict_key ~threads_per_block:128 p);
+      ("coal key", Artifacts.coal_key ~gpu (Fingerprint.program p));
+      ( "verdict key",
+        Artifacts.verdict_key ~threads_per_block:128 (Fingerprint.program p) );
     ]
   in
   let want =
@@ -65,7 +65,6 @@ let test_golden_keys () =
       ("sched key", "6bb3eba7b5faf821515deb9b23e30479");
       ("ra key", "534dca5591227e5fd39c000d8b856c35");
       ("coal key", "47b43226609fa1b2b7ce2c676610aedc");
-      ("bt key", "5008f7939cab5539b99789ef0ddbee3c");
       ("verdict key", "39ac2ff361dab7fbcaf28a82a2675617");
     ]
   in
@@ -73,24 +72,122 @@ let test_golden_keys () =
 
 let test_keys_weight_free () =
   (* Same code at a different launch geometry: every weight-free key
-     must be unchanged, and the bt key must move only with the
-     occupancy-relevant scalars. *)
+     must be unchanged; the verdict key still reads TC. *)
   let c1 = Lazy.force compiled in
   let params2 = Params.make ~threads_per_block:512 ~block_count:24 () in
   let c2 = Gat_compiler.Driver.compile_exn kernel gpu params2 in
   let p1 = c1.Gat_compiler.Driver.ptx and p2 = c2.Gat_compiler.Driver.ptx in
-  Alcotest.(check string) "fingerprint ignores TC/BC" (Fingerprint.program p1)
-    (Fingerprint.program p2);
-  Alcotest.(check string) "coal key ignores TC/BC" (Artifacts.coal_key ~gpu p1)
-    (Artifacts.coal_key ~gpu p2);
-  Alcotest.(check bool) "bt key reads TC" false
-    (Artifacts.bt_key ~gpu ~params:Params.default ~regs_per_thread:20 p1
-    = Artifacts.bt_key ~gpu ~params:params2 ~regs_per_thread:20 p1);
+  let d1 = Fingerprint.program p1 and d2 = Fingerprint.program p2 in
+  Alcotest.(check string) "fingerprint ignores TC/BC" d1 d2;
+  Alcotest.(check string) "coal key ignores TC/BC" (Artifacts.coal_key ~gpu d1)
+    (Artifacts.coal_key ~gpu d2);
   Alcotest.(check bool) "verdict key reads TC" false
-    (Artifacts.verdict_key ~threads_per_block:128 p1
-    = Artifacts.verdict_key ~threads_per_block:512 p1);
+    (Artifacts.verdict_key ~threads_per_block:128 d1
+    = Artifacts.verdict_key ~threads_per_block:512 d1);
   Alcotest.(check bool) "ra key reads the device" false
     (Artifacts.ra_key ~gpu p1 = Artifacts.ra_key ~gpu:Gat_arch.Gpu.p100 p1)
+
+(* The instruction printer as it was before it wrote into the caller's
+   buffer: one string per register, operand and instruction.  The
+   fingerprint must hash exactly these bytes, or every key in every
+   user's cache would move. *)
+let reference_fingerprint (p : Gat_isa.Program.t) =
+  let open Gat_isa in
+  let reg (r : Register.t) =
+    match r.Register.cls with
+    | Register.Gpr -> Printf.sprintf "R%d" r.Register.id
+    | Register.Pred -> Printf.sprintf "P%d" r.Register.id
+  in
+  let operand = function
+    | Operand.Reg r -> reg r
+    | Operand.Imm i -> string_of_int i
+    | Operand.FImm f -> Printf.sprintf "%h" f
+    | Operand.Special s -> Operand.special_to_string s
+    | Operand.Addr { space; base; offset } ->
+        if offset = 0 then
+          Printf.sprintf "[%s:%s]" (Operand.space_to_string space) (reg base)
+        else
+          Printf.sprintf "[%s:%s+%d]" (Operand.space_to_string space) (reg base)
+            offset
+  in
+  let instruction (t : Instruction.t) =
+    let pred =
+      match t.Instruction.pred with
+      | Some { negated; reg = r } ->
+          Printf.sprintf "@%s%s " (if negated then "!" else "") (reg r)
+      | None -> ""
+    in
+    let mnemonic =
+      match t.Instruction.cmp with
+      | None -> Opcode.mnemonic t.Instruction.op
+      | Some c -> Opcode.mnemonic t.Instruction.op ^ "." ^ Instruction.cmp_name c
+    in
+    let operands =
+      (match t.Instruction.dst with Some r -> [ reg r ] | None -> [])
+      @ List.map operand t.Instruction.srcs
+    in
+    pred ^ mnemonic
+    ^ if operands = [] then "" else " " ^ String.concat ", " operands
+  in
+  let term = function
+    | Basic_block.Jump l -> "jump " ^ l
+    | Basic_block.Cond_branch { pred; if_true; if_false } ->
+        Printf.sprintf "cbr %s%s %s %s"
+          (if pred.Instruction.negated then "!" else "")
+          (reg pred.Instruction.reg) if_true if_false
+    | Basic_block.Exit -> "exit"
+  in
+  let lines =
+    Printf.sprintf "program %s %s %d %d %d" p.Program.name
+      (Gat_arch.Compute_capability.to_string p.Program.target)
+      p.Program.regs_per_thread p.Program.smem_static p.Program.smem_dynamic
+    :: List.concat_map
+         (fun (b : Basic_block.t) ->
+           (("block " ^ b.Basic_block.label)
+           :: List.map instruction b.Basic_block.body)
+           @ [ term b.Basic_block.term ])
+         p.Program.blocks
+  in
+  Digest.to_hex (Digest.string (String.concat "" (List.map (fun l -> l ^ "\n") lines)))
+
+(* Every 128th point of the paper space, compiled for every bundled
+   kernel on every device. *)
+let sampled_compiles () =
+  let points = List.filteri (fun i _ -> i mod 128 = 0) (Space.points Space.paper) in
+  List.concat_map
+    (fun k ->
+      List.concat_map
+        (fun g ->
+          List.filter_map
+            (fun params -> Result.to_option (Gat_compiler.Driver.compile k g params))
+            points)
+        Gat_arch.Gpu.all)
+    Gat_workloads.Workloads.all
+
+let test_fingerprint_matches_reference () =
+  let compiles = sampled_compiles () in
+  Alcotest.(check bool) "sample compiled" true (List.length compiles > 100);
+  List.iter
+    (fun (c : Gat_compiler.Driver.compiled) ->
+      List.iter
+        (fun (form, p) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s %s %s" c.Gat_compiler.Driver.kernel.Gat_ir.Kernel.name
+               c.Gat_compiler.Driver.gpu.Gat_arch.Gpu.name
+               (Params.to_string c.Gat_compiler.Driver.params)
+               form)
+            (reference_fingerprint p) (Fingerprint.program p))
+        [ ("ptx", c.Gat_compiler.Driver.ptx); ("program", c.Gat_compiler.Driver.program) ])
+    compiles
+
+let test_compiled_digest () =
+  List.iter
+    (fun k ->
+      let c = Gat_compiler.Driver.compile_exn k gpu Params.default in
+      Alcotest.(check string) k.Gat_ir.Kernel.name
+        (Fingerprint.program c.Gat_compiler.Driver.ptx)
+        c.Gat_compiler.Driver.digest)
+    Gat_workloads.Workloads.all
 
 (* ---- stage round-trip ---- *)
 
@@ -265,28 +362,23 @@ let test_edit_resweeps_delta () =
    read as a miss (or, when the mutation writes back the original
    byte, an unchanged hit) — never a wrong hit, never an exception. *)
 
-let bt_entry =
+let ra_entry =
   lazy
     (reset ();
-     (* Recompile after the reset: the compile pipeline stores the bt
-        entry as a side effect. *)
-     let c = Gat_compiler.Driver.compile_exn kernel gpu Params.default in
-     let p = c.Gat_compiler.Driver.ptx in
-     let key =
-       Artifacts.bt_key ~gpu ~params:Params.default
-         ~regs_per_thread:c.Gat_compiler.Driver.log.Gat_compiler.Ptxas_info.registers
-         p
-     in
-     let path = Filename.concat (Artifacts.dir ()) ("bt-" ^ key ^ ".art") in
-     Alcotest.(check bool) "bt entry on disk" true (Sys.file_exists path);
+     let c = Lazy.force compiled in
+     let key = Artifacts.ra_key ~gpu c.Gat_compiler.Driver.program in
+     Artifacts.store_ra ~key c.Gat_compiler.Driver.program
+       c.Gat_compiler.Driver.alloc_stats;
+     let path = Filename.concat (Artifacts.dir ()) ("ra-" ^ key ^ ".art") in
+     Alcotest.(check bool) "ra entry on disk" true (Sys.file_exists path);
      (key, path, In_channel.with_open_bin path In_channel.input_all))
 
 let find_mutated mutated =
-  let key, path, whole = Lazy.force bt_entry in
+  let key, path, whole = Lazy.force ra_entry in
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc mutated);
-  match Artifacts.find_bt ~key with
+  match Artifacts.find_ra ~key with
   | exception e ->
-      Alcotest.failf "find_bt raised on corrupted entry: %s" (Printexc.to_string e)
+      Alcotest.failf "find_ra raised on corrupted entry: %s" (Printexc.to_string e)
   | None -> String.compare mutated whole <> 0
   | Some _ -> String.compare mutated whole = 0
 
@@ -294,7 +386,7 @@ let test_truncation_property =
   QCheck.Test.make ~name:"every truncation is a miss" ~count:200
     QCheck.(float_range 0.0 1.0)
     (fun frac ->
-      let _, _, whole = Lazy.force bt_entry in
+      let _, _, whole = Lazy.force ra_entry in
       let keep = int_of_float (frac *. float_of_int (String.length whole)) in
       let keep = min keep (String.length whole - 1) in
       find_mutated (String.sub whole 0 keep))
@@ -303,7 +395,7 @@ let test_byte_flip_property =
   QCheck.Test.make ~name:"every single-byte corruption is a miss" ~count:500
     QCheck.(pair (float_range 0.0 1.0) (int_range 0 255))
     (fun (frac, byte) ->
-      let _, _, whole = Lazy.force bt_entry in
+      let _, _, whole = Lazy.force ra_entry in
       let pos =
         min
           (String.length whole - 1)
@@ -357,6 +449,36 @@ let test_gc_unbounded_keeps_everything () =
   Alcotest.(check int) "files intact" files files';
   Alcotest.(check int) "bytes intact" bytes bytes'
 
+(* Caches written before the block table stopped being stored hold
+   [bt-*.art] files.  They are still [.art] entries, so stats count
+   them and clear and gc reclaim them. *)
+let plant_stale_bt () =
+  let path =
+    Filename.concat (Artifacts.dir ())
+      ("bt-" ^ Digest.to_hex (Digest.string "stale") ^ ".art")
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc "gat-artifact 1\nstage bt/1\n");
+  path
+
+let test_stale_bt_reclaimable () =
+  reset ();
+  ignore (Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:64 ~seed:3);
+  let files, bytes = Store.disk_usage () in
+  let path = plant_stale_bt () in
+  let size = (Unix.stat path).Unix.st_size in
+  let files', bytes' = Store.disk_usage () in
+  Alcotest.(check (pair int int)) "cache stats count it" (files + 1, bytes + size)
+    (files', bytes');
+  Alcotest.(check int) "cache clear removes it" files' (Store.clear ());
+  Alcotest.(check bool) "gone after clear" false (Sys.file_exists path);
+  let path = plant_stale_bt () in
+  let past = Unix.time () -. 864000.0 in
+  Unix.utimes path past past;
+  let r = Store.gc ~max_bytes:0 in
+  Alcotest.(check bool) "cache gc evicts it" true (r.Store.removed_files >= 1);
+  Alcotest.(check bool) "gone after gc" false (Sys.file_exists path)
+
 let cleanup () =
   Artifacts.set_enabled true;
   ignore (Artifacts.clear ());
@@ -372,6 +494,10 @@ let () =
             [
               Alcotest.test_case "golden digests" `Quick test_golden_keys;
               Alcotest.test_case "weight-free" `Quick test_keys_weight_free;
+              Alcotest.test_case "fingerprint = reference printer" `Quick
+                test_fingerprint_matches_reference;
+              Alcotest.test_case "compiled digest = fingerprint" `Quick
+                test_compiled_digest;
             ] );
           ( "entries",
             [
@@ -399,5 +525,7 @@ let () =
               Alcotest.test_case "evicts LRU first" `Quick test_gc_evicts_lru;
               Alcotest.test_case "no-op within budget" `Quick
                 test_gc_unbounded_keeps_everything;
+              Alcotest.test_case "stale bt entries reclaimable" `Quick
+                test_stale_bt_reclaimable;
             ] );
         ])

@@ -136,13 +136,13 @@ let test_context_memoized_and_compile_shared () =
      and the derived rankings must be computed once and shared. *)
   let kernel = Gat_workloads.Workloads.atax and gpu = Gat_arch.Gpu.k20 in
   Gat_tuner.Tuner.clear_cache ();
-  Gat_tuner.Compile_cache.reset_stats ();
+  let compiles =
+    let c0 = Gat_util.Metrics.(value (counter "compile.count")) in
+    fun () -> Gat_util.Metrics.(value (counter "compile.count")) - c0
+  in
   let sweeps = Gat_report.Context.sweeps kernel gpu in
   Alcotest.(check int) "five input sizes" 5 (List.length sweeps);
-  let compiles =
-    (Gat_tuner.Compile_cache.stats ()).Gat_tuner.Compile_cache.compiles
-  in
-  Alcotest.(check int) "each triple compiled exactly once" 5120 compiles;
+  Alcotest.(check int) "each triple compiled exactly once" 5120 (compiles ());
   (* The single-size sweep and both rankings ride on the same caches:
      no further compilation, and memoized values are physically shared. *)
   ignore (Gat_report.Context.sweep kernel gpu);
@@ -154,7 +154,7 @@ let test_context_memoized_and_compile_shared () =
   Alcotest.(check bool) "sweeps memoized" true
     (Gat_report.Context.sweeps kernel gpu == sweeps);
   Alcotest.(check int) "no recompilation for derived reports" 5120
-    (Gat_tuner.Compile_cache.stats ()).Gat_tuner.Compile_cache.compiles
+    (compiles ())
 
 let () =
   Alcotest.run "gat_report"

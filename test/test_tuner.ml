@@ -373,25 +373,29 @@ let test_sweep_multi_parallel_deterministic () =
   let par = Gat_tuner.Tuner.sweep_multi ~space:small_space ~jobs:4 kernel gpu ~ns ~seed:7 in
   Alcotest.(check bool) "byte-identical multi-size sweep" true (seq = par)
 
+let compile_count () = Gat_util.Metrics.(value (counter "compile.count"))
+
 let test_compile_shared_across_sizes () =
   (* Each (kernel, gpu, params) triple must be compiled exactly once
      across a multi-size sweep — the seed recompiled per size. *)
   let kernel = Gat_workloads.Workloads.matvec2d and gpu = Gat_arch.Gpu.k20 in
   Gat_tuner.Tuner.clear_cache ();
-  Gat_tuner.Compile_cache.reset_stats ();
+  let c0 = compile_count () in
   let results =
     Gat_tuner.Tuner.sweep_multi ~space:small_space kernel gpu
       ~ns:[ 32; 64; 128 ] ~seed:1
   in
   Alcotest.(check int) "three sizes" 3 (List.length results);
   let points = Space.cardinality small_space in
-  Alcotest.(check int) "one compile per point"
-    points
-    (Gat_tuner.Compile_cache.stats ()).Gat_tuner.Compile_cache.compiles;
-  (* A later single-size sweep at a new size reuses the same compiles. *)
+  Alcotest.(check int) "one compile per point" points (compile_count () - c0);
+  (* A later single-size sweep at a new size is a new call: it compiles
+     each point once more, and the codegen cache serves every backend. *)
+  let misses0 = (Gat_compiler.Codegen_cache.stats ()).Gat_compiler.Codegen_cache.misses in
   ignore (Gat_tuner.Tuner.sweep ~space:small_space kernel gpu ~n:256 ~seed:1);
-  Alcotest.(check int) "still one compile per point" points
-    (Gat_tuner.Compile_cache.stats ()).Gat_tuner.Compile_cache.compiles
+  Alcotest.(check int) "one more compile per point" (2 * points)
+    (compile_count () - c0);
+  Alcotest.(check int) "no backend recompiled" misses0
+    (Gat_compiler.Codegen_cache.stats ()).Gat_compiler.Codegen_cache.misses
 
 let test_sweep_multi_matches_single_sweeps () =
   let kernel = Gat_workloads.Workloads.matvec2d and gpu = Gat_arch.Gpu.k20 in
@@ -405,18 +409,6 @@ let test_sweep_multi_matches_single_sweeps () =
   let single128 = Gat_tuner.Tuner.sweep ~space:tiny_space kernel gpu ~n:128 ~seed:1 in
   Alcotest.(check bool) "n=64 identical" true (List.assoc 64 multi = single64);
   Alcotest.(check bool) "n=128 identical" true (List.assoc 128 multi = single128)
-
-let test_compile_cache_bounded () =
-  let kernel = Gat_workloads.Workloads.matvec2d and gpu = Gat_arch.Gpu.k20 in
-  let old = Gat_tuner.Compile_cache.capacity () in
-  Gat_tuner.Tuner.clear_cache ();
-  Gat_tuner.Compile_cache.set_capacity 4;
-  ignore (Gat_tuner.Tuner.sweep ~space:small_space kernel gpu ~n:64 ~seed:1);
-  let s = Gat_tuner.Compile_cache.stats () in
-  Alcotest.(check bool) "bounded" true (s.Gat_tuner.Compile_cache.entries <= 4);
-  Alcotest.(check bool) "evicted" true (s.Gat_tuner.Compile_cache.evictions > 0);
-  Gat_tuner.Compile_cache.set_capacity old;
-  Gat_tuner.Tuner.clear_cache ()
 
 (* ---- Measurement protocol: trial-draw regression ---- *)
 
@@ -679,8 +671,6 @@ let () =
             test_compile_shared_across_sizes;
           Alcotest.test_case "multi matches single sweeps" `Quick
             test_sweep_multi_matches_single_sweeps;
-          Alcotest.test_case "compile cache bounded" `Quick
-            test_compile_cache_bounded;
           Alcotest.test_case "trial draws match full protocol" `Quick
             test_measure_draws_match_full_protocol;
           Alcotest.test_case "evaluate_compiled matches evaluate" `Quick
