@@ -3,12 +3,11 @@ open Gat_isa
 module Memory_model = Gat_analysis.Memory_model
 module Coalescing = Gat_analysis.Coalescing
 
-type t = {
+type shape = {
   n_blocks : int;
   n_categories : int;
   labels : string array;
   index : (string, int) Hashtbl.t;
-  residency : Gat_core.Occupancy.result;
   issue_cycles : float array;
   global_loads : float array;
   barriers : float array;
@@ -16,6 +15,12 @@ type t = {
   mix_counts : int array array;
   reg_ops : float array array;
   mem_transactions : float array array;
+  loads : Coalescing.access array array;
+}
+
+type t = {
+  shape : shape;
+  residency : Gat_core.Occupancy.result;
   mem_load_latency : float array array;
 }
 
@@ -50,7 +55,7 @@ let residency gpu (params : Params.t) ~regs_per_thread ~smem_per_block =
   if constrained.Gat_core.Occupancy.active_blocks > 0 then constrained
   else Gat_core.Occupancy.calculate gpu occ_input
 
-let build ~gpu ~(params : Params.t) ~regs_per_thread ~mem_summary program =
+let shape ~gpu ~mem_summary program =
   let blocks = Array.of_list program.Program.blocks in
   let n_blocks = Array.length blocks in
   let labels = Array.map (fun b -> b.Basic_block.label) blocks in
@@ -63,7 +68,7 @@ let build ~gpu ~(params : Params.t) ~regs_per_thread ~mem_summary program =
   let mix_counts = Array.init n_blocks (fun _ -> Array.make n_categories 0) in
   let reg_ops = Array.make n_blocks [||] in
   let mem_transactions = Array.make n_blocks [||] in
-  let mem_load_latency = Array.make n_blocks [||] in
+  let loads = Array.make n_blocks [||] in
   Array.iteri
     (fun i b ->
       (* The issue cost folds terminator-first, then the body — the
@@ -106,16 +111,9 @@ let build ~gpu ~(params : Params.t) ~regs_per_thread ~mem_summary program =
       in
       mem_transactions.(i) <-
         Array.of_list (List.map Memory_model.access_transactions accesses);
-      mem_load_latency.(i) <-
+      loads.(i) <-
         Array.of_list
-          (List.filter_map
-             (fun (a : Coalescing.access) ->
-               if a.Coalescing.kind = `Load then
-                 Some
-                   (Memory_model.access_latency gpu
-                      ~l1_pref_kb:params.Params.l1_pref_kb
-                      ~staging:params.Params.staging a)
-               else None)
+          (List.filter (fun (a : Coalescing.access) -> a.Coalescing.kind = `Load)
              accesses))
     blocks;
   {
@@ -123,9 +121,6 @@ let build ~gpu ~(params : Params.t) ~regs_per_thread ~mem_summary program =
     n_categories;
     labels;
     index;
-    residency =
-      residency gpu params ~regs_per_thread
-        ~smem_per_block:(Program.smem_per_block program);
     issue_cycles;
     global_loads;
     barriers;
@@ -133,5 +128,17 @@ let build ~gpu ~(params : Params.t) ~regs_per_thread ~mem_summary program =
     mix_counts;
     reg_ops;
     mem_transactions;
-    mem_load_latency;
+    loads;
+  }
+
+let instantiate shape ~gpu ~(params : Params.t) ~regs_per_thread ~smem_per_block =
+  {
+    shape;
+    residency = residency gpu params ~regs_per_thread ~smem_per_block;
+    mem_load_latency =
+      Array.map
+        (Array.map
+           (Memory_model.access_latency gpu ~l1_pref_kb:params.Params.l1_pref_kb
+              ~staging:params.Params.staging))
+        shape.loads;
   }

@@ -3,23 +3,28 @@
    Schedule, register allocation and the static coalescing analysis
    depend only on the instruction streams, which TC and BC never
    shape; lowering bakes the launch geometry exclusively into the
-   per-block execution weights.  The cache key is therefore the
-   weight-free structural digest of the virtual program
-   ([Fingerprint.program], computed once by [Driver.compile]) plus the
-   device identity: every variant in the TC×BC plane of a sweep keys
-   identically and compiles the backend exactly once per process.
+   per-block execution weights.  Every variant in the TC×BC plane of a
+   sweep therefore lowers to the same code, and compiles the backend
+   exactly once per process.
 
-   Two tiers.  The in-memory table gives same-process sharing at
-   hashtable speed.  A memory miss then consults the persistent
-   artifact store ({!Artifacts}) — scheduling per block body, register
-   allocation and coalescing per program — which shares the results
-   across runs and processes, and makes a one-block kernel edit
-   recompile O(delta): the unchanged blocks' scheduled bodies still
-   hit, only the edited block is rescheduled.
+   Lookup is cheap on purpose: a hit is the common case (a 5,120-point
+   sweep has one to five code shapes), so it must cost less than
+   hashing the program.  A weight-free summary (device, program name,
+   instruction count, shared-memory footprint) picks a bucket, and
+   [Fingerprint.same_code] — exact equality over everything the digest
+   covers — picks the entry.  Only a miss serializes and hashes the
+   program; the entry keeps that digest, so hits reuse it.
 
-   The digest subsumes the old structural-equality walk: two programs
-   with equal digests have equal labels, bodies and terminators, so
-   re-attaching the current variant's weights is a positional zip. *)
+   An entry also keeps the geometry-free part of the block table, built
+   once when the entry is created; a compile completes it with the few
+   rows its own parameters change.
+
+   Two tiers.  A memory miss consults the persistent artifact store
+   ({!Artifacts}) — scheduling per block body, register allocation and
+   coalescing per program — which shares the results across runs and
+   processes, and makes a one-block kernel edit recompile O(delta): the
+   unchanged blocks' scheduled bodies still hit, only the edited block
+   is rescheduled. *)
 
 open Gat_isa
 
@@ -27,17 +32,23 @@ type outcome = {
   program : Program.t;
   alloc_stats : Regalloc.stats;
   mem_summary : (string * Gat_analysis.Coalescing.access list) list;
+  digest : string;
+  shape : Block_table.shape;
 }
 
-type entry = {
-  out_blocks : Basic_block.t list;
-  out_stats : Regalloc.stats;
-  out_summary : (string * Gat_analysis.Coalescing.access list) list;
-}
+(* Immutable once published: [code] is the virtual program the entry
+   was built from (its weights are ignored), [result] the miss's
+   outcome, whose blocks a hit re-weights. *)
+type entry = { code : Program.t; result : outcome }
 
 type stats = { classes : int; hits : int; misses : int }
 
-let table : (string * string, entry) Hashtbl.t = Hashtbl.create 64
+(* Bucket: device identity, program name, instruction count, shared
+   memory per block — weight-free, so a bucket holds every variant of
+   one code shape, and rarely more than one shape. *)
+let table : (string * string * int * int, entry list) Hashtbl.t =
+  Hashtbl.create 64
+
 let lock = Mutex.create ()
 let hit_count = ref 0
 let miss_count = ref 0
@@ -46,7 +57,11 @@ let m_misses = Gat_util.Metrics.counter "cache.codegen.misses"
 
 let stats () =
   Gat_util.Pool.with_lock lock (fun () ->
-      { classes = Hashtbl.length table; hits = !hit_count; misses = !miss_count })
+      {
+        classes = Hashtbl.fold (fun _ b n -> n + List.length b) table 0;
+        hits = !hit_count;
+        misses = !miss_count;
+      })
 
 let clear () =
   Gat_util.Pool.with_lock lock (fun () ->
@@ -55,14 +70,16 @@ let clear () =
       miss_count := 0)
 
 (* Re-attach the current variant's weights to the cached output blocks.
-   Equal digests guarantee equal labels and layout order, and the
-   backend passes preserve both, so a positional zip is exact. *)
+   Equal code guarantees equal labels and layout order, and the backend
+   passes preserve both, so a positional zip is exact. *)
 let reweight vp_blocks out_blocks =
   List.map2
     (fun (v : Basic_block.t) (o : Basic_block.t) ->
-      Basic_block.make ~weight:v.Basic_block.weight
-        ~active_frac:v.Basic_block.active_frac o.Basic_block.label
-        o.Basic_block.body o.Basic_block.term)
+      {
+        o with
+        Basic_block.weight = v.Basic_block.weight;
+        active_frac = v.Basic_block.active_frac;
+      })
     vp_blocks out_blocks
 
 (* Per-block scheduling through the artifact store: each body is its
@@ -121,7 +138,8 @@ let coalescing gpu ~digest vp =
       Artifacts.store_coal ~key summary;
       summary
 
-let compute gpu ~digest vp =
+let compute gpu vp =
+  let digest = Fingerprint.program vp in
   let scheduled =
     Gat_util.Trace.span "compile.schedule" (fun () -> schedule_program vp)
   in
@@ -131,37 +149,42 @@ let compute gpu ~digest vp =
   let mem_summary =
     Gat_util.Trace.span "compile.coalescing" (fun () -> coalescing gpu ~digest vp)
   in
-  { program; alloc_stats; mem_summary }
-
-let run ~(gpu : Gat_arch.Gpu.t) ~digest (vp : Program.t) =
-  (* The digest covers everything the backend reads — the params that
-     shape code (unroll, staging, fast_math) already shaped [vp], so
-     they need no separate key component. *)
-  let key = (Gat_arch.Gpu.identity gpu, digest) in
-  let cached =
-    Gat_util.Pool.with_lock lock (fun () -> Hashtbl.find_opt table key)
+  let shape =
+    Gat_util.Trace.span "compile.block_table" (fun () ->
+        Block_table.shape ~gpu ~mem_summary program)
   in
-  match cached with
+  { program; alloc_stats; mem_summary; digest; shape }
+
+let find bucket vp = List.find_opt (fun e -> Fingerprint.same_code e.code vp) bucket
+
+let run ~(gpu : Gat_arch.Gpu.t) (vp : Program.t) =
+  let key =
+    ( Gat_arch.Gpu.identity gpu,
+      vp.Program.name,
+      Program.instruction_count vp,
+      Program.smem_per_block vp )
+  in
+  let bucket () = Option.value ~default:[] (Hashtbl.find_opt table key) in
+  (* Buckets are immutable lists: compare outside the lock. *)
+  match find (Gat_util.Pool.with_lock lock bucket) vp with
   | Some e ->
       Gat_util.Pool.with_lock lock (fun () -> incr hit_count);
       Gat_util.Metrics.incr m_hits;
-      let blocks = reweight vp.Program.blocks e.out_blocks in
-      let program =
-        Program.make ~name:vp.Program.name ~target:vp.Program.target
-          ~regs_per_thread:e.out_stats.Regalloc.regs_used
-          ~smem_static:vp.Program.smem_static
-          ~smem_dynamic:vp.Program.smem_dynamic blocks
-      in
-      { program; alloc_stats = e.out_stats; mem_summary = e.out_summary }
+      let r = e.result in
+      {
+        r with
+        program =
+          {
+            r.program with
+            Program.blocks = reweight vp.Program.blocks r.program.Program.blocks;
+          };
+      }
   | None ->
-      let r = compute gpu ~digest vp in
+      let r = compute gpu vp in
       Gat_util.Metrics.incr m_misses;
       Gat_util.Pool.with_lock lock (fun () ->
           incr miss_count;
-          Hashtbl.replace table key
-            {
-              out_blocks = r.program.Program.blocks;
-              out_stats = r.alloc_stats;
-              out_summary = r.mem_summary;
-            });
+          let b = bucket () in
+          if Option.is_none (find b vp) then
+            Hashtbl.replace table key ({ code = vp; result = r } :: b));
       r

@@ -46,23 +46,18 @@ let compile kernel gpu params =
                  keeps the address arithmetic fully trackable, and
                  spilling never changes an access's pattern, only adds
                  local traffic) depend only on the instruction streams,
-                 which TC and BC never shape — the backend result is
+                 which TC and BC never shape — the backend result, the
+                 program's digest and the geometry-free block table are
                  memoized across the launch-geometry axes of a sweep. *)
-              (* One structural digest of the virtual program keys
-                 every backend cache and the verdict cache downstream. *)
-              let digest = Gat_isa.Fingerprint.program virtual_program in
-              let backend = Codegen_cache.run ~gpu ~digest virtual_program in
+              let backend = Codegen_cache.run ~gpu virtual_program in
               let program = backend.Codegen_cache.program in
               let alloc_stats = backend.Codegen_cache.alloc_stats in
-              let mem_summary = backend.Codegen_cache.mem_summary in
               let log = Ptxas_info.of_program program alloc_stats in
-              (* Rebuilt on every compile: a build costs less than
-                 keying and reading back a stored table. *)
               let block_table =
                 Gat_util.Trace.span "compile.block_table" (fun () ->
-                    Block_table.build ~gpu ~params
-                      ~regs_per_thread:log.Ptxas_info.registers ~mem_summary
-                      program)
+                    Block_table.instantiate backend.Codegen_cache.shape ~gpu
+                      ~params ~regs_per_thread:log.Ptxas_info.registers
+                      ~smem_per_block:(Gat_isa.Program.smem_per_block program))
               in
               Ok
                 {
@@ -70,12 +65,12 @@ let compile kernel gpu params =
                   gpu;
                   params;
                   ptx = virtual_program;
-                  digest;
+                  digest = backend.Codegen_cache.digest;
                   program;
                   log;
                   alloc_stats;
                   profile;
-                  mem_summary;
+                  mem_summary = backend.Codegen_cache.mem_summary;
                   block_table;
                 }
             end)

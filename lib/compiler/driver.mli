@@ -14,10 +14,11 @@ type compiled = {
           allocation — what nvcc's PTX stage produces; render with
           {!Gat_isa.Ptx}. *)
   digest : string;
-      (** [Gat_isa.Fingerprint.program ptx], computed once per compile:
-          the weight-free key that {!Codegen_cache}, {!Artifacts} and
-          the tuner's verdict cache share, so no cache hashes [ptx]
-          again. *)
+      (** [Gat_isa.Fingerprint.program ptx]: the weight-free key that
+          {!Codegen_cache}, {!Artifacts} and the tuner's verdict cache
+          share.  Computed once per code shape per process, by the
+          {!Codegen_cache} miss that first sees the code; every later
+          variant with the same code reuses it. *)
   program : Gat_isa.Program.t;  (** Physical registers, final code. *)
   log : Ptxas_info.t;
   alloc_stats : Regalloc.stats;
@@ -32,8 +33,10 @@ type compiled = {
       (** Flat per-block static summary (issue cycles, mixes,
           pre-resolved memory factors, residency) — the simulator's hot
           path reads only this, so every per-variant static property is
-          derived once per compile and shared across input sizes.
-          Rebuilt on every compile, never stored. *)
+          derived once per compile and shared across input sizes.  Its
+          geometry-free {!Block_table.shape} is shared by every variant
+          of the code shape; only residency and load latencies are
+          computed per compile. *)
 }
 
 val compile :

@@ -717,12 +717,6 @@ let lower_parallel_loop ctx (l : Stmt.loop) ~total_threads =
   start_block ctx exit_l ~weight:Weight.one ~active:1.0 ~agg:parent
 
 let lower kernel gpu params =
-  (match Typecheck.kernel kernel with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Lowering: ill-typed kernel: " ^ msg));
-  (match Params.validate gpu params with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Lowering: invalid parameters: " ^ msg));
   let warps_per_block = (params.Params.threads_per_block + 31) / 32 in
   let total_warps = params.Params.block_count * warps_per_block in
   let entry_agg _ = { Profile.execs = float_of_int total_warps; lanes = 1.0 } in

@@ -24,5 +24,6 @@ val lower :
 (** Lower one variant, returning the virtual-register program and its
     execution profile (exact block-issue counts, branch probabilities
     and memory-coalescing classes — see {!Profile}).
-    Raises [Invalid_argument] on kernels that fail {!Gat_ir.Typecheck}
-    or parameters that fail {!Params.validate}. *)
+    The caller must already have checked the kernel with
+    {!Gat_ir.Typecheck} and the parameters with {!Params.validate};
+    {!Driver.compile}, the only caller, does both. *)

@@ -11,8 +11,9 @@
     one-instruction edit moves the digest and invalidates exactly the
     entries whose inputs changed.
 
-    Replaces the ad-hoc weight-free structural-equality walks the
-    codegen and verdict caches used to carry separately. *)
+    {!same_code} is the matching exact equality: the in-memory codegen
+    tier finds stored code with it, which is cheaper than hashing, and
+    reuses the stored digest. *)
 
 val body : Instruction.t list -> string
 (** Hex MD5 of one block body's instruction stream (no label, no
@@ -24,3 +25,10 @@ val block : Basic_block.t -> string
 val program : Program.t -> string
 (** Hex MD5 of a whole program: name, target, register/smem footprint
     and every block in layout order. *)
+
+val same_code : Program.t -> Program.t -> bool
+(** Exact equality of everything {!program} digests — name, target,
+    footprint, labels, bodies and terminators, float immediates by bit
+    pattern — ignoring weights and active fractions.  [same_code a b]
+    implies [program a = program b], so a cache that finds a stored
+    program by this test can reuse its digest without hashing. *)

@@ -50,9 +50,22 @@ let registers = function
   | Addr { base; _ } -> [ base ]
   | Imm _ | FImm _ | Special _ -> []
 
+(* Floats compare by bit pattern: [0.0] and [-0.0] print (and digest)
+   differently, and a NaN immediate equals itself. *)
+let equal a b =
+  match (a, b) with
+  | Reg r, Reg r' -> Register.equal r r'
+  | Imm i, Imm i' -> Int.equal i i'
+  | FImm f, FImm f' -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float f')
+  | Special s, Special s' -> s = s'
+  | Addr a, Addr a' ->
+      a.space = a'.space && Register.equal a.base a'.base
+      && Int.equal a.offset a'.offset
+  | (Reg _ | Imm _ | FImm _ | Special _ | Addr _), _ -> false
+
 let add_to_buffer buf = function
   | Reg r -> Register.add_to_buffer buf r
-  | Imm i -> Buffer.add_string buf (string_of_int i)
+  | Imm i -> Register.add_int buf i
   | FImm f -> Printf.bprintf buf "%h" f
   | Special s -> Buffer.add_string buf (special_to_string s)
   | Addr { space; base; offset } ->
@@ -62,7 +75,7 @@ let add_to_buffer buf = function
       Register.add_to_buffer buf base;
       if offset <> 0 then begin
         Buffer.add_char buf '+';
-        Buffer.add_string buf (string_of_int offset)
+        Register.add_int buf offset
       end;
       Buffer.add_char buf ']'
 

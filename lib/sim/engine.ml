@@ -155,10 +155,11 @@ let finish (c : Driver.compiled) ~n ~(occ : Gat_core.Occupancy.result)
    and no per-instruction allocation. *)
 let run_impl (c : Driver.compiled) ~n =
   let tbl = c.Driver.block_table in
+  let sh = tbl.Block_table.shape in
   let profile = c.Driver.profile in
   let occ = tbl.Block_table.residency in
-  let nb = tbl.Block_table.n_blocks in
-  let ncat = tbl.Block_table.n_categories in
+  let nb = sh.Block_table.n_blocks in
+  let ncat = sh.Block_table.n_categories in
   (* Align the profile's per-size aggregates with block layout order. *)
   let execs = Array.make nb 0.0 in
   let lanes = Array.make nb 1.0 in
@@ -167,7 +168,7 @@ let run_impl (c : Driver.compiled) ~n =
      absent labels keep the zero aggregate (execs 0, full lanes). *)
   List.iter
     (fun (label, (agg : Profile.agg)) ->
-      match Hashtbl.find_opt tbl.Block_table.index label with
+      match Hashtbl.find_opt sh.Block_table.index label with
       | Some i when not seen.(i) ->
           seen.(i) <- true;
           execs.(i) <- agg.Profile.execs;
@@ -187,12 +188,12 @@ let run_impl (c : Driver.compiled) ~n =
     let e = Array.unsafe_get execs i in
     if e > 0.0 then begin
       issue_cycles :=
-        !issue_cycles +. (e *. Array.unsafe_get tbl.Block_table.issue_cycles i);
+        !issue_cycles +. (e *. Array.unsafe_get sh.Block_table.issue_cycles i);
       load_issues :=
-        !load_issues +. (e *. Array.unsafe_get tbl.Block_table.global_loads i);
+        !load_issues +. (e *. Array.unsafe_get sh.Block_table.global_loads i);
       barrier_issues :=
-        !barrier_issues +. (e *. Array.unsafe_get tbl.Block_table.barriers i);
-      let trans = Array.unsafe_get tbl.Block_table.mem_transactions i in
+        !barrier_issues +. (e *. Array.unsafe_get sh.Block_table.barriers i);
+      let trans = Array.unsafe_get sh.Block_table.mem_transactions i in
       for a = 0 to Array.length trans - 1 do
         transactions := !transactions +. (e *. Array.unsafe_get trans a)
       done;
@@ -200,7 +201,7 @@ let run_impl (c : Driver.compiled) ~n =
       for a = 0 to Array.length lats - 1 do
         lat_weighted := !lat_weighted +. (e *. Array.unsafe_get lats a)
       done;
-      let instr_count = Array.unsafe_get tbl.Block_table.instr_counts i in
+      let instr_count = Array.unsafe_get sh.Block_table.instr_counts i in
       total_issues := !total_issues +. (e *. instr_count);
       weighted_lanes :=
         !weighted_lanes +. (e *. instr_count *. Array.unsafe_get lanes i);
@@ -208,7 +209,7 @@ let run_impl (c : Driver.compiled) ~n =
          instruction, so a category seen [k] times contributes the
          [k]-fold repeated sum of [e] (not [k *. e], which may round
          differently for fractional [e]). *)
-      let mc = Array.unsafe_get tbl.Block_table.mix_counts i in
+      let mc = Array.unsafe_get sh.Block_table.mix_counts i in
       for cat = 0 to ncat - 1 do
         let k = Array.unsafe_get mc cat in
         if k > 0 then begin
@@ -220,7 +221,7 @@ let run_impl (c : Driver.compiled) ~n =
             (Array.unsafe_get per_category cat +. !s)
         end
       done;
-      let regs = Array.unsafe_get tbl.Block_table.reg_ops i in
+      let regs = Array.unsafe_get sh.Block_table.reg_ops i in
       let racc = ref 0.0 in
       for j = 0 to Array.length regs - 1 do
         racc := !racc +. (e *. Array.unsafe_get regs j)

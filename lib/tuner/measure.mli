@@ -16,6 +16,11 @@ val time_of : Gat_compiler.Driver.compiled -> n:int -> rng:Gat_util.Rng.t -> flo
 (** Run the trial protocol on the simulator and return the selected
     trial's milliseconds. *)
 
+val est_mix : Gat_compiler.Driver.compiled -> n:int -> Gat_core.Imix.t
+(** [Gat_core.Imix.estimate_dynamic] of the compiled program at size
+    [n], bit for bit, computed from the block table's static mixes and
+    register-operand rows with each block's weight. *)
+
 val evaluate_compiled :
   Gat_compiler.Driver.compiled -> n:int -> rng:Gat_util.Rng.t -> Variant.t
 (** Measure a pre-compiled variant at size [n].  Compilation is

@@ -502,6 +502,126 @@ let test_codegen_cache_transparent () =
   Alcotest.(check bool) "alloc stats bit-identical" true
     (via_cache.Driver.alloc_stats = cold.Driver.alloc_stats)
 
+(* "A cache hit equals recomputation", across the whole plane: every
+   64th point of the paper's space (plus staged SC=2 points) for every
+   bundled kernel and device, compiled from a warm tier (guaranteed
+   hits: each point is compiled twice) and again after [clear], must
+   marshal to the same bytes in every output the compile exposes.
+   [No_sharing] makes the bytes a function of the value alone: the
+   persistent tier decodes labels as fresh strings where a fresh
+   compile aliases them, which changes sharing but not the value. *)
+let test_codegen_cache_hit_equals_recompute () =
+  let sample =
+    List.filteri (fun i _ -> i mod 64 = 0) (Gat_tuner.Space.points Gat_tuner.Space.paper)
+    @ [
+        Params.make ~threads_per_block:128 ~block_count:24 ~staging:2 ();
+        Params.make ~threads_per_block:256 ~block_count:48 ~staging:2 ();
+        Params.make ~threads_per_block:512 ~block_count:96 ~unroll:2
+          ~staging:2 ~l1_pref_kb:48 ();
+      ]
+  in
+  let bytes x = Marshal.to_string x [ Marshal.No_sharing ] in
+  let fields (c : Driver.compiled) =
+    let t = c.Driver.block_table in
+    let sh = t.Block_table.shape in
+    [
+      ("program", bytes c.Driver.program);
+      ("digest", bytes c.Driver.digest);
+      ("log", bytes c.Driver.log);
+      ("mem_summary", bytes c.Driver.mem_summary);
+      ("n_blocks", bytes sh.Block_table.n_blocks);
+      ("n_categories", bytes sh.Block_table.n_categories);
+      ("labels", bytes sh.Block_table.labels);
+      ("index", bytes sh.Block_table.index);
+      ("issue_cycles", bytes sh.Block_table.issue_cycles);
+      ("global_loads", bytes sh.Block_table.global_loads);
+      ("barriers", bytes sh.Block_table.barriers);
+      ("instr_counts", bytes sh.Block_table.instr_counts);
+      ("mix_counts", bytes sh.Block_table.mix_counts);
+      ("reg_ops", bytes sh.Block_table.reg_ops);
+      ("mem_transactions", bytes sh.Block_table.mem_transactions);
+      ("loads", bytes sh.Block_table.loads);
+      ("residency", bytes t.Block_table.residency);
+      ("mem_load_latency", bytes t.Block_table.mem_load_latency);
+    ]
+  in
+  List.iter
+    (fun kernel ->
+      List.iter
+        (fun gpu ->
+          let compile p =
+            match Driver.compile kernel gpu p with Ok c -> Some c | Error _ -> None
+          in
+          Codegen_cache.clear ();
+          List.iter (fun p -> ignore (compile p)) sample;
+          let warm =
+            List.map
+              (fun p ->
+                let hits = (Codegen_cache.stats ()).Codegen_cache.hits in
+                let c = compile p in
+                if Option.is_some c then
+                  Alcotest.(check int) "warm compile hits" (hits + 1)
+                    (Codegen_cache.stats ()).Codegen_cache.hits;
+                c)
+              sample
+          in
+          List.iter2
+            (fun p warm ->
+              Codegen_cache.clear ();
+              match (warm, compile p) with
+              | None, None -> ()
+              | Some warm, Some cold ->
+                  List.iter2
+                    (fun (name, w) (_, c) ->
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s/%s %s: %s" kernel.Kernel.name
+                           gpu.Gat_arch.Gpu.name (Params.to_string p) name)
+                        true (String.equal w c))
+                    (fields warm) (fields cold)
+              | _ -> Alcotest.fail "hit and recompute disagree on validity")
+            sample warm)
+        Gat_arch.Gpu.all)
+    Gat_workloads.Workloads.all;
+  Codegen_cache.clear ()
+
+(* Two programs that differ only in a [0.0] vs [-0.0] immediate: the
+   texts differ, so the digests must, and the bucket's exact equality
+   must not let one reuse the other's backend (polymorphic [=] would). *)
+let test_codegen_cache_signed_zero () =
+  let module I = Gat_isa in
+  let prog z =
+    I.Program.make ~name:"signed_zero" ~target:gpu.Gat_arch.Gpu.cc
+      [
+        I.Basic_block.make "entry"
+          [
+            I.Instruction.make ~dst:(I.Register.gpr 0) I.Opcode.MOV
+              [ I.Operand.FImm z ];
+            I.Instruction.make ~dst:(I.Register.gpr 1) I.Opcode.FADD
+              [ I.Operand.Reg (I.Register.gpr 0); I.Operand.Reg (I.Register.gpr 0) ];
+          ]
+          I.Basic_block.Exit;
+      ]
+  in
+  let pos = prog 0.0 and neg = prog (-0.0) in
+  Alcotest.(check bool) "polymorphic = cannot tell them apart" true (pos = neg);
+  Alcotest.(check bool) "same_code can" false (I.Fingerprint.same_code pos neg);
+  Alcotest.(check bool) "distinct digests" false
+    (String.equal (I.Fingerprint.program pos) (I.Fingerprint.program neg));
+  Codegen_cache.clear ();
+  let a = Codegen_cache.run ~gpu pos in
+  let b = Codegen_cache.run ~gpu neg in
+  let st = Codegen_cache.stats () in
+  Alcotest.(check int) "both miss" 2 st.Codegen_cache.misses;
+  Alcotest.(check int) "two entries" 2 st.Codegen_cache.classes;
+  Alcotest.(check string) "digest of +0" (I.Fingerprint.program pos)
+    a.Codegen_cache.digest;
+  Alcotest.(check string) "digest of -0" (I.Fingerprint.program neg)
+    b.Codegen_cache.digest;
+  let hit = Codegen_cache.run ~gpu (prog (-0.0)) in
+  Alcotest.(check string) "-0 hits its own entry" b.Codegen_cache.digest
+    hit.Codegen_cache.digest;
+  Codegen_cache.clear ()
+
 let test_driver_log_matches_program () =
   let c = compile Gat_workloads.Workloads.bicg in
   Alcotest.(check int) "registers" c.Driver.alloc_stats.Regalloc.regs_used
@@ -535,19 +655,20 @@ let test_block_table_matches_program () =
         (fun params ->
           let c = compile ~params kernel in
           let tbl = c.Driver.block_table in
+          let sh = tbl.Block_table.shape in
           let blocks = c.Driver.program.Gat_isa.Program.blocks in
           Alcotest.(check int) "block count" (List.length blocks)
-            tbl.Block_table.n_blocks;
+            sh.Block_table.n_blocks;
           List.iteri
             (fun i b ->
               let label = b.Gat_isa.Basic_block.label in
               Alcotest.(check string) "layout order" label
-                tbl.Block_table.labels.(i);
+                sh.Block_table.labels.(i);
               Alcotest.(check (option int)) "index" (Some i)
-                (Hashtbl.find_opt tbl.Block_table.index label);
+                (Hashtbl.find_opt sh.Block_table.index label);
               Alcotest.(check int) "instr count"
                 (Gat_isa.Basic_block.instruction_count b)
-                (int_of_float tbl.Block_table.instr_counts.(i));
+                (int_of_float sh.Block_table.instr_counts.(i));
               (* Memory rows vs the assoc-scan they replace. *)
               let accesses =
                 Option.value ~default:[]
@@ -569,9 +690,9 @@ let test_block_table_matches_program () =
                   accesses
               in
               Alcotest.(check int) "tx row length" (List.length expected_tx)
-                (Array.length tbl.Block_table.mem_transactions.(i));
+                (Array.length sh.Block_table.mem_transactions.(i));
               List.iteri
-                (fun j v -> check_f "tx" v tbl.Block_table.mem_transactions.(i).(j))
+                (fun j v -> check_f "tx" v sh.Block_table.mem_transactions.(i).(j))
                 expected_tx;
               Alcotest.(check int) "lat row length" (List.length expected_lat)
                 (Array.length tbl.Block_table.mem_load_latency.(i));
@@ -581,10 +702,10 @@ let test_block_table_matches_program () =
               (* Static mix rows sum to the instruction count. *)
               Alcotest.(check int) "mix total"
                 (Gat_isa.Basic_block.instruction_count b)
-                (Array.fold_left ( + ) 0 tbl.Block_table.mix_counts.(i));
+                (Array.fold_left ( + ) 0 sh.Block_table.mix_counts.(i));
               Alcotest.(check int) "reg_ops length"
                 (Gat_isa.Basic_block.instruction_count b)
-                (Array.length tbl.Block_table.reg_ops.(i)))
+                (Array.length sh.Block_table.reg_ops.(i)))
             blocks)
         [
           Params.default;
@@ -674,6 +795,10 @@ let () =
           Alcotest.test_case "log matches" `Quick test_driver_log_matches_program;
           Alcotest.test_case "codegen cache transparent" `Quick
             test_codegen_cache_transparent;
+          Alcotest.test_case "codegen cache hit = recompute" `Slow
+            test_codegen_cache_hit_equals_recompute;
+          Alcotest.test_case "codegen cache signed zero" `Quick
+            test_codegen_cache_signed_zero;
           Alcotest.test_case "ptxas render" `Quick test_ptxas_render;
         ] );
       ( "block_table",

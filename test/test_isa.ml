@@ -38,6 +38,16 @@ let prop_register_roundtrip =
       let r = if is_pred then Register.pred id else Register.gpr id in
       Register.of_string (Register.to_string r) = Some r)
 
+(* The digit printer must write exactly [string_of_int]'s text: every
+   digest and artifact key is computed from it. *)
+let prop_add_int_is_string_of_int =
+  QCheck.Test.make ~count:1000 ~name:"add_int = string_of_int"
+    QCheck.(oneof [ int; int_range (-100) 100; oneofl [ min_int; max_int; 0 ] ])
+    (fun n ->
+      let buf = Buffer.create 24 in
+      Register.add_int buf n;
+      String.equal (Buffer.contents buf) (string_of_int n))
+
 (* ---- Opcode ---- *)
 
 let test_opcode_mnemonic_roundtrip () =
@@ -117,6 +127,26 @@ let prop_operand_roundtrip =
   QCheck.Test.make ~count:500 ~name:"operand string roundtrip"
     (QCheck.make ~print:Operand.to_string operand_gen)
     (fun o -> Operand.of_string (Operand.to_string o) = Some o)
+
+let test_operand_equal () =
+  Alcotest.(check bool) "0.0 <> -0.0" false
+    (Operand.equal (Operand.fimm 0.0) (Operand.fimm (-0.0)));
+  Alcotest.(check bool) "nan = nan" true
+    (Operand.equal (Operand.fimm Float.nan) (Operand.fimm Float.nan));
+  Alcotest.(check bool) "imm <> fimm" false
+    (Operand.equal (Operand.imm 1) (Operand.fimm 1.0));
+  Alcotest.(check bool) "addr offsets" false
+    (Operand.equal
+       (Operand.addr Operand.Global (Register.gpr 2) 8)
+       (Operand.addr Operand.Global (Register.gpr 2) 4))
+
+let prop_operand_equal_iff_same_text =
+  QCheck.Test.make ~count:500 ~name:"operand equal iff same text"
+    (QCheck.make QCheck.Gen.(pair operand_gen operand_gen))
+    (fun (a, b) ->
+      Operand.equal a a
+      && Bool.equal (Operand.equal a b)
+           (String.equal (Operand.to_string a) (Operand.to_string b)))
 
 let test_operand_registers () =
   Alcotest.(check int) "reg has one" 1
@@ -490,6 +520,7 @@ let () =
           Alcotest.test_case "parse" `Quick test_register_parse;
           Alcotest.test_case "compare" `Quick test_register_compare;
           QCheck_alcotest.to_alcotest prop_register_roundtrip;
+          QCheck_alcotest.to_alcotest prop_add_int_is_string_of_int;
         ] );
       ( "opcode",
         [
@@ -503,6 +534,8 @@ let () =
           Alcotest.test_case "strings" `Quick test_operand_strings;
           Alcotest.test_case "registers" `Quick test_operand_registers;
           QCheck_alcotest.to_alcotest prop_operand_roundtrip;
+          Alcotest.test_case "equal" `Quick test_operand_equal;
+          QCheck_alcotest.to_alcotest prop_operand_equal_iff_same_text;
         ] );
       ( "instruction",
         [

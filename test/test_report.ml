@@ -73,16 +73,33 @@ let test_table7_structure () =
         && r.Gat_report.Table7.suggestion.Gat_core.Suggest.occupancy <= 1.0))
     rows
 
-let test_table7_matches_paper_kepler () =
-  let rows = Gat_report.Table7.rows () in
-  let kepler_atax =
-    List.find
-      (fun (r : Gat_report.Table7.row) ->
-        r.Gat_report.Table7.kernel = "atax" && r.Gat_report.Table7.family = "Kepler")
-      rows
+(* Every row's T* against its family's list in the paper.  One row
+   deviates, as EXPERIMENTS.md records: our compiler gives ex14FJ 22
+   registers on Fermi, so the register file pins T* at {704} (occ* 0.92)
+   instead of the paper's Fermi list. *)
+let test_table7_matches_paper () =
+  let paper = function
+    | "Fermi" -> [ 192; 256; 384; 512; 768 ]
+    | "Kepler" -> [ 128; 256; 512; 1024 ]
+    | "Maxwell" | "Pascal" -> [ 64; 128; 256; 512; 1024 ]
+    | f -> Alcotest.failf "unknown family %s" f
   in
-  Alcotest.(check (list int)) "Kepler T* = paper's" [ 128; 256; 512; 1024 ]
-    kepler_atax.Gat_report.Table7.suggestion.Gat_core.Suggest.threads
+  let rows = Gat_report.Table7.rows () in
+  Alcotest.(check int) "16 rows" 16 (List.length rows);
+  List.iter
+    (fun (r : Gat_report.Table7.row) ->
+      let s = r.Gat_report.Table7.suggestion in
+      let label = r.Gat_report.Table7.kernel ^ "/" ^ r.Gat_report.Table7.family in
+      if label = "ex14fj/Fermi" then begin
+        Alcotest.(check (list int)) (label ^ " T* (recorded deviation)") [ 704 ]
+          s.Gat_core.Suggest.threads;
+        Alcotest.(check string) (label ^ " occ*") "0.92"
+          (Printf.sprintf "%.2f" s.Gat_core.Suggest.occupancy)
+      end
+      else
+        Alcotest.(check (list int)) (label ^ " T* = paper's")
+          (paper r.Gat_report.Table7.family) s.Gat_core.Suggest.threads)
+    rows
 
 let test_table6_structure () =
   let rows = Gat_report.Table6.rows () in
@@ -171,7 +188,7 @@ let () =
         [
           Alcotest.test_case "fig1 monotone" `Quick test_fig1_monotone;
           Alcotest.test_case "table7 structure" `Quick test_table7_structure;
-          Alcotest.test_case "table7 kepler" `Quick test_table7_matches_paper_kepler;
+          Alcotest.test_case "table7 all rows" `Quick test_table7_matches_paper;
           Alcotest.test_case "table6 structure" `Slow test_table6_structure;
           Alcotest.test_case "table6 intensity" `Slow test_table6_ex14fj_most_intense;
           Alcotest.test_case "fig7" `Quick test_fig7_render;

@@ -453,6 +453,44 @@ let test_evaluate_compiled_matches_evaluate () =
       in
       Alcotest.(check bool) "pre-compiled path identical" true (v = v')
 
+(* [Measure.est_mix] replays the block table instead of walking the
+   program; it must equal [Imix.estimate_dynamic] bit for bit on every
+   kernel x device at every input size. *)
+let test_est_mix_matches_imix () =
+  let sample =
+    List.filteri (fun i _ -> i mod 256 = 0) (Gat_tuner.Space.points Gat_tuner.Space.paper)
+    @ [
+        Params.make ~threads_per_block:256 ~block_count:48 ~unroll:3
+          ~staging:2 ~fast_math:true ();
+      ]
+  in
+  let bits (m : Gat_core.Imix.t) =
+    Int64.bits_of_float m.Gat_core.Imix.reg_operands
+    :: Array.to_list (Array.map Int64.bits_of_float m.Gat_core.Imix.per_category)
+  in
+  List.iter
+    (fun kernel ->
+      List.iter
+        (fun gpu ->
+          List.iter
+            (fun params ->
+              match Gat_compiler.Driver.compile kernel gpu params with
+              | Error _ -> ()
+              | Ok c ->
+                  List.iter
+                    (fun n ->
+                      Alcotest.(check (list int64))
+                        (Printf.sprintf "%s/%s %s n=%d" kernel.Gat_ir.Kernel.name
+                           gpu.Gat_arch.Gpu.name (Params.to_string params) n)
+                        (bits
+                           (Gat_core.Imix.estimate_dynamic
+                              c.Gat_compiler.Driver.program ~n))
+                        (bits (Gat_tuner.Measure.est_mix c ~n)))
+                    (Gat_workloads.Workloads.input_sizes kernel))
+            sample)
+        Gat_arch.Gpu.all)
+    Gat_workloads.Workloads.all
+
 (* ---- Journal ---- *)
 
 let make_journal () =
@@ -673,6 +711,8 @@ let () =
             test_sweep_multi_matches_single_sweeps;
           Alcotest.test_case "trial draws match full protocol" `Quick
             test_measure_draws_match_full_protocol;
+          Alcotest.test_case "est_mix = Imix.estimate_dynamic" `Quick
+            test_est_mix_matches_imix;
           Alcotest.test_case "evaluate_compiled matches evaluate" `Quick
             test_evaluate_compiled_matches_evaluate;
           Alcotest.test_case "fig4 ranking = legacy path" `Quick
