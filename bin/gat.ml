@@ -552,6 +552,12 @@ let no_cache_arg =
            sweep cache and the compile artifact store: neither read \
            nor write them.")
 
+let skip_caches no_cache =
+  if no_cache then
+    List.iter
+      (fun c -> Gat_util.Store.set_enabled c false)
+      [ Gat_tuner.Disk_cache.cache; Gat_compiler.Artifacts.cache ]
+
 let jobs_arg =
   Arg.(
     value
@@ -574,10 +580,7 @@ let t_autotune = Gat_util.Metrics.timer "cli.autotune"
 let t_sweep = Gat_util.Metrics.timer "cli.sweep"
 
 let autotune kernel gpu n seed strategy journal_path no_cache trace =
-  if no_cache then begin
-    Gat_tuner.Disk_cache.set_enabled false;
-    Gat_tuner.Artifact_store.set_enabled false
-  end;
+  skip_caches no_cache;
   set_trace trace;
   let n = size_of kernel n in
   let journal =
@@ -684,10 +687,7 @@ let print_sweep_report kernel gpu ~n ~seed ~space ~top
 
 let sweep kernel gpu n seed jobs retries max_failures resume no_checkpoint
     block no_cache top show_progress trace shards coordinator lease_ttl =
-  if no_cache then begin
-    Gat_tuner.Disk_cache.set_enabled false;
-    Gat_tuner.Artifact_store.set_enabled false
-  end;
+  skip_caches no_cache;
   set_trace trace;
   set_jobs jobs;
   if retries < 0 then
@@ -902,10 +902,7 @@ let sweep_cmd =
 (* ---- sweep-worker ---- *)
 
 let sweep_worker dir jobs retries block no_cache show_progress trace =
-  if no_cache then begin
-    Gat_tuner.Disk_cache.set_enabled false;
-    Gat_tuner.Artifact_store.set_enabled false
-  end;
+  skip_caches no_cache;
   set_trace trace;
   set_jobs jobs;
   if retries < 0 then
@@ -1069,10 +1066,7 @@ let replay_cmd =
 (* ---- experiment ---- *)
 
 let experiment jobs no_cache trace id =
-  if no_cache then begin
-    Gat_tuner.Disk_cache.set_enabled false;
-    Gat_tuner.Artifact_store.set_enabled false
-  end;
+  skip_caches no_cache;
   set_trace trace;
   set_jobs jobs;
   if String.lowercase_ascii id = "all" then
@@ -1107,27 +1101,15 @@ let human_bytes b =
 let cache action max_bytes =
   match action with
   | "stats" ->
-      let entries, bytes = Gat_tuner.Disk_cache.disk_usage () in
-      let s = Gat_tuner.Disk_cache.stats () in
-      let a_entries, a_bytes = Gat_tuner.Artifact_store.disk_usage () in
-      let a = Gat_tuner.Artifact_store.stats () in
+      let disk = Gat_tuner.Disk_cache.cache and art = Gat_compiler.Artifacts.cache in
+      let entries, bytes = Gat_util.Store.disk_usage disk in
+      let a_entries, a_bytes = Gat_util.Store.disk_usage art in
       Printf.printf
         "directory: %s\nmodel:     %s\nentries:   %d (%s)\n\
-         session:   %d hits, %d misses, %d stores, %d degraded writes\n\
-         checkpoints: %d stored, %d resumed\n\
-         artifacts: %d (%s) under %s\n\
-         artifact session: %d hits, %d misses, %d stores, %d degraded \
-         writes\n"
-        (Gat_tuner.Disk_cache.dir ())
-        Gat_tuner.Disk_cache.model_version entries (human_bytes bytes)
-        s.Gat_tuner.Disk_cache.hits s.Gat_tuner.Disk_cache.misses
-        s.Gat_tuner.Disk_cache.stores s.Gat_tuner.Disk_cache.degraded_writes
-        s.Gat_tuner.Disk_cache.ckpt_stores s.Gat_tuner.Disk_cache.ckpt_resumes
-        a_entries (human_bytes a_bytes)
-        (Gat_tuner.Artifact_store.dir ())
-        a.Gat_tuner.Artifact_store.hits a.Gat_tuner.Artifact_store.misses
-        a.Gat_tuner.Artifact_store.stores
-        a.Gat_tuner.Artifact_store.degraded_writes;
+         artifacts: %d (%s) under %s\n"
+        (Gat_util.Store.dir disk) Gat_tuner.Disk_cache.model_version entries
+        (human_bytes bytes) a_entries (human_bytes a_bytes)
+        (Gat_util.Store.dir art);
       let sh = Gat_tuner.Shard.usage () in
       Printf.printf
         "shards:    %d director%s, %d files (%s); %d live lease%s (%s \
@@ -1146,13 +1128,13 @@ let cache action max_bytes =
         (if sh.Gat_tuner.Shard.crash_files = 1 then "" else "s")
   | "clear" ->
       let removed =
-        Gat_tuner.Disk_cache.clear ()
-        + Gat_tuner.Artifact_store.clear ()
+        Gat_util.Store.clear Gat_tuner.Disk_cache.cache
+        + Gat_util.Store.clear Gat_compiler.Artifacts.cache
         + Gat_tuner.Shard.clear ()
       in
       Printf.printf "removed %d cache entr%s from %s\n" removed
         (if removed = 1 then "y" else "ies")
-        (Gat_tuner.Disk_cache.dir ())
+        (Gat_util.Cache_dir.root ())
   | "gc" ->
       let max_bytes =
         match max_bytes with
@@ -1174,7 +1156,7 @@ let cache action max_bytes =
         (human_bytes
            (r.Gat_tuner.Artifact_store.bytes
            - r.Gat_tuner.Artifact_store.removed_bytes))
-        (Gat_tuner.Disk_cache.dir ())
+        (Gat_util.Cache_dir.root ())
   | _ ->
       Gat_util.Error.failf Usage ~hint:"expected: stats, clear, gc"
         "unknown cache action %S" action
@@ -1184,7 +1166,7 @@ let cache_cmd =
     Arg.(
       value & pos 0 string "stats"
       & info [] ~docv:"ACTION"
-          ~doc:"$(b,stats) prints entry count, size and session counters; \
+          ~doc:"$(b,stats) prints entry and artifact counts and sizes; \
                 $(b,clear) removes every entry (sweeps and artifacts); \
                 $(b,gc) evicts least-recently-used entries down to \
                 $(b,--max-bytes).")

@@ -20,12 +20,11 @@
    - [verdict] per virtual program and TC (the verifier never reads
               the device or the block count).
 
-   Entries are MD5-sealed atomic files ([Gat_util.Sealed_file]) under
-   [<cache root>/artifacts/]; corruption, truncation or a version
-   mismatch reads as a miss, never as wrong data, and the stale file
-   is simply overwritten by the next store.  I/O failure degrades the
-   store exactly like the sweep cache: warn once, latch, keep
-   computing uncached.  Chaos testing hooks in through the
+   Entries live in one {!Gat_util.Store} under [<cache root>/artifacts/];
+   corruption, truncation or a version mismatch reads as a miss, never
+   as wrong data, and the stale file is simply overwritten by the next
+   store.  I/O failure degrades this store alone: warn once, latch,
+   keep computing uncached.  Chaos testing hooks in through the
    [artifact-read] / [artifact-write] fault sites.
 
    The hard invariant every codec here must preserve: a store-served
@@ -35,265 +34,83 @@
    exhaustive test). *)
 
 open Gat_isa
-
-let magic = "gat-artifact 1"
-let dir () = Filename.concat (Gat_util.Cache_dir.root ()) "artifacts"
-let lock = Mutex.create ()
-
-(* ---- availability: enabled flag + one-shot degradation ---- *)
-
-let enabled_flag = ref true
-let set_enabled b = Gat_util.Pool.with_lock lock (fun () -> enabled_flag := b)
-let enabled () = Gat_util.Pool.with_lock lock (fun () -> !enabled_flag)
-let degraded_flag = ref false
-let warned = ref false
-let degraded () = Gat_util.Pool.with_lock lock (fun () -> !degraded_flag)
-
-let reset_degraded () =
-  Gat_util.Pool.with_lock lock (fun () ->
-      degraded_flag := false;
-      warned := false)
-
-let writable () = enabled () && not (degraded ())
-
-(* ---- observability ---- *)
-
-type stats = { hits : int; misses : int; stores : int; degraded_writes : int }
-
-let zero_stats = { hits = 0; misses = 0; stores = 0; degraded_writes = 0 }
-let stats_ref = ref zero_stats
-let stats () = Gat_util.Pool.with_lock lock (fun () -> !stats_ref)
-let reset_stats () = Gat_util.Pool.with_lock lock (fun () -> stats_ref := zero_stats)
-let bump f = Gat_util.Pool.with_lock lock (fun () -> stats_ref := f !stats_ref)
-let m_hits = Gat_util.Metrics.counter "artifact.hits"
-let m_misses = Gat_util.Metrics.counter "artifact.misses"
-let m_stores = Gat_util.Metrics.counter "artifact.stores"
-let m_degraded = Gat_util.Metrics.counter "artifact.degraded_writes"
-let m_bytes_read = Gat_util.Metrics.counter "artifact.bytes_read"
-let m_bytes_written = Gat_util.Metrics.counter "artifact.bytes_written"
-
-let stage_names = [ "sched"; "ra"; "coal"; "verdict" ]
-
-let per_stage kind =
-  List.map
-    (fun s -> (s, Gat_util.Metrics.counter (Printf.sprintf "artifact.%s.%s" s kind)))
-    stage_names
-
-let per_hits = per_stage "hits"
-let per_misses = per_stage "misses"
-
-let hit stage =
-  Gat_util.Metrics.incr m_hits;
-  Gat_util.Metrics.incr (List.assoc stage per_hits);
-  bump (fun s -> { s with hits = s.hits + 1 })
-
-let miss stage =
-  Gat_util.Metrics.incr m_misses;
-  Gat_util.Metrics.incr (List.assoc stage per_misses);
-  bump (fun s -> { s with misses = s.misses + 1 })
-
-let stored () =
-  Gat_util.Metrics.incr m_stores;
-  bump (fun s -> { s with stores = s.stores + 1 })
-
-(* First failure warns on stderr; the latch silences the rest and the
-   run continues computing uncached — an unavailable store must never
-   take a sweep down. *)
-let degrade reason =
-  Gat_util.Metrics.incr m_degraded;
-  bump (fun s -> { s with degraded_writes = s.degraded_writes + 1 });
-  let warn =
-    Gat_util.Pool.with_lock lock (fun () ->
-        degraded_flag := true;
-        if !warned then false
-        else begin
-          warned := true;
-          true
-        end)
-  in
-  if warn then
-    Printf.eprintf
-      "gat: warning: artifact store unavailable (%s); continuing uncached\n%!"
-      reason
+module Store = Gat_util.Store
 
 (* ---- keys ---- *)
 
-(* The per-stage format versions.  A version participates in the key,
-   so bumping one orphans exactly that stage's old entries (reclaimed
-   by [gat cache gc]) and leaves every other stage's results valid —
-   the O(delta) story for model changes. *)
-let sched_version = "sched/1"
-let ra_version = "ra/1"
-let coal_version = "coal/1"
-let verdict_version = "verdict/1"
-
+(* The per-stage format versions.  A version participates in the key
+   and in the entry's header line, so bumping one orphans exactly that
+   stage's old entries (reclaimed by [gat cache gc]) and leaves every
+   other stage's results valid — the O(delta) story for model
+   changes. *)
 let versions =
-  [
-    ("sched", sched_version);
-    ("ra", ra_version);
-    ("coal", coal_version);
-    ("verdict", verdict_version);
-  ]
+  [ ("sched", "sched/1"); ("ra", "ra/1"); ("coal", "coal/1"); ("verdict", "verdict/1") ]
 
-let key_of_parts parts =
-  Digest.to_hex (Digest.string (String.concat "\x00" parts))
+let cache =
+  Store.create ~name:"artifact store" ~metrics:"artifact" ~site:"artifact"
+    ~dir:(fun () -> Filename.concat (Gat_util.Cache_dir.root ()) "artifacts")
+    ~suffixes:[ ".art" ] ~stages:(List.map fst versions) ()
 
-let sched_key body = key_of_parts [ sched_version; Fingerprint.body body ]
+let key_of_parts stage parts =
+  Digest.to_hex (Digest.string (String.concat "\x00" (List.assoc stage versions :: parts)))
+
+let sched_key body = key_of_parts "sched" [ Fingerprint.body body ]
 
 let ra_key ~gpu scheduled =
-  key_of_parts
-    [ ra_version; Gat_arch.Gpu.identity gpu; Fingerprint.program scheduled ]
+  key_of_parts "ra" [ Gat_arch.Gpu.identity gpu; Fingerprint.program scheduled ]
 
 (* [digest] is [Fingerprint.program] of the virtual program, computed
    once per compile by the driver. *)
-let coal_key ~gpu digest =
-  key_of_parts [ coal_version; Gat_arch.Gpu.identity gpu; digest ]
+let coal_key ~gpu digest = key_of_parts "coal" [ Gat_arch.Gpu.identity gpu; digest ]
 
 let verdict_key ~threads_per_block digest =
-  key_of_parts [ verdict_version; string_of_int threads_per_block; digest ]
+  key_of_parts "verdict" [ string_of_int threads_per_block; digest ]
 
-(* ---- the sealed-entry envelope ---- *)
+(* ---- entries ---- *)
 
-exception Bad
+let headers =
+  List.map (fun (stage, v) -> (stage, "gat-artifact 1\nstage " ^ v ^ "\n")) versions
 
-let path_of stage key = Filename.concat (dir ()) (stage ^ "-" ^ key ^ ".art")
+let path stage key = Store.path cache (stage ^ "-" ^ key ^ ".art")
 
-type cursor = { s : string; mutable pos : int }
+let find stage ~key parse =
+  Store.find cache ~stage ~header:(List.assoc stage headers) (path stage key) parse
 
-let line cur =
-  match String.index_from_opt cur.s cur.pos '\n' with
-  | None -> raise Bad
-  | Some i ->
-      let l = String.sub cur.s cur.pos (i - cur.pos) in
-      cur.pos <- i + 1;
-      l
-
-let at_end cur = cur.pos >= String.length cur.s
-let expect_line cur l = if not (String.equal (line cur) l) then raise Bad
-
-let find_with ~stage ~version ~key parse =
-  if not (enabled ()) then None
-  else
-    let path = path_of stage key in
-    if not (Sys.file_exists path) then begin
-      miss stage;
-      None
-    end
-    else
-      let read () =
-        Gat_util.Fault.inject ~site:"artifact-read"
-          ~key:(Filename.basename path);
-        let raw = Gat_util.Sealed_file.read_raw path in
-        Gat_util.Metrics.incr ~by:(String.length raw) m_bytes_read;
-        match Gat_util.Sealed_file.unseal raw with
-        | None -> raise Bad
-        | Some payload ->
-            let cur = { s = payload; pos = 0 } in
-            expect_line cur magic;
-            expect_line cur ("stage " ^ stage ^ "/" ^ version);
-            let v = parse cur in
-            if not (at_end cur) then raise Bad;
-            v
-      in
-      (* Corrupted, truncated, foreign or stale-format content: a miss;
-         the next store overwrites the file. *)
-      (match read () with
-      | v ->
-          hit stage;
-          Some v
-      | exception _ ->
-          miss stage;
-          None)
-
-let store_with ~stage ~version ~key emit =
-  if writable () then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf magic;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf ("stage " ^ stage ^ "/" ^ version ^ "\n");
-    emit buf;
-    Gat_util.Sealed_file.seal buf;
-    let path = path_of stage key in
-    match
-      Gat_util.Fault.inject ~site:"artifact-write"
-        ~key:(Filename.basename path);
-      Gat_util.Sealed_file.publish ~path buf
-    with
-    | () ->
-        Gat_util.Metrics.incr ~by:(Buffer.length buf) m_bytes_written;
-        stored ()
-    | exception Sys_error e -> degrade e
-    | exception Gat_util.Fault.Injected e -> degrade e
-  end
-
-(* ---- scalar codecs ---- *)
+let store stage ~key emit =
+  Store.store cache ~header:(List.assoc stage headers) (path stage key) emit
 
 let addf buf fmt = Printf.bprintf buf fmt
 
-(* Token stream over one line.  Emitters never produce trailing or
-   doubled spaces, so a plain split is exact. *)
-type toks = { mutable rest : string list }
-
-let toks l = { rest = String.split_on_char ' ' l }
-
-let tok t =
-  match t.rest with
-  | [] -> raise Bad
-  | x :: r ->
-      t.rest <- r;
-      x
-
-let int_tok t =
-  match int_of_string_opt (tok t) with Some n -> n | None -> raise Bad
-
-(* [%h] literals parse back bit-exactly via the strtod hex path. *)
-let float_tok t =
-  match float_of_string_opt (tok t) with Some f -> f | None -> raise Bad
-
-let done_toks t = if t.rest <> [] then raise Bad
-let expect_tok t l = if not (String.equal (tok t) l) then raise Bad
-
-let counted cur tag =
-  let t = toks (line cur) in
-  expect_tok t tag;
-  let n = int_tok t in
-  done_toks t;
-  if n < 0 || n > 1_000_000 then raise Bad;
-  n
-
-let rest_after l prefix =
-  let n = String.length prefix in
-  if String.length l >= n && String.equal (String.sub l 0 n) prefix then
-    String.sub l n (String.length l - n)
-  else raise Bad
-
-(* Labels and names travel on token lines; anything that could not be
-   re-tokenized is unstorable (never produced by the lowering, which
-   only emits [entry]/[BB<n>] labels — this is belt and braces). *)
+(* Labels and names travel as words; anything that could not be
+   re-read as one word is unstorable (never produced by the lowering,
+   which only emits [entry]/[BB<n>] labels — this is belt and
+   braces). *)
 let safe_text s =
   String.length s > 0
   && not (String.exists (fun c -> c = ' ' || c = '\n') s)
 
 let instr_line cur =
-  match Instruction.of_string (line cur) with
+  match Instruction.of_string (Store.line cur) with
   | Some i -> i
-  | None -> raise Bad
+  | None -> Store.bad ()
 
 (* ---- sched: one block body ---- *)
 
+let emit_body buf body =
+  List.iter
+    (fun i ->
+      Instruction.add_to_buffer buf i;
+      Buffer.add_char buf '\n')
+    body
+
 let find_sched ~key =
-  find_with ~stage:"sched" ~version:"1" ~key (fun cur ->
-      let n = counted cur "body" in
-      List.init n (fun _ -> instr_line cur))
+  find "sched" ~key (fun cur ->
+      List.init (Store.counted cur "body") (fun _ -> instr_line cur))
 
 let store_sched ~key body =
-  store_with ~stage:"sched" ~version:"1" ~key (fun buf ->
+  store "sched" ~key (fun buf ->
       addf buf "body %d\n" (List.length body);
-      List.iter
-        (fun i ->
-          Instruction.add_to_buffer buf i;
-          Buffer.add_char buf '\n')
-        body)
+      emit_body buf body)
 
 (* ---- terminators (shared by the ra codec) ---- *)
 
@@ -307,73 +124,60 @@ let emit_term buf (t : Basic_block.terminator) =
         if_true if_false
   | Basic_block.Exit -> Buffer.add_string buf "term exit\n"
 
-let parse_term cur =
-  let t = toks (line cur) in
-  expect_tok t "term";
-  match tok t with
-  | "jump" ->
-      let l = tok t in
-      done_toks t;
-      Basic_block.Jump l
-  | "exit" ->
-      done_toks t;
-      Basic_block.Exit
-  | "cbr" ->
-      let p = tok t in
-      let negated = String.length p > 0 && p.[0] = '!' in
-      let name = if negated then String.sub p 1 (String.length p - 1) else p in
-      let reg =
-        match Register.of_string name with Some r -> r | None -> raise Bad
-      in
-      let if_true = tok t in
-      let if_false = tok t in
-      done_toks t;
-      Basic_block.Cond_branch
-        { pred = { Instruction.negated; reg }; if_true; if_false }
-  | _ -> raise Bad
+(* Fields are read in sequence, never inside a record literal or a
+   constructor's arguments, whose evaluation order is unspecified. *)
+let read_term cur =
+  Store.start cur;
+  Store.keyword cur "term";
+  let term =
+    match Store.word cur with
+    | "jump" -> Basic_block.Jump (Store.word cur)
+    | "exit" -> Basic_block.Exit
+    | "cbr" ->
+        let p = Store.word cur in
+        let negated = p.[0] = '!' in
+        let name = if negated then String.sub p 1 (String.length p - 1) else p in
+        let reg =
+          match Register.of_string name with Some r -> r | None -> Store.bad ()
+        in
+        let if_true = Store.word cur in
+        let if_false = Store.word cur in
+        Basic_block.Cond_branch
+          { pred = { Instruction.negated; reg }; if_true; if_false }
+    | _ -> Store.bad ()
+  in
+  Store.end_line cur;
+  term
 
 (* ---- ra: allocated blocks + stats, weight-free ---- *)
 
+let read_block cur =
+  Store.start cur;
+  Store.keyword cur "block";
+  let label = Store.word cur in
+  let n = Store.int cur in
+  Store.end_line cur;
+  let body = List.init n (fun _ -> instr_line cur) in
+  Basic_block.make label body (read_term cur)
+
 let find_ra ~key =
-  find_with ~stage:"ra" ~version:"1" ~key (fun cur ->
-      let t = toks (line cur) in
-      expect_tok t "stats";
-      (* Token reads side-effect the stream: bind in sequence, never in
-         a record literal (field evaluation order is unspecified). *)
-      let regs_used = int_tok t in
-      let spilled_values = int_tok t in
-      let spill_loads = int_tok t in
-      let spill_stores = int_tok t in
-      let max_pressure = int_tok t in
-      let st =
-        {
-          Regalloc.regs_used;
-          spilled_values;
-          spill_loads;
-          spill_stores;
-          max_pressure;
-        }
-      in
-      done_toks t;
-      let n = counted cur "blocks" in
-      let blocks =
-        List.init n (fun _ ->
-            let t = toks (line cur) in
-            expect_tok t "block";
-            let label = tok t in
-            let nbody = int_tok t in
-            done_toks t;
-            if nbody < 0 || nbody > 1_000_000 then raise Bad;
-            let body = List.init nbody (fun _ -> instr_line cur) in
-            let term = parse_term cur in
-            Basic_block.make label body term)
-      in
-      (blocks, st))
+  find "ra" ~key (fun cur ->
+      Store.start cur;
+      Store.keyword cur "stats";
+      let regs_used = Store.int cur in
+      let spilled_values = Store.int cur in
+      let spill_loads = Store.int cur in
+      let spill_stores = Store.int cur in
+      let max_pressure = Store.int cur in
+      Store.end_line cur;
+      let blocks = List.init (Store.counted cur "blocks") (fun _ -> read_block cur) in
+      ( blocks,
+        { Regalloc.regs_used; spilled_values; spill_loads; spill_stores; max_pressure } ))
 
 let store_ra ~key (p : Program.t) (st : Regalloc.stats) =
   if List.for_all (fun b -> safe_text b.Basic_block.label) p.Program.blocks
   then
-    store_with ~stage:"ra" ~version:"1" ~key (fun buf ->
+    store "ra" ~key (fun buf ->
         addf buf "stats %d %d %d %d %d\n" st.Regalloc.regs_used
           st.Regalloc.spilled_values st.Regalloc.spill_loads
           st.Regalloc.spill_stores st.Regalloc.max_pressure;
@@ -382,11 +186,7 @@ let store_ra ~key (p : Program.t) (st : Regalloc.stats) =
           (fun (b : Basic_block.t) ->
             addf buf "block %s %d\n" b.Basic_block.label
               (List.length b.Basic_block.body);
-            List.iter
-              (fun i ->
-                Instruction.add_to_buffer buf i;
-                Buffer.add_char buf '\n')
-              b.Basic_block.body;
+            emit_body buf b.Basic_block.body;
             emit_term buf b.Basic_block.term)
           p.Program.blocks)
 
@@ -397,14 +197,14 @@ let emit_coeff buf (c : Gat_analysis.Affine.coeff) =
   | Gat_analysis.Affine.Known { k; e } -> addf buf " K %d %d" k e
   | Gat_analysis.Affine.Unknown -> Buffer.add_string buf " U"
 
-let coeff_tok t =
-  match tok t with
+let read_coeff cur =
+  match Store.word cur with
   | "K" ->
-      let k = int_tok t in
-      let e = int_tok t in
+      let k = Store.int cur in
+      let e = Store.int cur in
       Gat_analysis.Affine.Known { k; e }
   | "U" -> Gat_analysis.Affine.Unknown
-  | _ -> raise Bad
+  | _ -> Store.bad ()
 
 let emit_value buf (v : Gat_analysis.Affine.value) =
   (match v.Gat_analysis.Affine.base with
@@ -414,20 +214,25 @@ let emit_value buf (v : Gat_analysis.Affine.value) =
   emit_coeff buf v.Gat_analysis.Affine.tid;
   emit_coeff buf v.Gat_analysis.Affine.iter
 
-let value_tok t =
+let read_value cur =
   let base =
-    match tok t with
-    | "C" -> Some (int_tok t)
+    match Store.word cur with
+    | "C" -> Some (Store.int cur)
     | "N" -> None
-    | _ -> raise Bad
+    | _ -> Store.bad ()
   in
-  let mag = int_tok t in
-  let tid = coeff_tok t in
-  let iter = coeff_tok t in
+  let mag = Store.int cur in
+  let tid = read_coeff cur in
+  let iter = read_coeff cur in
   { Gat_analysis.Affine.base; mag; tid; iter }
 
-let opcode_tok t =
-  match Opcode.of_mnemonic (tok t) with Some o -> o | None -> raise Bad
+let read_opcode cur =
+  match Opcode.of_mnemonic (Store.word cur) with
+  | Some o -> o
+  | None -> Store.bad ()
+
+let read_flag cur =
+  match Store.int cur with 0 -> false | 1 -> true | _ -> Store.bad ()
 
 (* ---- coal: the per-block memory summary ---- *)
 
@@ -448,29 +253,29 @@ let emit_access buf (a : Gat_analysis.Coalescing.access) =
   addf buf " %d %h\n" a.Gat_analysis.Coalescing.segments
     a.Gat_analysis.Coalescing.transactions
 
-let parse_access cur =
-  let t = toks (line cur) in
-  expect_tok t "a";
-  let block_index = int_tok t in
-  let block_label = tok t in
-  let instr_index = int_tok t in
-  let op = opcode_tok t in
+let read_access cur =
+  Store.start cur;
+  Store.keyword cur "a";
+  let block_index = Store.int cur in
+  let block_label = Store.word cur in
+  let instr_index = Store.int cur in
+  let op = read_opcode cur in
   let kind =
-    match tok t with "L" -> `Load | "S" -> `Store | _ -> raise Bad
+    match Store.word cur with "L" -> `Load | "S" -> `Store | _ -> Store.bad ()
   in
   let pattern =
-    match tok t with
+    match Store.word cur with
     | "B" -> Gat_analysis.Coalescing.Broadcast
-    | "S" -> Gat_analysis.Coalescing.Stride (int_tok t)
-    | "L" -> Gat_analysis.Coalescing.Large (coeff_tok t)
+    | "S" -> Gat_analysis.Coalescing.Stride (Store.int cur)
+    | "L" -> Gat_analysis.Coalescing.Large (read_coeff cur)
     | "U" -> Gat_analysis.Coalescing.Unknown
-    | _ -> raise Bad
+    | _ -> Store.bad ()
   in
-  let tid_stride = coeff_tok t in
-  let iter_stride = coeff_tok t in
-  let segments = int_tok t in
-  let transactions = float_tok t in
-  done_toks t;
+  let tid_stride = read_coeff cur in
+  let iter_stride = read_coeff cur in
+  let segments = Store.int cur in
+  let transactions = Store.float cur in
+  Store.end_line cur;
   {
     Gat_analysis.Coalescing.block_index;
     block_label;
@@ -484,17 +289,17 @@ let parse_access cur =
     transactions;
   }
 
+let read_group cur =
+  Store.start cur;
+  Store.keyword cur "group";
+  let label = Store.word cur in
+  let n = Store.int cur in
+  Store.end_line cur;
+  (label, List.init n (fun _ -> read_access cur))
+
 let find_coal ~key =
-  find_with ~stage:"coal" ~version:"1" ~key (fun cur ->
-      let n = counted cur "groups" in
-      List.init n (fun _ ->
-          let t = toks (line cur) in
-          expect_tok t "group";
-          let label = tok t in
-          let k = int_tok t in
-          done_toks t;
-          if k < 0 || k > 1_000_000 then raise Bad;
-          (label, List.init k (fun _ -> parse_access cur))))
+  find "coal" ~key (fun cur ->
+      List.init (Store.counted cur "groups") (fun _ -> read_group cur))
 
 let store_coal ~key summary =
   if
@@ -507,7 +312,7 @@ let store_coal ~key summary =
              accs)
       summary
   then
-    store_with ~stage:"coal" ~version:"1" ~key (fun buf ->
+    store "coal" ~key (fun buf ->
         addf buf "groups %d\n" (List.length summary);
         List.iter
           (fun (label, accs) ->
@@ -529,22 +334,18 @@ let emit_race_access buf (a : Gat_analysis.Races.access) =
   | None -> ());
   Buffer.add_char buf '\n'
 
-let parse_race_access cur =
-  let t = toks (line cur) in
-  expect_tok t "a";
-  let block_index = int_tok t in
-  let block_label = tok t in
-  let instr_index = int_tok t in
-  let op = opcode_tok t in
-  let predicated =
-    match int_tok t with 0 -> false | 1 -> true | _ -> raise Bad
-  in
-  let has_stored =
-    match int_tok t with 0 -> false | 1 -> true | _ -> raise Bad
-  in
-  let address = value_tok t in
-  let stored = if has_stored then Some (value_tok t) else None in
-  done_toks t;
+let read_race_access cur =
+  Store.start cur;
+  Store.keyword cur "a";
+  let block_index = Store.int cur in
+  let block_label = Store.word cur in
+  let instr_index = Store.int cur in
+  let op = read_opcode cur in
+  let predicated = read_flag cur in
+  let has_stored = read_flag cur in
+  let address = read_value cur in
+  let stored = if has_stored then Some (read_value cur) else None in
+  Store.end_line cur;
   {
     Gat_analysis.Races.block_index;
     block_label;
@@ -555,65 +356,74 @@ let parse_race_access cur =
     predicated;
   }
 
+(* A line of the tag then [n] fields. *)
+let read_list cur tag n field =
+  Store.start cur;
+  Store.keyword cur tag;
+  let l = List.init n (fun _ -> field cur) in
+  Store.end_line cur;
+  l
+
+let read_divergent cur =
+  Store.start cur;
+  Store.keyword cur "d";
+  let block_index = Store.int cur in
+  let block_label = Store.word cur in
+  let instr_index = Store.int cur in
+  let n = Store.int cur in
+  Store.end_line cur;
+  let branch_indices = read_list cur "bi" n Store.int in
+  let branch_labels = read_list cur "bl" n Store.word in
+  {
+    Gat_analysis.Barrier_safety.block_index;
+    block_label;
+    instr_index;
+    branch_indices;
+    branch_labels;
+  }
+
+let read_race cur =
+  Store.start cur;
+  Store.keyword cur "r";
+  let kind =
+    match Store.word cur with
+    | "WW" -> Gat_analysis.Races.Write_write
+    | "RW" -> Gat_analysis.Races.Read_write
+    | _ -> Store.bad ()
+  in
+  Store.end_line cur;
+  let first = read_race_access cur in
+  let second = read_race_access cur in
+  Store.start cur;
+  Store.keyword cur "w";
+  let witness =
+    match Store.word cur with
+    | "E" ->
+        let i = Store.int cur in
+        let j = Store.int cur in
+        Store.end_line cur;
+        Gat_analysis.Races.Exact (i, j)
+    | "M" -> Gat_analysis.Races.May (Store.rest cur)
+    | _ -> Store.bad ()
+  in
+  { Gat_analysis.Races.first; second; kind; witness }
+
 let find_verdict ~key =
-  find_with ~stage:"verdict" ~version:"1" ~key (fun cur ->
-      let program_name = rest_after (line cur) "name " in
-      let t = toks (line cur) in
-      expect_tok t "report";
-      let threads_per_block = int_tok t in
-      let barrier_count = int_tok t in
-      let interval_count = int_tok t in
-      let shared_accesses = int_tok t in
-      done_toks t;
-      let nd = counted cur "divergent" in
+  find "verdict" ~key (fun cur ->
+      Store.start cur;
+      Store.keyword cur "name";
+      let program_name = Store.rest cur in
+      Store.start cur;
+      Store.keyword cur "report";
+      let threads_per_block = Store.int cur in
+      let barrier_count = Store.int cur in
+      let interval_count = Store.int cur in
+      let shared_accesses = Store.int cur in
+      Store.end_line cur;
       let divergent_barriers =
-        List.init nd (fun _ ->
-            let t = toks (line cur) in
-            expect_tok t "d";
-            let block_index = int_tok t in
-            let block_label = tok t in
-            let instr_index = int_tok t in
-            let nb = int_tok t in
-            done_toks t;
-            if nb < 0 || nb > 1_000_000 then raise Bad;
-            let t = toks (line cur) in
-            expect_tok t "bi";
-            let branch_indices = List.init nb (fun _ -> int_tok t) in
-            done_toks t;
-            let t = toks (line cur) in
-            expect_tok t "bl";
-            let branch_labels = List.init nb (fun _ -> tok t) in
-            done_toks t;
-            {
-              Gat_analysis.Barrier_safety.block_index;
-              block_label;
-              instr_index;
-              branch_indices;
-              branch_labels;
-            })
+        List.init (Store.counted cur "divergent") (fun _ -> read_divergent cur)
       in
-      let nr = counted cur "races" in
-      let races =
-        List.init nr (fun _ ->
-            let kind =
-              match rest_after (line cur) "r " with
-              | "WW" -> Gat_analysis.Races.Write_write
-              | "RW" -> Gat_analysis.Races.Read_write
-              | _ -> raise Bad
-            in
-            let first = parse_race_access cur in
-            let second = parse_race_access cur in
-            let witness =
-              let l = line cur in
-              match String.split_on_char ' ' l with
-              | "w" :: "E" :: i :: j :: [] -> (
-                  match (int_of_string_opt i, int_of_string_opt j) with
-                  | Some i, Some j -> Gat_analysis.Races.Exact (i, j)
-                  | _ -> raise Bad)
-              | _ -> Gat_analysis.Races.May (rest_after l "w M ")
-            in
-            { Gat_analysis.Races.first; second; kind; witness })
-      in
+      let races = List.init (Store.counted cur "races") (fun _ -> read_race cur) in
       {
         Gat_analysis.Verify.program_name;
         threads_per_block;
@@ -645,7 +455,7 @@ let store_verdict ~key (r : Gat_analysis.Verify.report) =
     && List.for_all finding_safe r.Gat_analysis.Verify.divergent_barriers
     && List.for_all race_safe r.Gat_analysis.Verify.races
   then
-    store_with ~stage:"verdict" ~version:"1" ~key (fun buf ->
+    store "verdict" ~key (fun buf ->
         addf buf "name %s\n" r.Gat_analysis.Verify.program_name;
         addf buf "report %d %d %d %d\n" r.Gat_analysis.Verify.threads_per_block
           r.Gat_analysis.Verify.barrier_count
@@ -683,31 +493,3 @@ let store_verdict ~key (r : Gat_analysis.Verify.report) =
             | Gat_analysis.Races.Exact (i, j) -> addf buf "w E %d %d\n" i j
             | Gat_analysis.Races.May m -> addf buf "w M %s\n" m)
           r.Gat_analysis.Verify.races)
-
-(* ---- maintenance (consumed by [Gat_tuner.Artifact_store]) ---- *)
-
-let entries () =
-  let d = dir () in
-  match Sys.readdir d with
-  | exception Sys_error _ -> []
-  | names ->
-      Array.to_list names
-      |> List.filter (fun n -> Filename.check_suffix n ".art")
-      |> List.sort String.compare
-      |> List.map (Filename.concat d)
-
-let disk_usage () =
-  List.fold_left
-    (fun (files, bytes) path ->
-      match In_channel.with_open_bin path In_channel.length with
-      | len -> (files + 1, bytes + Int64.to_int len)
-      | exception Sys_error _ -> (files, bytes))
-    (0, 0) (entries ())
-
-let clear () =
-  List.fold_left
-    (fun removed path ->
-      match Sys.remove path with
-      | () -> removed + 1
-      | exception Sys_error _ -> removed)
-    0 (entries ())

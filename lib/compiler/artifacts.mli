@@ -20,35 +20,20 @@
     Chaos hooks: the [artifact-read] / [artifact-write] fault sites.
     Observability: [artifact.{hits,misses,stores,degraded_writes,
     bytes_read,bytes_written}] counters plus per-stage
-    [artifact.<stage>.{hits,misses}]. *)
+    [artifact.<stage>.{hits,misses}], and the [artifact.read] /
+    [artifact.write] spans and histograms.  The envelope, switch,
+    latch, counters and upkeep are {!Gat_util.Store}'s; this module is
+    the keys and the four payload codecs. *)
 
-val dir : unit -> string
-(** The artifact directory, [<cache root>/artifacts] — shares
-    {!Gat_util.Cache_dir.root} with the sweep cache. *)
-
-val enabled : unit -> bool
-
-val set_enabled : bool -> unit
-(** [false] makes every find a silent [None] and every store a no-op
-    ([gat --no-cache]). *)
-
-val degraded : unit -> bool
-(** The store hit an I/O failure and has latched itself off for
-    writes. *)
-
-val reset_degraded : unit -> unit
-
-type stats = { hits : int; misses : int; stores : int; degraded_writes : int }
-
-val stats : unit -> stats
-(** Aggregate process-lifetime counters (all stages combined). *)
-
-val reset_stats : unit -> unit
+val cache : Gat_util.Store.t
+(** The store behind every [.art] file under [<cache root>/artifacts]:
+    its switch ([--no-cache]), degrade latch, counters, fault sites and
+    [gat cache] upkeep. *)
 
 val versions : (string * string) list
-(** The per-stage format versions, [(stage, "stage/N")] — each
-    participates in its stage's keys, so bumping one orphans exactly
-    that stage's entries. *)
+(** The per-stage format versions, [(stage, "stage/N")] — each is part
+    of its stage's keys and of its entries' header line, so bumping one
+    orphans exactly that stage's entries. *)
 
 (** {1 Stage keys}
 
@@ -99,15 +84,3 @@ val find_verdict : key:string -> Gat_analysis.Verify.report option
 (** The full safety report, findings included. *)
 
 val store_verdict : key:string -> Gat_analysis.Verify.report -> unit
-
-(** {1 Maintenance} — consumed by [Gat_tuner.Artifact_store] and the
-    [gat cache] subcommands. *)
-
-val entries : unit -> string list
-(** Absolute paths of every [.art] entry, sorted by name. *)
-
-val disk_usage : unit -> int * int
-(** [(files, bytes)] over {!entries}. *)
-
-val clear : unit -> int
-(** Delete every entry; returns the number removed. *)

@@ -56,7 +56,7 @@ type stats = { classes : int; hits : int; misses : int }
 
 val stats : unit -> stats
 (** In-memory tier only; the persistent tier reports through
-    {!Artifacts.stats}. *)
+    [Gat_util.Store.stats Artifacts.cache]. *)
 
 val clear : unit -> unit
 (** Drop the in-memory tier (persistent artifacts survive). *)

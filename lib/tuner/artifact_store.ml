@@ -1,9 +1,8 @@
-(* Management facade over every persistent cache file gat owns.
+(* The byte budget over every persistent cache file gat owns.
 
    The compile-side store ({!Gat_compiler.Artifacts}) and the
    sweep-side cache ({!Disk_cache}) share one directory tree under
-   [Gat_util.Cache_dir.root]; this module gives the CLI a single
-   surface for inspecting and bounding all of it.  Eviction is
+   [Gat_util.Cache_dir.root]; {!gc} bounds all of it.  Eviction is
    least-recently-used by access time: content-addressed entries carry
    no internal ordering, so the filesystem's atime (or mtime, whichever
    is younger — relatime mounts update atime lazily) is the honest
@@ -17,26 +16,14 @@ type gc_result = {
   removed_bytes : int;
 }
 
-let root () = Gat_util.Cache_dir.root ()
-
-(* Sweep entries, checkpoints and orphaned temp files live in the
-   cache root; stage artifacts in its [artifacts/] subdirectory. *)
+(* Sweep entries, checkpoints and stage artifacts — each store's own
+   listing, orphaned temp files included — plus shard coordination
+   state, but only from directories with no live lease: gc must never
+   yank a manifest, lease or in-flight partial checkpoint from under a
+   running coordination. *)
 let candidate_files () =
-  let with_suffixes dir suffixes =
-    match Sys.readdir dir with
-    | exception Sys_error _ -> []
-    | names ->
-        Array.to_list names
-        |> List.filter (fun n ->
-               List.exists (fun s -> Filename.check_suffix n s) suffixes)
-        |> List.map (Filename.concat dir)
-  in
-  with_suffixes (root ()) [ ".sweep"; ".ckpt"; ".tmp" ]
-  @ with_suffixes (Gat_compiler.Artifacts.dir ()) [ ".art"; ".tmp" ]
-  (* Shard coordination state joins the budget too — but only from
-     directories with no live lease: gc must never yank a manifest,
-     lease or in-flight partial checkpoint from under a running
-     coordination. *)
+  Gat_util.Store.files Disk_cache.cache
+  @ Gat_util.Store.files Gat_compiler.Artifacts.cache
   @ Shard.gc_candidates ()
 
 type entry = { path : string; size : int; used : float }
@@ -81,18 +68,4 @@ let gc ~max_bytes =
     order;
   { files; bytes; removed_files = !removed_files; removed_bytes = !removed_bytes }
 
-(* ---- artifact-store pass-throughs for the CLI ---- *)
-
-type stats = Gat_compiler.Artifacts.stats = {
-  hits : int;
-  misses : int;
-  stores : int;
-  degraded_writes : int;
-}
-
-let dir = Gat_compiler.Artifacts.dir
-let stats = Gat_compiler.Artifacts.stats
-let disk_usage = Gat_compiler.Artifacts.disk_usage
-let clear = Gat_compiler.Artifacts.clear
-let set_enabled = Gat_compiler.Artifacts.set_enabled
-let enabled = Gat_compiler.Artifacts.enabled
+let set_enabled = Gat_util.Store.set_enabled Gat_compiler.Artifacts.cache

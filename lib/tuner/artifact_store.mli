@@ -1,13 +1,9 @@
-(** Management facade over gat's persistent cache tree — the sweep
-    cache ([.sweep]/[.ckpt] under [Gat_util.Cache_dir.root]) plus the
-    content-addressed artifact store ([artifacts/*.art]) — for the
-    [gat cache] subcommands.
-
-    The stage-level read/write API lives in
-    {!Gat_compiler.Artifacts}; this module adds the cross-store
-    maintenance the CLI needs, most importantly {!gc}: bound the whole
-    tree to a byte budget by evicting least-recently-used files
-    first. *)
+(** The byte budget over gat's persistent cache tree — the sweep cache
+    ({!Disk_cache.cache}), the artifact store
+    ({!Gat_compiler.Artifacts.cache}) and finished shard coordinations —
+    for [gat cache gc]: evict least-recently-used files first.  Each
+    store's own listing, counters and [clear] live on its
+    {!Gat_util.Store.t}. *)
 
 type gc_result = {
   files : int;  (** Candidate files examined. *)
@@ -26,18 +22,6 @@ val gc : max_bytes:int -> gc_result
     with the path as a stable tiebreak.  Removal errors are skipped,
     never fatal. *)
 
-(** {1 Artifact-store pass-throughs} *)
-
-type stats = Gat_compiler.Artifacts.stats = {
-  hits : int;
-  misses : int;
-  stores : int;
-  degraded_writes : int;
-}
-
-val dir : unit -> string
-val stats : unit -> stats
-val disk_usage : unit -> int * int
-val clear : unit -> int
 val set_enabled : bool -> unit
-val enabled : unit -> bool
+(** Switch the artifact store ({!Gat_compiler.Artifacts.cache}) on or
+    off. *)

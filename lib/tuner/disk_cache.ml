@@ -6,131 +6,33 @@
    different key and the stale entry is simply never read again.  The
    payload is a line-oriented text format with hexadecimal float
    literals ([%h]) so every stored Variant round-trips bit-exactly,
-   closed by an MD5 integrity line so that truncations and byte flips
-   fail verification; anything that does not parse and verify is
-   reported as a miss, never an error.
+   sealed by {!Gat_util.Store} so that truncations and byte flips fail
+   verification; anything that does not parse and verify is reported
+   as a miss, never an error.
 
-   Checkpoints reuse the same directory, keys, serialization and
-   atomic-rename publish: a [<key>.ckpt] file holds the completed
-   prefix of an in-flight sweep (point count, variants, failures) so a
-   killed run can resume instead of starting over. *)
+   Checkpoints live in the same store under the same keys and
+   serialization: a [<key>.ckpt] file holds the completed prefix of an
+   in-flight sweep (point count, variants, failures) so a killed run
+   can resume instead of starting over. *)
 
 let model_version = "gat-sim/3"
 
 (* Format 4 adds the unsafe-variant section (verifier rejections);
-   older files fail the magic check and read as misses. *)
-let magic = "gat-sweep-cache 4"
-let ckpt_magic = "gat-sweep-ckpt 2"
+   older files fail the header check and read as misses. *)
+let header magic = magic ^ "\nmodel " ^ model_version ^ "\n"
+let sweep_header = header "gat-sweep-cache 4"
+let ckpt_header = header "gat-sweep-ckpt 2"
 
-(* ---- location ---- *)
+module Store = Gat_util.Store
 
-let dir () = Gat_util.Cache_dir.root ()
+let cache =
+  Store.create ~name:"sweep cache" ~metrics:"cache.disk" ~site:"cache"
+    ~dir:Gat_util.Cache_dir.root ~suffixes:[ ".sweep"; ".ckpt" ] ()
 
-(* ---- switch, health and statistics ---- *)
-
-let lock = Mutex.create ()
-let enabled_flag = ref true
-let set_enabled b = Gat_util.Pool.with_lock lock (fun () -> enabled_flag := b)
-let enabled () = Gat_util.Pool.with_lock lock (fun () -> !enabled_flag)
-
-(* Graceful degradation: a cache that cannot be written (read-only
-   directory, ENOSPC, injected I/O fault) must never take the sweep
-   down with it.  The first write failure warns once on stderr and
-   latches [degraded_flag]; every later write is skipped silently and
-   reads keep behaving as misses. *)
-let degraded_flag = ref false
-let warned = ref false
-
-let degraded () = Gat_util.Pool.with_lock lock (fun () -> !degraded_flag)
-
-let reset_degraded () =
-  Gat_util.Pool.with_lock lock (fun () ->
-      degraded_flag := false;
-      warned := false)
-
-(* Process-wide cumulative counters, mirrored into the {!Gat_util.Metrics}
-   registry under [cache.disk.*] so traces and [gat stats] see them. *)
-let m_hits = Gat_util.Metrics.counter "cache.disk.hits"
-let m_misses = Gat_util.Metrics.counter "cache.disk.misses"
-let m_stores = Gat_util.Metrics.counter "cache.disk.stores"
-let m_degraded = Gat_util.Metrics.counter "cache.disk.degraded_writes"
-let m_ckpt_stores = Gat_util.Metrics.counter "cache.disk.ckpt.stores"
-let m_ckpt_resumes = Gat_util.Metrics.counter "cache.disk.ckpt.resumes"
-let m_bytes_read = Gat_util.Metrics.counter "cache.disk.bytes_read"
-let m_bytes_written = Gat_util.Metrics.counter "cache.disk.bytes_written"
-
-let writable () = enabled () && not (degraded ())
-
-type stats = {
-  hits : int;
-  misses : int;
-  stores : int;
-  degraded_writes : int;
-  ckpt_stores : int;
-  ckpt_resumes : int;
-}
-
-let zero_stats =
-  {
-    hits = 0;
-    misses = 0;
-    stores = 0;
-    degraded_writes = 0;
-    ckpt_stores = 0;
-    ckpt_resumes = 0;
-  }
-
-let stats_ref = ref zero_stats
-let stats () = Gat_util.Pool.with_lock lock (fun () -> !stats_ref)
-let reset_stats () = Gat_util.Pool.with_lock lock (fun () -> stats_ref := zero_stats)
-
-let bump f = Gat_util.Pool.with_lock lock (fun () -> stats_ref := f !stats_ref)
-
-let degraded_write () =
-  Gat_util.Metrics.incr m_degraded;
-  bump (fun s -> { s with degraded_writes = s.degraded_writes + 1 })
-
-let degrade msg =
-  degraded_write ();
-  let warn =
-    Gat_util.Pool.with_lock lock (fun () ->
-        degraded_flag := true;
-        if !warned then false
-        else begin
-          warned := true;
-          true
-        end)
-  in
-  if warn then
-    Printf.eprintf
-      "gat: warning: sweep cache unavailable (%s); continuing uncached\n%!"
-      msg
-
-let hit () =
-  Gat_util.Metrics.incr m_hits;
-  bump (fun s -> { s with hits = s.hits + 1 })
-
-let miss () =
-  Gat_util.Metrics.incr m_misses;
-  bump (fun s -> { s with misses = s.misses + 1 })
-
-let stored () =
-  Gat_util.Metrics.incr m_stores;
-  bump (fun s -> { s with stores = s.stores + 1 })
-
-let ckpt_stored () =
-  Gat_util.Metrics.incr m_ckpt_stores;
-  bump (fun s -> { s with ckpt_stores = s.ckpt_stores + 1 })
-
-let ckpt_resumed () =
-  Gat_util.Metrics.incr m_ckpt_resumes;
-  bump (fun s -> { s with ckpt_resumes = s.ckpt_resumes + 1 })
+let ckpt_stores = Store.counter cache "ckpt.stores"
+let ckpt_resumes = Store.counter cache "ckpt.resumes"
 
 (* ---- keys ---- *)
-
-(* Every model-relevant hardware limit: editing a device description
-   invalidates its entries.  Shared with the artifact store. *)
-let gpu_identity = Gat_arch.Gpu.identity
 
 let key space kernel gpu ~n ~seed =
   let payload =
@@ -138,7 +40,7 @@ let key space kernel gpu ~n ~seed =
       [
         model_version;
         Gat_ir.Kernel.to_string kernel;
-        gpu_identity gpu;
+        Gat_arch.Gpu.identity gpu;
         Space.to_string space;
         string_of_int n;
         string_of_int seed;
@@ -146,8 +48,8 @@ let key space kernel gpu ~n ~seed =
   in
   Digest.to_hex (Digest.string payload)
 
-let file_of_key k = Filename.concat (dir ()) (k ^ ".sweep")
-let ckpt_of_key k = Filename.concat (dir ()) (k ^ ".ckpt")
+let file_of_key k = Store.path cache (k ^ ".sweep")
+let ckpt_of_key k = Store.path cache (k ^ ".ckpt")
 
 (* ---- serialization: emit ---- *)
 
@@ -158,6 +60,12 @@ let emit_mix buf (m : Gat_core.Imix.t) =
     m.Gat_core.Imix.per_category;
   Buffer.add_string buf (Printf.sprintf " %h" m.Gat_core.Imix.reg_operands)
 
+let emit_params buf (p : Gat_compiler.Params.t) =
+  Printf.bprintf buf "%d %d %d %d %d %d" p.Gat_compiler.Params.threads_per_block
+    p.Gat_compiler.Params.block_count p.Gat_compiler.Params.unroll
+    p.Gat_compiler.Params.l1_pref_kb p.Gat_compiler.Params.staging
+    (if p.Gat_compiler.Params.fast_math then 1 else 0)
+
 (* The instruction mixes repeat heavily across a sweep — the estimated
    mix is per compile class, not per (TC, BC) point — so each entry
    carries a dictionary of distinct mixes and every variant line
@@ -166,37 +74,19 @@ let emit_mix buf (m : Gat_core.Imix.t) =
    is invisible to callers: mixes are immutable and compared
    structurally. *)
 let emit_variant buf (v : Variant.t) ~dyn_idx ~est_idx =
-  let p = v.Variant.params in
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d %d %d %d %d %h %h %d %d %d\n"
-       p.Gat_compiler.Params.threads_per_block p.Gat_compiler.Params.block_count
-       p.Gat_compiler.Params.unroll p.Gat_compiler.Params.l1_pref_kb
-       p.Gat_compiler.Params.staging
-       (if p.Gat_compiler.Params.fast_math then 1 else 0)
-       v.Variant.time_ms v.Variant.occupancy v.Variant.registers dyn_idx
-       est_idx)
+  emit_params buf v.Variant.params;
+  Printf.bprintf buf " %h %h %d %d %d\n" v.Variant.time_ms v.Variant.occupancy
+    v.Variant.registers dyn_idx est_idx
 
 let one_line s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
 let emit_failure buf (f : Variant.failure) =
-  let p = f.Variant.failed_params in
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d %d %d %d %d %d %s\n"
-       p.Gat_compiler.Params.threads_per_block p.Gat_compiler.Params.block_count
-       p.Gat_compiler.Params.unroll p.Gat_compiler.Params.l1_pref_kb
-       p.Gat_compiler.Params.staging
-       (if p.Gat_compiler.Params.fast_math then 1 else 0)
-       f.Variant.attempts (one_line f.Variant.message))
+  emit_params buf f.Variant.failed_params;
+  Printf.bprintf buf " %d %s\n" f.Variant.attempts (one_line f.Variant.message)
 
 let emit_unsafe buf (u : Variant.unsafe) =
-  let p = u.Variant.unsafe_params in
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d %d %d %d %d %s\n"
-       p.Gat_compiler.Params.threads_per_block p.Gat_compiler.Params.block_count
-       p.Gat_compiler.Params.unroll p.Gat_compiler.Params.l1_pref_kb
-       p.Gat_compiler.Params.staging
-       (if p.Gat_compiler.Params.fast_math then 1 else 0)
-       (one_line u.Variant.reason))
+  emit_params buf u.Variant.unsafe_params;
+  Printf.bprintf buf " %s\n" (one_line u.Variant.reason)
 
 let emit_unsafe_section buf unsafe =
   Buffer.add_string buf (Printf.sprintf "unsafe %d\n" (List.length unsafe));
@@ -236,388 +126,90 @@ let emit_variants_section buf variants =
     (fun v (dyn_idx, est_idx) -> emit_variant buf v ~dyn_idx ~est_idx)
     variants refs
 
-(* Close the payload with the shared sealed-entry trailer: any
-   truncation or byte flip — including inside a hex-float literal,
-   where it would otherwise still parse — fails verification and reads
-   as a miss instead of a wrong hit. *)
-let emit_trailer = Gat_util.Sealed_file.seal
-
 (* ---- serialization: parse ---- *)
 
-exception Bad_entry
-
-let hex_digit c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | _ -> -1
-
-(* Exact parse of the shape [%h] emits — [-]0xH[.H*]p[+-]D — without
-   the substring allocation and [strtod] call of [float_of_string].
-   The mantissa is kept integral (at most 53 bits, or we bail out) and
-   rescaled with [ldexp], both exact, so the result is bit-identical.
-   Returns [nan] on any shape mismatch; the caller falls back to
-   [float_of_string] then, which also covers the literal [nan] and
-   [infinity] spellings. *)
-let parse_hex_float s t0 n =
-  let stop = t0 + n in
-  let i = ref t0 in
-  let neg = !i < stop && String.unsafe_get s !i = '-' in
-  if neg then incr i;
-  if
-    !i + 1 >= stop
-    || String.unsafe_get s !i <> '0'
-    || String.unsafe_get s (!i + 1) <> 'x'
-  then Float.nan
-  else begin
-    i := !i + 2;
-    let mant = ref 0 in
-    let digits = ref 0 in
-    let frac = ref 0 in
-    let ok = ref true in
-    let in_frac = ref false in
-    let continue_ = ref true in
-    while !continue_ && !i < stop do
-      let c = String.unsafe_get s !i in
-      if c = 'p' then continue_ := false
-      else if c = '.' then
-        if !in_frac then begin
-          ok := false;
-          continue_ := false
-        end
-        else begin
-          in_frac := true;
-          incr i
-        end
-      else begin
-        let d = hex_digit c in
-        if d < 0 then begin
-          ok := false;
-          continue_ := false
-        end
-        else begin
-          mant := (!mant * 16) + d;
-          incr digits;
-          if !in_frac then incr frac;
-          incr i
-        end
-      end
-    done;
-    (* 13 hex digits past a leading 0/1 fill the 53-bit mantissa; more
-       would round in the integer accumulator, so defer to strtod. *)
-    if
-      (not !ok) || !digits = 0 || !digits > 14 || !mant >= 0x20000000000000
-      || !i >= stop
-      || String.unsafe_get s !i <> 'p'
-    then Float.nan
-    else begin
-      incr i;
-      let eneg =
-        match if !i < stop then String.unsafe_get s !i else ' ' with
-        | '-' ->
-            incr i;
-            true
-        | '+' ->
-            incr i;
-            false
-        | _ -> false
-      in
-      let e = ref 0 in
-      let edigits = ref 0 in
-      while !i < stop && !edigits <= 5 do
-        let c = String.unsafe_get s !i in
-        if c >= '0' && c <= '9' then begin
-          e := (!e * 10) + (Char.code c - Char.code '0');
-          incr edigits;
-          incr i
-        end
-        else begin
-          edigits := 99;
-          i := stop + 1
-        end
-      done;
-      if !i <> stop || !edigits = 0 || !edigits > 5 then Float.nan
-      else begin
-        let e = if eneg then - !e else !e in
-        let v = Float.ldexp (Float.of_int !mant) (e - (4 * !frac)) in
-        if neg then -.v else v
-      end
-    end
-  end
-
-(* The warm path parses hundreds of megabytes of entries, so the
-   reader scans the file as one string with an index cursor instead of
-   splitting every line into token lists, and floats take the exact
-   hex fast path above.  Strictness is unchanged: any malformed byte
-   raises [Bad_entry] and the entry reads as a miss. *)
-type cursor = { s : string; mutable pos : int }
-
-let line_end cur =
-  match String.index_from_opt cur.s cur.pos '\n' with
-  | Some nl -> nl
-  | None -> raise Bad_entry
-
-let expect_line cur want =
-  let nl = line_end cur in
-  if
-    nl - cur.pos <> String.length want
-    || not (String.equal (String.sub cur.s cur.pos (nl - cur.pos)) want)
-  then raise Bad_entry;
-  cur.pos <- nl + 1
-
-let counted cur prefix =
-  let nl = line_end cur in
-  let plen = String.length prefix in
-  if
-    nl - cur.pos <= plen
-    || not (String.equal (String.sub cur.s cur.pos plen) prefix)
-  then raise Bad_entry;
-  match
-    int_of_string_opt (String.sub cur.s (cur.pos + plen) (nl - cur.pos - plen))
-  with
-  | Some n when n >= 0 ->
-      cur.pos <- nl + 1;
-      n
-  | _ -> raise Bad_entry
-
-let skip_spaces cur stop =
-  while cur.pos < stop && String.unsafe_get cur.s cur.pos = ' ' do
-    cur.pos <- cur.pos + 1
-  done
-
-let token cur stop =
-  skip_spaces cur stop;
-  if cur.pos >= stop then raise Bad_entry;
-  let t0 = cur.pos in
-  while cur.pos < stop && String.unsafe_get cur.s cur.pos <> ' ' do
-    cur.pos <- cur.pos + 1
-  done;
-  (t0, cur.pos - t0)
-
-let int_field cur stop =
-  let t0, n = token cur stop in
-  if n = 0 || n > 18 then raise Bad_entry;
-  let neg = String.unsafe_get cur.s t0 = '-' in
-  let i0 = if neg then t0 + 1 else t0 in
-  if i0 = t0 + n then raise Bad_entry;
-  let v = ref 0 in
-  for i = i0 to t0 + n - 1 do
-    let c = Char.code (String.unsafe_get cur.s i) - Char.code '0' in
-    if c < 0 || c > 9 then raise Bad_entry;
-    v := (!v * 10) + c
-  done;
-  if neg then - !v else !v
-
-let float_field cur stop =
-  let t0, n = token cur stop in
-  let v = parse_hex_float cur.s t0 n in
-  if Float.is_nan v then
-    match float_of_string_opt (String.sub cur.s t0 n) with
-    | Some f -> f
-    | None -> raise Bad_entry
-  else v
-
-(* Remainder of the line, leading spaces stripped: free-text fields
-   (failure messages). *)
-let rest_of_line cur stop =
-  skip_spaces cur stop;
-  let r = String.sub cur.s cur.pos (stop - cur.pos) in
-  cur.pos <- stop;
-  r
-
-let end_line cur stop =
-  skip_spaces cur stop;
-  if cur.pos <> stop then raise Bad_entry;
-  cur.pos <- stop + 1
+(* Fields are read in sequence, never inside a record literal, whose
+   evaluation order is unspecified. *)
+let read_params cur =
+  let threads_per_block = Store.int cur in
+  let block_count = Store.int cur in
+  let unroll = Store.int cur in
+  let l1_pref_kb = Store.int cur in
+  let staging = Store.int cur in
+  let fast_math = Store.int cur <> 0 in
+  {
+    Gat_compiler.Params.threads_per_block;
+    block_count;
+    unroll;
+    l1_pref_kb;
+    staging;
+    fast_math;
+  }
 
 let read_mix cur =
-  let stop = line_end cur in
-  let n = int_field cur stop in
-  if n < 0 || n > 1024 then raise Bad_entry;
-  let per_category = Array.init n (fun _ -> float_field cur stop) in
-  let reg_operands = float_field cur stop in
-  end_line cur stop;
+  Store.start cur;
+  let n = Store.int cur in
+  if n < 0 || n > 1024 then Store.bad ();
+  let per_category = Array.init n (fun _ -> Store.float cur) in
+  let reg_operands = Store.float cur in
+  Store.end_line cur;
   { Gat_core.Imix.per_category; reg_operands }
 
 let read_variant cur mixes =
-  let stop = line_end cur in
-  let threads_per_block = int_field cur stop in
-  let block_count = int_field cur stop in
-  let unroll = int_field cur stop in
-  let l1_pref_kb = int_field cur stop in
-  let staging = int_field cur stop in
-  let fast_math = int_field cur stop <> 0 in
-  let time_ms = float_field cur stop in
-  let occupancy = float_field cur stop in
-  let registers = int_field cur stop in
-  let n_mixes = Array.length mixes in
+  Store.start cur;
+  let params = read_params cur in
+  let time_ms = Store.float cur in
+  let occupancy = Store.float cur in
+  let registers = Store.int cur in
   let mix_ref () =
-    let i = int_field cur stop in
-    if i < 0 || i >= n_mixes then raise Bad_entry;
+    let i = Store.int cur in
+    if i < 0 || i >= Array.length mixes then Store.bad ();
     mixes.(i)
   in
   let dynamic_mix = mix_ref () in
   let est_mix = mix_ref () in
-  end_line cur stop;
-  {
-    Variant.params =
-      {
-        Gat_compiler.Params.threads_per_block;
-        block_count;
-        unroll;
-        l1_pref_kb;
-        staging;
-        fast_math;
-      };
-    time_ms;
-    occupancy;
-    registers;
-    dynamic_mix;
-    est_mix;
-  }
+  Store.end_line cur;
+  { Variant.params; time_ms; occupancy; registers; dynamic_mix; est_mix }
 
 let read_failure cur =
-  let stop = line_end cur in
-  let threads_per_block = int_field cur stop in
-  let block_count = int_field cur stop in
-  let unroll = int_field cur stop in
-  let l1_pref_kb = int_field cur stop in
-  let staging = int_field cur stop in
-  let fast_math = int_field cur stop <> 0 in
-  let attempts = int_field cur stop in
-  if attempts < 1 then raise Bad_entry;
-  let message = rest_of_line cur stop in
-  cur.pos <- stop + 1;
-  {
-    Variant.failed_params =
-      {
-        Gat_compiler.Params.threads_per_block;
-        block_count;
-        unroll;
-        l1_pref_kb;
-        staging;
-        fast_math;
-      };
-    message;
-    attempts;
-  }
+  Store.start cur;
+  let failed_params = read_params cur in
+  let attempts = Store.int cur in
+  if attempts < 1 then Store.bad ();
+  let message = Store.rest cur in
+  { Variant.failed_params; message; attempts }
 
 let read_unsafe cur =
-  let stop = line_end cur in
-  let threads_per_block = int_field cur stop in
-  let block_count = int_field cur stop in
-  let unroll = int_field cur stop in
-  let l1_pref_kb = int_field cur stop in
-  let staging = int_field cur stop in
-  let fast_math = int_field cur stop <> 0 in
-  let reason = rest_of_line cur stop in
-  cur.pos <- stop + 1;
-  {
-    Variant.unsafe_params =
-      {
-        Gat_compiler.Params.threads_per_block;
-        block_count;
-        unroll;
-        l1_pref_kb;
-        staging;
-        fast_math;
-      };
-    reason;
-  }
+  Store.start cur;
+  let unsafe_params = read_params cur in
+  let reason = Store.rest cur in
+  { Variant.unsafe_params; reason }
 
 let read_unsafe_section cur =
-  let n = counted cur "unsafe " in
-  if n > 1_000_000 then raise Bad_entry;
-  List.init n (fun _ -> read_unsafe cur)
+  List.init (Store.counted cur "unsafe") (fun _ -> read_unsafe cur)
 
 let read_variants_section cur =
-  let n_mixes = counted cur "mixes " in
-  if n_mixes > 1_000_000 then raise Bad_entry;
+  let n_mixes = Store.counted cur "mixes" in
+  if n_mixes > 1_000_000 then Store.bad ();
   let mixes = Array.init n_mixes (fun _ -> read_mix cur) in
-  let count = counted cur "variants " in
-  List.init count (fun _ -> read_variant cur mixes)
-
-(* Open a sealed entry: verify the MD5 trailer ({!Gat_util.Sealed_file})
-   and hand the parser a cursor over the payload alone.  Verification
-   makes corruption detection exact instead of best-effort: without it
-   a flipped digit inside a float literal still parses and silently
-   yields a wrong variant. *)
-let open_sealed path =
-  Gat_util.Fault.inject ~site:"cache-read" ~key:(Filename.basename path);
-  let s = Gat_util.Sealed_file.read_raw path in
-  Gat_util.Metrics.incr ~by:(String.length s) m_bytes_read;
-  match Gat_util.Sealed_file.unseal s with
-  | Some payload -> { s = payload; pos = 0 }
-  | None -> raise Bad_entry
-
-let read_trailer cur =
-  if cur.pos <> String.length cur.s then raise Bad_entry
-
-let h_read = Gat_util.Metrics.histogram "cache.read"
-let h_write = Gat_util.Metrics.histogram "cache.write"
-
-let read_file path =
-  Gat_util.Trace.span "cache.read"
-    ~args:[ ("file", Gat_util.Trace.S (Filename.basename path)) ]
-  @@ fun () ->
-  Gat_util.Metrics.observe_timed h_read @@ fun () ->
-  let cur = open_sealed path in
-  expect_line cur magic;
-  expect_line cur ("model " ^ model_version);
-  let unsafe = read_unsafe_section cur in
-  let variants = read_variants_section cur in
-  read_trailer cur;
-  (variants, unsafe)
+  List.init (Store.counted cur "variants") (fun _ -> read_variant cur mixes)
 
 (* ---- store / find ---- *)
 
-(* Atomic publish: write a private temp file in the same directory,
-   then rename over the final name, so concurrent readers (and a
-   SIGKILL between the two syscalls) see either the old entry or the
-   new one, never a partial write. *)
-let publish ~path buf =
-  Gat_util.Trace.span "cache.write"
-    ~args:[ ("file", Gat_util.Trace.S (Filename.basename path)) ]
-  @@ fun () ->
-  Gat_util.Metrics.observe_timed h_write @@ fun () ->
-  Gat_util.Fault.inject ~site:"cache-write" ~key:(Filename.basename path);
-  Gat_util.Sealed_file.publish ~path buf;
-  Gat_util.Metrics.incr ~by:(Buffer.length buf) m_bytes_written
-
 let store space kernel gpu ~n ~seed variants unsafe =
-  if writable () then
-    try
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf magic;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf ("model " ^ model_version ^ "\n");
+  Store.store cache ~header:sweep_header
+    (file_of_key (key space kernel gpu ~n ~seed))
+    (fun buf ->
       emit_unsafe_section buf unsafe;
-      emit_variants_section buf variants;
-      emit_trailer buf;
-      publish ~path:(file_of_key (key space kernel gpu ~n ~seed)) buf;
-      stored ()
-    with
-    | Sys_error e -> degrade e
-    | Gat_util.Fault.Injected e -> degrade e
+      emit_variants_section buf variants)
 
 let find space kernel gpu ~n ~seed =
-  if not (enabled ()) then None
-  else
-    let path = file_of_key (key space kernel gpu ~n ~seed) in
-    if not (Sys.file_exists path) then begin
-      miss ();
-      None
-    end
-    else
-      match read_file path with
-      | entry ->
-          hit ();
-          Some entry
-      | exception _ ->
-          (* Corrupted, truncated or foreign content: a miss, and the
-             stale file will be overwritten by the next store. *)
-          miss ();
-          None
+  Store.find cache ~header:sweep_header
+    (file_of_key (key space kernel gpu ~n ~seed))
+    (fun cur ->
+      let unsafe = read_unsafe_section cur in
+      let variants = read_variants_section cur in
+      (variants, unsafe))
 
 (* ---- checkpoints ---- *)
 
@@ -628,6 +220,22 @@ type checkpoint = {
   unsafe : Variant.unsafe list;
 }
 
+let emit_checkpoint ckpt buf =
+  Printf.bprintf buf "done %d\nfailures %d\n" ckpt.done_points
+    (List.length ckpt.failures);
+  List.iter (emit_failure buf) ckpt.failures;
+  emit_unsafe_section buf ckpt.unsafe;
+  emit_variants_section buf ckpt.variants
+
+let read_checkpoint cur =
+  let done_points = Store.counted cur "done" in
+  let failures =
+    List.init (Store.counted cur "failures") (fun _ -> read_failure cur)
+  in
+  let unsafe = read_unsafe_section cur in
+  let variants = read_variants_section cur in
+  { done_points; variants; failures; unsafe }
+
 (* Path-addressed checkpoint I/O: the exact serialization of keyed
    checkpoints, but writable to any path.  This is the partial-entry
    layout of the distributed sweep — per-shard [.ckpt] heartbeats and
@@ -637,87 +245,22 @@ type checkpoint = {
    it ignores the enabled/degraded latches and raises on failure so
    the shard layer can apply its own retry policy. *)
 let checkpoint_write ~path ckpt =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf ckpt_magic;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf ("model " ^ model_version ^ "\n");
-  Buffer.add_string buf (Printf.sprintf "done %d\n" ckpt.done_points);
-  Buffer.add_string buf
-    (Printf.sprintf "failures %d\n" (List.length ckpt.failures));
-  List.iter (emit_failure buf) ckpt.failures;
-  emit_unsafe_section buf ckpt.unsafe;
-  emit_variants_section buf ckpt.variants;
-  emit_trailer buf;
-  publish ~path buf
+  Store.write cache ~header:ckpt_header path (emit_checkpoint ckpt)
 
-let checkpoint_read path =
-  if not (Sys.file_exists path) then None
-  else
-    let read () =
-      let cur = open_sealed path in
-      expect_line cur ckpt_magic;
-      expect_line cur ("model " ^ model_version);
-      let done_points = counted cur "done " in
-      let n_failures = counted cur "failures " in
-      if n_failures > 1_000_000 then raise Bad_entry;
-      let failures = List.init n_failures (fun _ -> read_failure cur) in
-      let unsafe = read_unsafe_section cur in
-      let variants = read_variants_section cur in
-      read_trailer cur;
-      { done_points; variants; failures; unsafe }
-    in
-    (* Damaged checkpoints read as "no checkpoint" — restarting the
-       covered range from scratch is always a safe answer. *)
-    (match read () with c -> Some c | exception _ -> None)
+let checkpoint_read path = Store.read cache ~header:ckpt_header path read_checkpoint
 
 let checkpoint_store space kernel gpu ~n ~seed ckpt =
-  if writable () then
-    try
-      checkpoint_write ~path:(ckpt_of_key (key space kernel gpu ~n ~seed)) ckpt;
-      ckpt_stored ()
-    with
-    | Sys_error e -> degrade e
-    | Gat_util.Fault.Injected e -> degrade e
+  Store.store cache ~counter:ckpt_stores ~header:ckpt_header
+    (ckpt_of_key (key space kernel gpu ~n ~seed))
+    (emit_checkpoint ckpt)
 
 let checkpoint_find space kernel gpu ~n ~seed =
-  if not (enabled ()) then None
+  if not (Store.enabled cache) then None
   else
-    match checkpoint_read (ckpt_of_key (key space kernel gpu ~n ~seed)) with
-    | Some c ->
-        ckpt_resumed ();
-        Some c
-    | None -> None
+    let c = checkpoint_read (ckpt_of_key (key space kernel gpu ~n ~seed)) in
+    if Option.is_some c then Gat_util.Metrics.incr ckpt_resumes;
+    c
 
 let checkpoint_clear space kernel gpu ~n ~seed =
   let path = ckpt_of_key (key space kernel gpu ~n ~seed) in
   try Sys.remove path with Sys_error _ -> ()
-
-(* ---- maintenance (the [gat cache] subcommand) ---- *)
-
-let files_with_suffix suffix =
-  let d = dir () in
-  if not (Sys.file_exists d) then []
-  else
-    Sys.readdir d |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f suffix)
-    |> List.sort compare
-    |> List.map (Filename.concat d)
-
-let entry_files () = files_with_suffix ".sweep"
-
-let disk_usage () =
-  List.fold_left
-    (fun (count, bytes) path ->
-      match In_channel.with_open_bin path In_channel.length with
-      | len -> (count + 1, bytes + Int64.to_int len)
-      | exception Sys_error _ -> (count, bytes))
-    (0, 0) (entry_files ())
-
-let clear () =
-  List.fold_left
-    (fun removed path ->
-      match Sys.remove path with
-      | () -> removed + 1
-      | exception Sys_error _ -> removed)
-    0
-    (entry_files () @ files_with_suffix ".ckpt")

@@ -24,8 +24,9 @@
     - {b Corruption tolerance.}  A truncated, corrupted or foreign file
       parses as a miss, never an error or a crash.
 
-    All operations take the lock only for counters; file I/O runs
-    unlocked and relies on the atomic publish. *)
+    The envelope, switch, latch, counters and upkeep are
+    {!Gat_util.Store}'s; this module is the keys and the payload
+    codec. *)
 
 val model_version : string
 (** Version stamp of the performance model baked into every key and
@@ -33,45 +34,12 @@ val model_version : string
     changes behaviour: all previous entries become unreachable
     (self-invalidation). *)
 
-val dir : unit -> string
-(** The cache directory, resolved on every call: [GAT_CACHE_DIR], else
-    [$XDG_CACHE_HOME/gat], else [~/.cache/gat], else a directory under
-    the system temp dir when no home is known.  Created lazily on first
-    store. *)
-
-val enabled : unit -> bool
-(** Whether lookups and stores touch the disk (default [true]). *)
-
-val set_enabled : bool -> unit
-(** Turn the cache off (e.g. [--no-cache]) or back on.  When disabled,
-    {!find} returns [None] without counting a miss and {!store} is a
-    no-op. *)
-
-val degraded : unit -> bool
-(** True once a write has failed (unwritable directory, ENOSPC,
-    injected I/O fault).  The first failure warns once on stderr; from
-    then on every write is skipped and the run continues uncached —
-    a broken cache never takes a sweep down. *)
-
-val reset_degraded : unit -> unit
-(** Clear the degradation latch (tests; or after fixing the disk). *)
-
-type stats = {
-  hits : int;  (** {!find} lookups answered from disk. *)
-  misses : int;  (** {!find} lookups answered empty (incl. damaged). *)
-  stores : int;  (** Successful {!store} publishes. *)
-  degraded_writes : int;  (** Writes dropped by the degradation latch. *)
-  ckpt_stores : int;  (** Successful {!checkpoint_store} publishes. *)
-  ckpt_resumes : int;  (** {!checkpoint_find} calls that restored one. *)
-}
-
-val stats : unit -> stats
-(** Process-lifetime counters.  The same counts are mirrored into the
-    {!Gat_util.Metrics} registry as [cache.disk.*] (plus
-    [cache.disk.bytes_read] / [cache.disk.bytes_written], which track
-    payload volume and appear only there). *)
-
-val reset_stats : unit -> unit
+val cache : Gat_util.Store.t
+(** The store behind every [.sweep] and [.ckpt] file under
+    {!Gat_util.Cache_dir.root}: its switch ([--no-cache]), degrade
+    latch, [cache.disk.*] counters (checkpoints under
+    [cache.disk.ckpt.{stores,resumes}]), fault sites [cache-read] /
+    [cache-write], and [gat cache] upkeep. *)
 
 val key :
   Space.t -> Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> n:int -> seed:int -> string
@@ -97,9 +65,9 @@ val store :
   Variant.t list ->
   Variant.unsafe list ->
   unit
-(** Persist a finished sweep.  Never raises: I/O failures (read-only
-    filesystem, no space) are silently dropped — the cache is an
-    optimization, not a store of record. *)
+(** Persist a finished sweep.  Never raises: an I/O failure (read-only
+    filesystem, no space) warns once and latches the cache off for
+    writes — the cache is an optimization, not a store of record. *)
 
 (** {2 Sweep checkpoints}
 
@@ -157,11 +125,3 @@ val checkpoint_read : string -> checkpoint option
 (** Read a checkpoint from an explicit path; [None] when absent,
     damaged, sealed with a different model version, or under an
     injected [cache-read] fault.  Never raises. *)
-
-val disk_usage : unit -> int * int
-(** [(entries, bytes)] currently on disk. *)
-
-val clear : unit -> int
-(** Remove every cache entry and checkpoint ([*.sweep] / [*.ckpt]
-    files only — nothing else in the directory is touched); returns
-    the number removed. *)

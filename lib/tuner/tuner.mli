@@ -20,7 +20,8 @@
     Finished sweeps are additionally persisted through {!Disk_cache},
     so a rerun of the same experiment in a fresh process skips the
     compile-and-simulate work entirely (disable with
-    {!Disk_cache.set_enabled} or the CLI's [--no-cache]).
+    [Gat_util.Store.set_enabled Disk_cache.cache] or the CLI's
+    [--no-cache]).
 
     {b Supervision.}  Sweeps evaluate through
     {!Gat_util.Pool.map_result}: a variant whose evaluation raises is

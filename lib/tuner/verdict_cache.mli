@@ -29,7 +29,7 @@ type stats = { classes : int; hits : int; misses : int }
 
 val stats : unit -> stats
 (** In-memory tier only; the persistent tier reports through
-    {!Gat_compiler.Artifacts.stats}. *)
+    [Gat_util.Store.stats Gat_compiler.Artifacts.cache]. *)
 
 val clear : unit -> unit
 (** Drop the in-memory tier (persistent artifacts survive). *)

@@ -42,9 +42,13 @@ let publish ~path buf =
   let d = Filename.dirname path in
   Cache_dir.ensure d;
   let tmp = Filename.temp_file ~temp_dir:d "gat" ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf));
-  Sys.rename tmp path
+  try
+    Out_channel.with_open_bin tmp (fun oc -> Buffer.output_buffer oc buf);
+    Sys.rename tmp path
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt
 
 let read_raw path = In_channel.with_open_bin path In_channel.input_all
 

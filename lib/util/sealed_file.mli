@@ -15,8 +15,8 @@ val seal : Buffer.t -> unit
 
 val publish : path:string -> Buffer.t -> unit
 (** Atomically write the buffer to [path] (directory created as
-    needed).  Raises [Sys_error] on I/O failure — callers own their
-    degradation policy. *)
+    needed).  Raises [Sys_error] on I/O failure, leaving no temp file
+    behind — callers own their degradation policy. *)
 
 val read_raw : string -> string
 (** The file's bytes, unverified.  Raises [Sys_error]. *)

@@ -14,7 +14,8 @@ let scratch =
   d
 
 module Artifacts = Gat_compiler.Artifacts
-module Store = Gat_tuner.Artifact_store
+module Artifact_store = Gat_tuner.Artifact_store
+module Store = Gat_util.Store
 module Fingerprint = Gat_isa.Fingerprint
 module Params = Gat_compiler.Params
 module Space = Gat_tuner.Space
@@ -22,16 +23,27 @@ module Variant = Gat_tuner.Variant
 
 (* The sweep-level cache would satisfy warm sweeps wholesale and hide
    the per-stage store behavior under test. *)
-let () = Gat_tuner.Disk_cache.set_enabled false
+let () = Store.set_enabled Gat_tuner.Disk_cache.cache false
 
 let kernel = Gat_workloads.Workloads.atax
 let gpu = Gat_arch.Gpu.k20
 
+let baseline = ref (Store.stats Artifacts.cache)
+
 let reset () =
-  Artifacts.set_enabled true;
-  ignore (Artifacts.clear ());
-  Artifacts.reset_stats ();
+  Store.set_enabled Artifacts.cache true;
+  ignore (Store.clear Artifacts.cache);
+  baseline := Store.stats Artifacts.cache;
   Gat_tuner.Tuner.clear_cache ()
+
+(* The store's counters since the last [reset]. *)
+let stats () =
+  let s = Store.stats Artifacts.cache and b = !baseline in
+  {
+    Store.hits = s.Store.hits - b.Store.hits;
+    misses = s.Store.misses - b.Store.misses;
+    stores = s.Store.stores - b.Store.stores;
+  }
 
 let compiled = lazy (Gat_compiler.Driver.compile_exn kernel gpu Params.default)
 let vp () = (Lazy.force compiled).Gat_compiler.Driver.ptx
@@ -203,25 +215,25 @@ let test_sched_roundtrip () =
       Alcotest.(check (list string)) "instructions identical"
         (List.map Gat_isa.Instruction.to_string body)
         (List.map Gat_isa.Instruction.to_string loaded));
-  let s = Artifacts.stats () in
-  Alcotest.(check int) "one store" 1 s.Artifacts.stores;
-  Alcotest.(check int) "one hit" 1 s.Artifacts.hits;
-  Alcotest.(check int) "one miss" 1 s.Artifacts.misses
+  let s = stats () in
+  Alcotest.(check int) "one store" 1 s.Store.stores;
+  Alcotest.(check int) "one hit" 1 s.Store.hits;
+  Alcotest.(check int) "one miss" 1 s.Store.misses
 
 let test_disabled_is_inert () =
   reset ();
-  Artifacts.set_enabled false;
+  Store.set_enabled Artifacts.cache false;
   let body = (List.hd (vp ()).Gat_isa.Program.blocks).Gat_isa.Basic_block.body in
   let key = Artifacts.sched_key body in
   Artifacts.store_sched ~key body;
   Alcotest.(check bool) "no find when disabled" true
     (Artifacts.find_sched ~key = None);
-  let files, _ = Artifacts.disk_usage () in
+  let files, _ = Store.disk_usage Artifacts.cache in
   Alcotest.(check int) "no file written" 0 files;
-  let s = Artifacts.stats () in
+  let s = stats () in
   Alcotest.(check int) "no counters touched" 0
-    (s.Artifacts.hits + s.Artifacts.misses + s.Artifacts.stores);
-  Artifacts.set_enabled true
+    (s.Store.hits + s.Store.misses + s.Store.stores);
+  Store.set_enabled Artifacts.cache true
 
 (* ---- sweeps: sharing and bit-identity ---- *)
 
@@ -267,16 +279,16 @@ let test_store_served_sweep_identical () =
      hard invariant: the store-served sweep is bit-identical, and no
      stage is recomputed. *)
   Gat_tuner.Tuner.clear_cache ();
-  let before = Artifacts.stats () in
+  let before = Store.stats Artifacts.cache in
   let second =
     Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:64 ~seed:3
   in
-  let after = Artifacts.stats () in
+  let after = Store.stats Artifacts.cache in
   check_variants_identical first second;
   Alcotest.(check int) "no artifact misses on the warm sweep" 0
-    (after.Artifacts.misses - before.Artifacts.misses);
+    (after.Store.misses - before.Store.misses);
   Alcotest.(check bool) "artifact hits cover the warm sweep" true
-    (after.Artifacts.hits - before.Artifacts.hits > 0)
+    (after.Store.hits - before.Store.hits > 0)
 
 let test_identical_across_kernels_and_gpus () =
   reset ();
@@ -294,17 +306,17 @@ let test_identical_across_kernels_and_gpus () =
             Gat_tuner.Tuner.sweep ~space:tiny ~jobs:1 k g ~n:64 ~seed:5
           in
           Gat_tuner.Tuner.clear_cache ();
-          let before = Artifacts.stats () in
+          let before = Store.stats Artifacts.cache in
           let second =
             Gat_tuner.Tuner.sweep ~space:tiny ~jobs:1 k g ~n:64 ~seed:5
           in
-          let after = Artifacts.stats () in
+          let after = Store.stats Artifacts.cache in
           check_variants_identical first second;
           Alcotest.(check int)
             (Printf.sprintf "%s on %s: warm sweep all store-served"
                k.Gat_ir.Kernel.name g.Gat_arch.Gpu.name)
             0
-            (after.Artifacts.misses - before.Artifacts.misses))
+            (after.Store.misses - before.Store.misses))
         Gat_arch.Gpu.all)
     Gat_workloads.Workloads.all
 
@@ -317,13 +329,13 @@ let test_bc_plane_shared_across_processes () =
   let bc64 = { small_space with Space.bc = [ 64 ] } in
   ignore (Gat_tuner.Tuner.sweep ~space:bc32 ~jobs:1 kernel gpu ~n:64 ~seed:3);
   Gat_tuner.Tuner.clear_cache ();
-  let before = Artifacts.stats () in
+  let before = Store.stats Artifacts.cache in
   ignore (Gat_tuner.Tuner.sweep ~space:bc64 ~jobs:1 kernel gpu ~n:128 ~seed:3);
-  let after = Artifacts.stats () in
+  let after = Store.stats Artifacts.cache in
   Alcotest.(check int) "BC-only variants recompute nothing" 0
-    (after.Artifacts.misses - before.Artifacts.misses);
+    (after.Store.misses - before.Store.misses);
   Alcotest.(check bool) "served from the BC=32 plane's artifacts" true
-    (after.Artifacts.hits - before.Artifacts.hits > 0)
+    (after.Store.hits - before.Store.hits > 0)
 
 (* Workloads.atax with one edit: tmp starts at 1e-9 instead of 0.0. *)
 let atax_edited =
@@ -369,7 +381,7 @@ let ra_entry =
      let key = Artifacts.ra_key ~gpu c.Gat_compiler.Driver.program in
      Artifacts.store_ra ~key c.Gat_compiler.Driver.program
        c.Gat_compiler.Driver.alloc_stats;
-     let path = Filename.concat (Artifacts.dir ()) ("ra-" ^ key ^ ".art") in
+     let path = Filename.concat (Store.dir Artifacts.cache) ("ra-" ^ key ^ ".art") in
      Alcotest.(check bool) "ra entry on disk" true (Sys.file_exists path);
      (key, path, In_channel.with_open_bin path In_channel.input_all))
 
@@ -405,26 +417,200 @@ let test_byte_flip_property =
       Bytes.set mutated pos (Char.chr byte);
       find_mutated (Bytes.to_string mutated))
 
+(* ---- golden bytes ----
+
+   One entry per stage for fixed inputs.  The keys are pinned above;
+   this pins the bytes: the MD5 of each file as written, and a copy of
+   each file as first written ([fixtures/entries/]) must still read
+   back as a hit.  A codec or envelope change that moved one byte
+   would orphan every entry in every user's cache. *)
+
+let coal_access ~pattern ~kind ~op ~segments ~transactions =
+  {
+    Gat_analysis.Coalescing.block_index = 3;
+    block_label = "BB3";
+    instr_index = 7;
+    op;
+    kind;
+    pattern;
+    tid_stride = Gat_analysis.Affine.Known { k = 4; e = 0 };
+    iter_stride = Gat_analysis.Affine.Unknown;
+    segments;
+    transactions;
+  }
+
+(* The atax summary plus one group exercising every pattern. *)
+let golden_coal () =
+  let open Gat_analysis in
+  (Lazy.force compiled).Gat_compiler.Driver.mem_summary
+  @ [
+      ( "BB3",
+        [
+          coal_access ~pattern:Coalescing.Broadcast ~kind:`Load
+            ~op:Gat_isa.Opcode.LDG ~segments:1 ~transactions:0.25;
+          coal_access
+            ~pattern:(Coalescing.Large (Affine.Known { k = -8; e = 2 }))
+            ~kind:`Store ~op:Gat_isa.Opcode.STG ~segments:32
+            ~transactions:(1.0 /. 3.0);
+          coal_access ~pattern:Coalescing.Unknown ~kind:`Load
+            ~op:Gat_isa.Opcode.LDG ~segments:32 ~transactions:32.0;
+          coal_access ~pattern:(Coalescing.Stride 12) ~kind:`Load
+            ~op:Gat_isa.Opcode.LDG ~segments:3 ~transactions:Float.min_float;
+        ] );
+    ]
+
+(* A report exercising every finding shape the verdict codec knows. *)
+let golden_verdict =
+  let open Gat_analysis in
+  let value base tid =
+    { Affine.base; mag = 1; tid; iter = Affine.Known { k = 0; e = 0 } }
+  in
+  let access ~op ~stored ~predicated i =
+    {
+      Races.block_index = i;
+      block_label = Printf.sprintf "BB%d" i;
+      instr_index = 2 * i;
+      op;
+      address = value (Some 16) (Affine.Known { k = 4; e = 0 });
+      stored;
+      predicated;
+    }
+  in
+  let sts = access ~op:Gat_isa.Opcode.STS ~stored:(Some (value None Affine.Unknown)) in
+  let lds = access ~op:Gat_isa.Opcode.LDS ~stored:None in
+  {
+    Verify.program_name = "golden kernel";
+    threads_per_block = 256;
+    barrier_count = 2;
+    interval_count = 3;
+    shared_accesses = 5;
+    divergent_barriers =
+      [
+        {
+          Barrier_safety.block_index = 4;
+          block_label = "BB4";
+          instr_index = 1;
+          branch_indices = [ 1; 2 ];
+          branch_labels = [ "BB1"; "BB2" ];
+        };
+      ];
+    races =
+      [
+        {
+          Races.first = sts ~predicated:false 1;
+          second = sts ~predicated:true 2;
+          kind = Races.Write_write;
+          witness = Races.Exact (0, 32);
+        };
+        {
+          Races.first = sts ~predicated:false 1;
+          second = lds ~predicated:false 3;
+          kind = Races.Read_write;
+          witness = Races.May "address depends on a uniform unknown";
+        };
+      ];
+  }
+
+let block_text (b : Gat_isa.Basic_block.t) =
+  ( b.Gat_isa.Basic_block.label,
+    List.map Gat_isa.Instruction.to_string b.Gat_isa.Basic_block.body,
+    b.Gat_isa.Basic_block.term )
+
+(* (stage, key, store, "find hits with the stored value") *)
+let golden_entries () =
+  let c = Lazy.force compiled in
+  let body = (List.hd (vp ()).Gat_isa.Program.blocks).Gat_isa.Basic_block.body in
+  let program = c.Gat_compiler.Driver.program in
+  let st = c.Gat_compiler.Driver.alloc_stats in
+  let coal = golden_coal () in
+  let ra_key = Artifacts.ra_key ~gpu program in
+  let coal_key = Artifacts.coal_key ~gpu c.Gat_compiler.Driver.digest in
+  let verdict_key =
+    Artifacts.verdict_key ~threads_per_block:256 c.Gat_compiler.Driver.digest
+  in
+  let sched_key = Artifacts.sched_key body in
+  [
+    ( "sched",
+      sched_key,
+      (fun () -> Artifacts.store_sched ~key:sched_key body),
+      fun () ->
+        Option.map (List.map Gat_isa.Instruction.to_string)
+          (Artifacts.find_sched ~key:sched_key)
+        = Some (List.map Gat_isa.Instruction.to_string body) );
+    ( "ra",
+      ra_key,
+      (fun () -> Artifacts.store_ra ~key:ra_key program st),
+      fun () ->
+        match Artifacts.find_ra ~key:ra_key with
+        | Some (blocks, st') ->
+            st' = st
+            && List.map block_text blocks
+               = List.map block_text program.Gat_isa.Program.blocks
+        | None -> false );
+    ( "coal",
+      coal_key,
+      (fun () -> Artifacts.store_coal ~key:coal_key coal),
+      fun () -> Artifacts.find_coal ~key:coal_key = Some coal );
+    ( "verdict",
+      verdict_key,
+      (fun () -> Artifacts.store_verdict ~key:verdict_key golden_verdict),
+      fun () -> Artifacts.find_verdict ~key:verdict_key = Some golden_verdict );
+  ]
+
+let golden_md5 =
+  [
+    ("sched", "9501a06abafd238980c5430402b70603");
+    ("ra", "705f55da70cc0243876ec382065f4a2e");
+    ("coal", "b8fcdc9963228acf76cb36a2596460af");
+    ("verdict", "b7a0517aec79e0bb28975f633c6abea4");
+  ]
+
+let test_golden_bytes () =
+  reset ();
+  let entries = golden_entries () in
+  let path stage key = Filename.concat (Store.dir Artifacts.cache) (stage ^ "-" ^ key ^ ".art") in
+  let got =
+    List.map
+      (fun (stage, key, store, _) ->
+        store ();
+        (stage, Digest.to_hex (Digest.file (path stage key))))
+      entries
+  in
+  Alcotest.(check (list (pair string string))) "file digests" golden_md5 got;
+  (* Each file as first written reads back as a hit. *)
+  ignore (Store.clear Artifacts.cache);
+  List.iter
+    (fun (stage, key, _, found) ->
+      let fixture =
+        In_channel.with_open_bin
+          (Filename.concat "fixtures/entries" (stage ^ ".art"))
+          In_channel.input_all
+      in
+      Out_channel.with_open_bin (path stage key) (fun oc ->
+          Out_channel.output_string oc fixture);
+      Alcotest.(check bool) (stage ^ " fixture is a hit") true (found ()))
+    entries
+
 (* ---- gc ---- *)
 
 let test_gc_evicts_lru () =
   reset ();
   ignore (Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:64 ~seed:3);
-  let entries = Artifacts.entries () in
+  let entries = Store.files Artifacts.cache in
   Alcotest.(check bool) "sweep left artifacts" true (List.length entries > 1);
-  let _, bytes = Artifacts.disk_usage () in
+  let _, bytes = Store.disk_usage Artifacts.cache in
   (* Age the first half far into the past; gc under a tight budget must
      take the cold half first. *)
   let n = List.length entries in
   let old_half = List.filteri (fun i _ -> i < n / 2) entries in
   let past = Unix.time () -. 864000.0 in
   List.iter (fun p -> Unix.utimes p past past) old_half;
-  let r = Store.gc ~max_bytes:(bytes / 2) in
-  Alcotest.(check int) "every candidate examined" n r.Store.files;
-  Alcotest.(check bool) "something evicted" true (r.Store.removed_files > 0);
+  let r = Artifact_store.gc ~max_bytes:(bytes / 2) in
+  Alcotest.(check int) "every candidate examined" n r.Artifact_store.files;
+  Alcotest.(check bool) "something evicted" true (r.Artifact_store.removed_files > 0);
   Alcotest.(check bool) "budget honoured" true
-    (r.Store.bytes - r.Store.removed_bytes <= bytes / 2);
-  let survivors = Artifacts.entries () in
+    (r.Artifact_store.bytes - r.Artifact_store.removed_bytes <= bytes / 2);
+  let survivors = Store.files Artifacts.cache in
   (* LRU order: eviction stops at the budget, so the evicted set must
      be drawn from the aged half alone unless the whole aged half is
      gone. *)
@@ -436,16 +622,16 @@ let test_gc_evicts_lru () =
   Alcotest.(check bool) "some recent entry survived" true
     (List.exists (fun p -> not (List.mem p old_half)) survivors);
   (* A second gc under the same budget is a no-op. *)
-  let r2 = Store.gc ~max_bytes:(bytes / 2) in
-  Alcotest.(check int) "idempotent" 0 r2.Store.removed_files
+  let r2 = Artifact_store.gc ~max_bytes:(bytes / 2) in
+  Alcotest.(check int) "idempotent" 0 r2.Artifact_store.removed_files
 
 let test_gc_unbounded_keeps_everything () =
   reset ();
   ignore (Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:64 ~seed:3);
-  let files, bytes = Artifacts.disk_usage () in
-  let r = Store.gc ~max_bytes:(bytes * 2) in
-  Alcotest.(check int) "nothing evicted" 0 r.Store.removed_files;
-  let files', bytes' = Artifacts.disk_usage () in
+  let files, bytes = Store.disk_usage Artifacts.cache in
+  let r = Artifact_store.gc ~max_bytes:(bytes * 2) in
+  Alcotest.(check int) "nothing evicted" 0 r.Artifact_store.removed_files;
+  let files', bytes' = Store.disk_usage Artifacts.cache in
   Alcotest.(check int) "files intact" files files';
   Alcotest.(check int) "bytes intact" bytes bytes'
 
@@ -454,7 +640,7 @@ let test_gc_unbounded_keeps_everything () =
    them and clear and gc reclaim them. *)
 let plant_stale_bt () =
   let path =
-    Filename.concat (Artifacts.dir ())
+    Filename.concat (Store.dir Artifacts.cache)
       ("bt-" ^ Digest.to_hex (Digest.string "stale") ^ ".art")
   in
   Out_channel.with_open_bin path (fun oc ->
@@ -464,25 +650,25 @@ let plant_stale_bt () =
 let test_stale_bt_reclaimable () =
   reset ();
   ignore (Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:64 ~seed:3);
-  let files, bytes = Store.disk_usage () in
+  let files, bytes = Store.disk_usage Artifacts.cache in
   let path = plant_stale_bt () in
   let size = (Unix.stat path).Unix.st_size in
-  let files', bytes' = Store.disk_usage () in
+  let files', bytes' = Store.disk_usage Artifacts.cache in
   Alcotest.(check (pair int int)) "cache stats count it" (files + 1, bytes + size)
     (files', bytes');
-  Alcotest.(check int) "cache clear removes it" files' (Store.clear ());
+  Alcotest.(check int) "cache clear removes it" files' (Store.clear Artifacts.cache);
   Alcotest.(check bool) "gone after clear" false (Sys.file_exists path);
   let path = plant_stale_bt () in
   let past = Unix.time () -. 864000.0 in
   Unix.utimes path past past;
-  let r = Store.gc ~max_bytes:0 in
-  Alcotest.(check bool) "cache gc evicts it" true (r.Store.removed_files >= 1);
+  let r = Artifact_store.gc ~max_bytes:0 in
+  Alcotest.(check bool) "cache gc evicts it" true (r.Artifact_store.removed_files >= 1);
   Alcotest.(check bool) "gone after gc" false (Sys.file_exists path)
 
 let cleanup () =
-  Artifacts.set_enabled true;
-  ignore (Artifacts.clear ());
-  (try Sys.rmdir (Artifacts.dir ()) with Sys_error _ -> ());
+  Store.set_enabled Artifacts.cache true;
+  ignore (Store.clear Artifacts.cache);
+  (try Sys.rmdir (Store.dir Artifacts.cache) with Sys_error _ -> ());
   try if Sys.file_exists scratch then Sys.rmdir scratch
   with Sys_error _ -> ()
 
@@ -503,6 +689,7 @@ let () =
             [
               Alcotest.test_case "sched roundtrip" `Quick test_sched_roundtrip;
               Alcotest.test_case "disabled inert" `Quick test_disabled_is_inert;
+              Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
             ] );
           ( "sweeps",
             [

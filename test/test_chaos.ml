@@ -45,8 +45,8 @@ let reset () =
   Tuner.clear_cache ();
   Fault.set_spec None;
   Gat_util.Cancel.reset ();
-  Disk_cache.set_enabled false;
-  Disk_cache.reset_degraded ()
+  Gat_util.Store.set_enabled Disk_cache.cache false;
+  Gat_util.Store.reset_degraded Disk_cache.cache
 
 let check_bits label a b =
   Alcotest.(check int64) label (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -200,14 +200,14 @@ let test_cancellation_interrupts () =
    have left it. *)
 let test_resume_equivalence () =
   reset ();
-  Disk_cache.set_enabled true;
-  ignore (Disk_cache.clear ());
+  Gat_util.Store.set_enabled Disk_cache.cache true;
+  ignore (Gat_util.Store.clear Disk_cache.cache);
   let reference =
     Tuner.sweep_report ~space ~jobs:2 ~checkpoint:false kernel gpu ~n:64
       ~seed:101
   in
   (* Drop the persisted entry so the resumed run actually sweeps. *)
-  ignore (Disk_cache.clear ());
+  ignore (Gat_util.Store.clear Disk_cache.cache);
   let points = Space.points space in
   let done_points = List.length points / 2 in
   let prefix = List.filteri (fun i _ -> i < done_points) points in
@@ -243,13 +243,13 @@ let test_resume_equivalence () =
   (* The finished sweep must have cleared its checkpoint. *)
   Alcotest.(check bool) "checkpoint consumed" true
     (Disk_cache.checkpoint_find space kernel gpu ~n:64 ~seed:101 = None);
-  Disk_cache.set_enabled false
+  Gat_util.Store.set_enabled Disk_cache.cache false
 
 (* Resume with no checkpoint present is a plain cold start. *)
 let test_resume_without_checkpoint () =
   reset ();
-  Disk_cache.set_enabled true;
-  ignore (Disk_cache.clear ());
+  Gat_util.Store.set_enabled Disk_cache.cache true;
+  ignore (Gat_util.Store.clear Disk_cache.cache);
   let cold =
     Tuner.sweep_report ~space ~jobs:1 ~checkpoint:true ~resume:true kernel gpu
       ~n:64 ~seed:202
@@ -257,30 +257,30 @@ let test_resume_without_checkpoint () =
   Alcotest.(check int) "nothing restored" 0 cold.Tuner.restored_points;
   Alcotest.(check bool) "sweep completed" true
     (List.length cold.Tuner.variants > 0);
-  ignore (Disk_cache.clear ());
-  Disk_cache.set_enabled false
+  ignore (Gat_util.Store.clear Disk_cache.cache);
+  Gat_util.Store.set_enabled Disk_cache.cache false
 
 (* ---- injected cache I/O faults ---- *)
 
 let test_cache_write_fault_degrades () =
   reset ();
-  Disk_cache.set_enabled true;
-  ignore (Disk_cache.clear ());
+  Gat_util.Store.set_enabled Disk_cache.cache true;
+  ignore (Gat_util.Store.clear Disk_cache.cache);
   Fault.set_spec (Some "cache-write:1:sticky");
   (* The sweep itself must succeed; only persistence is lost. *)
   let r = Tuner.sweep_report ~space ~jobs:1 kernel gpu ~n:64 ~seed:303 in
   Alcotest.(check bool) "sweep unaffected" true
     (List.length r.Tuner.variants > 0);
-  Alcotest.(check bool) "cache degraded" true (Disk_cache.degraded ());
-  let entries, _ = Disk_cache.disk_usage () in
+  Alcotest.(check bool) "cache degraded" true (Gat_util.Store.degraded Disk_cache.cache);
+  let entries, _ = Gat_util.Store.disk_usage Disk_cache.cache in
   Alcotest.(check int) "nothing persisted" 0 entries;
-  Disk_cache.reset_degraded ();
-  Disk_cache.set_enabled false
+  Gat_util.Store.reset_degraded Disk_cache.cache;
+  Gat_util.Store.set_enabled Disk_cache.cache false
 
 let test_cache_read_fault_is_miss () =
   reset ();
-  Disk_cache.set_enabled true;
-  ignore (Disk_cache.clear ());
+  Gat_util.Store.set_enabled Disk_cache.cache true;
+  ignore (Gat_util.Store.clear Disk_cache.cache);
   (* Store cleanly, then make every read fail: lookups must turn into
      misses, never exceptions. *)
   let r1 = Tuner.sweep_report ~space ~jobs:1 kernel gpu ~n:64 ~seed:404 in
@@ -289,8 +289,35 @@ let test_cache_read_fault_is_miss () =
   let r2 = Tuner.sweep_report ~space ~jobs:1 kernel gpu ~n:64 ~seed:404 in
   check_report_eq r1 r2;
   Fault.set_spec None;
-  ignore (Disk_cache.clear ());
-  Disk_cache.set_enabled false
+  ignore (Gat_util.Store.clear Disk_cache.cache);
+  Gat_util.Store.set_enabled Disk_cache.cache false
+
+(* A write fault in one store latches that store only: the sweep cache
+   and the artifact store each keep their own latch. *)
+let test_stores_degrade_independently () =
+  let disk = Disk_cache.cache and art = Gat_compiler.Artifacts.cache in
+  List.iter
+    (fun (site, failing, healthy) ->
+      reset ();
+      Gat_util.Store.set_enabled disk true;
+      ignore (Gat_util.Store.clear disk);
+      ignore (Gat_util.Store.clear art);
+      Gat_util.Store.reset_degraded art;
+      Fault.set_spec (Some (site ^ ":1:sticky"));
+      ignore (Tuner.sweep_report ~space ~jobs:1 kernel gpu ~n:64 ~seed:505);
+      Fault.set_spec None;
+      Alcotest.(check bool) (site ^ " latches its store") true
+        (Gat_util.Store.degraded failing);
+      Alcotest.(check bool) (site ^ " leaves the other store writing") false
+        (Gat_util.Store.degraded healthy);
+      let entries, _ = Gat_util.Store.disk_usage healthy in
+      Alcotest.(check bool) (site ^ ": the other store persisted") true (entries > 0))
+    [ ("cache-write", disk, art); ("artifact-write", art, disk) ];
+  ignore (Gat_util.Store.clear disk);
+  ignore (Gat_util.Store.clear art);
+  Gat_util.Store.reset_degraded art;
+  Gat_util.Store.reset_degraded disk;
+  Gat_util.Store.set_enabled disk false
 
 (* ---- GAT_FAULT spec validation ---- *)
 
@@ -357,9 +384,9 @@ let test_journal_concurrent_recording () =
 let cleanup () =
   Fault.set_spec None;
   Gat_util.Cancel.reset ();
-  Disk_cache.set_enabled true;
-  ignore (Disk_cache.clear ());
-  Disk_cache.reset_degraded ();
+  Gat_util.Store.set_enabled Disk_cache.cache true;
+  ignore (Gat_util.Store.clear Disk_cache.cache);
+  Gat_util.Store.reset_degraded Disk_cache.cache;
   try if Sys.file_exists scratch then Sys.rmdir scratch with Sys_error _ -> ()
 
 let () =
@@ -397,6 +424,8 @@ let () =
                 test_cache_write_fault_degrades;
               Alcotest.test_case "read fault is a miss" `Quick
                 test_cache_read_fault_is_miss;
+              Alcotest.test_case "stores degrade independently" `Quick
+                test_stores_degrade_independently;
             ] );
           ( "journal",
             [

@@ -4,6 +4,7 @@
    bit-identical sweeps). *)
 
 module Disk_cache = Gat_tuner.Disk_cache
+module Store = Gat_util.Store
 module Variant = Gat_tuner.Variant
 module Space = Gat_tuner.Space
 module Params = Gat_compiler.Params
@@ -18,10 +19,21 @@ let scratch =
   Unix.putenv "GAT_CACHE_DIR" d;
   d
 
+let baseline = ref (Store.stats Disk_cache.cache)
+
 let reset () =
-  Disk_cache.set_enabled true;
-  ignore (Disk_cache.clear ());
-  Disk_cache.reset_stats ()
+  Store.set_enabled Disk_cache.cache true;
+  ignore (Store.clear Disk_cache.cache);
+  baseline := Store.stats Disk_cache.cache
+
+(* The store's counters since the last [reset]. *)
+let stats () =
+  let s = Store.stats Disk_cache.cache and b = !baseline in
+  {
+    Store.hits = s.Store.hits - b.Store.hits;
+    misses = s.Store.misses - b.Store.misses;
+    stores = s.Store.stores - b.Store.stores;
+  }
 
 let kernel = Gat_workloads.Workloads.atax
 let kernel2 = Gat_workloads.Workloads.bicg
@@ -111,15 +123,15 @@ let check_unsafe_identical stored loaded =
 (* ---- basics ---- *)
 
 let test_scratch_dir () =
-  Alcotest.(check string) "GAT_CACHE_DIR honoured" scratch (Disk_cache.dir ())
+  Alcotest.(check string) "GAT_CACHE_DIR honoured" scratch (Store.dir Disk_cache.cache)
 
 let test_miss_on_empty () =
   reset ();
   Alcotest.(check bool) "empty cache misses" true
     (Disk_cache.find small_space kernel gpu ~n:64 ~seed:42 = None);
-  let s = Disk_cache.stats () in
-  Alcotest.(check int) "one miss" 1 s.Disk_cache.misses;
-  Alcotest.(check int) "no hit" 0 s.Disk_cache.hits
+  let s = stats () in
+  Alcotest.(check int) "one miss" 1 s.Store.misses;
+  Alcotest.(check int) "no hit" 0 s.Store.hits
 
 let test_store_find_roundtrip () =
   reset ();
@@ -130,9 +142,9 @@ let test_store_find_roundtrip () =
   | Some (loaded, unsafe_loaded) ->
       check_variants_identical sample_variants loaded;
       check_unsafe_identical sample_unsafe unsafe_loaded;
-      let s = Disk_cache.stats () in
-      Alcotest.(check int) "one store" 1 s.Disk_cache.stores;
-      Alcotest.(check int) "one hit" 1 s.Disk_cache.hits
+      let s = stats () in
+      Alcotest.(check int) "one store" 1 s.Store.stores;
+      Alcotest.(check int) "one hit" 1 s.Store.hits
 
 let test_key_sensitivity () =
   reset ();
@@ -216,17 +228,17 @@ let test_corruption_tolerated () =
 
 let test_disabled_is_inert () =
   reset ();
-  Disk_cache.set_enabled false;
+  Store.set_enabled Disk_cache.cache false;
   Disk_cache.store small_space kernel gpu ~n:64 ~seed:42 sample_variants
     sample_unsafe;
   Alcotest.(check bool) "no find when disabled" true
     (Disk_cache.find small_space kernel gpu ~n:64 ~seed:42 = None);
-  let entries, _ = Disk_cache.disk_usage () in
+  let entries, _ = Store.disk_usage Disk_cache.cache in
   Alcotest.(check int) "no file written" 0 entries;
-  let s = Disk_cache.stats () in
+  let s = stats () in
   Alcotest.(check int) "no counters touched" 0
-    (s.Disk_cache.hits + s.Disk_cache.misses + s.Disk_cache.stores);
-  Disk_cache.set_enabled true
+    (s.Store.hits + s.Store.misses + s.Store.stores);
+  Store.set_enabled Disk_cache.cache true
 
 let test_usage_and_clear () =
   reset ();
@@ -238,11 +250,11 @@ let test_usage_and_clear () =
   let foreign = Filename.concat scratch "keep.txt" in
   Out_channel.with_open_text foreign (fun oc ->
       Out_channel.output_string oc "not a cache entry\n");
-  let entries, bytes = Disk_cache.disk_usage () in
+  let entries, bytes = Store.disk_usage Disk_cache.cache in
   Alcotest.(check int) "two entries" 2 entries;
   Alcotest.(check bool) "nonzero size" true (bytes > 0);
-  Alcotest.(check int) "clear removes both" 2 (Disk_cache.clear ());
-  let entries, bytes = Disk_cache.disk_usage () in
+  Alcotest.(check int) "clear removes both" 2 (Store.clear Disk_cache.cache);
+  let entries, bytes = Store.disk_usage Disk_cache.cache in
   Alcotest.(check int) "empty after clear" 0 entries;
   Alcotest.(check int) "no bytes" 0 bytes;
   Alcotest.(check bool) "foreign file kept" true (Sys.file_exists foreign);
@@ -312,16 +324,16 @@ let test_unwritable_dir_degrades () =
   Fun.protect
     ~finally:(fun () ->
       Unix.putenv "GAT_CACHE_DIR" scratch;
-      Disk_cache.reset_degraded ();
+      Store.reset_degraded Disk_cache.cache;
       Sys.remove blocker)
     (fun () ->
-      Disk_cache.reset_degraded ();
-      Alcotest.(check bool) "healthy before" false (Disk_cache.degraded ());
+      Store.reset_degraded Disk_cache.cache;
+      Alcotest.(check bool) "healthy before" false (Store.degraded Disk_cache.cache);
       (* Must not raise, must latch, must keep misses working. *)
       Disk_cache.store small_space kernel gpu ~n:64 ~seed:42 sample_variants
     sample_unsafe;
       Alcotest.(check bool) "degraded after failed write" true
-        (Disk_cache.degraded ());
+        (Store.degraded Disk_cache.cache);
       Alcotest.(check bool) "reads behave as misses" true
         (Disk_cache.find small_space kernel gpu ~n:64 ~seed:42 = None);
       (* Later stores are skipped silently, still no raise. *)
@@ -329,10 +341,10 @@ let test_unwritable_dir_degrades () =
     sample_unsafe;
       Disk_cache.checkpoint_store small_space kernel gpu ~n:64 ~seed:42
         { Disk_cache.done_points = 1; variants = []; failures = []; unsafe = [] };
-      let s = Disk_cache.stats () in
-      Alcotest.(check int) "nothing counted as stored" 0 s.Disk_cache.stores);
+      let s = stats () in
+      Alcotest.(check int) "nothing counted as stored" 0 s.Store.stores);
   Alcotest.(check bool) "latch cleared for later tests" false
-    (Disk_cache.degraded ())
+    (Store.degraded Disk_cache.cache)
 
 (* ---- checkpoints ---- *)
 
@@ -415,8 +427,65 @@ let test_checkpoint_corruption () =
   Alcotest.(check bool) "truncated checkpoint reads as absent" true
     (Disk_cache.checkpoint_find small_space kernel gpu ~n:64 ~seed:42 = None);
   (* clear() sweeps damaged checkpoints too. *)
-  Alcotest.(check bool) "clear removes it" true (Disk_cache.clear () >= 1);
+  Alcotest.(check bool) "clear removes it" true (Store.clear Disk_cache.cache >= 1);
   Alcotest.(check bool) "file gone" false (Sys.file_exists (ckpt_path ()))
+
+(* ---- golden bytes ----
+
+   The keys are content hashes; this pins the bytes behind them.  The
+   MD5 of a [.sweep] and a [.ckpt] file written from fixed inputs is
+   pinned, and a copy of each file as first written
+   ([fixtures/entries/]) must still read back as a hit: a codec or
+   envelope change that moved one byte would orphan every user's
+   cache. *)
+
+let golden_ckpt =
+  {
+    Disk_cache.done_points = 3;
+    variants = sample_variants;
+    failures = sample_failures;
+    unsafe = sample_unsafe;
+  }
+
+let golden_md5 =
+  [
+    ("sweep", "df345ac915ecd2d5b0f79e04e60870c6");
+    ("ckpt", "c0cb701ab21f221ef6726d36fd3f9a00");
+  ]
+
+let test_golden_bytes () =
+  reset ();
+  Disk_cache.store small_space kernel gpu ~n:64 ~seed:42 sample_variants
+    sample_unsafe;
+  Disk_cache.checkpoint_store small_space kernel gpu ~n:64 ~seed:42 golden_ckpt;
+  let files = [ ("sweep", entry_path ()); ("ckpt", ckpt_path ()) ] in
+  let got =
+    List.map (fun (kind, path) -> (kind, Digest.to_hex (Digest.file path))) files
+  in
+  Alcotest.(check (list (pair string string))) "file digests" golden_md5 got;
+  (* Each file as first written reads back as a hit. *)
+  ignore (Store.clear Disk_cache.cache);
+  List.iter
+    (fun (kind, path) ->
+      let fixture =
+        In_channel.with_open_bin
+          (Filename.concat "fixtures/entries" ("golden." ^ kind))
+          In_channel.input_all
+      in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc fixture))
+    files;
+  (match Disk_cache.find small_space kernel gpu ~n:64 ~seed:42 with
+  | None -> Alcotest.fail "sweep fixture is not a hit"
+  | Some (loaded, unsafe_loaded) ->
+      check_variants_identical sample_variants loaded;
+      check_unsafe_identical sample_unsafe unsafe_loaded);
+  match Disk_cache.checkpoint_find small_space kernel gpu ~n:64 ~seed:42 with
+  | None -> Alcotest.fail "checkpoint fixture is not a hit"
+  | Some c ->
+      Alcotest.(check int) "done_points" 3 c.Disk_cache.done_points;
+      check_variants_identical sample_variants c.Disk_cache.variants;
+      check_failures_identical sample_failures c.Disk_cache.failures;
+      check_unsafe_identical sample_unsafe c.Disk_cache.unsafe
 
 (* ---- Tuner integration ---- *)
 
@@ -432,14 +501,14 @@ let test_sweep_restored_across_processes () =
   Gat_tuner.Tuner.clear_cache ();
   let compiles () = Gat_util.Metrics.(value (counter "compile.count")) in
   let compiles0 = compiles () in
-  let before = Disk_cache.stats () in
+  let before = Store.stats Disk_cache.cache in
   let second =
     Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:64 ~seed:42
   in
-  let after = Disk_cache.stats () in
+  let after = Store.stats Disk_cache.cache in
   check_variants_identical first second;
   Alcotest.(check int) "exactly one disk hit" 1
-    (after.Disk_cache.hits - before.Disk_cache.hits);
+    (after.Store.hits - before.Store.hits);
   Alcotest.(check int) "no compiles on the warm path" 0
     (compiles () - compiles0)
 
@@ -451,16 +520,16 @@ let test_sweep_multi_restored () =
       ~ns:[ 64; 128; 256 ] ~seed:7
   in
   Gat_tuner.Tuner.clear_cache ();
-  let before = Disk_cache.stats () in
+  let before = Store.stats Disk_cache.cache in
   let second =
     Gat_tuner.Tuner.sweep_multi ~space:small_space ~jobs:1 kernel gpu
       ~ns:[ 64; 128; 256 ] ~seed:7
   in
-  let after = Disk_cache.stats () in
+  let after = Store.stats Disk_cache.cache in
   Alcotest.(check int) "three disk hits" 3
-    (after.Disk_cache.hits - before.Disk_cache.hits);
+    (after.Store.hits - before.Store.hits);
   Alcotest.(check int) "no disk misses" 0
-    (after.Disk_cache.misses - before.Disk_cache.misses);
+    (after.Store.misses - before.Store.misses);
   List.iter2
     (fun (n1, v1) (n2, v2) ->
       Alcotest.(check int) "size order" n1 n2;
@@ -468,8 +537,8 @@ let test_sweep_multi_restored () =
     first second
 
 let cleanup () =
-  Disk_cache.set_enabled true;
-  ignore (Disk_cache.clear ());
+  Store.set_enabled Disk_cache.cache true;
+  ignore (Store.clear Disk_cache.cache);
   try if Sys.file_exists scratch then Sys.rmdir scratch
   with Sys_error _ -> ()
 
@@ -489,6 +558,7 @@ let () =
               Alcotest.test_case "corruption tolerated" `Quick test_corruption_tolerated;
               Alcotest.test_case "disabled inert" `Quick test_disabled_is_inert;
               Alcotest.test_case "usage and clear" `Quick test_usage_and_clear;
+              Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
             ] );
           ( "integrity",
             [

@@ -5,7 +5,7 @@
 (* Keep sweeps honest (and the user's cache directory untouched): the
    compile-count assertions below require real compiles, not persistent
    cache hits. *)
-let () = Gat_tuner.Disk_cache.set_enabled false
+let () = Gat_util.Store.set_enabled Gat_tuner.Disk_cache.cache false
 
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in

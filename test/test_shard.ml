@@ -46,8 +46,8 @@ let reset () =
   Tuner.clear_cache ();
   Fault.set_spec None;
   Gat_util.Cancel.reset ();
-  Disk_cache.set_enabled false;
-  Disk_cache.reset_degraded ()
+  Gat_util.Store.set_enabled Disk_cache.cache false;
+  Gat_util.Store.reset_degraded Disk_cache.cache
 
 let fresh_dir =
   let n = ref 0 in
@@ -427,8 +427,8 @@ let rec rm_rf path =
 let cleanup () =
   Fault.set_spec None;
   Gat_util.Cancel.reset ();
-  Disk_cache.set_enabled true;
-  Disk_cache.reset_degraded ();
+  Gat_util.Store.set_enabled Disk_cache.cache true;
+  Gat_util.Store.reset_degraded Disk_cache.cache;
   rm_rf scratch
 
 let () =

@@ -109,7 +109,7 @@ let test_span_transparency () =
   Trace.clear ()
 
 let test_trace_roundtrip () =
-  Gat_tuner.Disk_cache.set_enabled false;
+  Gat_util.Store.set_enabled Gat_tuner.Disk_cache.cache false;
   Tuner.clear_cache ();
   Trace.clear ();
   Trace.enable ();
@@ -119,7 +119,7 @@ let test_trace_roundtrip () =
   Trace.disable ();
   let json, events = Trace.render () in
   Trace.clear ();
-  Gat_tuner.Disk_cache.set_enabled true;
+  Gat_util.Store.set_enabled Gat_tuner.Disk_cache.cache true;
   Alcotest.(check bool) "events recorded" true (events > 0);
   match
     Trace.validate_string
@@ -236,8 +236,8 @@ let test_write_file_and_validate () =
 (* ---- determinism: metrics across two cached runs ---- *)
 
 let test_cached_sweep_metrics_deterministic () =
-  Gat_tuner.Disk_cache.set_enabled true;
-  ignore (Gat_tuner.Disk_cache.clear ());
+  Gat_util.Store.set_enabled Gat_tuner.Disk_cache.cache true;
+  ignore (Gat_util.Store.clear Gat_tuner.Disk_cache.cache);
   Tuner.clear_cache ();
   (* Populate the disk cache once. *)
   ignore (Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:48 ~seed:3);
@@ -250,7 +250,7 @@ let test_cached_sweep_metrics_deterministic () =
   let a = snapshot () in
   let b = snapshot () in
   Alcotest.(check string) "identical counter dumps" a b;
-  ignore (Gat_tuner.Disk_cache.clear ())
+  ignore (Gat_util.Store.clear Gat_tuner.Disk_cache.cache)
 
 (* ---- pool: recovered-after-retry visibility ---- *)
 
@@ -291,7 +291,7 @@ let test_pool_recovered_metric () =
 (* ---- tuner: progress callback ---- *)
 
 let test_progress_callback () =
-  Gat_tuner.Disk_cache.set_enabled false;
+  Gat_util.Store.set_enabled Gat_tuner.Disk_cache.cache false;
   Tuner.clear_cache ();
   let calls = ref [] in
   let progress ~done_ ~total ~failures =
@@ -301,7 +301,7 @@ let test_progress_callback () =
     Tuner.sweep_report ~space:small_space ~jobs:2 ~block:3 ~checkpoint:false
       ~progress kernel gpu ~n:32 ~seed:11
   in
-  Gat_tuner.Disk_cache.set_enabled true;
+  Gat_util.Store.set_enabled Gat_tuner.Disk_cache.cache true;
   let total = Space.cardinality small_space in
   Alcotest.(check int) "all variants valid" total
     (List.length r.Tuner.variants);

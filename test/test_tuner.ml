@@ -22,7 +22,7 @@ module Strategies = Gat_tuner.Strategies
 (* The persistent sweep cache would satisfy sweeps without compiling,
    breaking the compile-count assertions below (and polluting the
    user's cache directory).  Tests exercise it via test_disk_cache. *)
-let () = Gat_tuner.Disk_cache.set_enabled false
+let () = Gat_util.Store.set_enabled Gat_tuner.Disk_cache.cache false
 
 (* A small space with 96 points. *)
 let small_space =

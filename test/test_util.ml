@@ -258,6 +258,32 @@ let test_csv_to_string () =
   Alcotest.(check string) "rows" "a,b\nc,d\n"
     (Csv.to_string [ [ "a"; "b" ]; [ "c"; "d" ] ])
 
+(* ---- Sealed_file ---- *)
+
+(* A publish whose rename fails (the target is a non-empty directory)
+   raises and leaves no temp file in the directory. *)
+let test_publish_failure_leaves_no_temp () =
+  let d = Filename.temp_dir "gat-test-sealed" "" in
+  let target = Filename.concat d "entry" in
+  Sys.mkdir target 0o755;
+  let inner = Filename.concat target "keep" in
+  Out_channel.with_open_bin inner (fun oc -> Out_channel.output_string oc "x");
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf "payload\n";
+  Gat_util.Sealed_file.seal buf;
+  let raised =
+    match Gat_util.Sealed_file.publish ~path:target buf with
+    | () -> false
+    | exception Sys_error _ -> true
+  in
+  let left = Array.to_list (Sys.readdir d) in
+  Sys.remove inner;
+  Sys.rmdir target;
+  List.iter (fun f -> Sys.remove (Filename.concat d f)) (List.filter (( <> ) "entry") left);
+  Sys.rmdir d;
+  Alcotest.(check bool) "raises Sys_error" true raised;
+  Alcotest.(check (list string)) "no temp file left" [ "entry" ] left
+
 let () =
   Alcotest.run "gat_util"
     [
@@ -315,6 +341,11 @@ let () =
           Alcotest.test_case "arity" `Quick test_table_arity;
           Alcotest.test_case "aligns arity" `Quick test_table_aligns;
           Alcotest.test_case "of_rows" `Quick test_table_of_rows;
+        ] );
+      ( "sealed_file",
+        [
+          Alcotest.test_case "failed publish leaves no temp" `Quick
+            test_publish_failure_leaves_no_temp;
         ] );
       ( "csv",
         [

@@ -315,7 +315,7 @@ let gpu = Gat_arch.Gpu.k20
 
 let reset () =
   Tuner.clear_cache ();
-  Gat_tuner.Disk_cache.set_enabled false
+  Gat_util.Store.set_enabled Gat_tuner.Disk_cache.cache false
 
 let test_sweep_classifies_unsafe () =
   reset ();
