@@ -1,30 +1,25 @@
-(* Backend memoization across the launch-geometry axes of a sweep.
+(* Code classes and the backend results they share.
 
-   Schedule, register allocation and the static coalescing analysis
-   depend only on the instruction streams, which TC and BC never
-   shape; lowering bakes the launch geometry exclusively into the
-   per-block execution weights.  Every variant in the TC×BC plane of a
-   sweep therefore lowers to the same code, and compiles the backend
-   exactly once per process.
+   TC and BC are launch parameters: they never shape code.  A code
+   class — (kernel, device, UIF, SC, fast-math) plus the dynamic shared
+   memory the program declares — is lowered once per process
+   ({!Lowering.code}); every point of the class only binds its launch
+   geometry ({!Lowering.instantiate}).  The class's program digest is
+   computed once, on the miss that lowers it.
 
-   Lookup is cheap on purpose: a hit is the common case (a 5,120-point
-   sweep has one to five code shapes), so it must cost less than
-   hashing the program.  A weight-free summary (device, program name,
-   instruction count, shared-memory footprint) picks a bucket, and
-   [Fingerprint.same_code] — exact equality over everything the digest
-   covers — picks the entry.  Only a miss serializes and hashes the
-   program; the entry keeps that digest, so hits reuse it.
+   Kernels are matched by physical identity: they are immutable, so an
+   equal but distinct kernel value costs one extra lowering, never a
+   wrong answer.  Classes whose code coincides share one backend result
+   through a table keyed by (device, digest).
 
-   An entry also keeps the geometry-free part of the block table, built
-   once when the entry is created; a compile completes it with the few
-   rows its own parameters change.
-
-   Two tiers.  A memory miss consults the persistent artifact store
-   ({!Artifacts}) — scheduling per block body, register allocation and
-   coalescing per program — which shares the results across runs and
-   processes, and makes a one-block kernel edit recompile O(delta): the
-   unchanged blocks' scheduled bodies still hit, only the edited block
-   is rescheduled. *)
+   A backend result is the schedule, register allocation, coalescing
+   summary and geometry-free block table of one program.  A backend
+   miss consults the persistent artifact store ({!Artifacts}) —
+   scheduling per block body, register allocation and coalescing per
+   program — which shares the results across runs and processes, and
+   makes a one-block kernel edit recompile O(delta): the unchanged
+   blocks' scheduled bodies still hit, only the edited block is
+   rescheduled. *)
 
 open Gat_isa
 
@@ -36,19 +31,17 @@ type outcome = {
   shape : Block_table.shape;
 }
 
-(* Immutable once published: [code] is the virtual program the entry
-   was built from (its weights are ignored), [result] the miss's
-   outcome, whose blocks a hit re-weights. *)
-type entry = { code : Program.t; result : outcome }
+(* Immutable once published. *)
+type entry = { kernel : Gat_ir.Kernel.t; code : Lowering.code; result : outcome }
 
-type stats = { classes : int; hits : int; misses : int }
+type stats = { classes : int; backends : int; hits : int; misses : int }
 
-(* Bucket: device identity, program name, instruction count, shared
-   memory per block — weight-free, so a bucket holds every variant of
-   one code shape, and rarely more than one shape. *)
-let table : (string * string * int * int, entry list) Hashtbl.t =
+(* Class key: kernel name (the entry list is then searched by physical
+   identity), device identity, UIF, SC, fast-math, dynamic smem. *)
+let classes : (string * string * int * int * bool * int, entry list) Hashtbl.t =
   Hashtbl.create 64
 
+let backends : (string * string, outcome) Hashtbl.t = Hashtbl.create 64
 let lock = Mutex.create ()
 let hit_count = ref 0
 let miss_count = ref 0
@@ -58,20 +51,22 @@ let m_misses = Gat_util.Metrics.counter "cache.codegen.misses"
 let stats () =
   Gat_util.Pool.with_lock lock (fun () ->
       {
-        classes = Hashtbl.fold (fun _ b n -> n + List.length b) table 0;
+        classes = Hashtbl.fold (fun _ b n -> n + List.length b) classes 0;
+        backends = Hashtbl.length backends;
         hits = !hit_count;
         misses = !miss_count;
       })
 
 let clear () =
   Gat_util.Pool.with_lock lock (fun () ->
-      Hashtbl.reset table;
+      Hashtbl.reset classes;
+      Hashtbl.reset backends;
       hit_count := 0;
       miss_count := 0)
 
-(* Re-attach the current variant's weights to the cached output blocks.
-   Equal code guarantees equal labels and layout order, and the backend
-   passes preserve both, so a positional zip is exact. *)
+(* Attach a point's weights to a backend program.  Equal code
+   guarantees equal labels and layout order, and the backend passes
+   preserve both, so a positional zip is exact. *)
 let reweight vp_blocks out_blocks =
   List.map2
     (fun (v : Basic_block.t) (o : Basic_block.t) ->
@@ -92,35 +87,20 @@ let schedule_block (b : Basic_block.t) =
   | body -> (
       let key = Artifacts.sched_key body in
       match Artifacts.find_sched ~key with
-      | Some scheduled ->
-          Basic_block.make ~weight:b.Basic_block.weight
-            ~active_frac:b.Basic_block.active_frac b.Basic_block.label
-            scheduled b.Basic_block.term
+      | Some scheduled -> { b with Basic_block.body = scheduled }
       | None ->
           let sb = Schedule.block b in
           Artifacts.store_sched ~key sb.Basic_block.body;
           sb)
 
 let schedule_program (vp : Program.t) =
-  let blocks = List.map schedule_block vp.Program.blocks in
-  Program.make ~name:vp.Program.name ~target:vp.Program.target
-    ~regs_per_thread:vp.Program.regs_per_thread
-    ~smem_static:vp.Program.smem_static ~smem_dynamic:vp.Program.smem_dynamic
-    blocks
+  { vp with Program.blocks = List.map schedule_block vp.Program.blocks }
 
 let regalloc gpu scheduled =
   let key = Artifacts.ra_key ~gpu scheduled in
   match Artifacts.find_ra ~key with
   | Some (blocks, st) ->
-      let blocks = reweight scheduled.Program.blocks blocks in
-      let program =
-        Program.make ~name:scheduled.Program.name
-          ~target:scheduled.Program.target
-          ~regs_per_thread:st.Regalloc.regs_used
-          ~smem_static:scheduled.Program.smem_static
-          ~smem_dynamic:scheduled.Program.smem_dynamic blocks
-      in
-      (program, st)
+      ({ scheduled with Program.blocks; regs_per_thread = st.Regalloc.regs_used }, st)
   | None ->
       let program, st = Regalloc.run gpu scheduled in
       Artifacts.store_ra ~key program st;
@@ -138,8 +118,7 @@ let coalescing gpu ~digest vp =
       Artifacts.store_coal ~key summary;
       summary
 
-let compute gpu vp =
-  let digest = Fingerprint.program vp in
+let compute gpu ~digest vp =
   let scheduled =
     Gat_util.Trace.span "compile.schedule" (fun () -> schedule_program vp)
   in
@@ -155,36 +134,68 @@ let compute gpu vp =
   in
   { program; alloc_stats; mem_summary; digest; shape }
 
-let find bucket vp = List.find_opt (fun e -> Fingerprint.same_code e.code vp) bucket
+let instantiate code (p : Params.t) =
+  Gat_util.Trace.span "compile.lower" (fun () ->
+      Lowering.instantiate code ~tc:p.Params.threads_per_block
+        ~bc:p.Params.block_count)
 
-let run ~(gpu : Gat_arch.Gpu.t) (vp : Program.t) =
-  let key =
-    ( Gat_arch.Gpu.identity gpu,
-      vp.Program.name,
-      Program.instruction_count vp,
-      Program.smem_per_block vp )
+(* A class miss lowers the code, hashes its first instantiation and
+   shares the backend result of any class with the same code. *)
+let add ~gpu ~gpu_id kernel (p : Params.t) =
+  let code =
+    Gat_util.Trace.span "compile.lower" (fun () ->
+        Lowering.code kernel gpu ~unroll:p.Params.unroll
+          ~staging:p.Params.staging ~fast_math:p.Params.fast_math)
   in
-  let bucket () = Option.value ~default:[] (Hashtbl.find_opt table key) in
-  (* Buckets are immutable lists: compare outside the lock. *)
-  match find (Gat_util.Pool.with_lock lock bucket) vp with
-  | Some e ->
-      Gat_util.Pool.with_lock lock (fun () -> incr hit_count);
-      Gat_util.Metrics.incr m_hits;
+  let ((vp, _) as point) = instantiate code p in
+  let key = (gpu_id, Fingerprint.program vp) in
+  let result =
+    match Gat_util.Pool.with_lock lock (fun () -> Hashtbl.find_opt backends key) with
+    | Some r -> r
+    | None ->
+        let r = compute gpu ~digest:(snd key) vp in
+        Gat_util.Pool.with_lock lock (fun () -> Hashtbl.replace backends key r);
+        r
+  in
+  ({ kernel; code; result }, point)
+
+let run ~(gpu : Gat_arch.Gpu.t) kernel (p : Params.t) =
+  let gpu_id = Gat_arch.Gpu.identity gpu in
+  let key =
+    ( kernel.Gat_ir.Kernel.name,
+      gpu_id,
+      p.Params.unroll,
+      p.Params.staging,
+      p.Params.fast_math,
+      Lowering.smem_dynamic ~staging:p.Params.staging
+        ~tc:p.Params.threads_per_block )
+  in
+  let find () =
+    Option.bind (Hashtbl.find_opt classes key)
+      (List.find_opt (fun e -> e.kernel == kernel))
+  in
+  let found =
+    match Gat_util.Pool.with_lock lock find with
+    | Some e ->
+        Gat_util.Pool.with_lock lock (fun () -> incr hit_count);
+        Gat_util.Metrics.incr m_hits;
+        Ok (e, instantiate e.code p)
+    | None -> (
+        match Gat_ir.Typecheck.kernel kernel with
+        | Error msg -> Error msg
+        | Ok () ->
+            let e, point = add ~gpu ~gpu_id kernel p in
+            Gat_util.Metrics.incr m_misses;
+            Gat_util.Pool.with_lock lock (fun () ->
+                incr miss_count;
+                if Option.is_none (find ()) then
+                  Hashtbl.replace classes key
+                    (e :: Option.value ~default:[] (Hashtbl.find_opt classes key)));
+            Ok (e, point))
+  in
+  Result.map
+    (fun (e, (vp, profile)) ->
       let r = e.result in
-      {
-        r with
-        program =
-          {
-            r.program with
-            Program.blocks = reweight vp.Program.blocks r.program.Program.blocks;
-          };
-      }
-  | None ->
-      let r = compute gpu vp in
-      Gat_util.Metrics.incr m_misses;
-      Gat_util.Pool.with_lock lock (fun () ->
-          incr miss_count;
-          let b = bucket () in
-          if Option.is_none (find b vp) then
-            Hashtbl.replace table key ({ code = vp; result = r } :: b));
-      r
+      let blocks = reweight vp.Program.blocks r.program.Program.blocks in
+      (vp, profile, { r with program = { r.program with Program.blocks } }))
+    found

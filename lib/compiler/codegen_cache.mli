@@ -1,30 +1,24 @@
-(** Backend memoization across the launch-geometry axes.
+(** Code classes and backend memoization across the launch-geometry
+    axes.
 
-    Lowering bakes TC and BC only into the per-block execution weights;
-    the instruction streams of a lowered kernel are identical across
-    every (TC, BC) point of a sweep once the code-shaping parameters
-    (UIF, PL, SC, CFLAGS) are fixed.  Scheduling, register allocation,
-    the static coalescing analysis and the geometry-free part of the
-    block table read only the instruction streams, so their results are
-    shared across all of those points.
+    TC and BC are launch parameters: lowering bakes them only into the
+    per-block execution weights, the execution profile and the
+    [SC * TC * 4] staging buffer.  A code class — (kernel, device, UIF,
+    SC, fast-math) and the dynamic shared memory — is lowered once per
+    process with {!Lowering.code}; each point binds its geometry with
+    {!Lowering.instantiate}.  The kernel is matched by physical
+    identity (kernels are immutable; an equal but distinct value costs
+    one extra lowering, never a wrong answer) and typechecked only on a
+    class miss.
 
-    The in-memory tier finds a lowered program by a cheap weight-free
-    summary (device identity, program name, instruction count, shared
-    memory per block) that only picks a bucket; a hit further requires
-    {!Gat_isa.Fingerprint.same_code} against the stored virtual program
-    — exact equality of labels, bodies, terminators and footprint, float
-    immediates by bit pattern.  Sound by construction: any kernel that
-    did bake launch geometry into its code compares unequal and
-    recompiles, never answers incorrectly.  Reused outputs get the
-    current variant's weights re-attached, so the result is
-    bit-identical to a fresh compile.
+    Scheduling, register allocation, the static coalescing analysis
+    and the geometry-free part of the block table read only the
+    instruction streams, so classes with the same code share one
+    backend result through a table keyed by (device identity,
+    {!Gat_isa.Fingerprint.program} digest).  The digest is computed
+    once per class, by the miss that lowers it.
 
-    Only a miss computes {!Gat_isa.Fingerprint.program} — the
-    content-addressed key of the persistent tier and of every cache
-    downstream; the entry stores it, so the digest is computed once per
-    code shape per process.
-
-    Two tiers: the in-memory table (same-process), then the persistent
+    Two tiers: the in-memory tables (same-process), then the persistent
     {!Artifacts} store — per-block scheduling entries plus per-program
     register-allocation and coalescing entries — which shares results
     across runs and processes and makes a one-block kernel edit
@@ -33,29 +27,36 @@
     Thread-safe; sweeps compile variants from parallel pool workers.
     Entries are immutable once published; inserts are re-checked under
     the lock.  Counters: [cache.codegen.hits] / [cache.codegen.misses]
-    (in-memory tier), [artifact.{sched,ra,coal}.*] (persistent tier). *)
+    (class lookups), [artifact.{sched,ra,coal}.*] (persistent tier). *)
 
 type outcome = {
-  program : Gat_isa.Program.t;  (** Physical-register form. *)
+  program : Gat_isa.Program.t;
+      (** Physical-register form, carrying the point's weights. *)
   alloc_stats : Regalloc.stats;
   mem_summary : (string * Gat_analysis.Coalescing.access list) list;
-  digest : string;  (** [Gat_isa.Fingerprint.program] of the input. *)
+  digest : string;  (** [Gat_isa.Fingerprint.program] of the class's code. *)
   shape : Block_table.shape;
       (** Geometry-free block table of [program], shared by every
-          variant of the code shape. *)
+          class with the same code. *)
 }
 
-val run : gpu:Gat_arch.Gpu.t -> Gat_isa.Program.t -> outcome
-(** [run ~gpu vp] schedules, register-allocates and
-    coalescing-analyzes the lowered program [vp], reusing any previous
-    result for the same code on the same device.  Every parameter that
-    shapes the backend's input already shaped [vp], so the code
-    subsumes the parameters. *)
+val run :
+  gpu:Gat_arch.Gpu.t ->
+  Gat_ir.Kernel.t ->
+  Params.t ->
+  (Gat_isa.Program.t * Profile.t * outcome, string) result
+(** [run ~gpu kernel params] instantiates [params]' launch geometry on
+    its code class — the virtual program with its weights, the
+    execution profile and the backend result — lowering the class and
+    computing or sharing its backend result on a miss.  [Error] carries
+    the {!Gat_ir.Typecheck} diagnostic of an ill-typed kernel.  The
+    caller must already have checked [params] with {!Params.validate}. *)
 
-type stats = { classes : int; hits : int; misses : int }
+type stats = { classes : int; backends : int; hits : int; misses : int }
 
 val stats : unit -> stats
-(** In-memory tier only; the persistent tier reports through
+(** In-memory tier only: code classes and backend results held, class
+    hits and misses.  The persistent tier reports through
     [Gat_util.Store.stats Artifacts.cache]. *)
 
 val clear : unit -> unit

@@ -26,30 +26,18 @@ let compile kernel gpu params =
           ("params", Gat_util.Trace.S (Params.to_string params));
         ]
     @@ fun () ->
-    match Gat_ir.Typecheck.kernel kernel with
-    | Error msg -> Error ("ill-typed kernel: " ^ msg)
+    match Params.validate gpu params with
+    | Error msg -> Error ("invalid parameters: " ^ msg)
     | Ok () -> (
-        match Params.validate gpu params with
-        | Error msg -> Error ("invalid parameters: " ^ msg)
-        | Ok () ->
-            let virtual_program, profile =
-              Gat_util.Trace.span "compile.lower" (fun () ->
-                  Lowering.lower kernel gpu params)
-            in
-            if
-              Gat_isa.Program.smem_per_block virtual_program
-              > gpu.Gat_arch.Gpu.smem_per_block
-            then Error "shared memory per block exceeds the device limit"
-            else begin
-              (* Schedule, register allocation and the static coalescing
-                 analysis (on the virtual-register form: pre-spill code
-                 keeps the address arithmetic fully trackable, and
-                 spilling never changes an access's pattern, only adds
-                 local traffic) depend only on the instruction streams,
-                 which TC and BC never shape — the backend result, the
-                 program's digest and the geometry-free block table are
-                 memoized across the launch-geometry axes of a sweep. *)
-              let backend = Codegen_cache.run ~gpu virtual_program in
+        if
+          Lowering.smem_dynamic ~staging:params.Params.staging
+            ~tc:params.Params.threads_per_block
+          > gpu.Gat_arch.Gpu.smem_per_block
+        then Error "shared memory per block exceeds the device limit"
+        else
+          match Codegen_cache.run ~gpu kernel params with
+          | Error msg -> Error ("ill-typed kernel: " ^ msg)
+          | Ok (ptx, profile, backend) ->
               let program = backend.Codegen_cache.program in
               let alloc_stats = backend.Codegen_cache.alloc_stats in
               let log = Ptxas_info.of_program program alloc_stats in
@@ -64,7 +52,7 @@ let compile kernel gpu params =
                   kernel;
                   gpu;
                   params;
-                  ptx = virtual_program;
+                  ptx;
                   digest = backend.Codegen_cache.digest;
                   program;
                   log;
@@ -72,8 +60,7 @@ let compile kernel gpu params =
                   profile;
                   mem_summary = backend.Codegen_cache.mem_summary;
                   block_table;
-                }
-            end)
+                })
   in
   (match result with Error _ -> Gat_util.Metrics.incr m_rejected | Ok _ -> ());
   result

@@ -1,6 +1,7 @@
 (** Compilation driver: the full `nvcc` pipeline for one code variant.
 
-    lower (thread mapping, unrolling, instruction selection)
+    lower the code class (thread mapping, unrolling, instruction selection)
+    -> bind the launch geometry (weights, profile, dynamic smem)
     -> schedule (load hoisting)
     -> register allocation (physical file, spills)
     -> compile log. *)
@@ -16,9 +17,9 @@ type compiled = {
   digest : string;
       (** [Gat_isa.Fingerprint.program ptx]: the weight-free key that
           {!Codegen_cache}, {!Artifacts} and the tuner's verdict cache
-          share.  Computed once per code shape per process, by the
-          {!Codegen_cache} miss that first sees the code; every later
-          variant with the same code reuses it. *)
+          share.  Computed once per code class per process, by the
+          {!Codegen_cache} miss that lowers the class; every later
+          point of the class reuses it. *)
   program : Gat_isa.Program.t;  (** Physical registers, final code. *)
   log : Ptxas_info.t;
   alloc_stats : Regalloc.stats;
@@ -41,8 +42,10 @@ type compiled = {
 
 val compile :
   Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> Params.t -> (compiled, string) result
-(** Compile one variant; [Error] describes invalid parameters or an
-    ill-typed kernel (never an internal failure). *)
+(** Compile one variant; [Error] describes invalid parameters (checked
+    first) or an ill-typed kernel (never an internal failure).  The
+    kernel is typechecked only when its code class misses
+    {!Codegen_cache}. *)
 
 val compile_exn : Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> Params.t -> compiled
 (** @raise Invalid_argument on [Error]. *)

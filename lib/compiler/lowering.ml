@@ -1,14 +1,51 @@
 open Gat_ir
 open Gat_isa
 
+(* ---- what instantiation binds ---- *)
+
+(* A block weight as a function of the thread count TC * BC.  The code
+   pass composes the same [Weight] operations, in the same order, as a
+   lowering that knew the geometry up front, so an instantiated weight
+   is bit-identical to that one; rescaling a weight lowered for one
+   thread by 1/(TC * BC) would be equal only algebraically. *)
+type weight = int -> Weight.t
+
+let w_fixed w : weight = fun _ -> w
+let w_add a b : weight = fun t -> Weight.add (a t) (b t)
+let w_mul a b : weight = fun t -> Weight.mul (a t) (b t)
+let w_scale k a : weight = fun t -> Weight.scale k (a t)
+
+(* The launch geometry of one instantiation.  [issues] memoizes the
+   parallel loop's exact grid-stride counts per (trip polynomial,
+   size); it belongs to one compile's profile, never to the shared
+   code. *)
+type geometry = {
+  tc : int;
+  bc : int;
+  warps_per_block : int;
+  total_warps : int;
+  issues : (Weight.t * int, int * int) Hashtbl.t;
+}
+
+type count = geometry -> int -> Profile.agg
+
+type code = {
+  program : Program.t;  (* weights unset; smem_dynamic unset *)
+  weights : weight list;  (* one per block, layout order *)
+  staging : int;
+  work_items : geometry -> int -> int;
+  rules : (string * count) list;
+}
+
 type ctx = {
   kernel : Kernel.t;
-  params : Params.t;
+  unroll : int;
+  fast_math : bool;
   (* block builder *)
-  mutable blocks_rev : Basic_block.t list;
+  mutable blocks_rev : (Basic_block.t * weight) list;
   mutable label : string;
   mutable instrs_rev : Instruction.t list;
-  mutable weight : Weight.t;
+  mutable weight : weight;
   mutable active : float;
   mutable next_label : int;
   mutable next_gpr : int;
@@ -21,14 +58,11 @@ type ctx = {
   defs : (string, Expr.t) Hashtbl.t;  (* inlined straight-line defs *)
   array_bases : (string, Register.t) Hashtbl.t;
   mutable n_reg : Register.t;
-  mutable smem_dynamic : int;
   (* profile construction *)
-  total_warps : int;
-  warps_per_block : int;
   mutable parallel_var : string option;
-  mutable work_items_fn : int -> int;
-  mutable agg_fn : int -> Profile.agg;
-  mutable count_rules : (string * (int -> Profile.agg)) list;  (* reversed *)
+  mutable work_items_fn : geometry -> int -> int;
+  mutable agg_fn : count;
+  mutable count_rules : (string * count) list;  (* reversed *)
 }
 
 (* ---- builder primitives ---- *)
@@ -64,10 +98,10 @@ let new_label ctx =
 
 let end_block ctx term =
   let block =
-    Basic_block.make ~weight:ctx.weight ~active_frac:ctx.active ctx.label
+    Basic_block.make ~active_frac:ctx.active ctx.label
       (List.rev ctx.instrs_rev) term
   in
-  ctx.blocks_rev <- block :: ctx.blocks_rev;
+  ctx.blocks_rev <- (block, ctx.weight) :: ctx.blocks_rev;
   ctx.instrs_rev <- []
 
 let start_block ctx label ~weight ~active ~agg =
@@ -220,7 +254,7 @@ and gen_address ctx a idxs =
 
 and gen_bin ?dst ctx op x y =
   let ty = type_of ctx (Expr.Bin (op, x, y)) in
-  let fast = ctx.params.Params.fast_math in
+  let fast = ctx.fast_math in
   let t = dst_or_fresh ctx dst in
   if Dtype.is_float ty then begin
     let is64 = ty = Dtype.F64 in
@@ -321,7 +355,7 @@ and gen_bin ?dst ctx op x y =
 
 and gen_un ?dst ctx op x =
   let ty = type_of ctx x in
-  let fast = ctx.params.Params.fast_math in
+  let fast = ctx.fast_math in
   let t = dst_or_fresh ctx dst in
   let xo = gen_expr ctx x in
   match op with
@@ -462,7 +496,8 @@ and lower_if ctx c t_branch e_branch =
   let outer_weight = ctx.weight and outer_active = ctx.active in
   let parent = ctx.agg_fn in
   (* Exact P(condition) at size n, via Monte Carlo over the parallel
-     index (the simulator's ground truth). *)
+     index (the simulator's ground truth); [Profile] memoizes it
+     process-wide under its own lock, so the code holds no table. *)
   let prob =
     let cond = inline_defs ctx c in
     match ctx.parallel_var with
@@ -472,15 +507,15 @@ and lower_if ctx c t_branch e_branch =
           | Some (Expr.Bin (Expr.Sub, hi, lo)) -> (lo, hi)
           | Some _ | None -> (Expr.Int 0, Expr.Size)
         in
-        memo1 (fun n -> Profile.monte_carlo_prob ~cond ~var:pv ~lo ~hi ~n)
+        fun n -> Profile.monte_carlo_prob ~cond ~var:pv ~lo ~hi ~n
     | None -> fun _ -> 0.5
   in
-  let branch_weight = Weight.scale 0.5 outer_weight in
+  let branch_weight = w_scale 0.5 outer_weight in
   let branch_active =
     if tainted then outer_active *. divergent_active else outer_active
   in
-  let agg_of ~taken n =
-    let pa = parent n in
+  let agg_of ~taken g n =
+    let pa = parent g n in
     let p_then = Float.max 0.0 (Float.min 1.0 (prob n)) in
     let p_side = if taken then p_then else 1.0 -. p_then in
     if tainted then begin
@@ -517,17 +552,16 @@ and lower_if ctx c t_branch e_branch =
   start_block ctx join_l ~weight:outer_weight ~active:outer_active ~agg:parent
 
 and lower_seq_loop ctx (l : Stmt.loop) =
-  let u = if l.Stmt.step = 1 then ctx.params.Params.unroll else 1 in
+  let u = if l.Stmt.step = 1 then ctx.unroll else 1 in
   let outer_weight = ctx.weight and outer_active = ctx.active in
   let parent = ctx.agg_fn in
   let lo_aff = affine_or l.Stmt.lo Weight.zero in
   let hi_aff = affine_or l.Stmt.hi (Weight.linear 1.0) in
-  let trips_w = Affine.trip_count ~lo:lo_aff ~hi:hi_aff ~step:l.Stmt.step in
+  let trips_w = w_fixed (Affine.trip_count ~lo:lo_aff ~hi:hi_aff ~step:l.Stmt.step) in
   (* Exact iteration count at size n (bounds are uniform integers). *)
-  let exact_range =
-    memo1 (fun n ->
-        let lo = Weight.eval lo_aff ~n and hi = Weight.eval hi_aff ~n in
-        max 0 (int_of_float (Float.round (hi -. lo)) / l.Stmt.step))
+  let exact_range n =
+    let lo = Weight.eval lo_aff ~n and hi = Weight.eval hi_aff ~n in
+    max 0 (int_of_float (Float.round (hi -. lo)) / l.Stmt.step)
   in
   let v = l.Stmt.var in
   let rv = var_reg ctx v Dtype.I32 in
@@ -542,13 +576,13 @@ and lower_seq_loop ctx (l : Stmt.loop) =
     let head_l = new_label ctx and body_l = new_label ctx in
     let exit_l = new_label ctx in
     end_block ctx (Basic_block.Jump head_l);
-    let head_weight = Weight.add (Weight.mul outer_weight trips_w) outer_weight in
-    let head_agg n =
-      let pa = parent n in
+    let head_weight = w_add (w_mul outer_weight trips_w) outer_weight in
+    let head_agg g n =
+      let pa = parent g n in
       { pa with Profile.execs = pa.Profile.execs *. float_of_int (exact_range n + 1) }
     in
-    let body_agg n =
-      let pa = parent n in
+    let body_agg g n =
+      let pa = parent g n in
       { pa with Profile.execs = pa.Profile.execs *. float_of_int (exact_range n) }
     in
     start_block ctx head_l ~weight:head_weight ~active:outer_active ~agg:head_agg;
@@ -562,7 +596,7 @@ and lower_seq_loop ctx (l : Stmt.loop) =
            if_false = body_l;
          });
     start_block ctx body_l
-      ~weight:(Weight.mul outer_weight trips_w)
+      ~weight:(w_mul outer_weight trips_w)
       ~active:outer_active ~agg:body_agg;
     lower_stmts ctx l.Stmt.body;
     emit1 ctx Opcode.IADD rv [ Operand.Reg rv; Operand.Imm l.Stmt.step ];
@@ -575,16 +609,16 @@ and lower_seq_loop ctx (l : Stmt.loop) =
     let rem_head = new_label ctx and rem_body = new_label ctx in
     let exit_l = new_label ctx in
     end_block ctx (Basic_block.Jump main_head);
-    let main_trips_w = Weight.scale (1.0 /. float_of_int u) trips_w in
-    let rem_trips_w = Weight.const (float_of_int (u - 1) /. 2.0) in
+    let main_trips_w = w_scale (1.0 /. float_of_int u) trips_w in
+    let rem_trips_w = w_fixed (Weight.const (float_of_int (u - 1) /. 2.0)) in
     let main_trips n = exact_range n / u in
     let rem_trips n = exact_range n - (main_trips n * u) in
-    let scaled f n =
-      let pa = parent n in
+    let scaled f g n =
+      let pa = parent g n in
       { pa with Profile.execs = pa.Profile.execs *. float_of_int (f n) }
     in
     start_block ctx main_head
-      ~weight:(Weight.add (Weight.mul outer_weight main_trips_w) outer_weight)
+      ~weight:(w_add (w_mul outer_weight main_trips_w) outer_weight)
       ~active:outer_active
       ~agg:(scaled (fun n -> main_trips n + 1));
     let last = fresh_gpr ctx in
@@ -600,7 +634,7 @@ and lower_seq_loop ctx (l : Stmt.loop) =
            if_false = main_body;
          });
     start_block ctx main_body
-      ~weight:(Weight.mul outer_weight main_trips_w)
+      ~weight:(w_mul outer_weight main_trips_w)
       ~active:outer_active ~agg:(scaled main_trips);
     for k = 0 to u - 1 do
       Hashtbl.replace ctx.var_offsets v k;
@@ -610,7 +644,7 @@ and lower_seq_loop ctx (l : Stmt.loop) =
     emit1 ctx Opcode.IADD rv [ Operand.Reg rv; Operand.Imm u ];
     end_block ctx (Basic_block.Jump main_head);
     start_block ctx rem_head
-      ~weight:(Weight.add (Weight.mul outer_weight rem_trips_w) outer_weight)
+      ~weight:(w_add (w_mul outer_weight rem_trips_w) outer_weight)
       ~active:outer_active
       ~agg:(scaled (fun n -> rem_trips n + 1));
     let p2 = fresh_pred ctx in
@@ -624,7 +658,7 @@ and lower_seq_loop ctx (l : Stmt.loop) =
            if_false = rem_body;
          });
     start_block ctx rem_body
-      ~weight:(Weight.mul outer_weight rem_trips_w)
+      ~weight:(w_mul outer_weight rem_trips_w)
       ~active:outer_active ~agg:(scaled rem_trips);
     lower_stmts ctx l.Stmt.body;
     emit1 ctx Opcode.IADD rv [ Operand.Reg rv; Operand.Imm 1 ];
@@ -634,39 +668,40 @@ and lower_seq_loop ctx (l : Stmt.loop) =
 
 (* ---- kernel-level lowering ---- *)
 
-let lower_parallel_loop ctx (l : Stmt.loop) ~total_threads =
+let lower_parallel_loop ctx (l : Stmt.loop) =
   let lo_aff = affine_or l.Stmt.lo Weight.zero in
   let hi_aff = affine_or l.Stmt.hi (Weight.linear 1.0) in
   let trips = Affine.trip_count ~lo:lo_aff ~hi:hi_aff ~step:l.Stmt.step in
-  let per_thread = Weight.scale (1.0 /. float_of_int total_threads) trips in
+  let per_thread t = Weight.scale (1.0 /. float_of_int t) trips in
   let v = l.Stmt.var in
   ctx.parallel_var <- Some v;
   Hashtbl.replace ctx.defs ("__bounds_" ^ v)
     (Expr.Bin (Expr.Sub, l.Stmt.hi, l.Stmt.lo));
   let rv = var_reg ctx v Dtype.I32 in
   Hashtbl.replace ctx.tainted_vars v ();
-  (* Exact per-warp grid-stride issue counts. *)
-  let tc = ctx.params.Params.threads_per_block in
-  let bc = ctx.params.Params.block_count in
-  let exact = memo1 (fun n ->
-      let r =
-        max 0 (int_of_float (Float.round (Weight.eval trips ~n)))
-      in
-      let t = tc * bc in
-      let issues = ref 0 in
-      for b = 0 to bc - 1 do
-        for wi = 0 to ctx.warps_per_block - 1 do
-          let g0 = (b * tc) + (wi * 32) in
-          if g0 < r then issues := !issues + ((r - g0 + t - 1) / t)
-        done
-      done;
-      (r, !issues))
+  (* Exact per-warp grid-stride issue counts: a function of the trip
+     polynomial, the geometry and n, memoized in the geometry. *)
+  let exact g n =
+    match Hashtbl.find_opt g.issues (trips, n) with
+    | Some v -> v
+    | None ->
+        let r = max 0 (int_of_float (Float.round (Weight.eval trips ~n))) in
+        let t = g.tc * g.bc in
+        let issues = ref 0 in
+        for b = 0 to g.bc - 1 do
+          for wi = 0 to g.warps_per_block - 1 do
+            let g0 = (b * g.tc) + (wi * 32) in
+            if g0 < r then issues := !issues + ((r - g0 + t - 1) / t)
+          done
+        done;
+        Hashtbl.replace g.issues (trips, n) (r, !issues);
+        (r, !issues)
   in
-  ctx.work_items_fn <- (fun n -> fst (exact n));
+  ctx.work_items_fn <- (fun g n -> fst (exact g n));
   let parent = ctx.agg_fn in
-  let body_agg n =
-    let pa = parent n in
-    let r, issues = exact n in
+  let body_agg g n =
+    let pa = parent g n in
+    let r, issues = exact g n in
     if issues = 0 then { Profile.execs = 0.0; lanes = 1.0 }
     else
       {
@@ -674,10 +709,10 @@ let lower_parallel_loop ctx (l : Stmt.loop) ~total_threads =
         lanes = float_of_int r /. (32.0 *. float_of_int issues);
       }
   in
-  let head_agg n =
-    let pa = parent n in
-    let _, issues = exact n in
-    { pa with Profile.execs = float_of_int (issues + ctx.total_warps) }
+  let head_agg g n =
+    let pa = parent g n in
+    let _, issues = exact g n in
+    { pa with Profile.execs = float_of_int (issues + g.total_warps) }
   in
   (* i = lo + global_id; stride = ntid * nctaid *)
   let gid = fresh_gpr ctx in
@@ -698,7 +733,7 @@ let lower_parallel_loop ctx (l : Stmt.loop) ~total_threads =
   let exit_l = new_label ctx in
   end_block ctx (Basic_block.Jump head_l);
   start_block ctx head_l
-    ~weight:(Weight.add per_thread Weight.one)
+    ~weight:(w_add per_thread (w_fixed Weight.one))
     ~active:1.0 ~agg:head_agg;
   let p = fresh_pred ctx in
   emit1 ctx Opcode.ISETP ~cmp:Instruction.GE p
@@ -714,20 +749,19 @@ let lower_parallel_loop ctx (l : Stmt.loop) ~total_threads =
   lower_stmts ctx l.Stmt.body;
   emit1 ctx Opcode.IADD rv [ Operand.Reg rv; Operand.Reg stride ];
   end_block ctx (Basic_block.Jump head_l);
-  start_block ctx exit_l ~weight:Weight.one ~active:1.0 ~agg:parent
+  start_block ctx exit_l ~weight:(w_fixed Weight.one) ~active:1.0 ~agg:parent
 
-let lower kernel gpu params =
-  let warps_per_block = (params.Params.threads_per_block + 31) / 32 in
-  let total_warps = params.Params.block_count * warps_per_block in
-  let entry_agg _ = { Profile.execs = float_of_int total_warps; lanes = 1.0 } in
+let code kernel gpu ~unroll ~staging ~fast_math =
+  let entry_agg g _ = { Profile.execs = float_of_int g.total_warps; lanes = 1.0 } in
   let ctx =
     {
       kernel;
-      params;
+      unroll;
+      fast_math;
       blocks_rev = [];
       label = "";
       instrs_rev = [];
-      weight = Weight.one;
+      weight = w_fixed Weight.one;
       active = 1.0;
       next_label = 0;
       next_gpr = 0;
@@ -739,17 +773,14 @@ let lower kernel gpu params =
       defs = Hashtbl.create 16;
       array_bases = Hashtbl.create 8;
       n_reg = Register.gpr 0;
-      smem_dynamic = 0;
-      total_warps;
-      warps_per_block;
       parallel_var = None;
-      work_items_fn = (fun _ -> 0);
+      work_items_fn = (fun _ _ -> 0);
       agg_fn = entry_agg;
       count_rules = [];
     }
   in
   let entry_l = new_label ctx in
-  start_block ctx entry_l ~weight:Weight.one ~active:1.0 ~agg:entry_agg;
+  start_block ctx entry_l ~weight:(w_fixed Weight.one) ~active:1.0 ~agg:entry_agg;
   (* Kernel prologue: parameter loads.  Real SASS reads the constant
      bank; we model it as LDC from a zero param pointer. *)
   let pbase = fresh_gpr ctx in
@@ -771,12 +802,10 @@ let lower kernel gpu params =
   (* Shared-memory staging (SC > 1): allocate the buffer and prime it.
      The per-access latency benefit is modelled by the simulator; the
      static side of the variant pays the occupancy pressure. *)
-  if params.Params.staging > 1 then begin
-    ctx.smem_dynamic <-
-      params.Params.staging * params.Params.threads_per_block * 4;
+  if staging > 1 then begin
     let sbase = fresh_gpr ctx in
     emit1 ctx Opcode.MOV sbase [ Operand.Imm 0 ];
-    for k = 0 to params.Params.staging - 1 do
+    for k = 0 to staging - 1 do
       emit ctx
         (Instruction.make Opcode.STS
            [
@@ -787,30 +816,37 @@ let lower kernel gpu params =
     done;
     emit ctx (Instruction.make Opcode.BAR [ Operand.Imm 0 ])
   end;
-  let total_threads = Params.total_threads params in
   List.iter
     (fun stmt ->
       match stmt with
-      | Stmt.For l when l.Stmt.kind = Stmt.Parallel ->
-          lower_parallel_loop ctx l ~total_threads
+      | Stmt.For l when l.Stmt.kind = Stmt.Parallel -> lower_parallel_loop ctx l
       | other -> lower_stmt ctx other)
     kernel.Kernel.body;
   end_block ctx Basic_block.Exit;
-  let program =
-    Program.make ~name:kernel.Kernel.name ~target:gpu.Gat_arch.Gpu.cc
-      ~regs_per_thread:0 ~smem_static:0 ~smem_dynamic:ctx.smem_dynamic
-      (List.rev ctx.blocks_rev)
-  in
-  let rules = List.rev ctx.count_rules in
-  let block_counts =
-    memo1 (fun n -> List.map (fun (label, f) -> (label, f n)) rules)
-  in
-  let profile =
+  let blocks, weights = List.split (List.rev ctx.blocks_rev) in
+  {
+    program = Program.make ~name:kernel.Kernel.name ~target:gpu.Gat_arch.Gpu.cc blocks;
+    weights;
+    staging;
+    work_items = ctx.work_items_fn;
+    rules = List.rev ctx.count_rules;
+  }
+
+let smem_dynamic ~staging ~tc = if staging > 1 then staging * tc * 4 else 0
+
+let instantiate c ~tc ~bc =
+  let warps_per_block = (tc + 31) / 32 in
+  let total_warps = bc * warps_per_block in
+  let g = { tc; bc; warps_per_block; total_warps; issues = Hashtbl.create 8 } in
+  let weigh b w = { b with Basic_block.weight = w (tc * bc) } in
+  ( {
+      c.program with
+      Program.smem_dynamic = smem_dynamic ~staging:c.staging ~tc;
+      blocks = List.map2 weigh c.program.Program.blocks c.weights;
+    },
     {
       Profile.total_warps;
       warps_per_block;
-      work_items = ctx.work_items_fn;
-      block_counts;
-    }
-  in
-  (program, profile)
+      work_items = c.work_items g;
+      block_counts = memo1 (fun n -> List.map (fun (label, f) -> (label, f g n)) c.rules);
+    } )

@@ -69,31 +69,3 @@ let program (p : Program.t) =
     p.Program.regs_per_thread p.Program.smem_static p.Program.smem_dynamic;
   List.iter (add_block buf) p.Program.blocks;
   digest buf
-
-(* Exact weight-free equality over the same content [program] digests,
-   so [same_code a b] implies [program a = program b]: a cache can test
-   it on a hit instead of hashing. *)
-let same_terminator (a : Basic_block.terminator) (b : Basic_block.terminator) =
-  match (a, b) with
-  | Basic_block.Jump l, Basic_block.Jump l' -> String.equal l l'
-  | Basic_block.Cond_branch c, Basic_block.Cond_branch c' ->
-      Bool.equal c.pred.Instruction.negated c'.pred.Instruction.negated
-      && Register.equal c.pred.Instruction.reg c'.pred.Instruction.reg
-      && String.equal c.if_true c'.if_true
-      && String.equal c.if_false c'.if_false
-  | Basic_block.Exit, Basic_block.Exit -> true
-  | (Basic_block.Jump _ | Basic_block.Cond_branch _ | Basic_block.Exit), _ ->
-      false
-
-let same_block (a : Basic_block.t) (b : Basic_block.t) =
-  String.equal a.Basic_block.label b.Basic_block.label
-  && List.equal Instruction.equal a.Basic_block.body b.Basic_block.body
-  && same_terminator a.Basic_block.term b.Basic_block.term
-
-let same_code (a : Program.t) (b : Program.t) =
-  String.equal a.Program.name b.Program.name
-  && Gat_arch.Compute_capability.compare a.Program.target b.Program.target = 0
-  && Int.equal a.Program.regs_per_thread b.Program.regs_per_thread
-  && Int.equal a.Program.smem_static b.Program.smem_static
-  && Int.equal a.Program.smem_dynamic b.Program.smem_dynamic
-  && List.equal same_block a.Program.blocks b.Program.blocks

@@ -36,15 +36,6 @@ let uses t =
 
 let register_operands t = List.length (defs t) + List.length (uses t)
 
-let equal_pred (a : predicate) (b : predicate) =
-  Bool.equal a.negated b.negated && Register.equal a.reg b.reg
-
-let equal a b =
-  a.op = b.op && a.cmp = b.cmp
-  && Option.equal Register.equal a.dst b.dst
-  && List.equal Operand.equal a.srcs b.srcs
-  && Option.equal equal_pred a.pred b.pred
-
 let add_to_buffer buf t =
   (match t.pred with
   | Some { negated; reg } ->

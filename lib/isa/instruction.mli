@@ -35,10 +35,6 @@ val register_operands : t -> int
 (** Total register operand slots touched (defs + uses); this is the
     per-instruction contribution to the paper's O{_reg} metric. *)
 
-val equal : t -> t -> bool
-(** Exact equality, immediates by {!Operand.equal}: equal
-    instructions print the same {!add_to_buffer} text. *)
-
 val add_to_buffer : Buffer.t -> t -> unit
 (** Append the instruction's assembly line (no newline), e.g.
     ["@!P0 ISETP.GE P1, R2, 8"] — the one printer of the text that

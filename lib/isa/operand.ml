@@ -50,19 +50,6 @@ let registers = function
   | Addr { base; _ } -> [ base ]
   | Imm _ | FImm _ | Special _ -> []
 
-(* Floats compare by bit pattern: [0.0] and [-0.0] print (and digest)
-   differently, and a NaN immediate equals itself. *)
-let equal a b =
-  match (a, b) with
-  | Reg r, Reg r' -> Register.equal r r'
-  | Imm i, Imm i' -> Int.equal i i'
-  | FImm f, FImm f' -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float f')
-  | Special s, Special s' -> s = s'
-  | Addr a, Addr a' ->
-      a.space = a'.space && Register.equal a.base a'.base
-      && Int.equal a.offset a'.offset
-  | (Reg _ | Imm _ | FImm _ | Special _ | Addr _), _ -> false
-
 let add_to_buffer buf = function
   | Reg r -> Register.add_to_buffer buf r
   | Imm i -> Register.add_int buf i

@@ -33,12 +33,6 @@ val addr : space -> Register.t -> int -> t
 val registers : t -> Register.t list
 (** Registers mentioned by the operand (address bases included). *)
 
-val equal : t -> t -> bool
-(** Exact equality: float immediates compare by bit pattern
-    ([Int64.bits_of_float]), so [0.0] and [-0.0] differ — as their
-    {!add_to_buffer} texts do — where polymorphic [=] would equate
-    them. *)
-
 val add_to_buffer : Buffer.t -> t -> unit
 (** Append the operand's assembly text: [R3], [42], a [%h] float
     literal, [%tid.x], [[global:R2+8]]. *)

@@ -53,9 +53,9 @@ let clear_cache () =
   Verdict_cache.clear ();
   Gat_compiler.Codegen_cache.clear ()
 
-let sweep_key space kernel gpu ~n ~seed =
-  Printf.sprintf "%s/%s/%d/%d/%s" kernel.Gat_ir.Kernel.name
-    gpu.Gat_arch.Gpu.name n seed (Space.to_string space)
+(* The in-process tier shares the disk tier's content key: two kernels
+   with one name are two sweeps. *)
+let sweep_key = Disk_cache.key
 
 let find_sweep key =
   Gat_util.Pool.with_lock sweep_lock (fun () ->

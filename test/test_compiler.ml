@@ -502,124 +502,180 @@ let test_codegen_cache_transparent () =
   Alcotest.(check bool) "alloc stats bit-identical" true
     (via_cache.Driver.alloc_stats = cold.Driver.alloc_stats)
 
-(* "A cache hit equals recomputation", across the whole plane: every
-   64th point of the paper's space (plus staged SC=2 points) for every
-   bundled kernel and device, compiled from a warm tier (guaranteed
-   hits: each point is compiled twice) and again after [clear], must
-   marshal to the same bytes in every output the compile exposes.
-   [No_sharing] makes the bytes a function of the value alone: the
-   persistent tier decodes labels as fresh strings where a fresh
-   compile aliases them, which changes sharing but not the value. *)
-let test_codegen_cache_hit_equals_recompute () =
-  let sample =
-    List.filteri (fun i _ -> i mod 64 = 0) (Gat_tuner.Space.points Gat_tuner.Space.paper)
-    @ [
-        Params.make ~threads_per_block:128 ~block_count:24 ~staging:2 ();
-        Params.make ~threads_per_block:256 ~block_count:48 ~staging:2 ();
-        Params.make ~threads_per_block:512 ~block_count:96 ~unroll:2
-          ~staging:2 ~l1_pref_kb:48 ();
-      ]
-  in
-  let bytes x = Marshal.to_string x [ Marshal.No_sharing ] in
-  let fields (c : Driver.compiled) =
-    let t = c.Driver.block_table in
-    let sh = t.Block_table.shape in
-    [
-      ("program", bytes c.Driver.program);
-      ("digest", bytes c.Driver.digest);
-      ("log", bytes c.Driver.log);
-      ("mem_summary", bytes c.Driver.mem_summary);
-      ("n_blocks", bytes sh.Block_table.n_blocks);
-      ("n_categories", bytes sh.Block_table.n_categories);
-      ("labels", bytes sh.Block_table.labels);
-      ("index", bytes sh.Block_table.index);
-      ("issue_cycles", bytes sh.Block_table.issue_cycles);
-      ("global_loads", bytes sh.Block_table.global_loads);
-      ("barriers", bytes sh.Block_table.barriers);
-      ("instr_counts", bytes sh.Block_table.instr_counts);
-      ("mix_counts", bytes sh.Block_table.mix_counts);
-      ("reg_ops", bytes sh.Block_table.reg_ops);
-      ("mem_transactions", bytes sh.Block_table.mem_transactions);
-      ("loads", bytes sh.Block_table.loads);
-      ("residency", bytes t.Block_table.residency);
-      ("mem_load_latency", bytes t.Block_table.mem_load_latency);
+(* Every 64th point of the paper's space, which never sets fast-math or
+   PL=48, the same shifted onto both, and staged SC=2 points. *)
+let plane_sample =
+  List.filteri
+    (fun i _ -> i mod 64 = 0 || i mod 64 = 35)
+    (Gat_tuner.Space.points Gat_tuner.Space.paper)
+  @ [
+      Params.make ~threads_per_block:128 ~block_count:24 ~staging:2 ();
+      Params.make ~threads_per_block:256 ~block_count:48 ~staging:2 ();
+      Params.make ~threads_per_block:512 ~block_count:96 ~unroll:2
+        ~staging:2 ~l1_pref_kb:48 ();
     ]
+
+(* Everything a compile exposes, each output marshalled to bytes:
+   virtual and physical programs with their weights, digest, log,
+   coalescing summary, the execution profile at the kernel's five input
+   sizes and the block table.  [No_sharing] makes the bytes a function
+   of the value alone: the persistent tier decodes labels as fresh
+   strings where a fresh compile aliases them, which changes sharing
+   but not the value. *)
+let compiled_fields (c : Driver.compiled) =
+  let bytes x = Marshal.to_string x [ Marshal.No_sharing ] in
+  let prof = c.Driver.profile in
+  [
+    ("ptx", bytes c.Driver.ptx);
+    ("program", bytes c.Driver.program);
+    ("digest", bytes c.Driver.digest);
+    ("log", bytes c.Driver.log);
+    ("mem_summary", bytes c.Driver.mem_summary);
+    ("warps", bytes (prof.Profile.total_warps, prof.Profile.warps_per_block));
+  ]
+  @ List.map
+      (fun n ->
+        ( Printf.sprintf "profile n=%d" n,
+          bytes (prof.Profile.work_items n, prof.Profile.block_counts n) ))
+      (Gat_workloads.Workloads.input_sizes c.Driver.kernel)
+  @ [ ("block_table", bytes c.Driver.block_table) ]
+
+let compile_fields kernel gpu p =
+  match Driver.compile kernel gpu p with
+  | Ok c -> compiled_fields c
+  | Error msg -> [ ("error", msg) ]
+
+let check_fields what expected actual =
+  Alcotest.(check (list string)) (what ^ ": outputs") (List.map fst expected)
+    (List.map fst actual);
+  List.iter2
+    (fun (name, e) (_, a) ->
+      Alcotest.(check bool) (Printf.sprintf "%s: %s" what name) true (String.equal e a))
+    expected actual
+
+(* Golden oracle: [compiled_fields] of [plane_sample] x every bundled
+   kernel x every device.  The MD5 was captured before lowering was
+   split into a code pass and a per-point instantiation; any change to
+   a compiled output moves it. *)
+let golden_compiled_md5 = "f6444c002bb6390a6c0ea5cc5ab6e109"
+
+let test_golden_compiled_outputs () =
+  Codegen_cache.clear ();
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun kernel ->
+      List.iter
+        (fun gpu ->
+          List.iter
+            (fun p ->
+              List.iter
+                (fun (_, bytes) ->
+                  Buffer.add_string buf (Digest.to_hex (Digest.string bytes)))
+                (compile_fields kernel gpu p))
+            plane_sample)
+        Gat_arch.Gpu.all)
+    Gat_workloads.Workloads.all;
+  Codegen_cache.clear ();
+  Alcotest.(check string) "golden md5" golden_compiled_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* "A cache hit equals recomputation", across the whole plane: every
+   point of [plane_sample], for every bundled kernel and device, is
+   compiled as a hit on a class entry that a different (TC, BC, PL) of
+   the same class built, and again cold after [clear]; every output
+   must be the same bytes. *)
+let test_codegen_cache_hit_equals_recompute () =
+  let sibling (p : Params.t) =
+    {
+      p with
+      Params.threads_per_block =
+        (* SC > 1 puts TC in the class through the staging buffer. *)
+        (if p.Params.staging > 1 then p.Params.threads_per_block
+         else if p.Params.threads_per_block = 64 then 128
+         else 64);
+      block_count = (if p.Params.block_count = 24 then 48 else 24);
+      l1_pref_kb = (if p.Params.l1_pref_kb = 16 then 48 else 16);
+    }
   in
   List.iter
     (fun kernel ->
       List.iter
         (fun gpu ->
-          let compile p =
-            match Driver.compile kernel gpu p with Ok c -> Some c | Error _ -> None
-          in
-          Codegen_cache.clear ();
-          List.iter (fun p -> ignore (compile p)) sample;
-          let warm =
-            List.map
-              (fun p ->
-                let hits = (Codegen_cache.stats ()).Codegen_cache.hits in
-                let c = compile p in
-                if Option.is_some c then
-                  Alcotest.(check int) "warm compile hits" (hits + 1)
-                    (Codegen_cache.stats ()).Codegen_cache.hits;
-                c)
-              sample
-          in
-          List.iter2
-            (fun p warm ->
+          List.iter
+            (fun p ->
               Codegen_cache.clear ();
-              match (warm, compile p) with
-              | None, None -> ()
-              | Some warm, Some cold ->
-                  List.iter2
-                    (fun (name, w) (_, c) ->
-                      Alcotest.(check bool)
-                        (Printf.sprintf "%s/%s %s: %s" kernel.Kernel.name
-                           gpu.Gat_arch.Gpu.name (Params.to_string p) name)
-                        true (String.equal w c))
-                    (fields warm) (fields cold)
-              | _ -> Alcotest.fail "hit and recompute disagree on validity")
-            sample warm)
+              ignore (Driver.compile_exn kernel gpu (sibling p));
+              let hits = (Codegen_cache.stats ()).Codegen_cache.hits in
+              let warm = compile_fields kernel gpu p in
+              let what =
+                Printf.sprintf "%s/%s %s" kernel.Kernel.name gpu.Gat_arch.Gpu.name
+                  (Params.to_string p)
+              in
+              if List.assoc_opt "error" warm = None then
+                Alcotest.(check int) (what ^ ": warm compile hits") (hits + 1)
+                  (Codegen_cache.stats ()).Codegen_cache.hits;
+              Codegen_cache.clear ();
+              check_fields what (compile_fields kernel gpu p) warm)
+            plane_sample)
         Gat_arch.Gpu.all)
     Gat_workloads.Workloads.all;
   Codegen_cache.clear ()
 
-(* Two programs that differ only in a [0.0] vs [-0.0] immediate: the
-   texts differ, so the digests must, and the bucket's exact equality
-   must not let one reuse the other's backend (polymorphic [=] would). *)
+(* One class instantiated from 4 pool domains at once — including its
+   shared branch-probability memo, cold until the domains race on it —
+   must give what sequential compiles give. *)
+let test_codegen_cache_parallel_instantiate () =
+  let kernel = Gat_workloads.Workloads.ex14fj in
+  let points =
+    Array.init 32 (fun i ->
+        Params.make ~threads_per_block:(32 * (1 + (i mod 8))) ~block_count:(1 + (7 * i))
+          ~unroll:2 ())
+  in
+  Codegen_cache.clear ();
+  ignore (Driver.compile_exn kernel gpu points.(0));
+  let parallel = Gat_util.Pool.map ~jobs:4 ~chunk:1 (compile_fields kernel gpu) points in
+  Alcotest.(check int) "one class" 1 (Codegen_cache.stats ()).Codegen_cache.classes;
+  Array.iteri
+    (fun i p ->
+      Codegen_cache.clear ();
+      check_fields (Params.to_string p) (compile_fields kernel gpu p) parallel.(i))
+    points;
+  Codegen_cache.clear ()
+
+(* Two kernels that differ only in a [0.0] vs [-0.0] literal: equal
+   under polymorphic [=], yet their code prints differently, so they
+   must land in two classes with distinct digests and two backend
+   entries — neither may reuse the other's backend. *)
 let test_codegen_cache_signed_zero () =
-  let module I = Gat_isa in
-  let prog z =
-    I.Program.make ~name:"signed_zero" ~target:gpu.Gat_arch.Gpu.cc
+  let kernel z =
+    Kernel.make ~name:"signed_zero" ~description:"signed zero literal"
+      ~arrays:[ Kernel.array_decl "x" 1; Kernel.array_decl "y" 1 ]
       [
-        I.Basic_block.make "entry"
+        Stmt.for_ ~kind:Stmt.Parallel "i" (Expr.int 0) Expr.Size
           [
-            I.Instruction.make ~dst:(I.Register.gpr 0) I.Opcode.MOV
-              [ I.Operand.FImm z ];
-            I.Instruction.make ~dst:(I.Register.gpr 1) I.Opcode.FADD
-              [ I.Operand.Reg (I.Register.gpr 0); I.Operand.Reg (I.Register.gpr 0) ];
-          ]
-          I.Basic_block.Exit;
+            Stmt.Store
+              ("y", [ Expr.var "i" ], Expr.(read "x" [ var "i" ] + float z));
+          ];
       ]
   in
-  let pos = prog 0.0 and neg = prog (-0.0) in
+  let pos = kernel 0.0 and neg = kernel (-0.0) in
   Alcotest.(check bool) "polymorphic = cannot tell them apart" true (pos = neg);
-  Alcotest.(check bool) "same_code can" false (I.Fingerprint.same_code pos neg);
-  Alcotest.(check bool) "distinct digests" false
-    (String.equal (I.Fingerprint.program pos) (I.Fingerprint.program neg));
   Codegen_cache.clear ();
-  let a = Codegen_cache.run ~gpu pos in
-  let b = Codegen_cache.run ~gpu neg in
+  let a = compile pos and b = compile neg in
   let st = Codegen_cache.stats () in
   Alcotest.(check int) "both miss" 2 st.Codegen_cache.misses;
-  Alcotest.(check int) "two entries" 2 st.Codegen_cache.classes;
-  Alcotest.(check string) "digest of +0" (I.Fingerprint.program pos)
-    a.Codegen_cache.digest;
-  Alcotest.(check string) "digest of -0" (I.Fingerprint.program neg)
-    b.Codegen_cache.digest;
-  let hit = Codegen_cache.run ~gpu (prog (-0.0)) in
-  Alcotest.(check string) "-0 hits its own entry" b.Codegen_cache.digest
-    hit.Codegen_cache.digest;
+  Alcotest.(check int) "two classes" 2 st.Codegen_cache.classes;
+  Alcotest.(check int) "two backend entries" 2 st.Codegen_cache.backends;
+  Alcotest.(check bool) "distinct digests" false
+    (String.equal a.Driver.digest b.Driver.digest);
+  Alcotest.(check string) "digest of +0" (Gat_isa.Fingerprint.program a.Driver.ptx)
+    a.Driver.digest;
+  Alcotest.(check string) "digest of -0" (Gat_isa.Fingerprint.program b.Driver.ptx)
+    b.Driver.digest;
+  let hit = compile ~params:(Params.make ~threads_per_block:256 ()) neg in
+  Alcotest.(check int) "-0 hits its own class" 1
+    (Codegen_cache.stats ()).Codegen_cache.hits;
+  Alcotest.(check string) "-0 keeps its digest" b.Driver.digest hit.Driver.digest;
   Codegen_cache.clear ()
 
 let test_driver_log_matches_program () =
@@ -797,6 +853,10 @@ let () =
             test_codegen_cache_transparent;
           Alcotest.test_case "codegen cache hit = recompute" `Slow
             test_codegen_cache_hit_equals_recompute;
+          Alcotest.test_case "golden compiled outputs" `Slow
+            test_golden_compiled_outputs;
+          Alcotest.test_case "codegen cache parallel instantiate" `Quick
+            test_codegen_cache_parallel_instantiate;
           Alcotest.test_case "codegen cache signed zero" `Quick
             test_codegen_cache_signed_zero;
           Alcotest.test_case "ptxas render" `Quick test_ptxas_render;

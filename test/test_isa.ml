@@ -128,26 +128,6 @@ let prop_operand_roundtrip =
     (QCheck.make ~print:Operand.to_string operand_gen)
     (fun o -> Operand.of_string (Operand.to_string o) = Some o)
 
-let test_operand_equal () =
-  Alcotest.(check bool) "0.0 <> -0.0" false
-    (Operand.equal (Operand.fimm 0.0) (Operand.fimm (-0.0)));
-  Alcotest.(check bool) "nan = nan" true
-    (Operand.equal (Operand.fimm Float.nan) (Operand.fimm Float.nan));
-  Alcotest.(check bool) "imm <> fimm" false
-    (Operand.equal (Operand.imm 1) (Operand.fimm 1.0));
-  Alcotest.(check bool) "addr offsets" false
-    (Operand.equal
-       (Operand.addr Operand.Global (Register.gpr 2) 8)
-       (Operand.addr Operand.Global (Register.gpr 2) 4))
-
-let prop_operand_equal_iff_same_text =
-  QCheck.Test.make ~count:500 ~name:"operand equal iff same text"
-    (QCheck.make QCheck.Gen.(pair operand_gen operand_gen))
-    (fun (a, b) ->
-      Operand.equal a a
-      && Bool.equal (Operand.equal a b)
-           (String.equal (Operand.to_string a) (Operand.to_string b)))
-
 let test_operand_registers () =
   Alcotest.(check int) "reg has one" 1
     (List.length (Operand.registers (Operand.reg (Register.gpr 0))));
@@ -534,8 +514,6 @@ let () =
           Alcotest.test_case "strings" `Quick test_operand_strings;
           Alcotest.test_case "registers" `Quick test_operand_registers;
           QCheck_alcotest.to_alcotest prop_operand_roundtrip;
-          Alcotest.test_case "equal" `Quick test_operand_equal;
-          QCheck_alcotest.to_alcotest prop_operand_equal_iff_same_text;
         ] );
       ( "instruction",
         [

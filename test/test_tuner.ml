@@ -302,6 +302,23 @@ let test_sweep_deterministic_across_cache () =
         y.Gat_tuner.Variant.time_ms)
     a b
 
+(* A different kernel under a name already swept is a different sweep:
+   the in-process cache is keyed by content, as the disk tier is. *)
+let test_sweep_cache_keyed_by_content () =
+  let sweep k =
+    List.map
+      (fun (v : Gat_tuner.Variant.t) -> v.Gat_tuner.Variant.time_ms)
+      (Gat_tuner.Tuner.sweep ~space:tiny_space k Gat_arch.Gpu.k20 ~n:64 ~seed:1)
+  in
+  let renamed = { Gat_workloads.Workloads.bicg with Gat_ir.Kernel.name = "atax" } in
+  Gat_tuner.Tuner.clear_cache ();
+  let atax = sweep Gat_workloads.Workloads.atax in
+  let after_atax = sweep renamed in
+  Gat_tuner.Tuner.clear_cache ();
+  let alone = sweep renamed in
+  Alcotest.(check bool) "kernels differ" false (atax = alone);
+  Alcotest.(check (list (float 0.0))) "own sweep" alone after_atax
+
 let test_ranking_split_sorted () =
   Gat_tuner.Tuner.clear_cache ();
   let variants =
@@ -695,6 +712,8 @@ let () =
           Alcotest.test_case "sweep + ranking" `Quick test_sweep_and_ranking;
           Alcotest.test_case "sweep cached" `Quick test_sweep_cached;
           Alcotest.test_case "sweep deterministic" `Quick test_sweep_deterministic_across_cache;
+          Alcotest.test_case "sweep cache keyed by content" `Quick
+            test_sweep_cache_keyed_by_content;
           Alcotest.test_case "ranking sorted" `Quick test_ranking_split_sorted;
           Alcotest.test_case "autotune tiny" `Quick test_autotune_strategies_agree_on_tiny_space;
           Alcotest.test_case "strategy names" `Quick test_strategy_names;
