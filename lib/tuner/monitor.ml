@@ -61,8 +61,10 @@ let rows ?(now = Unix.gettimeofday ()) dir =
     | Some m -> m.Shard.ttl
     | None -> Shard.default_ttl
   in
-  let telem, sk1 = Telemetry.load_dir dir in
-  let crashes, sk2 = Telemetry.load_crashes dir in
+  (* Header-only: a row needs counters, histograms and the anchor,
+     never the events. *)
+  let telem, sk1 = Telemetry.load_dir ~header_only:true dir in
+  let crashes, sk2 = Telemetry.load_crashes ~header_only:true dir in
   let crashed : (string * int, string) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun s ->

@@ -448,16 +448,17 @@ let coordinate ?jobs ?retries ?max_failures ?block ?(shard_retries = 5)
          process's own (purely local) final snapshot first, then fold
          foreign workers' counters and histograms into the live
          registries — so the final [gat stats] is fleet-wide while
-         the on-disk snapshots stay per-process and sum cleanly. *)
+         the on-disk snapshots stay per-process and sum cleanly.
+         Header-only reads: nothing here needs the events. *)
       Telemetry.flush ();
-      let snaps, skipped = Telemetry.load_dir dir in
+      let snaps, skipped = Telemetry.load_dir ~header_only:true dir in
       Telemetry.absorb_foreign snaps;
       if skipped > 0 then
         log (Printf.sprintf "%d corrupt telemetry snapshot(s) skipped" skipped);
       List.iter
         (fun path ->
           let who =
-            match Telemetry.read_file path with
+            match Telemetry.read_file ~header_only:true path with
             | Some s when s.Telemetry.note <> "" ->
                 Printf.sprintf "%s:%d: %s" s.Telemetry.host s.Telemetry.pid
                   s.Telemetry.note

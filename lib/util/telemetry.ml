@@ -15,10 +15,12 @@
    {!Sealed_file} envelope: a header (host, pid, the monotonic→wall
    epoch anchor, dropped-event count, an optional crash note),
    then tagged lines — [counter NAME V], [timer NAME EVENTS NS],
-   [hist NAME <sparse buckets>] — and finally the raw trace events,
-   one JSON object per line ({!Trace.serialize_events}).  A corrupt
-   or truncated snapshot fails the seal or the parse and is skipped
-   and counted by readers, never trusted partially.
+   [hist NAME <sparse buckets>] — and finally [events N] and the raw
+   trace events, one JSON object per line ({!Trace.serialize_events}),
+   in flush batches: each flush serializes only what was recorded
+   since the previous one and appends it to the lines it kept.  A
+   corrupt or truncated snapshot fails the seal or the parse and is
+   skipped and counted by readers, never trusted partially.
 
    Clock alignment: monotonic timestamps from different machines (or
    different boots) share no origin, so each snapshot carries one
@@ -32,6 +34,7 @@ let magic = "gat-telem 1"
 let m_flushes = Metrics.counter "telem.flushes"
 let m_skipped = Metrics.counter "telem.snapshots_skipped"
 let m_crashes = Metrics.counter "telem.crashes"
+let m_bytes = Metrics.counter "telem.bytes_written"
 
 type snapshot = {
   host : string;
@@ -49,12 +52,26 @@ type snapshot = {
 
 (* ---- session state ---- *)
 
+(* The session's event lines, serialized once each: every publish
+   appends the batch recorded since the previous one and rewrites the
+   rest verbatim.  Immutable, and swapped in with one field write, so
+   a crash dump from a signal handler that interrupts a flush starts
+   from a consistent state. *)
+type event_lines = {
+  cursor : Trace.cursor;
+  chunks : string list;  (* one per non-empty batch, newest first *)
+  count : int;
+}
+
+let no_lines = { cursor = Trace.start; chunks = []; count = 0 }
+
 type session = {
   dir : string;
   s_host : string;
   s_pid : int;
   s_anchor_mono_ns : int64;
   s_anchor_wall_ns : int64;
+  mutable lines : event_lines;
 }
 
 let session : session option ref = ref None
@@ -74,6 +91,7 @@ let enable ~dir =
       (* Sampled back-to-back: the pair is this process's epoch anchor. *)
       s_anchor_mono_ns = Metrics.now_ns ();
       s_anchor_wall_ns = Int64.of_float (Unix.gettimeofday () *. 1e9);
+      lines = no_lines;
     }
   in
   Mutex.lock lock;
@@ -107,19 +125,9 @@ let dir () = Option.map (fun s -> s.dir) (active ())
 
 (* ---- capture ---- *)
 
-let capture ?(note = "") () =
-  let s =
-    match active () with
-    | Some s -> s
-    | None ->
-        {
-          dir = ".";
-          s_host = Unix.gethostname ();
-          s_pid = Unix.getpid ();
-          s_anchor_mono_ns = Metrics.now_ns ();
-          s_anchor_wall_ns = Int64.of_float (Unix.gettimeofday () *. 1e9);
-        }
-  in
+(* Everything but the events, which {!publish} serializes
+   incrementally. *)
+let capture_header ~note s =
   {
     host = s.s_host;
     pid = s.s_pid;
@@ -137,7 +145,7 @@ let capture ?(note = "") () =
           (name, events, int_of_float (seconds *. 1e9)))
         (Metrics.timers_snapshot ());
     histograms = Metrics.histograms_snapshot ();
-    events = Trace.events ();
+    events = [];
   }
 
 (* ---- serialization ---- *)
@@ -145,32 +153,35 @@ let capture ?(note = "") () =
 let oneline s =
   String.map (fun c -> match c with '\n' | '\r' -> ' ' | c -> c) s
 
-let to_payload snap =
-  let b = Buffer.create 4096 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string b s;
-        Buffer.add_char b '\n')
-      fmt
-  in
-  line "%s" magic;
-  line "host %s" (oneline snap.host);
-  line "pid %d" snap.pid;
-  line "anchor_mono_ns %Ld" snap.anchor_mono_ns;
-  line "anchor_wall_ns %Ld" snap.anchor_wall_ns;
-  line "captured_wall_ns %Ld" snap.captured_wall_ns;
-  line "dropped %d" snap.dropped;
-  if snap.note <> "" then line "note %s" (oneline snap.note);
-  List.iter (fun (name, v) -> line "counter %s %d" name v) snap.counters;
+let add_line b fmt =
+  Printf.ksprintf
+    (fun s ->
+      Buffer.add_string b s;
+      Buffer.add_char b '\n')
+    fmt
+
+(* Every line up to, not including, [events N]. *)
+let add_header b snap =
+  add_line b "%s" magic;
+  add_line b "host %s" (oneline snap.host);
+  add_line b "pid %d" snap.pid;
+  add_line b "anchor_mono_ns %Ld" snap.anchor_mono_ns;
+  add_line b "anchor_wall_ns %Ld" snap.anchor_wall_ns;
+  add_line b "captured_wall_ns %Ld" snap.captured_wall_ns;
+  add_line b "dropped %d" snap.dropped;
+  if snap.note <> "" then add_line b "note %s" (oneline snap.note);
+  List.iter (fun (name, v) -> add_line b "counter %s %d" name v) snap.counters;
   List.iter
-    (fun (name, events, ns) -> line "timer %s %d %d" name events ns)
+    (fun (name, events, ns) -> add_line b "timer %s %d %d" name events ns)
     snap.timers;
   List.iter
-    (fun (name, h) -> line "hist %s %s" name (Histogram.Log.serialize h))
-    snap.histograms;
-  let n = List.length snap.events in
-  line "events %d" n;
+    (fun (name, h) -> add_line b "hist %s %s" name (Histogram.Log.serialize h))
+    snap.histograms
+
+let to_payload snap =
+  let b = Buffer.create 4096 in
+  add_header b snap;
+  add_line b "events %d" (List.length snap.events);
   Buffer.add_string b (Trace.serialize_events snap.events);
   b
 
@@ -180,9 +191,19 @@ let split2 s =
   | Some i ->
       (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
 
-let of_payload body =
-  match String.split_on_char '\n' body with
-  | m :: rest when m = magic -> (
+let of_payload ?(header_only = false) body =
+  let len = String.length body in
+  (* The line starting at [pos] and the position after its newline. *)
+  let next pos =
+    if pos >= len then None
+    else
+      let stop =
+        Option.value ~default:len (String.index_from_opt body pos '\n')
+      in
+      Some (String.sub body pos (stop - pos), stop + 1)
+  in
+  match next 0 with
+  | Some (m, pos) when m = magic -> (
       let host = ref "" and pid = ref (-1) in
       let amono = ref None and awall = ref None in
       let captured = ref None in
@@ -190,62 +211,65 @@ let of_payload body =
       let counters = ref [] and timers = ref [] and hists = ref [] in
       let events = ref [] in
       try
-        let rec go = function
-          | [] | [ "" ] -> ()
-          | l :: tl -> (
+        let rec go pos =
+          match next pos with
+          | None -> ()
+          | Some (l, pos) -> (
               let tag, rest = split2 l in
               match tag with
               | "host" ->
                   host := rest;
-                  go tl
+                  go pos
               | "pid" ->
                   pid := int_of_string rest;
-                  go tl
+                  go pos
               | "anchor_mono_ns" ->
                   amono := Some (Int64.of_string rest);
-                  go tl
+                  go pos
               | "anchor_wall_ns" ->
                   awall := Some (Int64.of_string rest);
-                  go tl
+                  go pos
               | "captured_wall_ns" ->
                   captured := Some (Int64.of_string rest);
-                  go tl
+                  go pos
               | "dropped" ->
                   dropped := int_of_string rest;
-                  go tl
+                  go pos
               | "note" ->
                   note := rest;
-                  go tl
+                  go pos
               | "counter" ->
                   let name, v = split2 rest in
                   counters := (name, int_of_string v) :: !counters;
-                  go tl
+                  go pos
               | "timer" -> (
                   match String.split_on_char ' ' rest with
                   | [ name; ev; ns ] ->
                       timers :=
                         (name, int_of_string ev, int_of_string ns) :: !timers;
-                      go tl
+                      go pos
                   | _ -> raise Exit)
               | "hist" -> (
                   let name, ser = split2 rest in
                   match Histogram.Log.parse ser with
                   | Some h ->
                       hists := (name, h) :: !hists;
-                      go tl
+                      go pos
                   | None -> raise Exit)
               | "events" -> (
+                  (* The last header line: the event lines run to the
+                     end of the payload. *)
                   let n = int_of_string rest in
-                  if n < 0 || List.length tl < n then raise Exit;
-                  let ev_lines = List.filteri (fun i _ -> i < n) tl in
-                  let trailing = List.filteri (fun i _ -> i >= n) tl in
-                  if List.exists (fun l -> l <> "") trailing then raise Exit;
-                  match Trace.parse_events (String.concat "\n" ev_lines) with
-                  | Some evs when List.length evs = n -> events := evs
-                  | _ -> raise Exit)
+                  if n < 0 then raise Exit;
+                  if not header_only then
+                    match
+                      Trace.parse_events (String.sub body pos (len - pos))
+                    with
+                    | Some evs when List.length evs = n -> events := evs
+                    | _ -> raise Exit)
               | _ -> raise Exit)
         in
-        go rest;
+        go pos;
         match (!amono, !awall) with
         | Some anchor_mono_ns, Some anchor_wall_ns when !pid >= 0 ->
             Some
@@ -278,30 +302,52 @@ let crash_path ~dir ~host ~pid =
 let is_telem_file name = Filename.check_suffix name ".telem"
 let is_crash_file name = Filename.check_suffix name ".crash"
 
-let publish_to path snap =
-  let buf = to_payload snap in
-  Sealed_file.seal buf;
-  try
-    Sealed_file.publish ~path buf;
-    true
-  with Sys_error _ | Unix.Unix_error _ -> false
+(* Serialize only the events recorded since the session's previous
+   publish, append them to its kept lines, and publish header + all
+   lines.  Telemetry must never take a sweep down: I/O failure is
+   swallowed and reported as [false]. *)
+let publish s ~note path =
+  let kind, evs, cursor = Trace.events_since s.lines.cursor in
+  let prev = match kind with `Cleared -> no_lines | `Appended -> s.lines in
+  let lines =
+    if evs = [] then { prev with cursor }
+    else
+      {
+        cursor;
+        chunks = Trace.serialize_events evs :: prev.chunks;
+        count = prev.count + List.length evs;
+      }
+  in
+  s.lines <- lines;
+  let chunks = List.rev lines.chunks in
+  let b =
+    Buffer.create
+      (List.fold_left (fun n c -> n + String.length c) 16_384 chunks)
+  in
+  add_header b (capture_header ~note s);
+  add_line b "events %d" lines.count;
+  List.iter (Buffer.add_string b) chunks;
+  Sealed_file.seal b;
+  match Sealed_file.publish ~path b with
+  | () ->
+      Metrics.incr ~by:(Buffer.length b) m_bytes;
+      true
+  | exception (Sys_error _ | Unix.Unix_error _) -> false
 
-(* Telemetry must never take a sweep down: both flush and crash_dump
-   swallow I/O failure. *)
 let flush () =
   match active () with
   | None -> ()
   | Some s ->
-      let snap = capture () in
-      if publish_to (snapshot_path ~dir:s.dir ~host:s.s_host ~pid:s.s_pid) snap
+      if
+        publish s ~note:""
+          (snapshot_path ~dir:s.dir ~host:s.s_host ~pid:s.s_pid)
       then Metrics.incr m_flushes
 
 let crash_dump ~reason =
   match active () with
   | None -> ()
   | Some s ->
-      let snap = capture ~note:reason () in
-      if publish_to (crash_path ~dir:s.dir ~host:s.s_host ~pid:s.s_pid) snap
+      if publish s ~note:reason (crash_path ~dir:s.dir ~host:s.s_host ~pid:s.s_pid)
       then Metrics.incr m_crashes
 
 (* Fatal signals (SIGTERM) dump the flight record, then restore the
@@ -318,12 +364,12 @@ let install_signal_dump () =
 
 (* ---- reading a fleet's snapshots ---- *)
 
-let read_file path =
+let read_file ?header_only path =
   match Sealed_file.read path with
   | None -> None
-  | Some body -> of_payload body
+  | Some body -> of_payload ?header_only body
 
-let load_matching pred d =
+let load_matching ?header_only pred d =
   match Sys.readdir d with
   | exception Sys_error _ -> ([], 0)
   | names ->
@@ -333,7 +379,7 @@ let load_matching pred d =
         |> List.filter pred
         |> List.sort compare
         |> List.filter_map (fun name ->
-               match read_file (Filename.concat d name) with
+               match read_file ?header_only (Filename.concat d name) with
                | Some s -> Some s
                | None ->
                    incr skipped;
@@ -342,8 +388,8 @@ let load_matching pred d =
       in
       (snaps, !skipped)
 
-let load_dir d = load_matching is_telem_file d
-let load_crashes d = load_matching is_crash_file d
+let load_dir ?header_only d = load_matching ?header_only is_telem_file d
+let load_crashes ?header_only d = load_matching ?header_only is_crash_file d
 
 let crash_files d =
   match Sys.readdir d with
@@ -354,18 +400,20 @@ let crash_files d =
 
 (* One snapshot per (host,pid): a process can leave both a periodic
    [.telem] and a [.crash] with overlapping ring buffers, and both are
-   cumulative — keep the fullest (counters only grow, so the largest
-   counter total is the latest capture). *)
+   cumulative — keep the latest capture: counters only grow, so the
+   larger counter total wins, then the later capture instant.  Events
+   are not weighed, so header-only and full reads pick the same
+   snapshot. *)
 let dedupe snaps =
-  let weight s =
-    List.fold_left (fun acc (_, v) -> acc + v) (List.length s.events) s.counters
+  let rank s =
+    (List.fold_left (fun acc (_, v) -> acc + v) 0 s.counters, s.captured_wall_ns)
   in
   let best : (string * int, snapshot) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun s ->
       let k = (s.host, s.pid) in
       match Hashtbl.find_opt best k with
-      | Some prev when weight prev >= weight s -> ()
+      | Some prev when compare (rank prev) (rank s) >= 0 -> ()
       | _ -> Hashtbl.replace best k s)
     snaps;
   Hashtbl.fold (fun _ s acc -> s :: acc) best []

@@ -12,8 +12,18 @@
     snapshots ([telem.snapshots_skipped]); a SIGKILLed worker's last
     flushed snapshot still merges.
 
+    A flush costs what was recorded since the previous one: the
+    session keeps its serialized event lines, appends only the events
+    {!Trace.events_since} reports as new, and writes them after the
+    header lines.  Event lines therefore come in flush batches, each
+    sorted by time, not in one global time sort; {!Trace.render_merged}
+    sorts on merge.  Counter-only readers ([gat monitor], the
+    coordinator's epilogue) read snapshots header-only: the seal is
+    still checked, and parsing stops at the [events] line.
+
     Metrics: [telem.flushes], [telem.snapshots_skipped],
-    [telem.crashes]. *)
+    [telem.crashes], [telem.bytes_written] (bytes of every published
+    snapshot and crash record). *)
 
 type snapshot = {
   host : string;
@@ -52,7 +62,9 @@ val dir : unit -> string option
 
 val flush : unit -> unit
 (** Capture and atomically publish [<host>.<pid>.telem] into the
-    session directory.  No-op without a session; swallows I/O errors
+    session directory.  Serializes only the events recorded since the
+    session's previous publish (a {!Trace.clear} in between restarts
+    the kept lines).  No-op without a session; swallows I/O errors
     (telemetry never takes a sweep down).  Called on the same
     per-block cadence as lease renewal. *)
 
@@ -68,41 +80,42 @@ val install_signal_dump : unit -> unit
 
 (** {2 Capture and wire format} *)
 
-val capture : ?note:string -> unit -> snapshot
-(** This process's current telemetry (live registries + trace
-    buffers).  Uses the active session's identity and anchor, or
-    fresh ones without a session. *)
-
 val to_payload : snapshot -> Buffer.t
-(** Line-oriented payload, ready for {!Sealed_file.seal}. *)
+(** Line-oriented payload, ready for {!Sealed_file.seal}.  Shares its
+    header writer with {!flush}. *)
 
-val of_payload : string -> snapshot option
-(** Inverse of {!to_payload}; [None] on any malformed input. *)
+val of_payload : ?header_only:bool -> string -> snapshot option
+(** Inverse of {!to_payload}; [None] on any malformed input.  With
+    [~header_only:true] parsing stops at the [events] line and the
+    snapshot's [events] is empty. *)
 
 val snapshot_path : dir:string -> host:string -> pid:int -> string
 val crash_path : dir:string -> host:string -> pid:int -> string
 val is_telem_file : string -> bool
 val is_crash_file : string -> bool
 
-val read_file : string -> snapshot option
+val read_file : ?header_only:bool -> string -> snapshot option
 (** Unseal and parse one snapshot file; [None] when absent, torn,
-    corrupt or truncated. *)
+    corrupt or truncated.  The seal covers the whole file even when
+    [~header_only:true] skips parsing the events. *)
 
 (** {2 Fleet reads and merging} *)
 
-val load_dir : string -> snapshot list * int
+val load_dir : ?header_only:bool -> string -> snapshot list * int
 (** All [.telem] snapshots under a directory (sorted by filename) and
     the number of corrupt/unreadable ones skipped. *)
 
-val load_crashes : string -> snapshot list * int
+val load_crashes : ?header_only:bool -> string -> snapshot list * int
 (** Same for [.crash] flight records. *)
 
 val crash_files : string -> string list
 (** Paths of crash records under a directory, sorted. *)
 
 val dedupe : snapshot list -> snapshot list
-(** One snapshot per (host,pid) — the fullest capture wins (counters
-    are cumulative) — sorted by (host, pid). *)
+(** One snapshot per (host,pid) — the latest capture wins: the larger
+    counter total (counters are cumulative), then the later
+    [captured_wall_ns] — sorted by (host, pid).  Events are not
+    weighed, so header-only and full reads pick the same snapshot. *)
 
 val to_process : snapshot -> Trace.process
 (** The snapshot as {!Trace.render_merged} input. *)

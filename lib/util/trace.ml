@@ -11,7 +11,9 @@
      domain-local state is created.
    - Domain-safe without a hot lock: each domain appends to its own
      bounded buffer (registered once, under a mutex, on the domain's
-     first event) and the buffers are merged and sorted only at flush.
+     first event) and the buffers are merged and sorted only at flush;
+     incremental readers walk only the prefix added since their last
+     read.
      Buffers survive their domain, so short-lived pool workers keep
      their spans.
 
@@ -181,15 +183,22 @@ let add_event b ~t0 ev =
   end;
   Buffer.add_char b '}'
 
-let merged_events () =
+let registered () =
   Mutex.lock reg_lock;
   let bufs = !all_bufs in
   Mutex.unlock reg_lock;
-  List.concat_map (fun b -> List.rev b.events) bufs
-  |> List.sort (fun a b ->
-         match Int64.compare a.ts_ns b.ts_ns with
-         | 0 -> ( match compare a.tid b.tid with 0 -> compare a.name b.name | c -> c)
-         | c -> c)
+  bufs
+
+let sort_events evs =
+  List.sort
+    (fun a b ->
+      match Int64.compare a.ts_ns b.ts_ns with
+      | 0 -> ( match compare a.tid b.tid with 0 -> compare a.name b.name | c -> c)
+      | c -> c)
+    evs
+
+let merged_events () =
+  sort_events (List.concat_map (fun b -> List.rev b.events) (registered ()))
 
 let render () =
   let events = merged_events () in
@@ -281,6 +290,40 @@ let serialize_events evs =
 
 let events () = merged_events ()
 
+(* ---- incremental reads (telemetry flushes) ---- *)
+
+(* A cursor remembers, per buffer, the list head it last returned.
+   Buffers only grow by consing onto that head, so what is new is the
+   prefix in front of it — found by physical equality, without locking
+   the buffers and without touching older events.  [clear] drops the
+   head, so a buffer whose remembered head no longer appears was
+   cleared; the cursor then hands back everything buffered, and its
+   caller starts over. *)
+type cursor = (buf * event list) list
+
+let start : cursor = []
+
+let events_since (seen : cursor) =
+  let heads = List.map (fun b -> (b, b.events)) (registered ()) in
+  (* Oldest-first prefix of [cur] up to [old]; [None] if [old] is gone. *)
+  let prefix old cur =
+    let rec go acc l =
+      if l == old then Some acc
+      else match l with [] -> None | ev :: tl -> go (ev :: acc) tl
+    in
+    go [] cur
+  in
+  let fresh =
+    List.map
+      (fun (b, cur) ->
+        prefix (Option.value ~default:[] (List.assq_opt b seen)) cur)
+      heads
+  in
+  if List.exists Option.is_none fresh then
+    let all = List.concat_map (fun (_, cur) -> List.rev cur) heads in
+    (`Cleared, sort_events all, heads)
+  else (`Appended, sort_events (List.concat_map Option.get fresh), heads)
+
 (* ---- multi-process merge ---- *)
 
 type process = {
@@ -365,14 +408,8 @@ let render_merged procs =
             })
         tids;
       let evs =
-        List.map (fun ev -> { ev with ts_ns = wall_of p ev.ts_ns }) p.p_events
-        |> List.sort (fun a b ->
-               match Int64.compare a.ts_ns b.ts_ns with
-               | 0 -> (
-                   match compare a.tid b.tid with
-                   | 0 -> compare a.name b.name
-                   | c -> c)
-               | c -> c)
+        sort_events
+          (List.map (fun ev -> { ev with ts_ns = wall_of p ev.ts_ns }) p.p_events)
       in
       List.iter
         (fun ev ->

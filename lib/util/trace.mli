@@ -12,7 +12,9 @@
     one [Atomic.get] and a branch — no clock read, no allocation, no
     lock.  When on, a span costs two monotonic-clock reads and one
     cons onto a domain-local list; buffers are bounded (excess events
-    are dropped and counted) and merged only at {!finish}.
+    are dropped and counted) and merged only at {!finish}.  Telemetry
+    flushes read them incrementally through a {!cursor}, paying only
+    for events recorded since their previous read.
 
     Recording is bit-transparent: spans return the traced thunk's
     value unchanged and re-raise its exceptions with their
@@ -66,6 +68,23 @@ type event = {
 val events : unit -> event list
 (** Every buffered event across all domains, sorted by
     (timestamp, tid, name). *)
+
+type cursor
+(** A position in every domain's buffer: what an earlier
+    {!events_since} already returned. *)
+
+val start : cursor
+(** Nothing seen yet. *)
+
+val events_since :
+  cursor -> [ `Appended | `Cleared ] * event list * cursor
+(** The events recorded since [cursor], sorted like {!events}, and
+    the cursor past them.  Reads each buffer's newest-first prefix
+    back to the head seen last time, without locking the buffers and
+    without revisiting older events.  [`Cleared] reports that a
+    buffer's old head is gone ({!clear} ran): the list is then every
+    buffered event, and the caller drops what it kept from earlier
+    calls. *)
 
 val serialize_events : event list -> string
 (** One JSON object per line with raw nanosecond fields — the

@@ -35,6 +35,22 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+let publish_snapshot path s =
+  let b = Telemetry.to_payload s in
+  Gat_util.Sealed_file.seal b;
+  Gat_util.Sealed_file.publish ~path b
+
+let first_index hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i =
+    if i + nn > nh then Alcotest.failf "%S not found" needle
+    else if String.sub hay i nn = needle then i
+    else go (i + 1)
+  in
+  go 0
+
 (* ---- histogram bucket scheme ---- *)
 
 let test_bucket_scheme () =
@@ -221,6 +237,7 @@ let test_corruption_skipped () =
   Telemetry.disable ();
   Telemetry.enable ~dir:d;
   Metrics.set (Metrics.counter "sweep.points") 20;
+  Trace.span "corrupt.event" (fun () -> ());
   Telemetry.flush ();
   Telemetry.disable ();
   let good, skipped = Telemetry.load_dir d in
@@ -230,16 +247,13 @@ let test_corruption_skipped () =
     Telemetry.snapshot_path ~dir:d ~host:(Unix.gethostname ())
       ~pid:(Unix.getpid ())
   in
-  let raw =
-    let ic = open_in_bin good_path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
+  let raw = read_all good_path in
   (* A flipped byte breaks the MD5 seal; a truncation loses the
-     trailer; garbage was never sealed at all. *)
+     trailer; garbage was never sealed at all.  The flip lands in the
+     event lines, which a header-only read never parses: only the seal
+     can catch it there. *)
   let flipped = Bytes.of_string raw in
-  Bytes.set flipped (Bytes.length flipped / 2) '\xff';
+  Bytes.set flipped (first_index raw "corrupt.event") '\xff';
   write_file
     (Telemetry.snapshot_path ~dir:d ~host:"flip" ~pid:1)
     (Bytes.to_string flipped);
@@ -253,6 +267,9 @@ let test_corruption_skipped () =
   Alcotest.(check int) "three skipped" 3 skipped;
   Alcotest.(check int) "skips counted in metrics" (before + 3)
     (Metrics.value (Metrics.counter "telem.snapshots_skipped"));
+  let heads, head_skipped = Telemetry.load_dir ~header_only:true d in
+  Alcotest.(check int) "header-only: good one loads" 1 (List.length heads);
+  Alcotest.(check int) "header-only: three skipped" 3 head_skipped;
   (* The damaged files do not poison the merge either. *)
   let _json, _events, procs, merge_skipped = Telemetry.merge_dir d in
   Alcotest.(check int) "merge sees one process" 1 procs;
@@ -288,6 +305,123 @@ let test_dedupe_keeps_fullest () =
       Alcotest.(check string) "second host" "nodeB" b.Telemetry.host
   | l -> Alcotest.fail (Printf.sprintf "expected 2 snapshots, got %d" (List.length l))
 
+let test_dedupe_tie_on_counters () =
+  (* A .telem and a .crash of one process with equal counter totals:
+     the later capture wins, however many events the earlier one
+     carries — so header-only and full reads pick the same one. *)
+  let d = temp_dir "dedupe-tie" in
+  let base = sample_snapshot () in
+  let telem =
+    {
+      base with
+      Telemetry.events = base.Telemetry.events @ base.Telemetry.events;
+    }
+  in
+  let crash =
+    {
+      base with
+      Telemetry.captured_wall_ns = Int64.add base.Telemetry.captured_wall_ns 1L;
+      note = "fatal signal 15";
+      events = [];
+    }
+  in
+  (match Telemetry.dedupe [ telem; crash ] with
+  | [ s ] ->
+      Alcotest.(check string) "later capture wins" "fatal signal 15"
+        s.Telemetry.note
+  | l -> Alcotest.failf "expected 1 snapshot, got %d" (List.length l));
+  let host = base.Telemetry.host and pid = base.Telemetry.pid in
+  publish_snapshot (Telemetry.snapshot_path ~dir:d ~host ~pid) telem;
+  publish_snapshot (Telemetry.crash_path ~dir:d ~host ~pid) crash;
+  let pick header_only =
+    let t, _ = Telemetry.load_dir ~header_only d in
+    let c, _ = Telemetry.load_crashes ~header_only d in
+    match Telemetry.dedupe (t @ c) with
+    | [ s ] -> (s.Telemetry.note, s.Telemetry.captured_wall_ns)
+    | l -> Alcotest.failf "expected 1 snapshot, got %d" (List.length l)
+  in
+  Alcotest.(check (pair string int64))
+    "header-only and full reads agree" (pick false) (pick true);
+  Alcotest.(check string) "the crash record" "fatal signal 15" (fst (pick true))
+
+(* ---- incremental flushes ---- *)
+
+let sort_events evs = List.sort compare evs
+
+let test_incremental_flushes () =
+  let d = temp_dir "incremental" in
+  Telemetry.disable ();
+  Trace.clear ();
+  Telemetry.enable ~dir:d;
+  let host = Unix.gethostname () and pid = Unix.getpid () in
+  let bytes = Metrics.counter "telem.bytes_written" in
+  let check what path =
+    match Telemetry.read_file path with
+    | None -> Alcotest.failf "%s: snapshot did not parse" what
+    | Some snap ->
+        Alcotest.(check bool)
+          (what ^ ": file events = Trace.events ()")
+          true
+          (sort_events snap.Telemetry.events = sort_events (Trace.events ()))
+  in
+  let flush what =
+    let before = Metrics.value bytes in
+    Telemetry.flush ();
+    let path = Telemetry.snapshot_path ~dir:d ~host ~pid in
+    Alcotest.(check int)
+      (what ^ ": bytes_written grows by the file's size")
+      (String.length (read_all path))
+      (Metrics.value bytes - before);
+    check what path
+  in
+  let record k =
+    Trace.span ~args:[ ("k", Trace.I k) ] "test.main" (fun () ->
+        ignore
+          (Gat_util.Pool.map ~jobs:2
+             (fun i ->
+               Trace.span ~args:[ ("i", Trace.I i); ("s", Trace.S "x") ]
+                 "test.pool" (fun () -> i))
+             (Array.init 8 Fun.id)))
+  in
+  for k = 1 to 4 do
+    record k;
+    flush (Printf.sprintf "flush %d" k);
+    if k = 2 then begin
+      (* A clear between flushes: the kept lines start over. *)
+      Trace.clear ();
+      flush "after clear"
+    end
+  done;
+  Alcotest.(check bool) "events were recorded" true (Trace.events () <> []);
+  record 5;
+  Telemetry.crash_dump ~reason:"end";
+  check "crash dump" (Telemetry.crash_path ~dir:d ~host ~pid);
+  Telemetry.disable ();
+  Trace.clear ()
+
+let test_header_only_read () =
+  let d = temp_dir "header-only" in
+  Telemetry.disable ();
+  Telemetry.enable ~dir:d;
+  Metrics.set (Metrics.counter "sweep.points") 12;
+  Metrics.observe (Metrics.histogram "sweep.compile") 2_000;
+  Metrics.time (Metrics.timer "test.header_only") (fun () -> ());
+  Trace.span "test.header" (fun () -> ());
+  Telemetry.flush ();
+  Telemetry.disable ();
+  let path =
+    Telemetry.snapshot_path ~dir:d ~host:(Unix.gethostname ())
+      ~pid:(Unix.getpid ())
+  in
+  match
+    (Telemetry.read_file path, Telemetry.read_file ~header_only:true path)
+  with
+  | Some full, Some head ->
+      Alcotest.(check bool) "full read has events" true (full.Telemetry.events <> []);
+      Alcotest.(check bool) "header-only has none" true (head.Telemetry.events = []);
+      check_snapshot_eq { full with Telemetry.events = [] } head
+  | _ -> Alcotest.fail "snapshot did not parse"
+
 (* ---- multi-process merge with epoch-anchor alignment ---- *)
 
 let test_merged_trace_two_processes () =
@@ -297,13 +431,10 @@ let test_merged_trace_two_processes () =
     { s with Telemetry.counters = [ ("sweep.points", points) ] }
   in
   let publish s =
-    let b = Telemetry.to_payload s in
-    Gat_util.Sealed_file.seal b;
-    Gat_util.Sealed_file.publish
-      ~path:
-        (Telemetry.snapshot_path ~dir:d ~host:s.Telemetry.host
-           ~pid:s.Telemetry.pid)
-      b
+    publish_snapshot
+      (Telemetry.snapshot_path ~dir:d ~host:s.Telemetry.host
+         ~pid:s.Telemetry.pid)
+      s
   in
   publish (mk "alpha" 11 3);
   publish (mk "beta" 22 4);
@@ -425,6 +556,14 @@ let () =
           Alcotest.test_case "crash flight records" `Quick test_crash_records;
           Alcotest.test_case "dedupe keeps fullest" `Quick
             test_dedupe_keeps_fullest;
+          Alcotest.test_case "dedupe tie on counters" `Quick
+            test_dedupe_tie_on_counters;
+          Alcotest.test_case "header-only read" `Quick test_header_only_read;
+        ] );
+      ( "flush",
+        [
+          Alcotest.test_case "incremental flushes match Trace.events" `Quick
+            test_incremental_flushes;
         ] );
       ( "merge",
         [
