@@ -236,7 +236,7 @@ let verify kernel isa gpu params =
     | None, Some kernel ->
         (* Same verdict path as the sweep engine: the memoized verifier
            over the compiled variant's virtual-register program. *)
-        Gat_tuner.Verdict_cache.get (compile_or_die kernel gpu params)
+        Gat_tuner.Tuner.verdict (compile_or_die kernel gpu params)
     | None, None ->
         Gat_util.Error.failf Usage
           ~hint:"gat verify atax, or gat verify --isa listing.sass"

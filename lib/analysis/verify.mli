@@ -12,7 +12,7 @@
     The verdict depends only on the instruction structure and the
     launch's thread count — never on block weights, block count, or
     the problem size — which is what makes per-variant verdict caching
-    ({!Gat_tuner} [Verdict_cache]) sound across the (BC, N) axes.
+    ([Gat_tuner.Tuner.verdict]) sound across the (BC, N) axes.
 
     Observability: each run increments [verify.checked] plus
     [verify.unsafe] / [verify.divergent_barriers] / [verify.races]

@@ -32,37 +32,51 @@ type outcome = {
 }
 
 (* Immutable once published. *)
-type entry = { kernel : Gat_ir.Kernel.t; code : Lowering.code; result : outcome }
+type entry = { code : Lowering.code; result : outcome }
 
 type stats = { classes : int; backends : int; hits : int; misses : int }
 
-(* Class key: kernel name (the entry list is then searched by physical
-   identity), device identity, UIF, SC, fast-math, dynamic smem. *)
-let classes : (string * string * int * int * bool * int, entry list) Hashtbl.t =
-  Hashtbl.create 64
+(* Class key: the kernel, matched by physical identity (hashed by its
+   name), device identity, UIF, SC, fast-math, dynamic smem. *)
+module Classes = Gat_util.Memo.Make (struct
+  type t = Gat_ir.Kernel.t * string * int * int * bool * int
 
-let backends : (string * string, outcome) Hashtbl.t = Hashtbl.create 64
-let lock = Mutex.create ()
-let hit_count = ref 0
-let miss_count = ref 0
-let m_hits = Gat_util.Metrics.counter "cache.codegen.hits"
-let m_misses = Gat_util.Metrics.counter "cache.codegen.misses"
+  let equal (k, g, u, s, f, m) (k', g', u', s', f', m') =
+    k == k' && String.equal g g' && u = u' && s = s' && f = f' && m = m'
+
+  let hash (k, g, u, s, f, m) =
+    Hashtbl.hash (k.Gat_ir.Kernel.name, g, u, s, f, m)
+end)
+
+(* Backend key: device identity, program digest. *)
+module Backends = Gat_util.Memo.Make (struct
+  type t = string * string
+
+  let equal = ( = )
+  let hash = Hashtbl.hash
+end)
+
+(* A class memoizes its typecheck verdict too: an ill-typed kernel is
+   checked once, not once per point. *)
+let classes : (entry, string) result Classes.t =
+  Classes.create
+    ~hits:(Gat_util.Metrics.counter "cache.codegen.hits")
+    ~misses:(Gat_util.Metrics.counter "cache.codegen.misses")
+    ()
+
+let backends : outcome Backends.t = Backends.create ()
 
 let stats () =
-  Gat_util.Pool.with_lock lock (fun () ->
-      {
-        classes = Hashtbl.fold (fun _ b n -> n + List.length b) classes 0;
-        backends = Hashtbl.length backends;
-        hits = !hit_count;
-        misses = !miss_count;
-      })
+  {
+    classes = Classes.length classes;
+    backends = Backends.length backends;
+    hits = Classes.hits classes;
+    misses = Classes.misses classes;
+  }
 
 let clear () =
-  Gat_util.Pool.with_lock lock (fun () ->
-      Hashtbl.reset classes;
-      Hashtbl.reset backends;
-      hit_count := 0;
-      miss_count := 0)
+  Classes.clear classes;
+  Backends.clear backends
 
 (* Attach a point's weights to a backend program.  Equal code
    guarantees equal labels and layout order, and the backend passes
@@ -148,21 +162,17 @@ let add ~gpu ~gpu_id kernel (p : Params.t) =
           ~staging:p.Params.staging ~fast_math:p.Params.fast_math)
   in
   let ((vp, _) as point) = instantiate code p in
-  let key = (gpu_id, Fingerprint.program vp) in
+  let digest = Fingerprint.program vp in
   let result =
-    match Gat_util.Pool.with_lock lock (fun () -> Hashtbl.find_opt backends key) with
-    | Some r -> r
-    | None ->
-        let r = compute gpu ~digest:(snd key) vp in
-        Gat_util.Pool.with_lock lock (fun () -> Hashtbl.replace backends key r);
-        r
+    Backends.find_or_compute backends (gpu_id, digest) (fun () ->
+        compute gpu ~digest vp)
   in
-  ({ kernel; code; result }, point)
+  ({ code; result }, point)
 
 let run ~(gpu : Gat_arch.Gpu.t) kernel (p : Params.t) =
   let gpu_id = Gat_arch.Gpu.identity gpu in
   let key =
-    ( kernel.Gat_ir.Kernel.name,
+    ( kernel,
       gpu_id,
       p.Params.unroll,
       p.Params.staging,
@@ -170,31 +180,22 @@ let run ~(gpu : Gat_arch.Gpu.t) kernel (p : Params.t) =
       Lowering.smem_dynamic ~staging:p.Params.staging
         ~tc:p.Params.threads_per_block )
   in
-  let find () =
-    Option.bind (Hashtbl.find_opt classes key)
-      (List.find_opt (fun e -> e.kernel == kernel))
-  in
+  (* The miss that lowers a class keeps the instantiation it hashed. *)
+  let first = ref None in
   let found =
-    match Gat_util.Pool.with_lock lock find with
-    | Some e ->
-        Gat_util.Pool.with_lock lock (fun () -> incr hit_count);
-        Gat_util.Metrics.incr m_hits;
-        Ok (e, instantiate e.code p)
-    | None -> (
-        match Gat_ir.Typecheck.kernel kernel with
-        | Error msg -> Error msg
-        | Ok () ->
+    Classes.find_or_compute classes key (fun () ->
+        Result.map
+          (fun () ->
             let e, point = add ~gpu ~gpu_id kernel p in
-            Gat_util.Metrics.incr m_misses;
-            Gat_util.Pool.with_lock lock (fun () ->
-                incr miss_count;
-                if Option.is_none (find ()) then
-                  Hashtbl.replace classes key
-                    (e :: Option.value ~default:[] (Hashtbl.find_opt classes key)));
-            Ok (e, point))
+            first := Some point;
+            e)
+          (Gat_ir.Typecheck.kernel kernel))
   in
   Result.map
-    (fun (e, (vp, profile)) ->
+    (fun e ->
+      let vp, profile =
+        match !first with Some point -> point | None -> instantiate e.code p
+      in
       let r = e.result in
       let blocks = reweight vp.Program.blocks r.program.Program.blocks in
       (vp, profile, { r with program = { r.program with Program.blocks } }))

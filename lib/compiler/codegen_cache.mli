@@ -25,9 +25,13 @@
     recompile O(delta).
 
     Thread-safe; sweeps compile variants from parallel pool workers.
-    Entries are immutable once published; inserts are re-checked under
-    the lock.  Counters: [cache.codegen.hits] / [cache.codegen.misses]
-    (class lookups), [artifact.{sched,ra,coal}.*] (persistent tier). *)
+    Both in-memory tables are single-flight {!Gat_util.Memo}s: entries
+    are immutable once published, and concurrent misses on one class
+    (or one code shape) lower (or compute) it once, so the class
+    counters do not depend on the worker count.  Counters:
+    [cache.codegen.hits] / [cache.codegen.misses] (class lookups; a
+    caller that waited for a class another worker was lowering counts
+    as a hit), [artifact.{sched,ra,coal}.*] (persistent tier). *)
 
 type outcome = {
   program : Gat_isa.Program.t;
@@ -49,14 +53,16 @@ val run :
     its code class — the virtual program with its weights, the
     execution profile and the backend result — lowering the class and
     computing or sharing its backend result on a miss.  [Error] carries
-    the {!Gat_ir.Typecheck} diagnostic of an ill-typed kernel.  The
+    the {!Gat_ir.Typecheck} diagnostic of an ill-typed kernel (checked
+    once per class, like the lowering).  The
     caller must already have checked [params] with {!Params.validate}. *)
 
 type stats = { classes : int; backends : int; hits : int; misses : int }
 
 val stats : unit -> stats
-(** In-memory tier only: code classes and backend results held, class
-    hits and misses.  The persistent tier reports through
+(** In-memory tier only: code classes (ill-typed ones included) and
+    backend results held, class hits and misses since the last
+    {!clear}.  The persistent tier reports through
     [Gat_util.Store.stats Artifacts.cache]. *)
 
 val clear : unit -> unit

@@ -72,14 +72,15 @@ let rec eval_pure ~bindings ~n (e : Gat_ir.Expr.t) =
    is seeded deterministically below), and a sweep calls it with the
    same branch condition from every point of the TC x BC plane — so
    results are shared process-wide, keyed by the arguments themselves.
-   Content keying makes the memo bit-exact by construction; the mutex
-   covers parallel pool workers. *)
-let mc_memo :
-    (Gat_ir.Expr.t * string * Gat_ir.Expr.t * Gat_ir.Expr.t * int, float)
-    Hashtbl.t =
-  Hashtbl.create 64
+   Content keying makes the memo bit-exact by construction. *)
+module Mc = Gat_util.Memo.Make (struct
+  type t = Gat_ir.Expr.t * string * Gat_ir.Expr.t * Gat_ir.Expr.t * int
 
-let mc_lock = Mutex.create ()
+  let equal a b = compare a b = 0
+  let hash = Hashtbl.hash
+end)
+
+let mc_memo : float Mc.t = Mc.create ()
 
 let monte_carlo_prob_uncached ~cond ~var ~lo ~hi ~n =
   let samples = 512 in
@@ -101,13 +102,5 @@ let monte_carlo_prob_uncached ~cond ~var ~lo ~hi ~n =
   | _ -> 0.5
 
 let monte_carlo_prob ~cond ~var ~lo ~hi ~n =
-  let key = (cond, var, lo, hi, n) in
-  match
-    Gat_util.Pool.with_lock mc_lock (fun () -> Hashtbl.find_opt mc_memo key)
-  with
-  | Some p -> p
-  | None ->
-      let p = monte_carlo_prob_uncached ~cond ~var ~lo ~hi ~n in
-      Gat_util.Pool.with_lock mc_lock (fun () ->
-          Hashtbl.replace mc_memo key p);
-      p
+  Mc.find_or_compute mc_memo (cond, var, lo, hi, n) (fun () ->
+      monte_carlo_prob_uncached ~cond ~var ~lo ~hi ~n)

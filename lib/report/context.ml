@@ -3,61 +3,26 @@ let gpus = Gat_arch.Gpu.all
 let kernels = Gat_workloads.Workloads.all
 let eval_size kernel = Gat_workloads.Workloads.default_size kernel
 
-(* Memoization shared by every report: sweeps are expensive and several
-   experiments (Fig. 4, Table V) ask for the same rankings repeatedly,
-   so each derived value is computed once per (kernel, gpu).  The
-   double-checked pattern keeps the lock out of the (possibly parallel)
-   sweep itself. *)
-let lock = Mutex.create ()
-
-let memo tbl key compute =
-  let cached =
-    Gat_util.Pool.with_lock lock (fun () -> Hashtbl.find_opt tbl key)
-  in
-  match cached with
-  | Some v -> v
-  | None ->
-      let v = compute () in
-      Gat_util.Pool.with_lock lock (fun () ->
-          match Hashtbl.find_opt tbl key with
-          | Some v' -> v'
-          | None ->
-              Hashtbl.add tbl key v;
-              v)
-
-let pair_key kernel gpu =
-  kernel.Gat_ir.Kernel.name ^ "|" ^ gpu.Gat_arch.Gpu.name
-
 let sweep kernel gpu =
   Gat_tuner.Tuner.sweep kernel gpu ~n:(eval_size kernel) ~seed
 
-let sweeps_tbl : (string, (int * Gat_tuner.Variant.t list) list) Hashtbl.t =
-  Hashtbl.create 16
-
+(* One compile per variant, five simulate passes — the compile-sharing
+   multi-size sweep.  The tuner's sweep memo holds every result. *)
 let sweeps kernel gpu =
-  memo sweeps_tbl (pair_key kernel gpu) (fun () ->
-      (* One compile per variant, five simulate passes — the
-         compile-sharing multi-size sweep. *)
-      Gat_tuner.Tuner.sweep_multi kernel gpu
-        ~ns:(Gat_workloads.Workloads.input_sizes kernel)
-        ~seed)
+  Gat_tuner.Tuner.sweep_multi kernel gpu
+    ~ns:(Gat_workloads.Workloads.input_sizes kernel)
+    ~seed
 
-let ranking_tbl : (string, Gat_tuner.Ranking.t) Hashtbl.t = Hashtbl.create 16
+(* Several experiments (Fig. 4, Table V) ask for the same pooled
+   ranking, so it is computed once per (kernel, gpu). *)
+module Rankings = Gat_util.Memo.Make (String)
 
-let ranking kernel gpu =
-  memo ranking_tbl (pair_key kernel gpu) (fun () ->
-      Gat_tuner.Ranking.split (sweep kernel gpu))
-
-let pooled_tbl : (string, Gat_tuner.Ranking.t) Hashtbl.t = Hashtbl.create 16
-
-let reset () =
-  Gat_util.Pool.with_lock lock (fun () ->
-      Hashtbl.reset sweeps_tbl;
-      Hashtbl.reset ranking_tbl;
-      Hashtbl.reset pooled_tbl)
+let pooled : Gat_tuner.Ranking.t Rankings.t = Rankings.create ()
 
 let pooled_ranking kernel gpu =
-  memo pooled_tbl (pair_key kernel gpu) (fun () ->
+  Rankings.find_or_compute pooled
+    (kernel.Gat_ir.Kernel.name ^ "|" ^ gpu.Gat_arch.Gpu.name)
+    (fun () ->
       let rankings =
         List.map (fun (_, vs) -> Gat_tuner.Ranking.split vs) (sweeps kernel gpu)
       in

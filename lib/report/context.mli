@@ -2,11 +2,11 @@
     seed every report uses, so the whole evaluation is reproducible from
     one number.
 
-    All sweep-derived values are memoized per (kernel, device): the
-    multi-size sweeps run through the compile-sharing
-    {!Gat_tuner.Tuner.sweep_multi} engine (each variant is compiled
-    once, then simulated at every input size), and rankings are
-    computed once however many figures and tables ask for them. *)
+    Sweeps are memoized by {!Gat_tuner.Tuner}; the multi-size sweeps
+    run through the compile-sharing {!Gat_tuner.Tuner.sweep_multi}
+    engine (each variant is compiled once, then simulated at every
+    input size), and pooled rankings are computed once however many
+    figures and tables ask for them. *)
 
 val seed : int
 (** 42. *)
@@ -23,22 +23,14 @@ val eval_size : Gat_ir.Kernel.t -> int
 
 val sweep : Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> Gat_tuner.Variant.t list
 (** The exhaustive 5,120-variant evaluation for a kernel/device pair
-    at {!eval_size} (process-cached). *)
-
-val ranking : Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> Gat_tuner.Ranking.t
-(** The sweep split at the 50th percentile (memoized). *)
+    at {!eval_size} (memoized by the tuner). *)
 
 val sweeps :
   Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> (int * Gat_tuner.Variant.t list) list
 (** One exhaustive sweep per paper input size, sharing one compile
-    phase across all sizes (memoized). *)
+    phase across all sizes (each sweep memoized by the tuner). *)
 
 val pooled_ranking : Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> Gat_tuner.Ranking.t
 (** Rank variants within each input size, then pool the rank-1 and
     rank-2 halves across sizes — the population behind the paper's
-    Fig. 4 histograms and Table V statistics (memoized). *)
-
-val reset : unit -> unit
-(** Drop every memoized sweep and ranking, forcing recomputation on the
-    next request.  For harnesses (the benchmark's warm-cache pass) and
-    tests; reports never need it. *)
+    Fig. 4 histograms and Table V statistics (memoized per process). *)

@@ -76,30 +76,15 @@ let counting_objective objective =
   in
   (wrapped, fun () -> !count)
 
-module PMap = Map.Make (struct
+module Points = Gat_util.Memo.Make (struct
   type t = Gat_compiler.Params.t
 
-  let compare = Gat_compiler.Params.compare
+  let equal a b = Gat_compiler.Params.compare a b = 0
+  let hash = Hashtbl.hash
 end)
 
+(* Safe to share between Gat_util.Pool workers: concurrent first
+   evaluations of one point run the objective once. *)
 let memoized_objective objective =
-  (* Mutex-protected so a memoized objective can be shared by
-     Gat_util.Pool workers; the underlying objective runs outside the
-     lock (concurrent first evaluations of the same point are possible
-     but benign — the objective is deterministic per point). *)
-  let lock = Mutex.create () in
-  let cache = ref PMap.empty in
-  fun params ->
-    let cached =
-      Gat_util.Pool.with_lock lock (fun () -> PMap.find_opt params !cache)
-    in
-    match cached with
-    | Some r -> r
-    | None ->
-        let r = objective params in
-        Gat_util.Pool.with_lock lock (fun () ->
-            match PMap.find_opt params !cache with
-            | Some r' -> r'
-            | None ->
-                cache := PMap.add params r !cache;
-                r)
+  let memo = Points.create () in
+  fun params -> Points.find_or_compute memo params (fun () -> objective params)

@@ -37,4 +37,6 @@ val counting_objective : objective -> objective * (unit -> int)
 (** Wrap an objective with an evaluation counter. *)
 
 val memoized_objective : objective -> objective
-(** Cache results by parameter point (re-visits don't re-measure). *)
+(** Cache results by parameter point in a {!Gat_util.Memo}: re-visits
+    don't re-measure, and concurrent first visits from pool workers
+    measure once. *)

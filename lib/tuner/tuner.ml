@@ -20,6 +20,36 @@ let compile kernel gpu params =
   Gat_util.Metrics.incr m_compiles;
   Gat_compiler.Driver.compile kernel gpu params
 
+(* A verdict reads only the virtual program's instruction structure
+   and TC — never the weights (the only BC-dependent part of the code),
+   the device or N — so it is memoized on the compile's weight-free
+   digest plus TC: one verification per code class and TC, shared by
+   every BC and N point.  The [verdict] artifact shares it across
+   processes. *)
+module Verdicts = Gat_util.Memo.Make (struct
+  type t = string * int
+
+  let equal = ( = )
+  let hash = Hashtbl.hash
+end)
+
+let verdicts =
+  Verdicts.create
+    ~hits:(Gat_util.Metrics.counter "cache.verdict.hits")
+    ~misses:(Gat_util.Metrics.counter "cache.verdict.misses")
+    ()
+
+let verdict (c : Gat_compiler.Driver.compiled) =
+  let tc = c.params.Gat_compiler.Params.threads_per_block in
+  Verdicts.find_or_compute verdicts (c.digest, tc) (fun () ->
+      let key = Gat_compiler.Artifacts.verdict_key ~threads_per_block:tc c.digest in
+      match Gat_compiler.Artifacts.find_verdict ~key with
+      | Some report -> report
+      | None ->
+          let report = Gat_analysis.Verify.run ~threads_per_block:tc c.ptx in
+          Gat_compiler.Artifacts.store_verdict ~key report;
+          report)
+
 let eval_point kernel gpu ~n ~seed params =
   let rng = Gat_util.Rng.create (point_seed kernel gpu ~seed params) in
   match compile kernel gpu params with
@@ -28,7 +58,7 @@ let eval_point kernel gpu ~n ~seed params =
       (* Unsafe variants evaluate to None, exactly like invalid ones:
          no search strategy can ever rank a variant the verifier
          rejected, however fast the simulator says it would be. *)
-      if Gat_analysis.Verify.safe (Verdict_cache.get compiled) then
+      if Gat_analysis.Verify.safe (verdict compiled) then
         Some (Measure.evaluate_compiled compiled ~n ~rng)
       else None
 
@@ -45,29 +75,17 @@ type report = {
   restored_points : int;
 }
 
-let sweep_lock = Mutex.create ()
-let sweep_cache : (string, report) Hashtbl.t = Hashtbl.create 16
-
-let clear_cache () =
-  Gat_util.Pool.with_lock sweep_lock (fun () -> Hashtbl.reset sweep_cache);
-  Verdict_cache.clear ();
-  Gat_compiler.Codegen_cache.clear ()
-
 (* The in-process tier shares the disk tier's content key: two kernels
    with one name are two sweeps. *)
+module Sweeps = Gat_util.Memo.Make (String)
+
+let sweeps : report Sweeps.t = Sweeps.create ()
 let sweep_key = Disk_cache.key
 
-let find_sweep key =
-  Gat_util.Pool.with_lock sweep_lock (fun () ->
-      Hashtbl.find_opt sweep_cache key)
-
-let store_sweep key report =
-  Gat_util.Pool.with_lock sweep_lock (fun () ->
-      match Hashtbl.find_opt sweep_cache key with
-      | Some existing -> existing
-      | None ->
-          Hashtbl.replace sweep_cache key report;
-          report)
+let clear_cache () =
+  Sweeps.clear sweeps;
+  Verdicts.clear verdicts;
+  Gat_compiler.Codegen_cache.clear ()
 
 (* The sweep core walks the space in fixed-size blocks: each block is
    compiled once (compile phase, one compile per parameter point) and
@@ -185,7 +203,7 @@ let run_range ?jobs ?(retries = 1) ?max_failures
                  workers are already fanned out; the verdict cache
                  collapses the (BC, N) axes to one analysis each. *)
               Result.map
-                (fun c -> (c, Verdict_cache.get c))
+                (fun c -> (c, verdict c))
                 (compile kernel gpu params) ))
           blk
       with Gat_util.Pool.Budget_exceeded { failed; last; _ } ->
@@ -304,18 +322,13 @@ let run_range ?jobs ?(retries = 1) ?max_failures
    computed sweep is persisted for the next process.  Sweeps that
    recorded failures are deliberately NOT persisted: a degraded result
    must never masquerade as the complete sweep in a later process. *)
-let restore_from_disk space kernel gpu ~n ~seed key =
-  match Disk_cache.find space kernel gpu ~n ~seed with
-  | Some (variants, unsafe) ->
-      Some
-        (store_sweep key { variants; failures = []; unsafe; restored_points = 0 })
-  | None -> None
+let from_disk space kernel gpu ~n ~seed =
+  Option.map
+    (fun (variants, unsafe) ->
+      { variants; failures = []; unsafe; restored_points = 0 })
+    (Disk_cache.find space kernel gpu ~n ~seed)
 
-let finish_sweep space kernel gpu ~n ~seed key (variants, failures) ~unsafe
-    ~restored =
-  let r =
-    store_sweep key { variants; failures; unsafe; restored_points = restored }
-  in
+let persist space kernel gpu ~n ~seed r =
   if r.failures = [] then
     Disk_cache.store space kernel gpu ~n ~seed r.variants r.unsafe;
   r
@@ -323,46 +336,44 @@ let finish_sweep space kernel gpu ~n ~seed key (variants, failures) ~unsafe
 let sweep_report ?(space = Space.paper) ?jobs ?retries ?max_failures
     ?(checkpoint = false) ?(resume = false) ?block ?progress kernel gpu ~n
     ~seed =
-  let key = sweep_key space kernel gpu ~n ~seed in
-  match find_sweep key with
+  Sweeps.find_or_compute sweeps (sweep_key space kernel gpu ~n ~seed)
+  @@ fun () ->
+  match from_disk space kernel gpu ~n ~seed with
   | Some r -> r
   | None -> (
-      match restore_from_disk space kernel gpu ~n ~seed key with
-      | Some r -> r
-      | None -> (
-          let total = Space.cardinality space in
-          let init =
-            if resume then Disk_cache.checkpoint_find space kernel gpu ~n ~seed
-            else None
-          in
-          let restored =
-            match init with
-            | Some c when c.Disk_cache.done_points > 0
-                          && c.Disk_cache.done_points <= total ->
-                c.Disk_cache.done_points
-            | _ -> 0
-          in
-          Gat_util.Metrics.incr ~by:restored m_restored;
-          let flush =
-            if checkpoint then
-              Some (Disk_cache.checkpoint_store space kernel gpu ~n ~seed)
-            else None
-          in
-          let interrupt_note =
-            if checkpoint then "; checkpoint saved — re-run with --resume"
-            else ""
-          in
-          match
-            run_range ?jobs ?retries ?max_failures ?block ?progress ?flush
-              ?init ~interrupt_note kernel gpu ~space ~first:0 ~range_len:total
-              ~ns:[ n ] ~seed
-          with
-          | [ (_, outcome) ], unsafe, _ ->
-              if checkpoint then
-                Disk_cache.checkpoint_clear space kernel gpu ~n ~seed;
-              finish_sweep space kernel gpu ~n ~seed key outcome ~unsafe
-                ~restored
-          | _ -> assert false))
+      let total = Space.cardinality space in
+      let init =
+        if resume then Disk_cache.checkpoint_find space kernel gpu ~n ~seed
+        else None
+      in
+      let restored =
+        match init with
+        | Some c when c.Disk_cache.done_points > 0
+                      && c.Disk_cache.done_points <= total ->
+            c.Disk_cache.done_points
+        | _ -> 0
+      in
+      Gat_util.Metrics.incr ~by:restored m_restored;
+      let flush =
+        if checkpoint then
+          Some (Disk_cache.checkpoint_store space kernel gpu ~n ~seed)
+        else None
+      in
+      let interrupt_note =
+        if checkpoint then "; checkpoint saved — re-run with --resume"
+        else ""
+      in
+      match
+        run_range ?jobs ?retries ?max_failures ?block ?progress ?flush ?init
+          ~interrupt_note kernel gpu ~space ~first:0 ~range_len:total
+          ~ns:[ n ] ~seed
+      with
+      | [ (_, (variants, failures)) ], unsafe, _ ->
+          if checkpoint then
+            Disk_cache.checkpoint_clear space kernel gpu ~n ~seed;
+          persist space kernel gpu ~n ~seed
+            { variants; failures; unsafe; restored_points = restored }
+      | _ -> assert false)
 
 (* The distributed-sweep entry point: evaluate one contiguous range of
    the space and return it as a range-relative checkpoint — exactly
@@ -388,8 +399,13 @@ let sweep_multi ?(space = Space.paper) ?jobs kernel gpu ~ns ~seed =
     List.filter
       (fun n ->
         let key = sweep_key space kernel gpu ~n ~seed in
-        Option.is_none (find_sweep key)
-        && Option.is_none (restore_from_disk space kernel gpu ~n ~seed key))
+        Option.is_none (Sweeps.find sweeps key)
+        &&
+        match from_disk space kernel gpu ~n ~seed with
+        | Some r ->
+            ignore (Sweeps.add sweeps key r);
+            false
+        | None -> true)
       ns
   in
   (match missing with
@@ -400,11 +416,11 @@ let sweep_multi ?(space = Space.paper) ?jobs kernel gpu ~ns ~seed =
           ~range_len:(Space.cardinality space) ~ns:missing ~seed
       in
       List.iter
-        (fun (n, outcome) ->
+        (fun (n, (variants, failures)) ->
+          let r = { variants; failures; unsafe; restored_points = 0 } in
           ignore
-            (finish_sweep space kernel gpu ~n ~seed
-               (sweep_key space kernel gpu ~n ~seed)
-               outcome ~unsafe ~restored:0))
+            (persist space kernel gpu ~n ~seed
+               (Sweeps.add sweeps (sweep_key space kernel gpu ~n ~seed) r)))
         results);
   List.map (fun n -> (n, sweep ~space ?jobs kernel gpu ~n ~seed)) ns
 

@@ -15,8 +15,9 @@
 
     Sweeps are cached per (kernel, device, size, seed) within the
     process so reports that need the same sweep (Fig. 4, Table V,
-    Fig. 5, Table VI, Fig. 6) share one evaluation; the cache is
-    mutex-protected and safe to populate from concurrent sweeps.
+    Fig. 5, Table VI, Fig. 6) share one evaluation; the cache is a
+    single-flight {!Gat_util.Memo}, so concurrent requests for one
+    sweep compute it once.
     Finished sweeps are additionally persisted through {!Disk_cache},
     so a rerun of the same experiment in a fresh process skips the
     compile-and-simulate work entirely (disable with
@@ -57,6 +58,16 @@ val objective :
 (** A memoized objective implementing the measurement protocol: each
     point is compiled once, on its first evaluation. *)
 
+val verdict : Gat_compiler.Driver.compiled -> Gat_analysis.Verify.report
+(** The verifier's report on a compiled variant's virtual-register
+    program at its TC, memoized on its weight-free [digest] and TC: the
+    verdict never reads the per-block weights (the only BC-dependent
+    part of the code), the device or N, so one verification serves
+    every BC and N point of a code class.  In-process tier counters:
+    [cache.verdict.hits] / [cache.verdict.misses]; underneath, the
+    persistent [verdict] artifact ([artifact.verdict.*]) shares
+    verdicts across runs and processes. *)
+
 val default_block_size : int
 (** Points per sweep block (the checkpoint granularity). *)
 
@@ -71,7 +82,7 @@ type report = {
           variants are never simulated, never appear in [variants],
           and never get ranked by any search strategy; like compile
           failures they are size-independent.  Verdicts are memoized
-          per code shape ([Verdict_cache]), counted under
+          per code shape ({!verdict}), counted under
           [sweep.unsafe], and — unlike failures — persisted with the
           sweep, since they are part of the complete result. *)
   restored_points : int;
@@ -174,7 +185,9 @@ val sweep_multi :
     corresponding {!sweep}. *)
 
 val clear_cache : unit -> unit
-(** Drop the sweep cache and the compiled-variant cache. *)
+(** Drop the in-process sweep, verdict and code-class memos
+    (persistent stores, the branch-probability memo and the report
+    rankings survive). *)
 
 type strategy =
   | Exhaustive

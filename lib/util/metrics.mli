@@ -9,8 +9,13 @@
 
     Counter values for a deterministic run are themselves
     deterministic (cache hits, retry counts, failure totals do not
-    depend on wall time or worker count), so {!render_counters} is
-    golden-testable.  Timer sums are wall-clock and are rendered only
+    depend on wall time or worker count: every in-process cache is a
+    single-flight {!Memo}, so its misses count distinct keys), so
+    {!render_counters} is golden-testable.  Two families still vary
+    with the worker count: the pool's scheduling counters (see
+    {!render_counters}) and [artifact.*], because the [sched] stage has
+    no in-process tier and two distinct programs that share a block
+    body can both miss its artifact.  Timer sums are wall-clock and are rendered only
     by the full {!render}.
 
     Naming convention: dotted lowercase paths
@@ -95,8 +100,8 @@ val timers_snapshot : unit -> (string * int * float) list
 
 val render_counters : unit -> string
 (** Prometheus-style text dump of the counters only — sorted.
-    Deterministic for a deterministic run, with one exception: the
-    scheduler-internal counters ([pool.steals], [pool.steal_fails],
+    Deterministic for a deterministic run, with two exceptions: the
+    [artifact.*] counters (see above), and the scheduler-internal counters ([pool.steals], [pool.steal_fails],
     [pool.splits]) count scheduling events, not outcomes, and vary
     with runtime interleaving. *)
 

@@ -169,10 +169,11 @@ let add_args b args =
    the earliest event so numbers stay small and runs line up at 0. *)
 let us_of_ns ~t0 ns = Int64.to_float (Int64.sub ns t0) /. 1e3
 
-let add_event b ~t0 ev =
+let add_event b ~t0 ~pid ev =
   Buffer.add_string b
-    (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"gat\",\"ph\":\"%c\",\"pid\":1,\"tid\":%d,\"ts\":%.3f"
-       (json_escape ev.name) ev.ph ev.tid (us_of_ns ~t0 ev.ts_ns));
+    (Printf.sprintf
+       "{\"name\":\"%s\",\"cat\":\"gat\",\"ph\":\"%c\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f"
+       (json_escape ev.name) ev.ph pid ev.tid (us_of_ns ~t0 ev.ts_ns));
   if ev.ph = 'X' then
     Buffer.add_string b
       (Printf.sprintf ",\"dur\":%.3f" (Int64.to_float ev.dur_ns /. 1e3));
@@ -199,70 +200,6 @@ let sort_events evs =
 
 let merged_events () =
   sort_events (List.concat_map (fun b -> List.rev b.events) (registered ()))
-
-let render () =
-  let events = merged_events () in
-  let t0 = match events with [] -> 0L | ev :: _ -> ev.ts_ns in
-  let t_end =
-    List.fold_left
-      (fun acc ev -> Int64.(max acc (add ev.ts_ns ev.dur_ns)))
-      t0 events
-  in
-  let b = Buffer.create 65536 in
-  Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_string b ",\n"
-  in
-  (* Track names: one per domain that recorded events. *)
-  let tids =
-    List.sort_uniq compare (List.map (fun ev -> ev.tid) events)
-  in
-  sep ();
-  add_event b ~t0
-    {
-      name = "process_name";
-      ph = 'M';
-      ts_ns = t0;
-      dur_ns = 0L;
-      tid = 0;
-      args = [ ("name", S "gat") ];
-    };
-  List.iter
-    (fun t ->
-      sep ();
-      add_event b ~t0
-        {
-          name = "thread_name";
-          ph = 'M';
-          ts_ns = t0;
-          dur_ns = 0L;
-          tid = t;
-          args = [ ("name", S (Printf.sprintf "domain-%d" t)) ];
-        })
-    tids;
-  List.iter
-    (fun ev ->
-      sep ();
-      add_event b ~t0 ev)
-    events;
-  (* Final metrics snapshot as counter samples, so cache and pool
-     totals are visible as counter tracks next to the spans. *)
-  List.iter
-    (fun (name, v) ->
-      sep ();
-      add_event b ~t0
-        {
-          name;
-          ph = 'C';
-          ts_ns = t_end;
-          dur_ns = 0L;
-          tid = 0;
-          args = [ ("value", I v) ];
-        })
-    (Metrics.counters_snapshot ());
-  Buffer.add_string b "\n]}\n";
-  (Buffer.contents b, List.length events)
 
 (* ---- raw event serialization (telemetry snapshots) ---- *)
 
@@ -367,19 +304,7 @@ let render_merged procs =
   let sep () = if !first then first := false else Buffer.add_string b ",\n" in
   let add_pid_event pid ev =
     sep ();
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"name\":\"%s\",\"cat\":\"gat\",\"ph\":\"%c\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f"
-         (json_escape ev.name) ev.ph pid ev.tid (us_of_ns ~t0 ev.ts_ns));
-    if ev.ph = 'X' then
-      Buffer.add_string b
-        (Printf.sprintf ",\"dur\":%.3f" (Int64.to_float ev.dur_ns /. 1e3));
-    if ev.ph = 'i' then Buffer.add_string b ",\"s\":\"t\"";
-    if ev.args <> [] then begin
-      Buffer.add_char b ',';
-      add_args b ev.args
-    end;
-    Buffer.add_char b '}'
+    add_event b ~t0 ~pid ev
   in
   let n_events = ref 0 in
   List.iteri
@@ -443,6 +368,22 @@ let render_merged procs =
     names;
   Buffer.add_string b "\n]}\n";
   (Buffer.contents b, !n_events)
+
+(* This process alone: a fleet of one, its monotonic clock standing in
+   for the wall clock. *)
+let render () =
+  render_merged
+    [
+      {
+        p_host = Unix.gethostname ();
+        p_pid = Unix.getpid ();
+        p_anchor_mono_ns = 0L;
+        p_anchor_wall_ns = 0L;
+        p_events = events ();
+        p_counters = Metrics.counters_snapshot ();
+        p_dropped = dropped ();
+      };
+    ]
 
 (* ---- session control ---- *)
 

@@ -116,8 +116,10 @@ val render_merged : process list -> string * int
     total span/instant event count. *)
 
 val render : unit -> string * int
-(** The merged trace as Chrome trace-event JSON plus the number of
-    recorded events (excludes metadata/counter lines). *)
+(** This process's trace: {!render_merged} over one process named
+    [gat host:pid], with its {!events}, every registered counter and
+    its monotonic clock as the time base.  Returns the JSON and the
+    number of recorded events (excludes metadata/counter lines). *)
 
 val out_path : unit -> string option
 (** The output file registered by {!enable_to}, if any. *)

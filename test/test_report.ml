@@ -219,16 +219,13 @@ let test_context_memoized_and_compile_shared () =
   let sweeps = Gat_report.Context.sweeps kernel gpu in
   Alcotest.(check int) "five input sizes" 5 (List.length sweeps);
   Alcotest.(check int) "each triple compiled exactly once" 5120 (compiles ());
-  (* The single-size sweep and both rankings ride on the same caches:
-     no further compilation, and memoized values are physically shared. *)
+  (* The single-size sweep and the pooled ranking ride on the same
+     caches: no further compilation, and the ranking is physically
+     shared. *)
   ignore (Gat_report.Context.sweep kernel gpu);
   let r1 = Gat_report.Context.pooled_ranking kernel gpu in
   let r2 = Gat_report.Context.pooled_ranking kernel gpu in
   Alcotest.(check bool) "pooled_ranking memoized" true (r1 == r2);
-  Alcotest.(check bool) "ranking memoized" true
-    (Gat_report.Context.ranking kernel gpu == Gat_report.Context.ranking kernel gpu);
-  Alcotest.(check bool) "sweeps memoized" true
-    (Gat_report.Context.sweeps kernel gpu == sweeps);
   Alcotest.(check int) "no recompilation for derived reports" 5120
     (compiles ())
 

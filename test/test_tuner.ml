@@ -427,6 +427,39 @@ let test_sweep_multi_matches_single_sweeps () =
   Alcotest.(check bool) "n=64 identical" true (List.assoc 64 multi = single64);
   Alcotest.(check bool) "n=128 identical" true (List.assoc 128 multi = single128)
 
+(* The in-process memos compute each key once whatever the worker
+   count, so the cache and verifier counters of a sweep do not move
+   with [jobs].  Stores off: every class and verdict is computed. *)
+let test_counters_independent_of_jobs () =
+  let kernel = Gat_workloads.Workloads.atax and gpu = Gat_arch.Gpu.k20 in
+  let names =
+    [
+      "cache.codegen.hits";
+      "cache.codegen.misses";
+      "cache.verdict.hits";
+      "cache.verdict.misses";
+      "verify.checked";
+    ]
+  in
+  let value name = Gat_util.Metrics.(value (counter name)) in
+  let deltas jobs =
+    Gat_tuner.Tuner.clear_cache ();
+    let before = List.map value names in
+    ignore (Gat_tuner.Tuner.sweep ~space:small_space ~jobs kernel gpu ~n:32 ~seed:1);
+    List.map2 (fun name v0 -> (name, value name - v0)) names before
+  in
+  let artifacts = Gat_compiler.Artifacts.cache in
+  Gat_util.Store.set_enabled artifacts false;
+  let one, four =
+    Fun.protect
+      ~finally:(fun () -> Gat_util.Store.set_enabled artifacts true)
+      (fun () ->
+        let one = deltas 1 in
+        (one, deltas 4))
+  in
+  Alcotest.(check bool) "classes computed" true (List.assoc "cache.codegen.misses" one > 0);
+  Alcotest.(check (list (pair string int))) "jobs 1 = jobs 4" one four
+
 (* ---- Measurement protocol: trial-draw regression ---- *)
 
 let test_measure_draws_match_full_protocol () =
@@ -728,6 +761,8 @@ let () =
             test_compile_shared_across_sizes;
           Alcotest.test_case "multi matches single sweeps" `Quick
             test_sweep_multi_matches_single_sweeps;
+          Alcotest.test_case "counters independent of jobs" `Quick
+            test_counters_independent_of_jobs;
           Alcotest.test_case "trial draws match full protocol" `Quick
             test_measure_draws_match_full_protocol;
           Alcotest.test_case "est_mix = Imix.estimate_dynamic" `Quick

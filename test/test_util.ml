@@ -284,6 +284,79 @@ let test_publish_failure_leaves_no_temp () =
   Alcotest.(check bool) "raises Sys_error" true raised;
   Alcotest.(check (list string)) "no temp file left" [ "entry" ] left
 
+(* ---- Memo ---- *)
+
+module Int_memo = Memo.Make (Int)
+
+let test_memo_single_flight () =
+  let memo = Int_memo.create () in
+  let computed = Array.init 8 (fun _ -> Atomic.make 0) in
+  let results =
+    Pool.map ~jobs:4 ~chunk:1
+      (fun i ->
+        let k = i mod 8 in
+        Int_memo.find_or_compute memo k (fun () ->
+            Atomic.incr computed.(k);
+            (* Hold the slot long enough for other domains to ask. *)
+            Unix.sleepf 0.005;
+            ref k))
+      (Array.init 64 Fun.id)
+  in
+  Array.iteri
+    (fun k c -> Alcotest.(check int) (Printf.sprintf "key %d computed once" k) 1 (Atomic.get c))
+    computed;
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check bool) "physically shared" true (r == results.(i mod 8)))
+    results;
+  Alcotest.(check int) "misses = distinct keys" 8 (Int_memo.misses memo);
+  Alcotest.(check int) "every other call a hit" 56 (Int_memo.hits memo)
+
+let test_memo_raise_wakes_waiters () =
+  let memo = Int_memo.create () in
+  (match Int_memo.find_or_compute memo 1 (fun () -> failwith "boom") with
+  | exception Failure m -> Alcotest.(check string) "re-raised" "boom" m
+  | _ -> Alcotest.fail "expected raise");
+  Alcotest.(check (option int)) "absent after raise" None (Int_memo.find memo 1);
+  Alcotest.(check int) "no entry" 0 (Int_memo.length memo);
+  let started = Atomic.make false and release = Atomic.make false in
+  let failing =
+    Domain.spawn (fun () ->
+        match
+          Int_memo.find_or_compute memo 2 (fun () ->
+              Atomic.set started true;
+              while not (Atomic.get release) do Domain.cpu_relax () done;
+              failwith "late")
+        with
+        | exception Failure _ -> true
+        | _ -> false)
+  in
+  while not (Atomic.get started) do Domain.cpu_relax () done;
+  Alcotest.(check int) "pending slot" 1 (Int_memo.length memo);
+  Alcotest.(check (option int)) "pending is not found" None (Int_memo.find memo 2);
+  let waiter = Domain.spawn (fun () -> Int_memo.find_or_compute memo 2 (fun () -> 42)) in
+  Unix.sleepf 0.02;
+  Atomic.set release true;
+  Alcotest.(check bool) "computation raised" true (Domain.join failing);
+  Alcotest.(check int) "waiter woken, computes" 42 (Domain.join waiter);
+  Alcotest.(check (option int)) "held" (Some 42) (Int_memo.find memo 2)
+
+let test_memo_add_and_clear () =
+  let memo = Int_memo.create () in
+  Alcotest.(check string) "first add" "a" (Int_memo.add memo 1 "a");
+  Alcotest.(check string) "first insert wins" "a" (Int_memo.add memo 1 "b");
+  Alcotest.(check string) "computed value ignored" "a"
+    (Int_memo.find_or_compute memo 1 (fun () -> "c"));
+  ignore (Int_memo.find_or_compute memo 2 (fun () -> "d"));
+  Alcotest.(check (pair int int)) "hits, misses" (1, 1)
+    (Int_memo.hits memo, Int_memo.misses memo);
+  Int_memo.clear memo;
+  Alcotest.(check int) "no entries" 0 (Int_memo.length memo);
+  Alcotest.(check (pair int int)) "counts reset" (0, 0)
+    (Int_memo.hits memo, Int_memo.misses memo);
+  Alcotest.(check string) "recomputed" "e"
+    (Int_memo.find_or_compute memo 1 (fun () -> "e"))
+
 let () =
   Alcotest.run "gat_util"
     [
@@ -334,6 +407,12 @@ let () =
           Alcotest.test_case "edges" `Quick test_histogram_edges;
           Alcotest.test_case "bad args" `Quick test_histogram_bad_args;
           Alcotest.test_case "render" `Quick test_histogram_render;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "single flight" `Quick test_memo_single_flight;
+          Alcotest.test_case "raise wakes waiters" `Quick test_memo_raise_wakes_waiters;
+          Alcotest.test_case "add and clear" `Quick test_memo_add_and_clear;
         ] );
       ( "table",
         [

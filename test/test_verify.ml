@@ -357,19 +357,20 @@ let test_verdict_cache_shares_bc () =
   (* BC is not part of the code shape, so verifying two variants that
      differ only in BC runs the analysis once. *)
   reset ();
-  Gat_tuner.Verdict_cache.clear ();
+  let counter name = Gat_util.Metrics.(value (counter name)) in
+  let hits0 = counter "cache.verdict.hits"
+  and misses0 = counter "cache.verdict.misses" in
   let p bc =
     Params.make ~threads_per_block:128 ~block_count:bc ~unroll:2 ~l1_pref_kb:16
       ~staging:2 ~fast_math:false ()
   in
   let c1 = compile Gat_workloads.Workloads.atax gpu (p 32) in
   let c2 = compile Gat_workloads.Workloads.atax gpu (p 64) in
-  ignore (Gat_tuner.Verdict_cache.get c1);
-  ignore (Gat_tuner.Verdict_cache.get c2);
-  let s = Gat_tuner.Verdict_cache.stats () in
-  Alcotest.(check int) "one analysis" 1 s.Gat_tuner.Verdict_cache.misses;
-  Alcotest.(check int) "one shared verdict" 1 s.Gat_tuner.Verdict_cache.hits;
-  Alcotest.(check int) "one code class" 1 s.Gat_tuner.Verdict_cache.classes
+  let v1 = Tuner.verdict c1 in
+  let v2 = Tuner.verdict c2 in
+  Alcotest.(check int) "one analysis" 1 (counter "cache.verdict.misses" - misses0);
+  Alcotest.(check int) "one shared verdict" 1 (counter "cache.verdict.hits" - hits0);
+  Alcotest.(check bool) "one code class" true (v1 == v2)
 
 let test_verify_exit_code () =
   Alcotest.(check int) "verify maps to exit 7" 7
