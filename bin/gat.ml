@@ -880,10 +880,11 @@ let sweep_cmd =
       value & opt float 30.0
       & info [ "lease-ttl" ] ~docv:"SECS"
           ~doc:
-            "Shard lease time-to-live.  A worker renews its lease after \
-             every checkpointed block; a lease older than $(docv) \
-             seconds is treated as dead and its shard is reassigned, \
-             resuming from the dead worker's last checkpoint.")
+            "Shard lease time-to-live.  A holder's telemetry record, \
+             republished after every checkpointed block, is its lease \
+             heartbeat; a lease whose heartbeat is older than $(docv) \
+             seconds is dead and its shard is reassigned, resuming from \
+             the prefix in the dead holder's record.")
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -1004,9 +1005,9 @@ let sweep_worker_cmd =
       & opt int Gat_tuner.Tuner.default_block_size
       & info [ "checkpoint-every" ] ~docv:"POINTS"
           ~doc:
-            "Flush the in-flight shard's checkpoint (and renew its \
-             lease) after each block of $(docv) points.  Results never \
-             depend on the block size.")
+            "Publish the in-flight shard's checkpoint in this worker's \
+             record (the lease heartbeat) after each block of $(docv) \
+             points.  Results never depend on the block size.")
   in
   Cmd.v
     (Cmd.info "sweep-worker"
@@ -1014,7 +1015,7 @@ let sweep_worker_cmd =
          "Attach to a sharded sweep and evaluate shards until none \
           remain.  Exits 0 when the coordinator already finished \
           (stale-but-done); crashes are tolerated — an expired lease is \
-          reassigned and resumes from the worker's last checkpoint.")
+          reassigned and resumes from the dead worker's last record.")
     Term.(
       const sweep_worker $ dir $ jobs_arg $ retries $ block $ no_cache_arg
       $ progress $ trace_arg)
@@ -1364,9 +1365,9 @@ let monitor_cmd =
     (Cmd.info "monitor"
        ~doc:
          "Live fleet view of a sharded sweep: one line per worker — \
-          host/pid, held shard, points/s, block-latency p50/p99, lease \
-          renewal age, reclaims, crash status — from the coordination \
-          directory's lease files and telemetry snapshots.  Read-only.  \
+          host/pid, held shard, points/s, block-latency p50/p99, \
+          heartbeat age, reclaims, crash status — from the telemetry \
+          records in the coordination directory.  Read-only.  \
           Redraws in place on a TTY; prints a full table per refresh \
           otherwise.  Exits when the coordination publishes its done \
           marker.")

@@ -66,6 +66,12 @@ let classes : (entry, string) result Classes.t =
 
 let backends : outcome Backends.t = Backends.create ()
 
+(* Scheduled block bodies by artifact key: each shared body is
+   scheduled or read from the store once, at any job count. *)
+module Scheds = Gat_util.Memo.Make (String)
+
+let scheds : Gat_isa.Instruction.t list Scheds.t = Scheds.create ()
+
 let stats () =
   {
     classes = Classes.length classes;
@@ -76,7 +82,8 @@ let stats () =
 
 let clear () =
   Classes.clear classes;
-  Backends.clear backends
+  Backends.clear backends;
+  Scheds.clear scheds
 
 (* Attach a point's weights to a backend program.  Equal code
    guarantees equal labels and layout order, and the backend passes
@@ -98,14 +105,18 @@ let reweight vp_blocks out_blocks =
 let schedule_block (b : Basic_block.t) =
   match b.Basic_block.body with
   | [] | [ _ ] -> Schedule.block b
-  | body -> (
+  | body ->
       let key = Artifacts.sched_key body in
-      match Artifacts.find_sched ~key with
-      | Some scheduled -> { b with Basic_block.body = scheduled }
-      | None ->
-          let sb = Schedule.block b in
-          Artifacts.store_sched ~key sb.Basic_block.body;
-          sb)
+      let scheduled =
+        Scheds.find_or_compute scheds key (fun () ->
+            match Artifacts.find_sched ~key with
+            | Some scheduled -> scheduled
+            | None ->
+                let s = (Schedule.block b).Basic_block.body in
+                Artifacts.store_sched ~key s;
+                s)
+      in
+      { b with Basic_block.body = scheduled }
 
 let schedule_program (vp : Program.t) =
   { vp with Program.blocks = List.map schedule_block vp.Program.blocks }

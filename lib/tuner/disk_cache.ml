@@ -237,10 +237,10 @@ let read_checkpoint cur =
   { done_points; variants; failures; unsafe }
 
 (* Path-addressed checkpoint I/O: the exact serialization of keyed
-   checkpoints, but writable to any path.  This is the partial-entry
-   layout of the distributed sweep — per-shard [.ckpt] heartbeats and
-   finished [.part] files are ordinary checkpoints whose [done_points]
-   is relative to the shard's range.  Unlike {!checkpoint_store},
+   checkpoints, but writable to any path (or carried as text in a
+   shard holder's record).  Finished [.part] files are ordinary
+   checkpoints whose [done_points] is relative to the shard's range.
+   Unlike {!checkpoint_store},
    {!checkpoint_write} is coordination state, not a cache optimization:
    it ignores the enabled/degraded latches and raises on failure so
    the shard layer can apply its own retry policy. *)
@@ -248,6 +248,14 @@ let checkpoint_write ~path ckpt =
   Store.write cache ~header:ckpt_header path (emit_checkpoint ckpt)
 
 let checkpoint_read path = Store.read cache ~header:ckpt_header path read_checkpoint
+
+let checkpoint_text ckpt =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf ckpt_header;
+  emit_checkpoint ckpt buf;
+  Buffer.contents buf
+
+let checkpoint_of_text s = Store.parse ~header:ckpt_header s read_checkpoint
 
 let checkpoint_store space kernel gpu ~n ~seed ckpt =
   Store.store cache ~counter:ckpt_stores ~header:ckpt_header

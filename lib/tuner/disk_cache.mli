@@ -113,9 +113,9 @@ val checkpoint_clear :
 
 val checkpoint_write : path:string -> checkpoint -> unit
 (** Atomically publish a checkpoint to an explicit path — the
-    partial-entry layout of the distributed sweep (per-shard [.ckpt]
-    heartbeats and finished [.part] files, whose [done_points] is
-    relative to the shard's range).  Unlike {!checkpoint_store} this
+    partial-entry layout of the distributed sweep (finished per-shard
+    [.part] files, whose [done_points] is relative to the shard's
+    range).  Unlike {!checkpoint_store} this
     is coordination state, not a cache optimization: it ignores the
     enabled/degraded latches and raises [Sys_error] (or
     {!Gat_util.Fault.Injected}, site [cache-write]) on failure so the
@@ -125,3 +125,9 @@ val checkpoint_read : string -> checkpoint option
 (** Read a checkpoint from an explicit path; [None] when absent,
     damaged, sealed with a different model version, or under an
     injected [cache-read] fault.  Never raises. *)
+
+val checkpoint_text : checkpoint -> string
+(** The file text, unsealed: a shard holder's prefix in its record. *)
+
+val checkpoint_of_text : string -> checkpoint option
+(** Inverse of {!checkpoint_text}; [None] on malformed input. *)

@@ -2,22 +2,21 @@
 
    [gat monitor DIR] is read-only: it never takes leases, never
    writes, and builds its table purely from what the shard protocol
-   already leaves on disk — lease files say who holds which shard
-   until when, telemetry snapshots say how fast each holder is moving
-   and where its latency lives, crash flight records say who died
-   screaming.  One row per (host,pid) ever seen in the directory. *)
+   already leaves on disk — each process's telemetry record says which
+   shard it holds (while the record is under one ttl old), how fast it
+   is moving and where its latency lives; crash flight records say who
+   died screaming.  One row per (host,pid) ever seen in the directory. *)
 
 open Gat_util
 
 type row = {
   host : string;
   pid : int;
-  shard : int option;  (* held shard index, from a live lease *)
+  shard : int option;  (* held shard index, from a fresh record *)
   points : int;
   rate : float;  (* points/s averaged since the process's anchor *)
   p50_ns : int;
   p99_ns : int;
-  renewal_age_s : float option;  (* seconds since last lease renewal *)
   snapshot_age_s : float;
   reclaimed : int;
   crashed : bool;
@@ -37,24 +36,6 @@ let block_hist snap =
     snap.Telemetry.histograms;
   h
 
-let shard_index_of_lease path =
-  let base = Filename.basename path in
-  match Filename.chop_suffix_opt ~suffix:".lease" base with
-  | Some stem -> (
-      match String.split_on_char '-' stem with
-      | [ "shard"; i ] -> int_of_string_opt i
-      | _ -> None)
-  | None -> None
-
-let lease_files dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | names ->
-      Array.to_list names
-      |> List.filter (fun n -> Filename.check_suffix n ".lease")
-      |> List.sort compare
-      |> List.map (Filename.concat dir)
-
 let rows ?(now = Unix.gettimeofday ()) dir =
   let ttl =
     match Shard.read_manifest dir with
@@ -71,24 +52,18 @@ let rows ?(now = Unix.gettimeofday ()) dir =
       Hashtbl.replace crashed (s.Telemetry.host, s.Telemetry.pid)
         s.Telemetry.note)
     crashes;
-  let leases =
-    List.filter_map
-      (fun path ->
-        match (Lease.read path, shard_index_of_lease path) with
-        | Some info, Some i when info.Lease.deadline > now ->
-            Some ((info.Lease.host, info.Lease.pid), (i, info.Lease.deadline))
-        | _ -> None)
-      (lease_files dir)
-  in
   let row_of snap =
     let key = (snap.Telemetry.host, snap.Telemetry.pid) in
-    let shard, renewal_age_s =
-      match List.assoc_opt key leases with
-      | Some (i, deadline) ->
-          (* Renewal publishes deadline = now + ttl, so the last
-             renewal happened at deadline - ttl. *)
-          (Some i, Some (Float.max 0. (now -. (deadline -. ttl))))
-      | None -> (None, None)
+    let age =
+      Float.max 0.
+        (now -. (Int64.to_float snap.Telemetry.captured_wall_ns /. 1e9))
+    in
+    (* The record is the holder's heartbeat: a hold whose record is
+       older than one ttl belongs to a dead holder. *)
+    let shard =
+      match snap.Telemetry.hold with
+      | Some h when age <= ttl -> Some h.Telemetry.shard
+      | _ -> None
     in
     let elapsed_s =
       Int64.to_float
@@ -105,10 +80,7 @@ let rows ?(now = Unix.gettimeofday ()) dir =
       rate = (if elapsed_s > 0. then float_of_int points /. elapsed_s else 0.);
       p50_ns = Histogram.Log.percentile_ns h 0.5;
       p99_ns = Histogram.Log.percentile_ns h 0.99;
-      renewal_age_s;
-      snapshot_age_s =
-        Float.max 0.
-          (now -. (Int64.to_float snap.Telemetry.captured_wall_ns /. 1e9));
+      snapshot_age_s = age;
       reclaimed = counter_of snap "shard.leases_reclaimed";
       crashed = Hashtbl.mem crashed key;
       crash_note =
@@ -125,11 +97,10 @@ let header =
 
 let render_row r =
   let worker = Printf.sprintf "%s:%d" r.host r.pid in
-  let shard = match r.shard with Some i -> string_of_int i | None -> "-" in
-  let renew =
-    match r.renewal_age_s with
-    | Some a -> Printf.sprintf "%.0fs" a
-    | None -> "-"
+  let shard, renew =
+    match r.shard with
+    | Some i -> (string_of_int i, Printf.sprintf "%.0fs" r.snapshot_age_s)
+    | None -> ("-", "-")
   in
   let status =
     if r.crashed then

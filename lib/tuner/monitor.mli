@@ -1,21 +1,19 @@
 (** Live fleet view over a coordination directory ([gat monitor DIR]).
 
     Read-only: the table is built purely from the files the shard
-    protocol already maintains — lease files (who holds which shard,
-    until when), telemetry snapshots ({!Gat_util.Telemetry}: points,
-    latency histograms, reclaim counts) and crash flight records.
+    protocol already maintains — telemetry records
+    ({!Gat_util.Telemetry}: held shard, points, latency histograms,
+    reclaim counts) and crash flight records.
     One row per (host,pid) ever seen in the directory. *)
 
 type row = {
   host : string;
   pid : int;
-  shard : int option;  (** Held shard index, from a live lease. *)
+  shard : int option;  (** Held shard, while its record is fresh. *)
   points : int;  (** [sweep.points] from the latest snapshot. *)
   rate : float;  (** Points/s averaged since the process's anchor. *)
   p50_ns : int;  (** Block latency (compile+simulate) median. *)
   p99_ns : int;
-  renewal_age_s : float option;
-      (** Seconds since the last lease renewal, when holding one. *)
   snapshot_age_s : float;  (** Seconds since the last telemetry flush. *)
   reclaimed : int;  (** [shard.leases_reclaimed] by this process. *)
   crashed : bool;  (** A crash flight record exists for this worker. *)

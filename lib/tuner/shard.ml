@@ -5,17 +5,17 @@
    root.  A coordinator writes the sealed manifest and then drives the
    sweep to completion; any number of workers (same machine or any
    machine sharing [GAT_CACHE_DIR]) attach to the directory, claim
-   shards through atomic lease files ({!Gat_util.Lease}) and publish
-   their finished ranges as sealed partial checkpoints.  Every piece
-   of shared state is published by atomic rename, so a SIGKILL at any
-   instant leaves either the old file or the new one — never a torn
-   read.
+   shards through write-once lease files ({!Gat_util.Lease}) and
+   publish their finished ranges as sealed partial checkpoints.  Every
+   piece of shared state is published by atomic rename, so a SIGKILL
+   at any instant leaves either the old file or the new one — never a
+   torn read.
 
-   Crash tolerance is lease-based: a holder renews its lease after
-   every completed block (the same callback that flushes the shard's
-   partial checkpoint), so a dead worker's lease expires within one
-   TTL and any observer may break it and take over — resuming from
-   the dead worker's last flushed [.ckpt] rather than from scratch.
+   Crash tolerance is lease-based: after every block a holder
+   publishes its telemetry record, which holds the shard's flushed
+   prefix and whose mtime is the lease heartbeat, so a dead worker's
+   lease expires within one TTL and any observer may break it and take
+   over — resuming from the dead worker's prefix, not from scratch.
    Breaking is advisory (two holders can briefly coexist); that is
    safe here because evaluation is deterministic per point, so
    duplicate holders publish byte-identical parts and the atomic
@@ -63,7 +63,6 @@ let manifest_file dir = Filename.concat dir "manifest"
 let done_file dir = Filename.concat dir "done"
 let lease_file dir i = Filename.concat dir (Printf.sprintf "shard-%d.lease" i)
 let part_file dir i = Filename.concat dir (Printf.sprintf "shard-%d.part" i)
-let ckpt_file dir i = Filename.concat dir (Printf.sprintf "shard-%d.ckpt" i)
 
 (* ---- planning ---- *)
 
@@ -180,45 +179,60 @@ let try_read_part dir i ~len =
   | _ -> None
   | exception Fault.Injected _ -> None
 
+(* Callers have seen no part for shard [i]. *)
 let try_claim ~dir ~ttl ~owner i =
-  if Sys.file_exists (part_file dir i) then `Part
-  else
-    let lease = lease_file dir i in
-    if Lease.break_if_expired ~ttl lease then (
-      Metrics.incr m_reclaimed;
-      Trace.instant ~args:[ ("shard", Trace.I i) ] "shard.reclaim";
-      `Reclaimed)
-    else if Lease.acquire ~path:lease ~owner ~ttl then `Claimed
-    else `Held
+  let lease = lease_file dir i in
+  if Lease.break_if_expired ~ttl lease then (
+    Metrics.incr m_reclaimed;
+    Trace.instant ~args:[ ("shard", Trace.I i) ] "shard.reclaim";
+    `Reclaimed)
+  else if Lease.acquire ~path:lease ~owner then `Claimed
+  else `Held
 
-(* Evaluate one claimed shard to completion: salvage any previous
-   holder's flushed prefix, flush our own prefix + renew the lease
-   after every block, and publish the finished range as a sealed
-   [.part].  The lease is always released on the way out — including
-   on interrupt, so the flushed [.ckpt] is immediately claimable. *)
-let eval_shard ?jobs ?retries ?max_failures ?block ~dir ~owner ~manifest:m
-    ~kernel ~gpu ~heartbeat i =
-  let first, len = m.ranges.(i) in
-  let ckpt = ckpt_file dir i in
-  let init =
-    match Disk_cache.checkpoint_read ckpt with
-    | Some c
-      when c.Disk_cache.done_points > 0 && c.Disk_cache.done_points <= len ->
-        Metrics.incr ~by:c.Disk_cache.done_points m_salvaged;
-        Some c
-    | _ -> None
+let dir_files dir =
+  match Sys.readdir dir with
+  | exception Sys_error _ -> []
+  | names -> Array.to_list names |> List.map (Filename.concat dir)
+
+(* The longest prefix of shard [i] that fits its range among the
+   foreign records holding it (header-only reads, seals checked). *)
+let salvage dir i ~len =
+  let own =
+    Telemetry.snapshot_path ~dir ~host:(Unix.gethostname ()) ~pid:(Unix.getpid ())
   in
+  List.filter (fun f -> Telemetry.is_telem_file f && f <> own) (dir_files dir)
+  |> List.filter_map (fun f ->
+         match Telemetry.read_file ~header_only:true f with
+         | Some { hold = Some h; _ } when h.shard = i ->
+             Disk_cache.checkpoint_of_text h.prefix
+         | _ -> None)
+  |> List.filter (fun c -> c.Disk_cache.done_points > 0 && c.done_points <= len)
+  |> List.sort (fun a b -> compare b.Disk_cache.done_points a.done_points)
+  |> function c :: _ -> Some c | [] -> None
+
+(* One record per process holds one shard: evaluate one at a time. *)
+let holding = Atomic.make false
+
+(* Evaluate one claimed shard to completion: salvage a previous
+   holder's prefix, publish our record with our own after every block,
+   and publish the finished range as a sealed [.part].  The lease is
+   always released on the way out — including on interrupt, so the
+   prefix in our record is immediately claimable. *)
+let eval_shard ?jobs ?retries ?max_failures ?block ~dir ~owner ~manifest:m
+    ~kernel ~gpu ~on_block i =
+  if not (Atomic.compare_and_set holding false true) then
+    invalid_arg "Shard: this process already holds a shard";
+  Fun.protect ~finally:(fun () -> Atomic.set holding false) @@ fun () ->
+  let first, len = m.ranges.(i) in
+  let init = salvage dir i ~len in
+  Option.iter (fun c -> Metrics.incr ~by:c.Disk_cache.done_points m_salvaged) init;
   let lease = lease_file dir i in
   let flush c =
-    (try Disk_cache.checkpoint_write ~path:ckpt c
-     with Sys_error _ | Fault.Injected _ -> ());
-    if not (Lease.renew ~path:lease ~owner ~ttl:m.ttl) then
-      raise (Lease_lost i);
-    (* Same cadence as lease renewal: a live lease implies a fresh
-       telemetry snapshot, so a holder's last flushed counters and
-       ring buffers survive a SIGKILL just like its .ckpt prefix. *)
-    Telemetry.flush ();
-    heartbeat ~done_:c.Disk_cache.done_points
+    let hold =
+      { Telemetry.shard = i; owner; prefix = Disk_cache.checkpoint_text c }
+    in
+    if not (Lease.heartbeat ~path:lease hold) then raise (Lease_lost i);
+    on_block ~done_:c.Disk_cache.done_points
       ~failures:(List.length c.Disk_cache.failures)
   in
   try
@@ -229,7 +243,6 @@ let eval_shard ?jobs ?retries ?max_failures ?block ~dir ~owner ~manifest:m
             ~len kernel gpu ~n:m.n ~seed:m.seed)
     in
     Disk_cache.checkpoint_write ~path:(part_file dir i) part;
-    (try Sys.remove ckpt with Sys_error _ -> ());
     Lease.release ~path:lease ~owner;
     Metrics.incr m_completed
   with e ->
@@ -243,16 +256,15 @@ let publish_done dir =
   Sealed_file.seal buf;
   try Sealed_file.publish ~path:(done_file dir) buf with Sys_error _ -> ()
 
-let live_foreign_leases ~dir ~owner k =
-  let now = Unix.gettimeofday () in
-  let count = ref 0 in
-  for i = 0 to k - 1 do
-    match Lease.read (lease_file dir i) with
-    | Some info when info.Lease.owner <> owner && info.Lease.deadline > now ->
-        incr count
-    | _ -> ()
-  done;
-  !count
+(* Live leases under [dir] not held by [owner]. *)
+let live_leases ?(owner = "") ~ttl dir =
+  List.length
+    (List.filter
+       (fun f ->
+         Filename.check_suffix f ".lease"
+         && (match Lease.read f with Some i -> i.Lease.owner <> owner | None -> true)
+         && Lease.live ~ttl f)
+       (dir_files dir))
 
 (* ---- coordinator ---- *)
 
@@ -352,7 +364,7 @@ let coordinate ?jobs ?retries ?max_failures ?block ?(shard_retries = 5)
                 + sum (function
                     | Some c -> List.length c.Disk_cache.failures
                     | None -> 0))
-              ~workers:(live_foreign_leases ~dir ~owner k)
+              ~workers:(live_leases ~owner ~ttl:m.ttl dir)
               ~reclaimed:!reclaimed
       in
       (* Capped exponential backoff per shard; a shard that keeps
@@ -393,7 +405,7 @@ let coordinate ?jobs ?retries ?max_failures ?block ?(shard_retries = 5)
                   bump i)
             else if Unix.gettimeofday () >= next_try.(i) then (
               match try_claim ~dir ~ttl:m.ttl ~owner i with
-              | `Part | `Held -> ()
+              | `Held -> ()
               | `Reclaimed ->
                   incr reclaimed;
                   log (Printf.sprintf "shard %d: reclaimed expired lease" i);
@@ -404,14 +416,14 @@ let coordinate ?jobs ?retries ?max_failures ?block ?(shard_retries = 5)
                   made_progress := true;
                   local_done := 0;
                   local_failures := 0;
-                  let heartbeat ~done_ ~failures =
+                  let on_block ~done_ ~failures =
                     local_done := done_;
                     local_failures := failures;
                     report_progress ()
                   in
                   match
                     eval_shard ?jobs ?retries ?max_failures ?block ~dir
-                      ~owner ~manifest:m ~kernel ~gpu ~heartbeat i
+                      ~owner ~manifest:m ~kernel ~gpu ~on_block i
                   with
                   | () ->
                       local_done := 0;
@@ -453,20 +465,13 @@ let coordinate ?jobs ?retries ?max_failures ?block ?(shard_retries = 5)
       Telemetry.flush ();
       let snaps, skipped = Telemetry.load_dir ~header_only:true dir in
       Telemetry.absorb_foreign snaps;
-      if skipped > 0 then
-        log (Printf.sprintf "%d corrupt telemetry snapshot(s) skipped" skipped);
+      let crashes, bad = Telemetry.load_crashes ~header_only:true dir in
+      if skipped + bad > 0 then
+        log (Printf.sprintf "%d corrupt telemetry snapshot(s) skipped" (skipped + bad));
       List.iter
-        (fun path ->
-          let who =
-            match Telemetry.read_file ~header_only:true path with
-            | Some s when s.Telemetry.note <> "" ->
-                Printf.sprintf "%s:%d: %s" s.Telemetry.host s.Telemetry.pid
-                  s.Telemetry.note
-            | Some s -> Printf.sprintf "%s:%d" s.Telemetry.host s.Telemetry.pid
-            | None -> "unreadable"
-          in
-          log (Printf.sprintf "crash flight record %s (%s)" path who))
-        (Telemetry.crash_files dir);
+        (fun (c : Telemetry.snapshot) ->
+          log (Printf.sprintf "crash flight record of %s:%d: %s" c.host c.pid c.note))
+        crashes;
       report
 
 (* ---- worker ---- *)
@@ -476,7 +481,7 @@ type worker_report = { shards : int; points : int; stale : bool }
 let work ?jobs ?retries ?block ?progress ~dir m ~kernel ~gpu () =
   Telemetry.enable ~dir;
   (* Attach snapshot: a worker SIGKILLed before its first block
-     renewal still left one flushed snapshot for the fleet merge. *)
+     still left one flushed snapshot for the fleet merge. *)
   Telemetry.flush ();
   let owner = Lease.make_owner () in
   let k = Array.length m.ranges in
@@ -499,20 +504,19 @@ let work ?jobs ?retries ?block ?progress ~dir m ~kernel ~gpu () =
           incr remaining;
           if not !claimed then
             match try_claim ~dir ~ttl:m.ttl ~owner i with
-            | `Part | `Held -> ()
-            | `Reclaimed -> ()
+            | `Held | `Reclaimed -> ()
             | `Claimed -> (
                 claimed := true;
                 Metrics.incr m_claimed;
                 let _, len = m.ranges.(i) in
-                let heartbeat ~done_ ~failures =
+                let on_block ~done_ ~failures =
                   match progress with
                   | Some f -> f ~shard:i ~done_ ~total:len ~failures
                   | None -> ()
                 in
                 match
                   eval_shard ?jobs ?retries ?block ~dir ~owner ~manifest:m
-                    ~kernel ~gpu ~heartbeat i
+                    ~kernel ~gpu ~on_block i
                 with
                 | () ->
                     incr shards_done;
@@ -536,19 +540,9 @@ let shard_dirs () =
       |> List.map (Filename.concat root)
       |> List.filter Sys.is_directory
 
-let dir_files dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> []
-  | names -> Array.to_list names |> List.map (Filename.concat dir)
-
 let live_lease_count dir =
-  let ttl =
-    match read_manifest dir with Some m -> m.ttl | None -> default_ttl
-  in
-  List.length
-    (List.filter
-       (fun f -> Filename.check_suffix f ".lease" && Lease.live ~ttl f)
-       (dir_files dir))
+  live_leases dir
+    ~ttl:(match read_manifest dir with Some m -> m.ttl | None -> default_ttl)
 
 let gc_candidates () =
   List.concat_map

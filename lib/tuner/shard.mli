@@ -6,24 +6,27 @@
     ([gat sweep --shards K]) writes the sealed manifest, supervises
     shards to completion and merges the parts; {e workers}
     ([gat sweep-worker DIR]) — any process on any machine sharing
-    [GAT_CACHE_DIR] — claim shards through atomic lease files and
+    [GAT_CACHE_DIR] — claim shards through write-once lease files and
     publish finished ranges as sealed partial checkpoints.
 
     Directory layout ([DESIGN.md] §5.9):
     {v
-    manifest         sealed: kernel/gpu/n/seed/ttl, space axes, ranges
-    shard-<i>.lease  Gat_util.Lease — who owns shard i, until when
-    shard-<i>.ckpt   flushed prefix of an in-flight shard (heartbeat)
-    shard-<i>.part   finished shard — a range-relative checkpoint
-    done             coordinator finished; workers exit 0
+    manifest           sealed: kernel/gpu/n/seed/ttl, space axes, ranges
+    shard-<i>.lease    Gat_util.Lease — who claimed shard i (written once)
+    shard-<i>.part     finished shard — a range-relative checkpoint
+    <host>.<pid>.telem Gat_util.Telemetry record: held shard, its prefix;
+                       its mtime is the lease heartbeat
+    done               coordinator finished; workers exit 0
     v}
 
     Invariants:
-    - every shared file is published by atomic rename and MD5-sealed,
-      so SIGKILL at any instant leaves whole files or nothing;
-    - the lease is renewed by the same per-block callback that flushes
-      the [.ckpt], so a live lease implies fresh progress and a dead
-      worker is detected within one TTL;
+    - every shared file is published by atomic rename (or [O_EXCL])
+      and MD5-sealed, so SIGKILL at any instant leaves whole files;
+    - a holder's one per-block write is its record, carrying both the
+      flushed prefix and the heartbeat, so a live lease implies fresh
+      progress and a dead worker is detected within one TTL;
+    - a process holds one shard at a time (a second concurrent hold
+      raises [Invalid_argument]), so one record per process suffices;
     - evaluation is deterministic per point, so a reclaimed shard —
       even one briefly evaluated by two holders — publishes a
       byte-identical part, and the merged report equals the
@@ -49,9 +52,9 @@ val default_ttl : float
     the observer-side assumption when a manifest is unreadable. *)
 
 exception Lease_lost of int
-(** Raised inside a shard evaluation when the per-block lease renewal
-    discovers the lease was broken and taken by someone else; the
-    holder abandons the shard (its flushed prefix survives for the new
+(** Raised inside a shard evaluation when the per-block heartbeat
+    finds the lease file gone or naming another owner; the holder
+    abandons the shard (the prefix in its record survives for the new
     holder to salvage). *)
 
 val default_dir :
@@ -124,10 +127,10 @@ val coordinate :
 
     Observability: the coordination runs a {!Gat_util.Telemetry}
     session in [dir] — every holder (this process and each worker)
-    republishes its sealed [<host>.<pid>.telem] snapshot on the same
-    per-block cadence as lease renewal; after the merge the
-    coordinator folds every worker's counters and histograms into the
-    live registries so the final [gat stats] is fleet-wide.  [log]
+    republishes its sealed [<host>.<pid>.telem] record after every
+    block and on exit; after the merge the coordinator folds every
+    worker's counters and histograms into the live registries so the
+    final [gat stats] is fleet-wide.  [log]
     (default: drop) receives one line per reclaimed lease, per
     skipped corrupt snapshot, and per crash flight record found in
     the directory.
@@ -164,8 +167,8 @@ val work :
 (** {1 Maintenance} — [gat cache stats] / [gc] / [clear].
 
     Shard directories holding at least one live lease are {e pinned}:
-    their lease files, in-flight partial checkpoints, telemetry
-    snapshots and crash flight records are all invisible to
+    their lease files, parts, telemetry records (with the in-flight
+    prefixes they hold) and crash flight records are all invisible to
     {!gc_candidates}, so [gat cache gc] never yanks state — or
     evidence — from under a running coordination.  Directories with
     no live lease (finished or crashed-and-expired runs) are

@@ -147,8 +147,8 @@ val sweep_range :
     uninterrupted {!sweep_report} byte for byte.
 
     [flush] is invoked after every completed block with the checkpoint
-    of the range prefix evaluated so far (the shard layer persists it
-    and renews its lease there); [init] resumes from such a prefix.
+    of the range prefix evaluated so far (the shard layer publishes it
+    as its lease heartbeat); [init] resumes from such a prefix.
     Neither consults the sweep caches — range results are coordination
     state owned by the caller.
     @raise Invalid_argument when the range falls outside the space.

@@ -23,7 +23,7 @@
     evaluation), [cache-read] and [cache-write] (the persistent sweep
     cache and checkpoints), [artifact-read] / [artifact-write] (the
     stage artifact store), and the distributed-sweep sites
-    [lease-acquire], [lease-renew] ({!Lease}) and [shard-merge]
+    [lease-acquire], [lease-renew] ({!Lease} heartbeats) and [shard-merge]
     (validation of per-shard partial results at merge).  Sites are
     plain strings, so new call sites need no registration here. *)
 

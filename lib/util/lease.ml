@@ -1,34 +1,34 @@
 (* Atomic filesystem leases for multi-process coordination.
 
-   A lease is a small MD5-sealed file created with O_EXCL, so exactly
-   one process can hold it however many race for the create: the
-   filesystem is the arbiter, and it works on any shared directory
+   A lease is a small MD5-sealed file created once with O_EXCL, so
+   exactly one process can hold it however many race for the create:
+   the filesystem is the arbiter, and it works on any shared directory
    (including one mounted from several machines).  The body names the
-   owner (host, pid, a per-acquisition token) and carries an absolute
-   expiry deadline; holders renew the deadline as a heartbeat, and
-   anyone observing an expired lease may break it and take over.
+   owner (host, pid, a per-acquisition token).  The heartbeat is the
+   holder's telemetry record next to it, republished after every block
+   anyway; anyone observing a lapsed heartbeat may break the lease and
+   take over.
 
-   Clock model: deadlines are wall-clock ([Unix.gettimeofday]) because
-   they must be meaningful across processes and machines; a lease TTL
-   should therefore be generous (seconds, not milliseconds) relative
-   to plausible clock skew.  Breaking a lease is advisory — between
-   the expiry check and the [unlink] another process may have broken
-   and re-acquired it, in which case two holders can briefly coexist.
-   Coordination layers built on leases must therefore tolerate
-   duplicate work; the sweep sharding layer does, because duplicate
-   shard evaluations produce byte-identical parts. *)
+   Clock model: a heartbeat is a file mtime compared against this
+   process's wall clock, so a lease TTL should be generous (seconds,
+   not milliseconds) relative to plausible clock skew.  Breaking a
+   lease is advisory — between the expiry check and the [unlink]
+   another process may have broken and re-acquired it, in which case
+   two holders can briefly coexist.  Coordination layers built on
+   leases must therefore tolerate duplicate work; the sweep sharding
+   layer does, because duplicate shard evaluations produce
+   byte-identical parts. *)
 
-let magic = "gat-lease 1"
+let magic = "gat-lease 2"
 
 let m_acquired = Metrics.counter "lease.acquired"
 let m_acquire_lost = Metrics.counter "lease.acquire_lost"
-let m_renewals = Metrics.counter "lease.renewals"
 let m_renew_soft = Metrics.counter "lease.renew_soft_failures"
 let m_lost = Metrics.counter "lease.lost"
 let m_released = Metrics.counter "lease.released"
 let m_broken = Metrics.counter "lease.broken"
 
-type info = { owner : string; pid : int; host : string; deadline : float }
+type info = { owner : string; pid : int; host : string }
 
 let now () = Unix.gettimeofday ()
 let hostname () = try Unix.gethostname () with Unix.Unix_error _ -> "unknown"
@@ -39,37 +39,25 @@ let make_owner () =
      from a recycled pid. *)
   Printf.sprintf "%s:%d:%Lx" (hostname ()) (Unix.getpid ()) (Metrics.now_ns ())
 
-let body ~owner ~pid ~host ~deadline =
+let body ~owner =
   let buf = Buffer.create 160 in
   Buffer.add_string buf magic;
   Buffer.add_char buf '\n';
-  Printf.bprintf buf "owner %s\npid %d\nhost %s\ndeadline %h\n" owner pid host
-    deadline;
+  Printf.bprintf buf "owner %s\npid %d\nhost %s\n" owner (Unix.getpid ())
+    (hostname ());
   Sealed_file.seal buf;
   buf
 
-let strip prefix line =
-  let p = String.length prefix in
-  if String.length line > p && String.equal (String.sub line 0 p) prefix then
-    String.sub line p (String.length line - p)
-  else raise Exit
-
 let parse payload =
-  match String.split_on_char '\n' payload with
-  | m :: o :: p :: h :: d :: _ when String.equal m magic -> (
-      try
-        let owner = strip "owner " o in
-        let pid = int_of_string (strip "pid " p) in
-        let host = strip "host " h in
-        (* [%h] output round-trips exactly through [float_of_string]. *)
-        let deadline = float_of_string (strip "deadline " d) in
-        Some { owner; pid; host; deadline }
-      with Exit | Failure _ -> None)
-  | _ -> None
+  try
+    Scanf.sscanf payload "%s@\nowner %s@\npid %d\nhost %s@\n%!"
+      (fun m owner pid host ->
+        if String.equal m magic then Some { owner; pid; host } else None)
+  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
 
 let read path = Option.bind (Sealed_file.read path) parse
 
-let acquire ~path ~owner ~ttl =
+let acquire ~path ~owner =
   Cache_dir.ensure (Filename.dirname path);
   match
     Fault.inject ~site:"lease-acquire" ~key:(Filename.basename path);
@@ -87,10 +75,7 @@ let acquire ~path ~owner ~ttl =
       Metrics.incr m_acquire_lost;
       false
   | fd ->
-      let buf = body ~owner ~pid:(Unix.getpid ()) ~host:(hostname ())
-          ~deadline:(now () +. ttl)
-      in
-      let s = Buffer.contents buf in
+      let s = Buffer.contents (body ~owner) in
       (try
          let pos = ref 0 in
          while !pos < String.length s do
@@ -101,23 +86,19 @@ let acquire ~path ~owner ~ttl =
       Metrics.incr m_acquired;
       true
 
-let renew ~path ~owner ~ttl =
+let heartbeat ~path (hold : Telemetry.hold) =
   match read path with
-  | Some i when String.equal i.owner owner -> (
-      let buf = body ~owner ~pid:i.pid ~host:i.host ~deadline:(now () +. ttl) in
-      match
-        Fault.inject ~site:"lease-renew" ~key:(Filename.basename path);
-        Sealed_file.publish ~path buf
-      with
-      | () ->
-          Metrics.incr m_renewals;
-          true
-      | exception (Sys_error _ | Fault.Injected _) ->
-          (* Soft failure: still the owner, the old deadline stands.
+  | Some i when String.equal i.owner hold.owner ->
+      (match
+         Fault.inject ~site:"lease-renew" ~key:(Filename.basename path)
+       with
+      | () -> Telemetry.flush ~hold ()
+      | exception Fault.Injected _ ->
+          (* Soft failure: still the owner, the old heartbeat stands.
              The holder keeps working; it only loses the lease if the
-             deadline actually lapses and someone breaks it. *)
-          Metrics.incr m_renew_soft;
-          true)
+             heartbeat actually lapses and someone breaks it. *)
+          Metrics.incr m_renew_soft);
+      true
   | Some _ | None ->
       (* Someone else owns it, it was broken, or the body is torn by a
          racing acquire: either way this holder must stand down. *)
@@ -133,16 +114,23 @@ let release ~path ~owner =
       with Sys_error _ -> ())
   | Some _ | None -> ()
 
+let mtime path =
+  match Unix.stat path with
+  | st -> st.Unix.st_mtime
+  | exception Unix.Unix_error _ -> Float.neg_infinity
+
 let live ~ttl path =
-  match read path with
-  | Some i -> i.deadline > now ()
-  | None -> (
-      (* Unreadable but present: possibly a racing acquire mid-write.
-         Grant it a grace of one TTL from its mtime before declaring
-         it dead, so a torn write is never broken instantly. *)
-      match Unix.stat path with
-      | exception Unix.Unix_error _ -> false
-      | st -> st.Unix.st_mtime +. ttl > now ())
+  (* An unreadable body — possibly a racing acquire mid-write — has
+     only its own mtime: a torn write gets one TTL of grace. *)
+  let beat =
+    match read path with
+    | Some i ->
+        mtime
+          (Telemetry.snapshot_path ~dir:(Filename.dirname path) ~host:i.host
+             ~pid:i.pid)
+    | None -> Float.neg_infinity
+  in
+  Float.max (mtime path) beat +. ttl > now ()
 
 let break_if_expired ~ttl path =
   if Sys.file_exists path && not (live ~ttl path) then

@@ -291,25 +291,25 @@ let counted cur tag =
 
 (* ---- entries ---- *)
 
-let load t ~header path parse =
+let parse ~header s p =
+  let pos = String.length header in
+  let cur = { s; pos; stop = pos } in
+  match if String.starts_with ~prefix:header s then p cur else bad () with
+  | v when cur.pos = String.length s -> Some v
+  | _ | exception _ -> None
+
+let load t ~header path p =
   let file = Filename.basename path in
   Trace.span t.read_span ~args:[ ("file", Trace.S file) ] @@ fun () ->
   Metrics.observe_timed t.h_read @@ fun () ->
   Fault.inject ~site:t.read_site ~key:file;
   let raw = Sealed_file.read_raw path in
   Metrics.incr ~by:(String.length raw) t.bytes_read;
-  match Sealed_file.unseal raw with
-  | Some s when String.starts_with ~prefix:header s ->
-      let pos = String.length header in
-      let cur = { s; pos; stop = pos } in
-      let v = parse cur in
-      if cur.pos <> String.length s then bad ();
-      v
-  | _ -> bad ()
+  Option.bind (Sealed_file.unseal raw) (fun s -> parse ~header s p)
 
-let read t ~header path parse =
+let read t ~header path p =
   if not (Sys.file_exists path) then None
-  else match load t ~header path parse with v -> Some v | exception _ -> None
+  else try load t ~header path p with _ -> None
 
 let find t ?stage ~header path parse =
   if not (enabled t) then None

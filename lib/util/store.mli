@@ -123,6 +123,9 @@ val read : t -> header:string -> string -> (cursor -> 'a) -> 'a option
 (** {!find} without the switch or the hit/miss counters: [None] when
     absent or damaged. *)
 
+val parse : header:string -> string -> (cursor -> 'a) -> 'a option
+(** {!read} of an unsealed payload held in memory. *)
+
 val write : t -> header:string -> string -> (Buffer.t -> unit) -> unit
 (** {!store} without the switch, the latch or the store counter: raises
     [Sys_error] or {!Fault.Injected} so the caller applies its own

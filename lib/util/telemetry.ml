@@ -3,19 +3,20 @@
    A sharded sweep is many processes on many machines; each one's
    trace buffers, counters and latency histograms die with it unless
    they are made durable.  This module gives every coordinator/worker
-   a single sealed, atomically-renamed snapshot file
-   ([<host>.<pid>.telem]) in the coordination directory, refreshed on
-   the same per-block cadence as lease renewal and on every exit
-   path — so a SIGKILLed worker's last flushed snapshot survives its
-   death exactly like its [.ckpt] prefix does.  The crash flight
-   recorder is the same payload under a [.crash] name, written from
-   the fatal-error and fatal-signal paths.
+   a single sealed, atomically-renamed record ([<host>.<pid>.telem])
+   in the coordination directory, refreshed after every block (with
+   the held shard's prefix; its mtime is the lease heartbeat) and on
+   every exit path — so a SIGKILLed worker's last flush survives its
+   death.  The crash flight recorder is the same payload under a
+   [.crash] name, written from the fatal-error and fatal-signal
+   paths.
 
    The payload is line-oriented text inside the standard
    {!Sealed_file} envelope: a header (host, pid, the monotonic→wall
    epoch anchor, dropped-event count, an optional crash note),
    then tagged lines — [counter NAME V], [timer NAME EVENTS NS],
-   [hist NAME <sparse buckets>] — and finally [events N] and the raw
+   [hist NAME <sparse buckets>], [hold SHARD OWNER BYTES] and that many
+   bytes of prefix — and finally [events N] and the raw
    trace events, one JSON object per line ({!Trace.serialize_events}),
    in flush batches: each flush serializes only what was recorded
    since the previous one and appends it to the lines it kept.  A
@@ -36,6 +37,8 @@ let m_skipped = Metrics.counter "telem.snapshots_skipped"
 let m_crashes = Metrics.counter "telem.crashes"
 let m_bytes = Metrics.counter "telem.bytes_written"
 
+type hold = { shard : int; owner : string; prefix : string }
+
 type snapshot = {
   host : string;
   pid : int;
@@ -47,6 +50,7 @@ type snapshot = {
   counters : (string * int) list;
   timers : (string * int * int) list;  (* name, events, total ns *)
   histograms : (string * Histogram.Log.t) list;
+  hold : hold option;
   events : Trace.event list;
 }
 
@@ -127,7 +131,7 @@ let dir () = Option.map (fun s -> s.dir) (active ())
 
 (* Everything but the events, which {!publish} serializes
    incrementally. *)
-let capture_header ~note s =
+let capture_header ~note ~hold s =
   {
     host = s.s_host;
     pid = s.s_pid;
@@ -145,6 +149,7 @@ let capture_header ~note s =
           (name, events, int_of_float (seconds *. 1e9)))
         (Metrics.timers_snapshot ());
     histograms = Metrics.histograms_snapshot ();
+    hold;
     events = [];
   }
 
@@ -176,7 +181,12 @@ let add_header b snap =
     snap.timers;
   List.iter
     (fun (name, h) -> add_line b "hist %s %s" name (Histogram.Log.serialize h))
-    snap.histograms
+    snap.histograms;
+  Option.iter
+    (fun h ->
+      add_line b "hold %d %s %d" h.shard h.owner (String.length h.prefix);
+      Buffer.add_string b h.prefix)
+    snap.hold
 
 let to_payload snap =
   let b = Buffer.create 4096 in
@@ -209,6 +219,7 @@ let of_payload ?(header_only = false) body =
       let captured = ref None in
       let dropped = ref 0 and note = ref "" in
       let counters = ref [] and timers = ref [] and hists = ref [] in
+      let hold = ref None in
       let events = ref [] in
       try
         let rec go pos =
@@ -256,6 +267,15 @@ let of_payload ?(header_only = false) body =
                       hists := (name, h) :: !hists;
                       go pos
                   | None -> raise Exit)
+              | "hold" -> (
+                  match String.split_on_char ' ' rest with
+                  | [ shard; owner; n ] ->
+                      let n = int_of_string n in
+                      if n < 0 || pos + n > len then raise Exit;
+                      let prefix = String.sub body pos n in
+                      hold := Some { shard = int_of_string shard; owner; prefix };
+                      go (pos + n)
+                  | _ -> raise Exit)
               | "events" -> (
                   (* The last header line: the event lines run to the
                      end of the payload. *)
@@ -285,6 +305,7 @@ let of_payload ?(header_only = false) body =
                 counters = List.rev !counters;
                 timers = List.rev !timers;
                 histograms = List.rev !hists;
+                hold = !hold;
                 events = !events;
               }
         | _ -> None
@@ -306,7 +327,7 @@ let is_crash_file name = Filename.check_suffix name ".crash"
    publish, append them to its kept lines, and publish header + all
    lines.  Telemetry must never take a sweep down: I/O failure is
    swallowed and reported as [false]. *)
-let publish s ~note path =
+let publish s ~note ?hold path =
   let kind, evs, cursor = Trace.events_since s.lines.cursor in
   let prev = match kind with `Cleared -> no_lines | `Appended -> s.lines in
   let lines =
@@ -320,11 +341,12 @@ let publish s ~note path =
   in
   s.lines <- lines;
   let chunks = List.rev lines.chunks in
+  let held = match hold with Some h -> String.length h.prefix | None -> 0 in
   let b =
     Buffer.create
-      (List.fold_left (fun n c -> n + String.length c) 16_384 chunks)
+      (List.fold_left (fun n c -> n + String.length c) (16_384 + held) chunks)
   in
-  add_header b (capture_header ~note s);
+  add_header b (capture_header ~note ~hold s);
   add_line b "events %d" lines.count;
   List.iter (Buffer.add_string b) chunks;
   Sealed_file.seal b;
@@ -334,12 +356,12 @@ let publish s ~note path =
       true
   | exception (Sys_error _ | Unix.Unix_error _) -> false
 
-let flush () =
+let flush ?hold () =
   match active () with
   | None -> ()
   | Some s ->
       if
-        publish s ~note:""
+        publish s ~note:"" ?hold
           (snapshot_path ~dir:s.dir ~host:s.s_host ~pid:s.s_pid)
       then Metrics.incr m_flushes
 
@@ -390,13 +412,6 @@ let load_matching ?header_only pred d =
 
 let load_dir ?header_only d = load_matching ?header_only is_telem_file d
 let load_crashes ?header_only d = load_matching ?header_only is_crash_file d
-
-let crash_files d =
-  match Sys.readdir d with
-  | exception Sys_error _ -> []
-  | names ->
-      Array.to_list names |> List.filter is_crash_file |> List.sort compare
-      |> List.map (Filename.concat d)
 
 (* One snapshot per (host,pid): a process can leave both a periodic
    [.telem] and a [.crash] with overlapping ring buffers, and both are

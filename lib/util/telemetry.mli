@@ -1,12 +1,13 @@
 (** Fleet telemetry snapshots: durable, mergeable per-process
     observability for sharded sweeps.
 
-    Every coordinator/worker periodically publishes one MD5-sealed,
-    atomically-renamed snapshot file ([<host>.<pid>.telem]) into the
-    coordination directory — on the same per-block cadence as lease
-    renewal, plus on every exit path — carrying its counters, timers,
-    log-bucketed latency histograms, trace ring buffers and a
-    monotonic→wall epoch anchor.  The crash flight recorder writes
+    Every coordinator/worker publishes one MD5-sealed,
+    atomically-renamed record ([<host>.<pid>.telem]) into the
+    coordination directory — after every block, plus on every exit
+    path — carrying its counters, timers, log-bucketed latency
+    histograms, trace ring buffers and a monotonic→wall epoch anchor.
+    While it holds a shard the record carries a {!hold}, and its mtime
+    is the lease heartbeat ({!Lease}).  The crash flight recorder writes
     the same payload to [<host>.<pid>.crash] from the fatal-error and
     fatal-signal paths.  Readers skip-and-count corrupt or truncated
     snapshots ([telem.snapshots_skipped]); a SIGKILLed worker's last
@@ -15,15 +16,21 @@
     A flush costs what was recorded since the previous one: the
     session keeps its serialized event lines, appends only the events
     {!Trace.events_since} reports as new, and writes them after the
-    header lines.  Event lines therefore come in flush batches, each
-    sorted by time, not in one global time sort; {!Trace.render_merged}
-    sorts on merge.  Counter-only readers ([gat monitor], the
+    header lines ([hold] last).  Event lines therefore come in flush
+    batches, each sorted by time, not in one global time sort;
+    {!Trace.render_merged} sorts on merge.  Counter-only readers ([gat monitor], the
     coordinator's epilogue) read snapshots header-only: the seal is
     still checked, and parsing stops at the [events] line.
 
     Metrics: [telem.flushes], [telem.snapshots_skipped],
     [telem.crashes], [telem.bytes_written] (bytes of every published
     snapshot and crash record). *)
+
+type hold = {
+  shard : int;
+  owner : string;  (** The holder's lease owner token (no spaces). *)
+  prefix : string;  (** The flushed prefix, as checkpoint text. *)
+}
 
 type snapshot = {
   host : string;
@@ -41,6 +48,7 @@ type snapshot = {
   counters : (string * int) list;
   timers : (string * int * int) list;  (** (name, events, total ns). *)
   histograms : (string * Histogram.Log.t) list;
+  hold : hold option;
   events : Trace.event list;
 }
 
@@ -60,13 +68,13 @@ val disable : unit -> unit
 val dir : unit -> string option
 (** The active session's directory, if any. *)
 
-val flush : unit -> unit
-(** Capture and atomically publish [<host>.<pid>.telem] into the
-    session directory.  Serializes only the events recorded since the
-    session's previous publish (a {!Trace.clear} in between restarts
-    the kept lines).  No-op without a session; swallows I/O errors
-    (telemetry never takes a sweep down).  Called on the same
-    per-block cadence as lease renewal. *)
+val flush : ?hold:hold -> unit -> unit
+(** Capture and atomically publish [<host>.<pid>.telem] (with [hold],
+    if any) into the session directory.  Serializes only the events
+    recorded since the session's previous publish (a {!Trace.clear} in
+    between restarts the kept lines).  No-op without a session;
+    swallows I/O errors (telemetry never takes a sweep down).  Shard
+    holders publish through {!Lease.heartbeat}. *)
 
 val crash_dump : reason:string -> unit
 (** Capture and publish [<host>.<pid>.crash] with [reason] as the
@@ -107,9 +115,6 @@ val load_dir : ?header_only:bool -> string -> snapshot list * int
 
 val load_crashes : ?header_only:bool -> string -> snapshot list * int
 (** Same for [.crash] flight records. *)
-
-val crash_files : string -> string list
-(** Paths of crash records under a directory, sorted. *)
 
 val dedupe : snapshot list -> snapshot list
 (** One snapshot per (host,pid) — the latest capture wins: the larger

@@ -15,6 +15,7 @@ module Variant = Gat_tuner.Variant
 module Space = Gat_tuner.Space
 module Params = Gat_compiler.Params
 module Lease = Gat_util.Lease
+module Telemetry = Gat_util.Telemetry
 module Fault = Gat_util.Fault
 module Error = Gat_util.Error
 
@@ -97,25 +98,46 @@ let golden () =
 
 (* ---- leases ---- *)
 
+(* The holder record is this process's telemetry record in the lease's
+   directory; a heartbeat publishes it. *)
+let hold owner = { Telemetry.shard = 0; owner; prefix = "" }
+
+let with_session dir f =
+  Telemetry.enable ~dir;
+  Fun.protect ~finally:Telemetry.disable f
+
+let record_in dir =
+  Telemetry.snapshot_path ~dir ~host:(Unix.gethostname ()) ~pid:(Unix.getpid ())
+
+let backdate path secs =
+  let t = Unix.gettimeofday () -. secs in
+  Unix.utimes path t t
+
 let test_lease_roundtrip () =
   reset ();
-  let path = Filename.concat (fresh_dir ()) "l.lease" in
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "l.lease" in
   let owner = Lease.make_owner () in
-  Alcotest.(check bool) "acquired" true (Lease.acquire ~path ~owner ~ttl:30.0);
+  Alcotest.(check bool) "acquired" true (Lease.acquire ~path ~owner);
   (match Lease.read path with
   | Some i ->
       Alcotest.(check string) "owner" owner i.Lease.owner;
       Alcotest.(check int) "pid" (Unix.getpid ()) i.Lease.pid;
-      Alcotest.(check bool) "deadline ahead" true
-        (i.Lease.deadline > Unix.gettimeofday ())
+      Alcotest.(check string) "host" (Unix.gethostname ()) i.Lease.host
   | None -> Alcotest.fail "lease body unreadable");
   Alcotest.(check bool) "second acquire loses" false
-    (Lease.acquire ~path ~owner:(Lease.make_owner ()) ~ttl:30.0);
+    (Lease.acquire ~path ~owner:(Lease.make_owner ()));
   Alcotest.(check bool) "live" true (Lease.live ~ttl:30.0 path);
-  Alcotest.(check bool) "holder renews" true
-    (Lease.renew ~path ~owner ~ttl:30.0);
-  Alcotest.(check bool) "foreign renew refused" false
-    (Lease.renew ~path ~owner:"someone-else" ~ttl:30.0);
+  with_session dir (fun () ->
+      Alcotest.(check bool) "holder heartbeat" true
+        (Lease.heartbeat ~path (hold owner));
+      (match Telemetry.read_file ~header_only:true (record_in dir) with
+      | Some { Telemetry.hold = Some h; _ } ->
+          Alcotest.(check string) "record names the holder" owner
+            h.Telemetry.owner
+      | _ -> Alcotest.fail "heartbeat left no holder record");
+      Alcotest.(check bool) "foreign heartbeat refused" false
+        (Lease.heartbeat ~path (hold "someone-else")));
   Lease.release ~path ~owner:"someone-else";
   Alcotest.(check bool) "foreign release is a no-op" true
     (Sys.file_exists path);
@@ -126,18 +148,37 @@ let test_lease_expiry_takeover () =
   reset ();
   let path = Filename.concat (fresh_dir ()) "l.lease" in
   let owner = Lease.make_owner () in
-  Alcotest.(check bool) "acquired" true (Lease.acquire ~path ~owner ~ttl:0.05);
+  Alcotest.(check bool) "acquired" true (Lease.acquire ~path ~owner);
   Unix.sleepf 0.1;
+  (* No heartbeat since the claim: the claim's own mtime lapses. *)
   Alcotest.(check bool) "expired" false (Lease.live ~ttl:0.05 path);
   Alcotest.(check bool) "broken" true (Lease.break_if_expired ~ttl:0.05 path);
   Alcotest.(check bool) "gone" false (Sys.file_exists path);
   Alcotest.(check bool) "absent lease not broken twice" false
     (Lease.break_if_expired ~ttl:0.05 path);
   let other = Lease.make_owner () in
-  Alcotest.(check bool) "takeover" true
-    (Lease.acquire ~path ~owner:other ~ttl:30.0);
-  Alcotest.(check bool) "dead owner renew refused" false
-    (Lease.renew ~path ~owner ~ttl:30.0)
+  Alcotest.(check bool) "takeover" true (Lease.acquire ~path ~owner:other);
+  Alcotest.(check bool) "dead owner heartbeat refused" false
+    (Lease.heartbeat ~path (hold owner))
+
+(* The lease file is written once; its holder record's mtime is what
+   keeps it alive after the claim, and what lets it die. *)
+let test_lease_record_heartbeat () =
+  reset ();
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "l.lease" in
+  let owner = Lease.make_owner () in
+  Alcotest.(check bool) "acquired" true (Lease.acquire ~path ~owner);
+  with_session dir (fun () ->
+      Alcotest.(check bool) "heartbeat" true (Lease.heartbeat ~path (hold owner)));
+  backdate path 100.;
+  Alcotest.(check bool) "fresh record keeps the lease live past its own mtime"
+    true (Lease.live ~ttl:30.0 path);
+  backdate (record_in dir) 100.;
+  Alcotest.(check bool) "backdated record reads dead" false
+    (Lease.live ~ttl:30.0 path);
+  Alcotest.(check bool) "dead lease is broken" true
+    (Lease.break_if_expired ~ttl:30.0 path)
 
 let test_lease_corrupt_grace () =
   reset ();
@@ -155,14 +196,21 @@ let test_lease_corrupt_grace () =
 
 let test_renew_soft_failure_keeps_lease () =
   reset ();
-  let path = Filename.concat (fresh_dir ()) "l.lease" in
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "l.lease" in
   let owner = Lease.make_owner () in
-  Alcotest.(check bool) "acquired" true (Lease.acquire ~path ~owner ~ttl:30.0);
-  Fault.set_spec (Some "lease-renew:1:sticky,seed:2");
-  Alcotest.(check bool) "injected renew fault is soft" true
-    (Lease.renew ~path ~owner ~ttl:30.0);
-  Fault.set_spec None;
-  Alcotest.(check bool) "lease still live on the old deadline" true
+  Alcotest.(check bool) "acquired" true (Lease.acquire ~path ~owner);
+  with_session dir (fun () ->
+      Alcotest.(check bool) "heartbeat" true (Lease.heartbeat ~path (hold owner));
+      backdate path 100.;
+      backdate (record_in dir) 10.;
+      Fault.set_spec (Some "lease-renew:1:sticky,seed:2");
+      Alcotest.(check bool) "injected heartbeat fault is soft" true
+        (Lease.heartbeat ~path (hold owner));
+      Fault.set_spec None);
+  Alcotest.(check bool) "the old heartbeat stands" true
+    ((Unix.stat (record_in dir)).Unix.st_mtime < Unix.gettimeofday () -. 5.);
+  Alcotest.(check bool) "lease still live on the old heartbeat" true
     (Lease.live ~ttl:30.0 path)
 
 (* Two domains race the same O_EXCL create; the filesystem must grant
@@ -175,7 +223,7 @@ let race_once path =
     while Atomic.get barrier < 2 do
       Domain.cpu_relax ()
     done;
-    Lease.acquire ~path ~owner:(Lease.make_owner ()) ~ttl:30.0
+    Lease.acquire ~path ~owner:(Lease.make_owner ())
   in
   let d1 = Domain.spawn attempt and d2 = Domain.spawn attempt in
   let a = Domain.join d1 and b = Domain.join d2 in
@@ -345,10 +393,42 @@ let test_merge_fault_sticky_exhausts_budget () =
 
 (* ---- prefix-of-parts + salvage merge property ---- *)
 
+(* A dead holder's last heartbeat: its record, holding [shard] with
+   prefix [c]. *)
+let dead_holder_record ~dir ~shard c =
+  let snap =
+    {
+      Telemetry.host = "dead-host";
+      pid = 1;
+      anchor_mono_ns = 0L;
+      anchor_wall_ns = 0L;
+      captured_wall_ns = 0L;
+      dropped = 0;
+      note = "";
+      counters = [];
+      timers = [];
+      histograms = [];
+      hold =
+        Some
+          {
+            Telemetry.shard;
+            owner = "dead-host:1:0";
+            prefix = Disk_cache.checkpoint_text c;
+          };
+      events = [];
+    }
+  in
+  let b = Telemetry.to_payload snap in
+  Gat_util.Sealed_file.seal b;
+  Gat_util.Sealed_file.publish
+    ~path:(Telemetry.snapshot_path ~dir ~host:"dead-host" ~pid:1)
+    b
+
 (* Any subset of pre-published parts, plus a salvaged half-checkpoint
-   for one unfinished shard, must merge into a report bit-identical to
-   the uninterrupted sweep: this is the crash-recovery invariant — it
-   cannot matter which worker died where. *)
+   for one unfinished shard (held in a dead holder's record), must
+   merge into a report bit-identical to the uninterrupted sweep: this
+   is the crash-recovery invariant — it cannot matter which worker died
+   where. *)
 let test_prefix_merge_property =
   QCheck.Test.make
     ~name:"any prefix of parts + salvaged partials merges identically"
@@ -368,19 +448,26 @@ let test_prefix_merge_property =
               (Tuner.sweep_range ~jobs:2 ~space ~first ~len kernel gpu ~n:64
                  ~seed:42))
         ranges;
-      (if mask land (1 lsl salv) = 0 then
-         let first, len = ranges.(salv) in
-         let half = len / 2 in
-         if half > 0 then
-           Disk_cache.checkpoint_write
-             ~path:(Filename.concat dir (Printf.sprintf "shard-%d.ckpt" salv))
-             (Tuner.sweep_range ~jobs:2 ~space ~first ~len:half kernel gpu
-                ~n:64 ~seed:42));
+      let half =
+        if mask land (1 lsl salv) <> 0 then 0
+        else
+          let first, len = ranges.(salv) in
+          let half = len / 2 in
+          if half > 0 then
+            dead_holder_record ~dir ~shard:salv
+              (Tuner.sweep_range ~jobs:2 ~space ~first ~len:half kernel gpu
+                 ~n:64 ~seed:42);
+          half
+      in
+      let salvaged = Gat_util.Metrics.counter "shard.salvaged_points" in
+      let before = Gat_util.Metrics.value salvaged in
       let r =
         Shard.coordinate ~jobs:2 ~dir ~shards:3 space kernel gpu ~n:64
           ~seed:42
       in
       check_report_eq clean r;
+      Alcotest.(check int) "the dead holder's prefix was salvaged" half
+        (Gat_util.Metrics.value salvaged - before);
       true)
 
 (* ---- maintenance: gc pinning ---- *)
@@ -393,7 +480,7 @@ let test_gc_pins_live_coordinations () =
   let lease = Filename.concat dir "shard-0.lease" in
   let owner = Lease.make_owner () in
   Alcotest.(check bool) "acquired" true
-    (Lease.acquire ~path:lease ~owner ~ttl:60.0);
+    (Lease.acquire ~path:lease ~owner);
   let in_dir f = Filename.dirname f = dir in
   Alcotest.(check bool) "live-lease dir is pinned" false
     (List.exists in_dir (Shard.gc_candidates ()));
@@ -440,6 +527,8 @@ let () =
               Alcotest.test_case "roundtrip" `Quick test_lease_roundtrip;
               Alcotest.test_case "expiry and takeover" `Quick
                 test_lease_expiry_takeover;
+              Alcotest.test_case "holder record is the heartbeat" `Quick
+                test_lease_record_heartbeat;
               Alcotest.test_case "corrupt body gets mtime grace" `Quick
                 test_lease_corrupt_grace;
               Alcotest.test_case "renew fault is soft" `Quick

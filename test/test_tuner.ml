@@ -460,6 +460,41 @@ let test_counters_independent_of_jobs () =
   Alcotest.(check bool) "classes computed" true (List.assoc "cache.codegen.misses" one > 0);
   Alcotest.(check (list (pair string int))) "jobs 1 = jobs 4" one four
 
+(* The artifact store's counters are job-count independent too: each
+   run starts from a fresh cache root, so every distinct artifact is
+   one miss and one store — two programs sharing a block body must not
+   both schedule and store it. *)
+let test_artifact_counters_independent_of_jobs () =
+  let kernel = Gat_workloads.Workloads.bicg and gpu = Gat_arch.Gpu.k20 in
+  let artifact_counters () =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"artifact." name)
+      (Gat_util.Metrics.counters_snapshot ())
+  in
+  let root = Gat_util.Cache_dir.root () in
+  let runs = ref 0 in
+  let deltas jobs =
+    Gat_tuner.Tuner.clear_cache ();
+    incr runs;
+    Unix.putenv "GAT_CACHE_DIR"
+      (Filename.concat root (Printf.sprintf "artifact-run-%d" !runs));
+    let before = artifact_counters () in
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "GAT_CACHE_DIR" root)
+      (fun () ->
+        ignore (Gat_tuner.Tuner.sweep ~jobs kernel gpu ~n:64 ~seed:42));
+    List.map
+      (fun (name, v) ->
+        (name, v - Option.value ~default:0 (List.assoc_opt name before)))
+      (artifact_counters ())
+  in
+  let one = deltas 1 in
+  Alcotest.(check bool) "artifacts stored" true (List.assoc "artifact.stores" one > 0);
+  (* A duplicate miss needs an unlucky interleaving: try a few. *)
+  for _ = 1 to 3 do
+    Alcotest.(check (list (pair string int))) "jobs 1 = jobs 4" one (deltas 4)
+  done
+
 (* ---- Measurement protocol: trial-draw regression ---- *)
 
 let test_measure_draws_match_full_protocol () =
@@ -761,6 +796,8 @@ let () =
             test_compile_shared_across_sizes;
           Alcotest.test_case "multi matches single sweeps" `Quick
             test_sweep_multi_matches_single_sweeps;
+          Alcotest.test_case "artifact counters independent of jobs" `Quick
+            test_artifact_counters_independent_of_jobs;
           Alcotest.test_case "counters independent of jobs" `Quick
             test_counters_independent_of_jobs;
           Alcotest.test_case "trial draws match full protocol" `Quick
