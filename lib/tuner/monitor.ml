@@ -43,7 +43,7 @@ let rows ?(now = Unix.gettimeofday ()) dir =
     | None -> Shard.default_ttl
   in
   (* Header-only: a row needs counters, histograms and the anchor,
-     never the events. *)
+     never the events, so no events log is opened. *)
   let telem, sk1 = Telemetry.load_dir ~header_only:true dir in
   let crashes, sk2 = Telemetry.load_crashes ~header_only:true dir in
   let crashed : (string * int, string) Hashtbl.t = Hashtbl.create 4 in

@@ -3,7 +3,8 @@
     Read-only: the table is built purely from the files the shard
     protocol already maintains — telemetry records
     ({!Gat_util.Telemetry}: held shard, points, latency histograms,
-    reclaim counts) and crash flight records.
+    reclaim counts) and crash flight records, read header-only: the
+    events logs beside them are never opened.
     One row per (host,pid) ever seen in the directory. *)
 
 type row = {

@@ -13,7 +13,8 @@
 
    Crash tolerance is lease-based: after every block a holder
    publishes its telemetry record, which holds the shard's flushed
-   prefix and whose mtime is the lease heartbeat, so a dead worker's
+   prefix and whose mtime is the lease heartbeat (its trace events go
+   to a separate events log the salvage never reads), so a dead worker's
    lease expires within one TTL and any observer may break it and take
    over — resuming from the dead worker's prefix, not from scratch.
    Breaking is advisory (two holders can briefly coexist); that is
@@ -195,7 +196,8 @@ let dir_files dir =
   | names -> Array.to_list names |> List.map (Filename.concat dir)
 
 (* The longest prefix of shard [i] that fits its range among the
-   foreign records holding it (header-only reads, seals checked). *)
+   foreign records holding it (header-only reads, seals checked; the
+   events logs are never opened). *)
 let salvage dir i ~len =
   let own =
     Telemetry.snapshot_path ~dir ~host:(Unix.gethostname ()) ~pid:(Unix.getpid ())
@@ -461,7 +463,8 @@ let coordinate ?jobs ?retries ?max_failures ?block ?(shard_retries = 5)
          foreign workers' counters and histograms into the live
          registries — so the final [gat stats] is fleet-wide while
          the on-disk snapshots stay per-process and sum cleanly.
-         Header-only reads: nothing here needs the events. *)
+         Header-only reads: nothing here needs the events, so no
+         events log is opened. *)
       Telemetry.flush ();
       let snaps, skipped = Telemetry.load_dir ~header_only:true dir in
       Telemetry.absorb_foreign snaps;

@@ -5,8 +5,8 @@
    the filesystem is the arbiter, and it works on any shared directory
    (including one mounted from several machines).  The body names the
    owner (host, pid, a per-acquisition token).  The heartbeat is the
-   holder's telemetry record next to it, republished after every block
-   anyway; anyone observing a lapsed heartbeat may break the lease and
+   holder's small telemetry record next to it (its events go to a
+   separate log), republished after every block anyway; anyone observing a lapsed heartbeat may break the lease and
    take over.
 
    Clock model: a heartbeat is a file mtime compared against this

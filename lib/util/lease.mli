@@ -4,7 +4,8 @@
     with [O_EXCL]: however many processes race for {!acquire}, the
     filesystem grants it to exactly one.  The body records the owner
     token, pid and host.  The heartbeat is the holder's telemetry
-    record ([<host>.<pid>.telem] beside the lease), republished by
+    record ([<host>.<pid>.telem] beside the lease; small, since its
+    trace events live in a separate events log), republished by
     {!heartbeat} after every block; observers treat a lease whose
     heartbeat has lapsed as dead ({!live}) and may
     {!break_if_expired} it to take over — this is how a sharded sweep

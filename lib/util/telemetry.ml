@@ -3,25 +3,35 @@
    A sharded sweep is many processes on many machines; each one's
    trace buffers, counters and latency histograms die with it unless
    they are made durable.  This module gives every coordinator/worker
-   a single sealed, atomically-renamed record ([<host>.<pid>.telem])
-   in the coordination directory, refreshed after every block (with
-   the held shard's prefix; its mtime is the lease heartbeat) and on
-   every exit path — so a SIGKILLed worker's last flush survives its
-   death.  The crash flight recorder is the same payload under a
-   [.crash] name, written from the fatal-error and fatal-signal
-   paths.
+   two files in the coordination directory:
 
-   The payload is line-oriented text inside the standard
-   {!Sealed_file} envelope: a header (host, pid, the monotonic→wall
-   epoch anchor, dropped-event count, an optional crash note),
-   then tagged lines — [counter NAME V], [timer NAME EVENTS NS],
-   [hist NAME <sparse buckets>], [hold SHARD OWNER BYTES] and that many
-   bytes of prefix — and finally [events N] and the raw
-   trace events, one JSON object per line ({!Trace.serialize_events}),
-   in flush batches: each flush serializes only what was recorded
-   since the previous one and appends it to the lines it kept.  A
-   corrupt or truncated snapshot fails the seal or the parse and is
-   skipped and counted by readers, never trusted partially.
+   - the record [<host>.<pid>.telem]: small, sealed and atomically
+     renamed, refreshed after every block (with the held shard's
+     prefix; its mtime is the lease heartbeat) and on every exit path —
+     so a SIGKILLed worker's last flush survives its death;
+   - the events log [<host>.<pid>.events]: every flush writes only the
+     trace events recorded since the previous one, as one framed batch,
+     before it publishes the record that counts them.
+
+   The crash flight recorder is the same record under a [.crash] name,
+   written from the fatal-error and fatal-signal paths; it points at
+   the same log.
+
+   The record is line-oriented text inside the standard {!Sealed_file}
+   envelope: a header (host, pid, the monotonic→wall epoch anchor,
+   dropped-event count, an optional crash note), then tagged lines —
+   [counter NAME V], [timer NAME EVENTS NS], [hist NAME <sparse
+   buckets>], [hold SHARD OWNER BYTES] and that many bytes of prefix —
+   and finally [events N BYTES]: the record's events are the first
+   BYTES bytes of the log, N of them.  The log is a sequence of frames
+   [batch LEN MD5\n] + LEN bytes of trace events, one JSON object per
+   line ({!Trace.serialize_events}).  A batch is written at offset
+   BYTES of the record before it, never appended blind: a crash dump
+   that interrupts a flush rewrites the same region, and a published
+   record only counts bytes written before it.  Bytes past BYTES (a
+   SIGKILL mid-write) are ignored; a short, torn or flipped log fails a
+   frame's MD5 or the count, and the snapshot is skipped and counted
+   by readers, never trusted partially.
 
    Clock alignment: monotonic timestamps from different machines (or
    different boots) share no origin, so each snapshot carries one
@@ -56,18 +66,14 @@ type snapshot = {
 
 (* ---- session state ---- *)
 
-(* The session's event lines, serialized once each: every publish
-   appends the batch recorded since the previous one and rewrites the
-   rest verbatim.  Immutable, and swapped in with one field write, so
-   a crash dump from a signal handler that interrupts a flush starts
-   from a consistent state. *)
-type event_lines = {
-  cursor : Trace.cursor;
-  chunks : string list;  (* one per non-empty batch, newest first *)
-  count : int;
-}
+(* How far the session's events log is written: the trace cursor past
+   its last batch, its valid length and its event count.  Immutable,
+   and swapped in with one field write after a batch is written, so a
+   crash dump from a signal handler that interrupts a flush starts from
+   a consistent state (and rewrites the interrupted batch's region). *)
+type event_log = { cursor : Trace.cursor; bytes : int; count : int }
 
-let no_lines = { cursor = Trace.start; chunks = []; count = 0 }
+let no_log = { cursor = Trace.start; bytes = 0; count = 0 }
 
 type session = {
   dir : string;
@@ -75,7 +81,8 @@ type session = {
   s_pid : int;
   s_anchor_mono_ns : int64;
   s_anchor_wall_ns : int64;
-  mutable lines : event_lines;
+  mutable log : event_log;
+  mutable log_fd : Unix.file_descr option;  (* opened at the first publish *)
 }
 
 let session : session option ref = ref None
@@ -86,6 +93,12 @@ let lock = Mutex.create ()
    turned back off when the session ends. *)
 let trace_owned = ref false
 
+let close_log s =
+  Option.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    s.log_fd;
+  s.log_fd <- None
+
 let enable ~dir =
   let s =
     {
@@ -95,10 +108,12 @@ let enable ~dir =
       (* Sampled back-to-back: the pair is this process's epoch anchor. *)
       s_anchor_mono_ns = Metrics.now_ns ();
       s_anchor_wall_ns = Int64.of_float (Unix.gettimeofday () *. 1e9);
-      lines = no_lines;
+      log = no_log;
+      log_fd = None;
     }
   in
   Mutex.lock lock;
+  Option.iter close_log !session;
   session := Some s;
   (* A telemetry session implies span recording: a worker started
      without [--trace] still fills its (bounded) ring buffers, so its
@@ -112,6 +127,7 @@ let enable ~dir =
 
 let disable () =
   Mutex.lock lock;
+  Option.iter close_log !session;
   session := None;
   if !trace_owned then begin
     Trace.disable ();
@@ -129,8 +145,7 @@ let dir () = Option.map (fun s -> s.dir) (active ())
 
 (* ---- capture ---- *)
 
-(* Everything but the events, which {!publish} serializes
-   incrementally. *)
+(* Everything but the events, which {!publish} appends to the log. *)
 let capture_header ~note ~hold s =
   {
     host = s.s_host;
@@ -165,7 +180,7 @@ let add_line b fmt =
       Buffer.add_char b '\n')
     fmt
 
-(* Every line up to, not including, [events N]. *)
+(* Every line up to, not including, [events N BYTES]. *)
 let add_header b snap =
   add_line b "%s" magic;
   add_line b "host %s" (oneline snap.host);
@@ -188,12 +203,19 @@ let add_header b snap =
       Buffer.add_string b h.prefix)
     snap.hold
 
+(* One log frame: [batch LEN MD5] and the batch's event lines. *)
+let frame evs =
+  let body = Trace.serialize_events evs in
+  Printf.sprintf "batch %d %s\n%s" (String.length body)
+    (Digest.to_hex (Digest.string body))
+    body
+
 let to_payload snap =
+  let log = if snap.events = [] then "" else frame snap.events in
   let b = Buffer.create 4096 in
   add_header b snap;
-  add_line b "events %d" (List.length snap.events);
-  Buffer.add_string b (Trace.serialize_events snap.events);
-  b
+  add_line b "events %d %d" (List.length snap.events) (String.length log);
+  (b, log)
 
 let split2 s =
   match String.index_opt s ' ' with
@@ -201,7 +223,8 @@ let split2 s =
   | Some i ->
       (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
 
-let of_payload ?(header_only = false) body =
+(* The record's snapshot (no events yet) and its [events N BYTES]. *)
+let parse_record body =
   let len = String.length body in
   (* The line starting at [pos] and the position after its newline. *)
   let next pos =
@@ -220,7 +243,7 @@ let of_payload ?(header_only = false) body =
       let dropped = ref 0 and note = ref "" in
       let counters = ref [] and timers = ref [] and hists = ref [] in
       let hold = ref None in
-      let events = ref [] in
+      let events = ref None in
       try
         let rec go pos =
           match next pos with
@@ -277,23 +300,21 @@ let of_payload ?(header_only = false) body =
                       go (pos + n)
                   | _ -> raise Exit)
               | "events" -> (
-                  (* The last header line: the event lines run to the
-                     end of the payload. *)
-                  let n = int_of_string rest in
-                  if n < 0 then raise Exit;
-                  if not header_only then
-                    match
-                      Trace.parse_events (String.sub body pos (len - pos))
-                    with
-                    | Some evs when List.length evs = n -> events := evs
-                    | _ -> raise Exit)
+                  (* The last line: the events live in the log. *)
+                  match String.split_on_char ' ' rest with
+                  | [ n; bytes ] ->
+                      let n = int_of_string n and bytes = int_of_string bytes in
+                      if n < 0 || bytes < 0 || pos < len then raise Exit;
+                      events := Some (n, bytes)
+                  | _ -> raise Exit)
               | _ -> raise Exit)
         in
         go pos;
-        match (!amono, !awall) with
-        | Some anchor_mono_ns, Some anchor_wall_ns when !pid >= 0 ->
+        match (!amono, !awall, !events) with
+        | Some anchor_mono_ns, Some anchor_wall_ns, Some (n, bytes)
+          when !pid >= 0 ->
             Some
-              {
+              ( {
                 host = !host;
                 pid = !pid;
                 anchor_mono_ns;
@@ -306,11 +327,52 @@ let of_payload ?(header_only = false) body =
                 timers = List.rev !timers;
                 histograms = List.rev !hists;
                 hold = !hold;
-                events = !events;
-              }
+                events = [];
+              },
+                n,
+                bytes )
         | _ -> None
       with Exit | Failure _ -> None)
   | _ -> None
+
+(* The events in the first [bytes] bytes of [log]: every frame's MD5
+   checked, exactly [n] events in all. *)
+let events_of_log ~n ~bytes log =
+  let rec go pos acc =
+    if pos = bytes then Some (List.concat (List.rev acc))
+    else
+      match String.index_from_opt log pos '\n' with
+      | Some nl when nl < bytes -> (
+          match String.split_on_char ' ' (String.sub log pos (nl - pos)) with
+          | [ "batch"; len; md5 ] -> (
+              match int_of_string_opt len with
+              | Some len
+                when len >= 0
+                     && nl + 1 + len <= bytes
+                     && String.equal md5
+                          (Digest.to_hex (Digest.substring log (nl + 1) len))
+                -> (
+                  match Trace.parse_events (String.sub log (nl + 1) len) with
+                  | Some evs -> go (nl + 1 + len) (evs :: acc)
+                  | None -> None)
+              | _ -> None)
+          | _ -> None)
+      | _ -> None
+  in
+  if String.length log < bytes then None
+  else
+    match go 0 [] with
+    | Some evs when List.length evs = n -> Some evs
+    | _ -> None
+
+let with_events (snap, n, bytes) log =
+  Option.map (fun events -> { snap with events }) (events_of_log ~n ~bytes log)
+
+let of_payload ?log body =
+  match (parse_record body, log) with
+  | None, _ -> None
+  | Some (snap, _, _), None -> Some snap
+  | Some r, Some log -> with_events r log
 
 (* ---- files ---- *)
 
@@ -320,39 +382,64 @@ let snapshot_path ~dir ~host ~pid =
 let crash_path ~dir ~host ~pid =
   Filename.concat dir (Printf.sprintf "%s.%d.crash" host pid)
 
+let events_path record = Filename.remove_extension record ^ ".events"
 let is_telem_file name = Filename.check_suffix name ".telem"
 let is_crash_file name = Filename.check_suffix name ".crash"
 
-(* Serialize only the events recorded since the session's previous
-   publish, append them to its kept lines, and publish header + all
-   lines.  Telemetry must never take a sweep down: I/O failure is
-   swallowed and reported as [false]. *)
+let write_at fd off s =
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  let len = String.length s in
+  let rec go pos =
+    if pos < len then go (pos + Unix.write_substring fd s pos (len - pos))
+  in
+  go 0
+
+let log_fd s =
+  match s.log_fd with
+  | Some fd -> fd
+  | None ->
+      Cache_dir.ensure s.dir;
+      let fd =
+        Unix.openfile
+          (events_path (snapshot_path ~dir:s.dir ~host:s.s_host ~pid:s.s_pid))
+          [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ]
+          0o600
+      in
+      s.log_fd <- Some fd;
+      fd
+
+(* Write the events recorded since the session's previous publish to
+   its log as one batch, then publish the header and [events N BYTES]
+   counting them.  Telemetry must never take a sweep down: I/O failure
+   is swallowed and reported as [false], and the batch is retried by
+   the next publish. *)
 let publish s ~note ?hold path =
-  let kind, evs, cursor = Trace.events_since s.lines.cursor in
-  let prev = match kind with `Cleared -> no_lines | `Appended -> s.lines in
-  let lines =
-    if evs = [] then { prev with cursor }
-    else
+  match
+    let fd = log_fd s in
+    let kind, evs, cursor = Trace.events_since s.log.cursor in
+    let base = match kind with `Cleared -> no_log | `Appended -> s.log in
+    let batch = if evs = [] then "" else frame evs in
+    if batch <> "" then write_at fd base.bytes batch;
+    let log =
       {
         cursor;
-        chunks = Trace.serialize_events evs :: prev.chunks;
-        count = prev.count + List.length evs;
+        bytes = base.bytes + String.length batch;
+        count = base.count + List.length evs;
       }
-  in
-  s.lines <- lines;
-  let chunks = List.rev lines.chunks in
-  let held = match hold with Some h -> String.length h.prefix | None -> 0 in
-  let b =
-    Buffer.create
-      (List.fold_left (fun n c -> n + String.length c) (16_384 + held) chunks)
-  in
-  add_header b (capture_header ~note ~hold s);
-  add_line b "events %d" lines.count;
-  List.iter (Buffer.add_string b) chunks;
-  Sealed_file.seal b;
-  match Sealed_file.publish ~path b with
-  | () ->
-      Metrics.incr ~by:(Buffer.length b) m_bytes;
+    in
+    (* A restart drops the earlier batches' bytes too. *)
+    if kind = `Cleared then Unix.ftruncate fd log.bytes;
+    s.log <- log;
+    let held = match hold with Some h -> String.length h.prefix | None -> 0 in
+    let b = Buffer.create (16_384 + held) in
+    add_header b (capture_header ~note ~hold s);
+    add_line b "events %d %d" log.count log.bytes;
+    Sealed_file.seal b;
+    Sealed_file.publish ~path b;
+    String.length batch + Buffer.length b
+  with
+  | written ->
+      Metrics.incr ~by:written m_bytes;
       true
   | exception (Sys_error _ | Unix.Unix_error _) -> false
 
@@ -386,10 +473,20 @@ let install_signal_dump () =
 
 (* ---- reading a fleet's snapshots ---- *)
 
-let read_file ?header_only path =
-  match Sealed_file.read path with
+(* The first [n] bytes of a file; [None] if it is shorter. *)
+let read_prefix path n =
+  if n = 0 then Some ""
+  else
+    match In_channel.with_open_bin path (fun ic -> really_input_string ic n) with
+    | s -> Some s
+    | exception (Sys_error _ | End_of_file) -> None
+
+let read_file ?(header_only = false) path =
+  match Option.bind (Sealed_file.read path) parse_record with
   | None -> None
-  | Some body -> of_payload ?header_only body
+  | Some (snap, _, _) when header_only -> Some snap
+  | Some ((_, _, bytes) as r) ->
+      Option.bind (read_prefix (events_path path) bytes) (with_events r)
 
 let load_matching ?header_only pred d =
   match Sys.readdir d with

@@ -1,30 +1,35 @@
 (** Fleet telemetry snapshots: durable, mergeable per-process
     observability for sharded sweeps.
 
-    Every coordinator/worker publishes one MD5-sealed,
-    atomically-renamed record ([<host>.<pid>.telem]) into the
-    coordination directory — after every block, plus on every exit
-    path — carrying its counters, timers, log-bucketed latency
-    histograms, trace ring buffers and a monotonic→wall epoch anchor.
-    While it holds a shard the record carries a {!hold}, and its mtime
-    is the lease heartbeat ({!Lease}).  The crash flight recorder writes
-    the same payload to [<host>.<pid>.crash] from the fatal-error and
-    fatal-signal paths.  Readers skip-and-count corrupt or truncated
-    snapshots ([telem.snapshots_skipped]); a SIGKILLed worker's last
-    flushed snapshot still merges.
+    Every coordinator/worker keeps two files in the coordination
+    directory.  Its record, [<host>.<pid>.telem], is small, MD5-sealed
+    and atomically renamed — after every block, plus on every exit path
+    — and carries its counters, timers, log-bucketed latency
+    histograms, a monotonic→wall epoch anchor and, last,
+    [events N BYTES].  Its events log, [<host>.<pid>.events], holds the
+    trace ring buffers' events as framed batches ([batch LEN MD5] and
+    LEN bytes of event lines); the record's events are the log's first
+    BYTES bytes, N events in all.  While it holds a shard the record
+    carries a {!hold}, and its mtime is the lease heartbeat ({!Lease}).
+    The crash flight recorder writes the same record to
+    [<host>.<pid>.crash] from the fatal-error and fatal-signal paths;
+    it points at the same log.  Readers skip-and-count corrupt or
+    truncated snapshots ([telem.snapshots_skipped]) — a bad seal, a log
+    shorter than BYTES, a batch failing its MD5, a wrong event count —
+    and ignore log bytes past BYTES; a SIGKILLed worker's last flushed
+    snapshot still merges.
 
-    A flush costs what was recorded since the previous one: the
-    session keeps its serialized event lines, appends only the events
-    {!Trace.events_since} reports as new, and writes them after the
-    header lines ([hold] last).  Event lines therefore come in flush
-    batches, each sorted by time, not in one global time sort;
-    {!Trace.render_merged} sorts on merge.  Counter-only readers ([gat monitor], the
-    coordinator's epilogue) read snapshots header-only: the seal is
-    still checked, and parsing stops at the [events] line.
+    A flush costs what was recorded since the previous one: it writes
+    only the events {!Trace.events_since} reports as new, as one batch
+    at the log's current end, then republishes the record.  Event
+    lines therefore come in flush batches, each sorted by time, not in
+    one global time sort; {!Trace.render_merged} sorts on merge.
+    Counter-only readers ([gat monitor], the coordinator's epilogue,
+    shard salvage) read records header-only and never open the log.
 
     Metrics: [telem.flushes], [telem.snapshots_skipped],
     [telem.crashes], [telem.bytes_written] (bytes of every published
-    snapshot and crash record). *)
+    record and crash record, plus every log batch). *)
 
 type hold = {
   shard : int;
@@ -62,24 +67,27 @@ val enable : dir:string -> unit
     contributes events to the fleet merge. *)
 
 val disable : unit -> unit
-(** End the session; span recording that {!enable} itself turned on
-    is turned back off (a [--trace] registration is left alone). *)
+(** End the session and close its events log; span recording that
+    {!enable} itself turned on is turned back off (a [--trace]
+    registration is left alone). *)
 
 val dir : unit -> string option
 (** The active session's directory, if any. *)
 
 val flush : ?hold:hold -> unit -> unit
-(** Capture and atomically publish [<host>.<pid>.telem] (with [hold],
-    if any) into the session directory.  Serializes only the events
-    recorded since the session's previous publish (a {!Trace.clear} in
-    between restarts the kept lines).  No-op without a session;
-    swallows I/O errors (telemetry never takes a sweep down).  Shard
-    holders publish through {!Lease.heartbeat}. *)
+(** Write the events recorded since the session's previous publish to
+    [<host>.<pid>.events] as one batch (at the log's end, never past
+    it: a crash dump interrupting a flush rewrites the same region),
+    then capture and atomically publish [<host>.<pid>.telem] (with
+    [hold], if any) counting them.  A {!Trace.clear} in between
+    restarts the log.  No-op without a session; swallows I/O errors
+    (telemetry never takes a sweep down).  Shard holders publish
+    through {!Lease.heartbeat}. *)
 
 val crash_dump : reason:string -> unit
-(** Capture and publish [<host>.<pid>.crash] with [reason] as the
-    snapshot note — the crash flight recorder, called from the
-    top-level fatal-error catch. *)
+(** Like {!flush}, but publish [<host>.<pid>.crash] with [reason] as
+    the snapshot note — the crash flight recorder, called from the
+    top-level fatal-error catch.  It shares the session's log. *)
 
 val install_signal_dump : unit -> unit
 (** Install a SIGTERM handler that writes the crash flight record,
@@ -88,24 +96,36 @@ val install_signal_dump : unit -> unit
 
 (** {2 Capture and wire format} *)
 
-val to_payload : snapshot -> Buffer.t
-(** Line-oriented payload, ready for {!Sealed_file.seal}.  Shares its
-    header writer with {!flush}. *)
+val to_payload : snapshot -> Buffer.t * string
+(** The record's line-oriented payload, ready for {!Sealed_file.seal},
+    and the events log it counts: the snapshot's events as one batch
+    (empty when there are none).  Shares its header writer with
+    {!flush}. *)
 
-val of_payload : ?header_only:bool -> string -> snapshot option
-(** Inverse of {!to_payload}; [None] on any malformed input.  With
-    [~header_only:true] parsing stops at the [events] line and the
-    snapshot's [events] is empty. *)
+val of_payload : ?log:string -> string -> snapshot option
+(** Inverse of {!to_payload}; [None] on any malformed input.  Given
+    [log], the events are read from exactly its first BYTES bytes
+    (every batch's MD5 checked, N events required; bytes past BYTES are
+    ignored).  Without it the parse is header-only and the snapshot's
+    [events] is empty. *)
 
 val snapshot_path : dir:string -> host:string -> pid:int -> string
 val crash_path : dir:string -> host:string -> pid:int -> string
+
+val events_path : string -> string
+(** The events log a record at this path points at: the record's path
+    with its extension replaced by [.events], so a process's [.telem]
+    and [.crash] share one log. *)
+
 val is_telem_file : string -> bool
 val is_crash_file : string -> bool
 
 val read_file : ?header_only:bool -> string -> snapshot option
-(** Unseal and parse one snapshot file; [None] when absent, torn,
-    corrupt or truncated.  The seal covers the whole file even when
-    [~header_only:true] skips parsing the events. *)
+(** Unseal and parse one record and read its events from the first
+    BYTES bytes of its {!events_path} log ({!of_payload}); [None] when
+    either is absent, torn, corrupt or truncated.  With
+    [~header_only:true] the log is never opened and [events] is
+    empty; the record's seal is still checked. *)
 
 (** {2 Fleet reads and merging} *)
 

@@ -418,11 +418,12 @@ let dead_holder_record ~dir ~shard c =
       events = [];
     }
   in
-  let b = Telemetry.to_payload snap in
+  let path = Telemetry.snapshot_path ~dir ~host:"dead-host" ~pid:1 in
+  let b, log = Telemetry.to_payload snap in
+  Out_channel.with_open_bin (Telemetry.events_path path) (fun oc ->
+      Out_channel.output_string oc log);
   Gat_util.Sealed_file.seal b;
-  Gat_util.Sealed_file.publish
-    ~path:(Telemetry.snapshot_path ~dir ~host:"dead-host" ~pid:1)
-    b
+  Gat_util.Sealed_file.publish ~path b
 
 (* Any subset of pre-published parts, plus a salvaged half-checkpoint
    for one unfinished shard (held in a dead holder's record), must
@@ -495,6 +496,37 @@ let test_gc_pins_live_coordinations () =
   Alcotest.(check bool) "clear removes shard dirs" true (Shard.clear () > 0);
   Alcotest.(check bool) "dir gone" false (Sys.file_exists dir)
 
+(* A process's events log is coordination state like its record:
+   [gat cache stats] counts its bytes, and gc and clear remove it. *)
+let test_events_logs_are_cache_files () =
+  reset ();
+  let dir = Filename.concat (Filename.concat scratch "shards") "events-test" in
+  Gat_util.Cache_dir.ensure dir;
+  Shard.write_manifest ~dir (manifest (Shard.plan ~total ~shards:2));
+  let record = record_in dir in
+  let log = Telemetry.events_path record in
+  let session () =
+    with_session dir (fun () ->
+        Gat_util.Trace.span "events-test" (fun () -> ());
+        Telemetry.flush ());
+    Alcotest.(check bool) "the flush wrote a log" true
+      (Sys.file_exists log && (Unix.stat log).Unix.st_size > 0)
+  in
+  let before = (Shard.usage ()).Shard.bytes in
+  session ();
+  let size f = (Unix.stat f).Unix.st_size in
+  Alcotest.(check int) "usage counts the record and its log"
+    (size record + size log)
+    ((Shard.usage ()).Shard.bytes - before);
+  Alcotest.(check bool) "the log is a gc candidate" true
+    (List.mem log (Shard.gc_candidates ()));
+  ignore (Gat_tuner.Artifact_store.gc ~max_bytes:0);
+  Alcotest.(check bool) "gc removed the log" false (Sys.file_exists log);
+  Gat_util.Cache_dir.ensure dir;
+  session ();
+  Alcotest.(check bool) "clear removes files" true (Shard.clear () > 0);
+  Alcotest.(check bool) "clear removed the log" false (Sys.file_exists log)
+
 (* ---- exit-code contract ---- *)
 
 let test_shard_stage_exit_code () =
@@ -565,6 +597,8 @@ let () =
             [
               Alcotest.test_case "gc pins live coordinations" `Quick
                 test_gc_pins_live_coordinations;
+              Alcotest.test_case "events logs are cache files" `Quick
+                test_events_logs_are_cache_files;
             ] );
           ( "exit-codes",
             [

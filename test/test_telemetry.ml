@@ -37,10 +37,30 @@ let write_file path s =
 
 let read_all path = In_channel.with_open_bin path In_channel.input_all
 
+(* A hand-built snapshot on disk: its events log, then its record. *)
 let publish_snapshot path s =
-  let b = Telemetry.to_payload s in
+  let b, log = Telemetry.to_payload s in
+  write_file (Telemetry.events_path path) log;
   Gat_util.Sealed_file.seal b;
   Gat_util.Sealed_file.publish ~path b
+
+let roundtrip s =
+  let b, log = Telemetry.to_payload s in
+  Telemetry.of_payload ~log (Buffer.contents b)
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+(* The record's [events N BYTES] line. *)
+let events_line path =
+  match Gat_util.Sealed_file.read path with
+  | None -> Alcotest.failf "%s: record did not unseal" path
+  | Some body -> (
+      match List.rev (String.split_on_char '\n' body) with
+      | "" :: last :: _ -> (
+          match String.split_on_char ' ' last with
+          | [ "events"; n; bytes ] -> (int_of_string n, int_of_string bytes)
+          | _ -> Alcotest.failf "%s: last line %S" path last)
+      | _ -> Alcotest.failf "%s: no events line" path)
 
 let first_index hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -198,7 +218,7 @@ let check_snapshot_eq a b =
 
 let test_payload_roundtrip () =
   let snap = sample_snapshot () in
-  (match Telemetry.of_payload (Buffer.contents (Telemetry.to_payload snap)) with
+  (match roundtrip snap with
   | None -> Alcotest.fail "payload did not parse"
   | Some got -> check_snapshot_eq snap got);
   (* A hold section round-trips byte for byte, however its prefix
@@ -211,12 +231,12 @@ let test_payload_roundtrip () =
     }
   in
   let held = sample_snapshot ~hold () in
-  (match Telemetry.of_payload (Buffer.contents (Telemetry.to_payload held)) with
+  (match roundtrip held with
   | None -> Alcotest.fail "held payload did not parse"
   | Some got -> check_snapshot_eq held got);
   (* Crash notes survive the round-trip too. *)
   let crash = sample_snapshot ~note:"internal error: boom" () in
-  match Telemetry.of_payload (Buffer.contents (Telemetry.to_payload crash)) with
+  match roundtrip crash with
   | None -> Alcotest.fail "crash payload did not parse"
   | Some got -> Alcotest.(check string) "note" crash.Telemetry.note got.Telemetry.note
 
@@ -229,22 +249,23 @@ let replace ~sub ~by s =
   | Some i -> String.sub s 0 i ^ by ^ String.sub s (i + m) (n - i - m)
 
 let test_payload_rejects_malformed () =
-  let good = Buffer.contents (Telemetry.to_payload (sample_snapshot ())) in
+  let b, log = Telemetry.to_payload (sample_snapshot ()) in
+  let good = Buffer.contents b in
   let cases =
     [
       ("garbage", "not a payload\n");
       ("empty", "");
       ("unknown tag", good ^ "mystery line\n");
       ( "truncated events",
-        (* Claim one more event than the payload carries. *)
-        replace ~sub:"events 2" ~by:"events 3" good );
+        (* Claim one more event than the log carries. *)
+        replace ~sub:"events 2 " ~by:"events 3 " good );
       ( "hold overruns the payload",
-        replace ~sub:"events 2" ~by:"hold 0 o 100000\nevents 2" good );
+        replace ~sub:"events 2 " ~by:"hold 0 o 100000\nevents 2 " good );
     ]
   in
   List.iter
     (fun (name, body) ->
-      Alcotest.(check bool) name true (Telemetry.of_payload body = None))
+      Alcotest.(check bool) name true (Telemetry.of_payload ~log body = None))
     cases
 
 (* ---- sealed snapshots on disk: corruption is skipped-and-counted ---- *)
@@ -265,19 +286,24 @@ let test_corruption_skipped () =
       ~pid:(Unix.getpid ())
   in
   let raw = read_all good_path in
-  (* A flipped byte breaks the MD5 seal; a truncation loses the
-     trailer; garbage was never sealed at all.  The flip lands in the
-     event lines, which a header-only read never parses: only the seal
-     can catch it there. *)
+  let log = read_all (Telemetry.events_path good_path) in
+  Alcotest.(check bool) "the events are in the log" true
+    (contains log "corrupt.event" && not (contains raw "corrupt.event"));
+  (* Damaged records beside intact copies of the log: a flipped byte
+     breaks the MD5 seal; a truncation loses the trailer; garbage was
+     never sealed at all.  The flip lands in the host name, which a
+     header-only read parses without complaint: only the seal can catch
+     it there. *)
+  let damaged host pid body =
+    let path = Telemetry.snapshot_path ~dir:d ~host ~pid in
+    write_file (Telemetry.events_path path) log;
+    write_file path body
+  in
   let flipped = Bytes.of_string raw in
-  Bytes.set flipped (first_index raw "corrupt.event") '\xff';
-  write_file
-    (Telemetry.snapshot_path ~dir:d ~host:"flip" ~pid:1)
-    (Bytes.to_string flipped);
-  write_file
-    (Telemetry.snapshot_path ~dir:d ~host:"trunc" ~pid:2)
-    (String.sub raw 0 (String.length raw / 2));
-  write_file (Telemetry.snapshot_path ~dir:d ~host:"junk" ~pid:3) "hello\n";
+  Bytes.set flipped (first_index raw "host " + 5) '\xff';
+  damaged "flip" 1 (Bytes.to_string flipped);
+  damaged "trunc" 2 (String.sub raw 0 (String.length raw / 2));
+  damaged "junk" 3 "hello\n";
   let before = Metrics.value (Metrics.counter "telem.snapshots_skipped") in
   let snaps, skipped = Telemetry.load_dir d in
   Alcotest.(check int) "good one still loads" 1 (List.length snaps);
@@ -383,14 +409,21 @@ let test_incremental_flushes () =
           true
           (sort_events snap.Telemetry.events = sort_events (Trace.events ()))
   in
-  let flush what =
+  let path = Telemetry.snapshot_path ~dir:d ~host ~pid in
+  let log = Telemetry.events_path path in
+  let log_size () = if Sys.file_exists log then file_size log else 0 in
+  let flush ?(restart = false) what =
     let before = Metrics.value bytes in
+    let log_before = if restart then 0 else log_size () in
     Telemetry.flush ();
-    let path = Telemetry.snapshot_path ~dir:d ~host ~pid in
     Alcotest.(check int)
-      (what ^ ": bytes_written grows by the file's size")
-      (String.length (read_all path))
+      (what ^ ": bytes_written grows by the record and the new batch")
+      (String.length (read_all path) + log_size () - log_before)
       (Metrics.value bytes - before);
+    Alcotest.(check int)
+      (what ^ ": the record counts the whole log")
+      (log_size ())
+      (snd (events_line path));
     check what path
   in
   let record k =
@@ -408,7 +441,7 @@ let test_incremental_flushes () =
     if k = 2 then begin
       (* A clear between flushes: the kept lines start over. *)
       Trace.clear ();
-      flush "after clear"
+      flush ~restart:true "after clear"
     end
   done;
   Alcotest.(check bool) "events were recorded" true (Trace.events () <> []);
@@ -440,6 +473,199 @@ let test_header_only_read () =
       Alcotest.(check bool) "header-only has none" true (head.Telemetry.events = []);
       check_snapshot_eq { full with Telemetry.events = [] } head
   | _ -> Alcotest.fail "snapshot did not parse"
+
+(* ---- the events log ---- *)
+
+let own_record d =
+  Telemetry.snapshot_path ~dir:d ~host:(Unix.gethostname ())
+    ~pid:(Unix.getpid ())
+
+(* A session in a fresh directory that flushed twice, each time with a
+   new event: its record path. *)
+let flushed_session name =
+  let d = temp_dir name in
+  Telemetry.disable ();
+  Telemetry.enable ~dir:d;
+  Trace.span "log.first" (fun () -> ());
+  Telemetry.flush ();
+  Trace.span "log.second" (fun () -> ());
+  Telemetry.flush ();
+  Telemetry.disable ();
+  own_record d
+
+let append_file path s =
+  Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644
+    path (fun oc -> Out_channel.output_string oc s)
+
+let test_garbage_past_bytes () =
+  let path = flushed_session "log-garbage" in
+  let full =
+    match Telemetry.read_file path with
+    | Some s -> s
+    | None -> Alcotest.fail "intact snapshot did not read"
+  in
+  Alcotest.(check bool) "two batches' events" true
+    (List.exists (fun e -> e.Trace.name = "log.second") full.Telemetry.events);
+  (* A writer killed in mid-append leaves a partial frame past BYTES. *)
+  append_file (Telemetry.events_path path) "batch 999 0123\n{\"name\":";
+  (match Telemetry.read_file path with
+  | Some s -> check_snapshot_eq full s
+  | None -> Alcotest.fail "garbage past BYTES spoiled the read");
+  let snaps, skipped = Telemetry.load_dir (Filename.dirname path) in
+  Alcotest.(check int) "loads" 1 (List.length snaps);
+  Alcotest.(check int) "nothing skipped" 0 skipped
+
+let test_damaged_log_skipped () =
+  let path = flushed_session "log-damaged" in
+  let d = Filename.dirname path in
+  let raw = read_all path and log = read_all (Telemetry.events_path path) in
+  let _, bytes = events_line path in
+  Alcotest.(check int) "log is BYTES long" bytes (String.length log);
+  (* Intact records beside damaged logs: one a byte short of BYTES,
+     one with a byte flipped inside the second batch's events. *)
+  let damaged host pid log =
+    let path = Telemetry.snapshot_path ~dir:d ~host ~pid in
+    write_file path raw;
+    write_file (Telemetry.events_path path) log
+  in
+  damaged "short" 1 (String.sub log 0 (bytes - 1));
+  let flipped = Bytes.of_string log in
+  Bytes.set flipped (first_index log "log.second") 'L';
+  damaged "flip" 2 (Bytes.to_string flipped);
+  let before = Metrics.value (Metrics.counter "telem.snapshots_skipped") in
+  let snaps, skipped = Telemetry.load_dir d in
+  Alcotest.(check int) "the intact one loads" 1 (List.length snaps);
+  Alcotest.(check int) "two skipped" 2 skipped;
+  Alcotest.(check int) "skips counted in metrics" (before + 2)
+    (Metrics.value (Metrics.counter "telem.snapshots_skipped"));
+  let _json, _events, procs, merge_skipped = Telemetry.merge_dir d in
+  Alcotest.(check int) "merge sees one process" 1 procs;
+  Alcotest.(check int) "merge counts the skips" 2 merge_skipped;
+  (* Header-only reads never open the log. *)
+  let heads, head_skipped = Telemetry.load_dir ~header_only:true d in
+  Alcotest.(check int) "header-only: all three load" 3 (List.length heads);
+  Alcotest.(check int) "header-only: none skipped" 0 head_skipped
+
+let test_header_only_without_log () =
+  let path = flushed_session "log-deleted" in
+  let full = Telemetry.read_file path in
+  Sys.remove (Telemetry.events_path path);
+  (match (full, Telemetry.read_file ~header_only:true path) with
+  | Some full, Some head ->
+      check_snapshot_eq { full with Telemetry.events = [] } head
+  | _ -> Alcotest.fail "snapshot did not read");
+  Alcotest.(check bool) "a full read needs the log" true
+    (Telemetry.read_file path = None)
+
+let test_clear_restarts_log () =
+  let d = temp_dir "log-clear" in
+  Telemetry.disable ();
+  Telemetry.enable ~dir:d;
+  let path = own_record d in
+  let log = Telemetry.events_path path in
+  Trace.span "before.clear" (fun () -> ());
+  Telemetry.flush ();
+  Alcotest.(check bool) "first batch logged" true
+    (contains (read_all log) "before.clear");
+  Trace.clear ();
+  Trace.span "after.clear" (fun () -> ());
+  Telemetry.flush ();
+  let text = read_all log in
+  Alcotest.(check bool) "the old batches are gone" false
+    (contains text "before.clear");
+  Alcotest.(check bool) "the new batch is logged" true
+    (contains text "after.clear");
+  Alcotest.(check int) "the record counts the restarted log"
+    (String.length text) (snd (events_line path));
+  (match Telemetry.read_file path with
+  | Some snap ->
+      Alcotest.(check bool) "events = Trace.events ()" true
+        (sort_events snap.Telemetry.events = sort_events (Trace.events ()))
+  | None -> Alcotest.fail "snapshot did not read");
+  Telemetry.disable ()
+
+let test_records_share_log () =
+  let d = temp_dir "log-shared" in
+  Telemetry.disable ();
+  Telemetry.enable ~dir:d;
+  Trace.span "shared.first" (fun () -> ());
+  Telemetry.flush ();
+  Trace.span "shared.second" (fun () -> ());
+  Telemetry.crash_dump ~reason:"boom";
+  Telemetry.disable ();
+  let telem = own_record d in
+  let crash =
+    Telemetry.crash_path ~dir:d ~host:(Unix.gethostname ())
+      ~pid:(Unix.getpid ())
+  in
+  Alcotest.(check string) "one log path" (Telemetry.events_path telem)
+    (Telemetry.events_path crash);
+  Alcotest.(check int) "one log file" 1
+    (List.length
+       (List.filter
+          (fun f -> Filename.check_suffix f ".events")
+          (Array.to_list (Sys.readdir d))));
+  match (Telemetry.read_file telem, Telemetry.read_file crash) with
+  | Some t, Some c ->
+      let nt = List.length t.Telemetry.events in
+      Alcotest.(check bool) "the crash record extends the flush's" true
+        (List.filteri (fun i _ -> i < nt) c.Telemetry.events
+        = t.Telemetry.events
+        && List.length c.Telemetry.events > nt);
+      Alcotest.(check bool) "only the crash record has the late event" true
+        (List.exists (fun e -> e.Trace.name = "shared.second") c.Telemetry.events
+        && not
+             (List.exists
+                (fun e -> e.Trace.name = "shared.second")
+                t.Telemetry.events))
+  | _ -> Alcotest.fail "a record did not read"
+
+let test_bytes_written_bound () =
+  (* A flush costs its own batch plus a small record, not the whole
+     session: rewriting every earlier batch on each flush overruns the
+     bound by far. *)
+  let d = temp_dir "log-bound" in
+  Telemetry.disable ();
+  Trace.clear ();
+  Telemetry.enable ~dir:d;
+  let bytes = Metrics.counter "telem.bytes_written" in
+  let before = Metrics.value bytes in
+  let k = 20 in
+  for flush = 1 to k do
+    for i = 1 to 50 do
+      Trace.span
+        ~args:[ ("flush", Trace.I flush); ("i", Trace.I i) ]
+        "bound.event"
+        (fun () -> ())
+    done;
+    Telemetry.flush ()
+  done;
+  Telemetry.disable ();
+  let log = file_size (Telemetry.events_path (own_record d)) in
+  let written = Metrics.value bytes - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d bytes written <= %d log + %d x 16 KiB" written log k)
+    true
+    (written <= log + (k * 16_384));
+  Trace.clear ()
+
+let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_no_leaked_descriptors () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let d = temp_dir "log-fds" in
+    Telemetry.disable ();
+    let before = fd_count () in
+    for i = 1 to 50 do
+      Telemetry.enable ~dir:d;
+      Trace.span ~args:[ ("i", Trace.I i) ] "fds.event" (fun () -> ());
+      Telemetry.flush ();
+      Telemetry.disable ()
+    done;
+    Alcotest.(check bool) "the sessions flushed" true
+      (Telemetry.read_file (own_record d) <> None);
+    Alcotest.(check int) "no more open descriptors" before (fd_count ())
+  end
 
 (* ---- multi-process merge with epoch-anchor alignment ---- *)
 
@@ -594,6 +820,23 @@ let () =
         [
           Alcotest.test_case "incremental flushes match Trace.events" `Quick
             test_incremental_flushes;
+        ] );
+      ( "log",
+        [
+          Alcotest.test_case "garbage past BYTES is ignored" `Quick
+            test_garbage_past_bytes;
+          Alcotest.test_case "short or flipped log is skipped" `Quick
+            test_damaged_log_skipped;
+          Alcotest.test_case "header-only read needs no log" `Quick
+            test_header_only_without_log;
+          Alcotest.test_case "Trace.clear restarts the log" `Quick
+            test_clear_restarts_log;
+          Alcotest.test_case ".telem and .crash share a log" `Quick
+            test_records_share_log;
+          Alcotest.test_case "bytes_written tracks the batches" `Quick
+            test_bytes_written_bound;
+          Alcotest.test_case "no leaked log descriptors" `Quick
+            test_no_leaked_descriptors;
         ] );
       ( "merge",
         [
