@@ -62,5 +62,5 @@ val family : t -> string
 
 val identity : t -> string
 (** Every model-relevant hardware limit rendered into one stable line.
-    Persistent cache keys (sweep entries, compile artifacts) hash this
-    string, so editing a device description invalidates its entries. *)
+    Sweep-cache keys hash this string, so editing a device description
+    invalidates its entries. *)

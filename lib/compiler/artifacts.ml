@@ -1,24 +1,16 @@
 (* The persistent content-addressed artifact store.
 
-   One entry per backend-stage result, keyed by an MD5 over everything
-   that shapes the stage's output — the weight-free structural digest
-   of the stage's input code ({!Gat_isa.Fingerprint}), the device
-   identity ({!Gat_arch.Gpu.identity}) and the stage-relevant scalar
-   parameters — plus a per-stage format version.  Because the digests
-   exclude the per-block execution weights (the only lowered artifact
-   the launch geometry shapes), variants that differ only in TC/BC or
-   in the problem size N key identically and share every stored stage
-   result, across runs and across processes.  A one-instruction edit
-   moves exactly the digests whose inputs changed: unchanged blocks'
-   scheduled bodies still hit, so a kernel edit recompiles O(delta),
-   not O(space).
+   One entry per verifier report, keyed by an MD5 over everything that
+   shapes it — the weight-free structural digest of the virtual
+   program ({!Gat_isa.Fingerprint.program}) and the threads per block
+   — plus the format version.  The verifier never reads the device,
+   the block count or the problem size, so every variant of a code
+   class at one TC shares one entry, across runs and across processes.
 
-   Granularity per stage:
-   - [sched]  per basic-block body (the unit of the list scheduler);
-   - [ra]     per scheduled program and device;
-   - [coal]   per virtual program and device;
-   - [verdict] per virtual program and TC (the verifier never reads
-              the device or the block count).
+   The other backend stages (schedule, register allocation, coalescing
+   summary, block table) are recomputed on every class miss: each is
+   cheaper to recompute than a sealed write and a read of its result
+   (DESIGN.md section 5.8).
 
    Entries live in one {!Gat_util.Store} under [<cache root>/artifacts/];
    corruption, truncation or a version mismatch reads as a miss, never
@@ -27,57 +19,29 @@
    keep computing uncached.  Chaos testing hooks in through the
    [artifact-read] / [artifact-write] fault sites.
 
-   The hard invariant every codec here must preserve: a store-served
-   result is bit-identical to a recomputed one.  All floats travel as
-   [%h] hex literals (exact round-trip) and instruction streams travel
-   as [Instruction.to_string] lines (exact round-trip by the ISA's
-   exhaustive test). *)
+   The hard invariant the codec must preserve: a store-served report
+   is bit-identical to a recomputed one. *)
 
 open Gat_isa
 module Store = Gat_util.Store
 
-(* ---- keys ---- *)
-
-(* The per-stage format versions.  A version participates in the key
-   and in the entry's header line, so bumping one orphans exactly that
-   stage's old entries (reclaimed by [gat cache gc]) and leaves every
-   other stage's results valid — the O(delta) story for model
-   changes. *)
-let versions =
-  [ ("sched", "sched/1"); ("ra", "ra/1"); ("coal", "coal/1"); ("verdict", "verdict/1") ]
+(* The format version participates in the key and in the entry's
+   header line, so bumping it orphans every old entry (reclaimed by
+   [gat cache gc]). *)
+let version = "verdict/1"
 
 let cache =
   Store.create ~name:"artifact store" ~metrics:"artifact" ~site:"artifact"
     ~dir:(fun () -> Filename.concat (Gat_util.Cache_dir.root ()) "artifacts")
-    ~suffixes:[ ".art" ] ~stages:(List.map fst versions) ()
-
-let key_of_parts stage parts =
-  Digest.to_hex (Digest.string (String.concat "\x00" (List.assoc stage versions :: parts)))
-
-let sched_key body = key_of_parts "sched" [ Fingerprint.body body ]
-
-let ra_key ~gpu scheduled =
-  key_of_parts "ra" [ Gat_arch.Gpu.identity gpu; Fingerprint.program scheduled ]
-
-(* [digest] is [Fingerprint.program] of the virtual program, computed
-   once per compile by the driver. *)
-let coal_key ~gpu digest = key_of_parts "coal" [ Gat_arch.Gpu.identity gpu; digest ]
+    ~suffixes:[ ".art" ]
 
 let verdict_key ~threads_per_block digest =
-  key_of_parts "verdict" [ string_of_int threads_per_block; digest ]
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00" [ version; string_of_int threads_per_block; digest ]))
 
-(* ---- entries ---- *)
-
-let headers =
-  List.map (fun (stage, v) -> (stage, "gat-artifact 1\nstage " ^ v ^ "\n")) versions
-
-let path stage key = Store.path cache (stage ^ "-" ^ key ^ ".art")
-
-let find stage ~key parse =
-  Store.find cache ~stage ~header:(List.assoc stage headers) (path stage key) parse
-
-let store stage ~key emit =
-  Store.store cache ~header:(List.assoc stage headers) (path stage key) emit
+let header = "gat-artifact 1\nstage " ^ version ^ "\n"
+let path key = Store.path cache ("verdict-" ^ key ^ ".art")
 
 let addf buf fmt = Printf.bprintf buf fmt
 
@@ -89,108 +53,10 @@ let safe_text s =
   String.length s > 0
   && not (String.exists (fun c -> c = ' ' || c = '\n') s)
 
-let instr_line cur =
-  match Instruction.of_string (Store.line cur) with
-  | Some i -> i
-  | None -> Store.bad ()
+(* ---- affine, opcode and flag codecs ----
 
-(* ---- sched: one block body ---- *)
-
-let emit_body buf body =
-  List.iter
-    (fun i ->
-      Instruction.add_to_buffer buf i;
-      Buffer.add_char buf '\n')
-    body
-
-let find_sched ~key =
-  find "sched" ~key (fun cur ->
-      List.init (Store.counted cur "body") (fun _ -> instr_line cur))
-
-let store_sched ~key body =
-  store "sched" ~key (fun buf ->
-      addf buf "body %d\n" (List.length body);
-      emit_body buf body)
-
-(* ---- terminators (shared by the ra codec) ---- *)
-
-let emit_term buf (t : Basic_block.terminator) =
-  match t with
-  | Basic_block.Jump l -> addf buf "term jump %s\n" l
-  | Basic_block.Cond_branch { pred; if_true; if_false } ->
-      addf buf "term cbr %s%s %s %s\n"
-        (if pred.Instruction.negated then "!" else "")
-        (Register.to_string pred.Instruction.reg)
-        if_true if_false
-  | Basic_block.Exit -> Buffer.add_string buf "term exit\n"
-
-(* Fields are read in sequence, never inside a record literal or a
+   Fields are read in sequence, never inside a record literal or a
    constructor's arguments, whose evaluation order is unspecified. *)
-let read_term cur =
-  Store.start cur;
-  Store.keyword cur "term";
-  let term =
-    match Store.word cur with
-    | "jump" -> Basic_block.Jump (Store.word cur)
-    | "exit" -> Basic_block.Exit
-    | "cbr" ->
-        let p = Store.word cur in
-        let negated = p.[0] = '!' in
-        let name = if negated then String.sub p 1 (String.length p - 1) else p in
-        let reg =
-          match Register.of_string name with Some r -> r | None -> Store.bad ()
-        in
-        let if_true = Store.word cur in
-        let if_false = Store.word cur in
-        Basic_block.Cond_branch
-          { pred = { Instruction.negated; reg }; if_true; if_false }
-    | _ -> Store.bad ()
-  in
-  Store.end_line cur;
-  term
-
-(* ---- ra: allocated blocks + stats, weight-free ---- *)
-
-let read_block cur =
-  Store.start cur;
-  Store.keyword cur "block";
-  let label = Store.word cur in
-  let n = Store.int cur in
-  Store.end_line cur;
-  let body = List.init n (fun _ -> instr_line cur) in
-  Basic_block.make label body (read_term cur)
-
-let find_ra ~key =
-  find "ra" ~key (fun cur ->
-      Store.start cur;
-      Store.keyword cur "stats";
-      let regs_used = Store.int cur in
-      let spilled_values = Store.int cur in
-      let spill_loads = Store.int cur in
-      let spill_stores = Store.int cur in
-      let max_pressure = Store.int cur in
-      Store.end_line cur;
-      let blocks = List.init (Store.counted cur "blocks") (fun _ -> read_block cur) in
-      ( blocks,
-        { Regalloc.regs_used; spilled_values; spill_loads; spill_stores; max_pressure } ))
-
-let store_ra ~key (p : Program.t) (st : Regalloc.stats) =
-  if List.for_all (fun b -> safe_text b.Basic_block.label) p.Program.blocks
-  then
-    store "ra" ~key (fun buf ->
-        addf buf "stats %d %d %d %d %d\n" st.Regalloc.regs_used
-          st.Regalloc.spilled_values st.Regalloc.spill_loads
-          st.Regalloc.spill_stores st.Regalloc.max_pressure;
-        addf buf "blocks %d\n" (List.length p.Program.blocks);
-        List.iter
-          (fun (b : Basic_block.t) ->
-            addf buf "block %s %d\n" b.Basic_block.label
-              (List.length b.Basic_block.body);
-            emit_body buf b.Basic_block.body;
-            emit_term buf b.Basic_block.term)
-          p.Program.blocks)
-
-(* ---- affine codecs (shared by coal and verdict) ---- *)
 
 let emit_coeff buf (c : Gat_analysis.Affine.coeff) =
   match c with
@@ -233,92 +99,6 @@ let read_opcode cur =
 
 let read_flag cur =
   match Store.int cur with 0 -> false | 1 -> true | _ -> Store.bad ()
-
-(* ---- coal: the per-block memory summary ---- *)
-
-let emit_access buf (a : Gat_analysis.Coalescing.access) =
-  addf buf "a %d %s %d %s %s" a.Gat_analysis.Coalescing.block_index
-    a.Gat_analysis.Coalescing.block_label a.Gat_analysis.Coalescing.instr_index
-    (Opcode.mnemonic a.Gat_analysis.Coalescing.op)
-    (match a.Gat_analysis.Coalescing.kind with `Load -> "L" | `Store -> "S");
-  (match a.Gat_analysis.Coalescing.pattern with
-  | Gat_analysis.Coalescing.Broadcast -> Buffer.add_string buf " B"
-  | Gat_analysis.Coalescing.Stride n -> addf buf " S %d" n
-  | Gat_analysis.Coalescing.Large c ->
-      Buffer.add_string buf " L";
-      emit_coeff buf c
-  | Gat_analysis.Coalescing.Unknown -> Buffer.add_string buf " U");
-  emit_coeff buf a.Gat_analysis.Coalescing.tid_stride;
-  emit_coeff buf a.Gat_analysis.Coalescing.iter_stride;
-  addf buf " %d %h\n" a.Gat_analysis.Coalescing.segments
-    a.Gat_analysis.Coalescing.transactions
-
-let read_access cur =
-  Store.start cur;
-  Store.keyword cur "a";
-  let block_index = Store.int cur in
-  let block_label = Store.word cur in
-  let instr_index = Store.int cur in
-  let op = read_opcode cur in
-  let kind =
-    match Store.word cur with "L" -> `Load | "S" -> `Store | _ -> Store.bad ()
-  in
-  let pattern =
-    match Store.word cur with
-    | "B" -> Gat_analysis.Coalescing.Broadcast
-    | "S" -> Gat_analysis.Coalescing.Stride (Store.int cur)
-    | "L" -> Gat_analysis.Coalescing.Large (read_coeff cur)
-    | "U" -> Gat_analysis.Coalescing.Unknown
-    | _ -> Store.bad ()
-  in
-  let tid_stride = read_coeff cur in
-  let iter_stride = read_coeff cur in
-  let segments = Store.int cur in
-  let transactions = Store.float cur in
-  Store.end_line cur;
-  {
-    Gat_analysis.Coalescing.block_index;
-    block_label;
-    instr_index;
-    op;
-    kind;
-    pattern;
-    tid_stride;
-    iter_stride;
-    segments;
-    transactions;
-  }
-
-let read_group cur =
-  Store.start cur;
-  Store.keyword cur "group";
-  let label = Store.word cur in
-  let n = Store.int cur in
-  Store.end_line cur;
-  (label, List.init n (fun _ -> read_access cur))
-
-let find_coal ~key =
-  find "coal" ~key (fun cur ->
-      List.init (Store.counted cur "groups") (fun _ -> read_group cur))
-
-let store_coal ~key summary =
-  if
-    List.for_all
-      (fun (l, accs) ->
-        safe_text l
-        && List.for_all
-             (fun (a : Gat_analysis.Coalescing.access) ->
-               safe_text a.Gat_analysis.Coalescing.block_label)
-             accs)
-      summary
-  then
-    store "coal" ~key (fun buf ->
-        addf buf "groups %d\n" (List.length summary);
-        List.iter
-          (fun (label, accs) ->
-            addf buf "group %s %d\n" label (List.length accs);
-            List.iter (emit_access buf) accs)
-          summary)
 
 (* ---- verdict: the full safety report ---- *)
 
@@ -409,7 +189,7 @@ let read_race cur =
   { Gat_analysis.Races.first; second; kind; witness }
 
 let find_verdict ~key =
-  find "verdict" ~key (fun cur ->
+  Store.find cache ~header (path key) (fun cur ->
       Store.start cur;
       Store.keyword cur "name";
       let program_name = Store.rest cur in
@@ -455,7 +235,7 @@ let store_verdict ~key (r : Gat_analysis.Verify.report) =
     && List.for_all finding_safe r.Gat_analysis.Verify.divergent_barriers
     && List.for_all race_safe r.Gat_analysis.Verify.races
   then
-    store "verdict" ~key (fun buf ->
+    Store.store cache ~header (path key) (fun buf ->
         addf buf "name %s\n" r.Gat_analysis.Verify.program_name;
         addf buf "report %d %d %d %d\n" r.Gat_analysis.Verify.threads_per_block
           r.Gat_analysis.Verify.barrier_count

@@ -13,13 +13,10 @@
    through a table keyed by (device, digest).
 
    A backend result is the schedule, register allocation, coalescing
-   summary and geometry-free block table of one program.  A backend
-   miss consults the persistent artifact store ({!Artifacts}) —
-   scheduling per block body, register allocation and coalescing per
-   program — which shares the results across runs and processes, and
-   makes a one-block kernel edit recompile O(delta): the unchanged
-   blocks' scheduled bodies still hit, only the edited block is
-   rescheduled. *)
+   summary and geometry-free block table of one program, computed on
+   the backend miss.  None of them is persisted: each costs less to
+   recompute than to write and read back as an artifact (DESIGN.md
+   section 5.8). *)
 
 open Gat_isa
 
@@ -66,12 +63,6 @@ let classes : (entry, string) result Classes.t =
 
 let backends : outcome Backends.t = Backends.create ()
 
-(* Scheduled block bodies by artifact key: each shared body is
-   scheduled or read from the store once, at any job count. *)
-module Scheds = Gat_util.Memo.Make (String)
-
-let scheds : Gat_isa.Instruction.t list Scheds.t = Scheds.create ()
-
 let stats () =
   {
     classes = Classes.length classes;
@@ -82,8 +73,7 @@ let stats () =
 
 let clear () =
   Classes.clear classes;
-  Backends.clear backends;
-  Scheds.clear scheds
+  Backends.clear backends
 
 (* Attach a point's weights to a backend program.  Equal code
    guarantees equal labels and layout order, and the backend passes
@@ -98,60 +88,17 @@ let reweight vp_blocks out_blocks =
       })
     vp_blocks out_blocks
 
-(* Per-block scheduling through the artifact store: each body is its
-   own content-addressed unit, so after a one-block edit every other
-   block's scheduled body is served from disk.  Single-instruction
-   bodies are a fixed point of the scheduler — not worth a file. *)
-let schedule_block (b : Basic_block.t) =
-  match b.Basic_block.body with
-  | [] | [ _ ] -> Schedule.block b
-  | body ->
-      let key = Artifacts.sched_key body in
-      let scheduled =
-        Scheds.find_or_compute scheds key (fun () ->
-            match Artifacts.find_sched ~key with
-            | Some scheduled -> scheduled
-            | None ->
-                let s = (Schedule.block b).Basic_block.body in
-                Artifacts.store_sched ~key s;
-                s)
-      in
-      { b with Basic_block.body = scheduled }
-
-let schedule_program (vp : Program.t) =
-  { vp with Program.blocks = List.map schedule_block vp.Program.blocks }
-
-let regalloc gpu scheduled =
-  let key = Artifacts.ra_key ~gpu scheduled in
-  match Artifacts.find_ra ~key with
-  | Some (blocks, st) ->
-      ({ scheduled with Program.blocks; regs_per_thread = st.Regalloc.regs_used }, st)
-  | None ->
-      let program, st = Regalloc.run gpu scheduled in
-      Artifacts.store_ra ~key program st;
-      (program, st)
-
-let coalescing gpu ~digest vp =
-  let key = Artifacts.coal_key ~gpu digest in
-  match Artifacts.find_coal ~key with
-  | Some summary -> summary
-  | None ->
-      let summary =
-        Gat_analysis.Coalescing.block_transactions gpu
-          (Gat_cfg.Cfg.of_program vp)
-      in
-      Artifacts.store_coal ~key summary;
-      summary
-
 let compute gpu ~digest vp =
   let scheduled =
-    Gat_util.Trace.span "compile.schedule" (fun () -> schedule_program vp)
+    Gat_util.Trace.span "compile.schedule" (fun () ->
+        { vp with Program.blocks = List.map Schedule.block vp.Program.blocks })
   in
   let program, alloc_stats =
-    Gat_util.Trace.span "compile.regalloc" (fun () -> regalloc gpu scheduled)
+    Gat_util.Trace.span "compile.regalloc" (fun () -> Regalloc.run gpu scheduled)
   in
   let mem_summary =
-    Gat_util.Trace.span "compile.coalescing" (fun () -> coalescing gpu ~digest vp)
+    Gat_util.Trace.span "compile.coalescing" (fun () ->
+        Gat_analysis.Coalescing.block_transactions gpu (Gat_cfg.Cfg.of_program vp))
   in
   let shape =
     Gat_util.Trace.span "compile.block_table" (fun () ->

@@ -18,11 +18,9 @@
     {!Gat_isa.Fingerprint.program} digest).  The digest is computed
     once per class, by the miss that lowers it.
 
-    Two tiers: the in-memory tables (same-process), then the persistent
-    {!Artifacts} store — per-block scheduling entries plus per-program
-    register-allocation and coalescing entries — which shares results
-    across runs and processes and makes a one-block kernel edit
-    recompile O(delta).
+    None of the backend results is persisted: each is cheaper to
+    recompute on a class miss than to write and read back through the
+    {!Artifacts} store, which holds only verifier reports.
 
     Thread-safe; sweeps compile variants from parallel pool workers.
     Both in-memory tables are single-flight {!Gat_util.Memo}s: entries
@@ -31,7 +29,7 @@
     counters do not depend on the worker count.  Counters:
     [cache.codegen.hits] / [cache.codegen.misses] (class lookups; a
     caller that waited for a class another worker was lowering counts
-    as a hit), [artifact.{sched,ra,coal}.*] (persistent tier). *)
+    as a hit). *)
 
 type outcome = {
   program : Gat_isa.Program.t;
@@ -60,10 +58,8 @@ val run :
 type stats = { classes : int; backends : int; hits : int; misses : int }
 
 val stats : unit -> stats
-(** In-memory tier only: code classes (ill-typed ones included) and
-    backend results held, class hits and misses since the last
-    {!clear}.  The persistent tier reports through
-    [Gat_util.Store.stats Artifacts.cache]. *)
+(** Code classes (ill-typed ones included) and backend results held,
+    class hits and misses since the last {!clear}. *)
 
 val clear : unit -> unit
-(** Drop the in-memory tier (persistent artifacts survive). *)
+(** Drop every class and backend result. *)

@@ -19,8 +19,6 @@ let add_instruction buf ins =
   Instruction.add_to_buffer buf ins;
   Buffer.add_char buf '\n'
 
-let add_body buf body = List.iter (add_instruction buf) body
-
 (* Terminators rendered with their targets — [terminator_instruction]
    would drop the labels, making straight-line and looping code with
    identical bodies collide. *)
@@ -44,20 +42,8 @@ let add_block buf (b : Basic_block.t) =
   Buffer.add_string buf "block ";
   Buffer.add_string buf b.Basic_block.label;
   Buffer.add_char buf '\n';
-  add_body buf b.Basic_block.body;
+  List.iter (add_instruction buf) b.Basic_block.body;
   add_terminator buf b.Basic_block.term
-
-let digest buf = Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let body (instrs : Instruction.t list) =
-  let buf = Buffer.create 512 in
-  add_body buf instrs;
-  digest buf
-
-let block (b : Basic_block.t) =
-  let buf = Buffer.create 512 in
-  add_block buf b;
-  digest buf
 
 let program (p : Program.t) =
   let buf = Buffer.create 4096 in
@@ -68,4 +54,4 @@ let program (p : Program.t) =
     (Gat_arch.Compute_capability.to_string p.Program.target)
     p.Program.regs_per_thread p.Program.smem_static p.Program.smem_dynamic;
   List.iter (add_block buf) p.Program.blocks;
-  digest buf
+  Digest.to_hex (Digest.string (Buffer.contents buf))

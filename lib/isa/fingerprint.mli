@@ -11,13 +11,6 @@
     one-instruction edit moves the digest and invalidates exactly the
     entries whose inputs changed. *)
 
-val body : Instruction.t list -> string
-(** Hex MD5 of one block body's instruction stream (no label, no
-    terminator): the input of per-block scheduling. *)
-
-val block : Basic_block.t -> string
-(** Hex MD5 of one block: label, body, terminator. *)
-
 val program : Program.t -> string
 (** Hex MD5 of a whole program: name, target, register/smem footprint
     and every block in layout order. *)

@@ -16,7 +16,7 @@ type gc_result = {
   removed_bytes : int;
 }
 
-(* Sweep entries, checkpoints and stage artifacts — each store's own
+(* Sweep entries, checkpoints and artifacts — each store's own
    listing, orphaned temp files included — plus shard coordination
    state, but only from directories with no live lease: gc must never
    yank a manifest, lease or in-flight partial checkpoint from under a

@@ -14,7 +14,7 @@ type gc_result = {
 
 val gc : max_bytes:int -> gc_result
 (** Evict least-recently-used cache files (sweep entries, checkpoints,
-    stage artifacts, orphaned temp files, and shard coordination state
+    artifacts, orphaned temp files, and shard coordination state
     from directories with no live lease — see {!Shard.gc_candidates})
     until the total is at most [max_bytes].  Live lease files and the
     in-flight partial checkpoints they protect are never candidates.

@@ -27,7 +27,7 @@ module Store = Gat_util.Store
 
 let cache =
   Store.create ~name:"sweep cache" ~metrics:"cache.disk" ~site:"cache"
-    ~dir:Gat_util.Cache_dir.root ~suffixes:[ ".sweep"; ".ckpt" ] ()
+    ~dir:Gat_util.Cache_dir.root ~suffixes:[ ".sweep"; ".ckpt" ]
 
 let ckpt_stores = Store.counter cache "ckpt.stores"
 let ckpt_resumes = Store.counter cache "ckpt.resumes"

@@ -65,7 +65,7 @@ val verdict : Gat_compiler.Driver.compiled -> Gat_analysis.Verify.report
     part of the code), the device or N, so one verification serves
     every BC and N point of a code class.  In-process tier counters:
     [cache.verdict.hits] / [cache.verdict.misses]; underneath, the
-    persistent [verdict] artifact ([artifact.verdict.*]) shares
+    persistent {!Gat_compiler.Artifacts} store ([artifact.*]) shares
     verdicts across runs and processes. *)
 
 val default_block_size : int

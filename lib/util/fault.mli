@@ -22,7 +22,7 @@
     Instrumented sites: [compile] and [simulate] (per-variant
     evaluation), [cache-read] and [cache-write] (the persistent sweep
     cache and checkpoints), [artifact-read] / [artifact-write] (the
-    stage artifact store), and the distributed-sweep sites
+    artifact store), and the distributed-sweep sites
     [lease-acquire], [lease-renew] ({!Lease} heartbeats) and [shard-merge]
     (validation of per-shard partial results at merge).  Sites are
     plain strings, so new call sites need no registration here. *)

@@ -15,7 +15,6 @@ type t = {
   degraded_writes : Metrics.counter;
   bytes_read : Metrics.counter;
   bytes_written : Metrics.counter;
-  stages : (string * (Metrics.counter * Metrics.counter)) list;
   read_site : string;
   write_site : string;
   read_span : string;
@@ -24,7 +23,7 @@ type t = {
   h_write : Metrics.hist;
 }
 
-let create ~name ~metrics ~site ~dir ~suffixes ?(stages = []) () =
+let create ~name ~metrics ~site ~dir ~suffixes =
   let c n = Metrics.counter (metrics ^ "." ^ n) in
   {
     name;
@@ -40,7 +39,6 @@ let create ~name ~metrics ~site ~dir ~suffixes ?(stages = []) () =
     degraded_writes = c "degraded_writes";
     bytes_read = c "bytes_read";
     bytes_written = c "bytes_written";
-    stages = List.map (fun s -> (s, (c (s ^ ".hits"), c (s ^ ".misses")))) stages;
     read_site = site ^ "-read";
     write_site = site ^ "-write";
     read_span = site ^ ".read";
@@ -86,14 +84,6 @@ let stats (t : t) =
 
 let counter t name = Metrics.counter (t.metrics ^ "." ^ name)
 
-let tally (t : t) ?stage hit =
-  Metrics.incr (if hit then t.hits else t.misses);
-  match stage with
-  | None -> ()
-  | Some s ->
-      let h, m = List.assoc s t.stages in
-      Metrics.incr (if hit then h else m)
-
 (* ---- payload reader ----
 
    The warm path parses megabytes of entries, so the reader scans the
@@ -110,12 +100,6 @@ let line_end cur =
   match String.index_from_opt cur.s cur.pos '\n' with
   | Some nl -> nl
   | None -> bad ()
-
-let line cur =
-  let nl = line_end cur in
-  let l = String.sub cur.s cur.pos (nl - cur.pos) in
-  cur.pos <- nl + 1;
-  l
 
 let start cur = cur.stop <- line_end cur
 
@@ -311,11 +295,11 @@ let read t ~header path p =
   if not (Sys.file_exists path) then None
   else try load t ~header path p with _ -> None
 
-let find t ?stage ~header path parse =
+let find t ~header path parse =
   if not (enabled t) then None
   else
     let v = read t ~header path parse in
-    tally t ?stage (Option.is_some v);
+    Metrics.incr (if Option.is_some v then t.hits else t.misses);
     v
 
 let write t ~header path emit =

@@ -19,14 +19,11 @@ val create :
   site:string ->
   dir:(unit -> string) ->
   suffixes:string list ->
-  ?stages:string list ->
-  unit ->
   t
 (** [name] labels the degrade warning (["gat: warning: <name>
     unavailable"]).  [metrics] prefixes the counters
     [<metrics>.{hits,misses,stores,degraded_writes,bytes_read,
-    bytes_written}] and, per stage, [<metrics>.<stage>.{hits,misses}].
-    [site] names the fault sites [<site>-read] / [<site>-write] and the
+    bytes_written}].  [site] names the fault sites [<site>-read] / [<site>-write] and the
     trace spans and histograms [<site>.read] / [<site>.write].  [dir]
     is resolved on every call.  The first of [suffixes] names the
     entries {!disk_usage} counts; {!files} lists all of them. *)
@@ -72,9 +69,6 @@ type cursor
 val bad : unit -> 'a
 (** Reject the entry. *)
 
-val line : cursor -> string
-(** The next whole line. *)
-
 val counted : cursor -> string -> int
 (** A line ["<tag> <n>"] with [n >= 0]; returns [n]. *)
 
@@ -99,12 +93,11 @@ val end_line : cursor -> unit
 
 (** {1 Entries} *)
 
-val find :
-  t -> ?stage:string -> header:string -> string -> (cursor -> 'a) -> 'a option
+val find : t -> header:string -> string -> (cursor -> 'a) -> 'a option
 (** [find t ~header path parse]: unless disabled, read [path] (fault
     site [<site>-read], byte counter), unseal, match [header], and
     [parse] the rest, which must consume the whole payload.  Counts a
-    hit or a miss (also under [stage]); any failure is a miss. *)
+    hit or a miss; any failure is a miss. *)
 
 val store :
   t ->

@@ -1,7 +1,6 @@
-(* Tests for the content-addressed artifact store: golden key
-   stability, stage round-trips, BC-plane sharing across simulated
-   processes, bit-identity of store-served sweeps, corruption
-   tolerance, and the LRU gc. *)
+(* Tests for the content-addressed artifact store: golden key and byte
+   stability, BC-plane sharing across simulated processes, bit-identity
+   of store-served sweeps, corruption tolerance, and the LRU gc. *)
 
 (* Everything below must run against a private scratch directory, never
    the user's real cache. *)
@@ -47,13 +46,12 @@ let stats () =
 
 let compiled = lazy (Gat_compiler.Driver.compile_exn kernel gpu Params.default)
 let vp () = (Lazy.force compiled).Gat_compiler.Driver.ptx
-let physical () = (Lazy.force compiled).Gat_compiler.Driver.program
 
 (* ---- golden keys ----
 
    Pinned digests for a fixed kernel, device and parameter set.  These
-   move only when the fingerprint definition, a stage's key inputs, or
-   a stage format version changes — all deliberate, documented events
+   move only when the fingerprint definition, the verdict key's inputs,
+   or the verdict format version changes — all deliberate, documented events
    (DESIGN.md section 5.8).  Anything else moving them is an
    accidental cache-invalidation bug: every store entry in every
    user's cache would silently orphan. *)
@@ -63,10 +61,6 @@ let test_golden_keys () =
   let got =
     [
       ("program fingerprint", Fingerprint.program p);
-      ( "sched key",
-        Artifacts.sched_key (List.hd p.Gat_isa.Program.blocks).Gat_isa.Basic_block.body );
-      ("ra key", Artifacts.ra_key ~gpu (physical ()));
-      ("coal key", Artifacts.coal_key ~gpu (Fingerprint.program p));
       ( "verdict key",
         Artifacts.verdict_key ~threads_per_block:128 (Fingerprint.program p) );
     ]
@@ -74,30 +68,23 @@ let test_golden_keys () =
   let want =
     [
       ("program fingerprint", "133774d54218b7a5eb6218242fd5a562");
-      ("sched key", "6bb3eba7b5faf821515deb9b23e30479");
-      ("ra key", "534dca5591227e5fd39c000d8b856c35");
-      ("coal key", "47b43226609fa1b2b7ce2c676610aedc");
       ("verdict key", "39ac2ff361dab7fbcaf28a82a2675617");
     ]
   in
   Alcotest.(check (list (pair string string))) "pinned digests" want got
 
 let test_keys_weight_free () =
-  (* Same code at a different launch geometry: every weight-free key
-     must be unchanged; the verdict key still reads TC. *)
+  (* Same code at a different launch geometry: the fingerprint must be
+     unchanged; the verdict key still reads TC. *)
   let c1 = Lazy.force compiled in
   let params2 = Params.make ~threads_per_block:512 ~block_count:24 () in
   let c2 = Gat_compiler.Driver.compile_exn kernel gpu params2 in
   let p1 = c1.Gat_compiler.Driver.ptx and p2 = c2.Gat_compiler.Driver.ptx in
   let d1 = Fingerprint.program p1 and d2 = Fingerprint.program p2 in
   Alcotest.(check string) "fingerprint ignores TC/BC" d1 d2;
-  Alcotest.(check string) "coal key ignores TC/BC" (Artifacts.coal_key ~gpu d1)
-    (Artifacts.coal_key ~gpu d2);
   Alcotest.(check bool) "verdict key reads TC" false
     (Artifacts.verdict_key ~threads_per_block:128 d1
-    = Artifacts.verdict_key ~threads_per_block:512 d1);
-  Alcotest.(check bool) "ra key reads the device" false
-    (Artifacts.ra_key ~gpu p1 = Artifacts.ra_key ~gpu:Gat_arch.Gpu.p100 p1)
+    = Artifacts.verdict_key ~threads_per_block:512 d1)
 
 (* The instruction printer as it was before it wrote into the caller's
    buffer: one string per register, operand and instruction.  The
@@ -201,40 +188,6 @@ let test_compiled_digest () =
         c.Gat_compiler.Driver.digest)
     Gat_workloads.Workloads.all
 
-(* ---- stage round-trip ---- *)
-
-let test_sched_roundtrip () =
-  reset ();
-  let body = (List.hd (vp ()).Gat_isa.Program.blocks).Gat_isa.Basic_block.body in
-  let key = Artifacts.sched_key body in
-  Alcotest.(check bool) "miss before store" true (Artifacts.find_sched ~key = None);
-  Artifacts.store_sched ~key body;
-  (match Artifacts.find_sched ~key with
-  | None -> Alcotest.fail "stored schedule not found"
-  | Some loaded ->
-      Alcotest.(check (list string)) "instructions identical"
-        (List.map Gat_isa.Instruction.to_string body)
-        (List.map Gat_isa.Instruction.to_string loaded));
-  let s = stats () in
-  Alcotest.(check int) "one store" 1 s.Store.stores;
-  Alcotest.(check int) "one hit" 1 s.Store.hits;
-  Alcotest.(check int) "one miss" 1 s.Store.misses
-
-let test_disabled_is_inert () =
-  reset ();
-  Store.set_enabled Artifacts.cache false;
-  let body = (List.hd (vp ()).Gat_isa.Program.blocks).Gat_isa.Basic_block.body in
-  let key = Artifacts.sched_key body in
-  Artifacts.store_sched ~key body;
-  Alcotest.(check bool) "no find when disabled" true
-    (Artifacts.find_sched ~key = None);
-  let files, _ = Store.disk_usage Artifacts.cache in
-  Alcotest.(check int) "no file written" 0 files;
-  let s = stats () in
-  Alcotest.(check int) "no counters touched" 0
-    (s.Store.hits + s.Store.misses + s.Store.stores);
-  Store.set_enabled Artifacts.cache true
-
 (* ---- sweeps: sharing and bit-identity ---- *)
 
 let small_space =
@@ -271,13 +224,13 @@ let check_variants_identical first second =
 
 let test_store_served_sweep_identical () =
   reset ();
-  (* "Process one": cold — every stage computed and persisted. *)
+  (* "Process one": cold — every verdict computed and persisted. *)
   let first =
     Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:64 ~seed:3
   in
   (* "Process two": in-memory caches empty, artifact tree intact.  The
      hard invariant: the store-served sweep is bit-identical, and no
-     stage is recomputed. *)
+     verdict is recomputed. *)
   Gat_tuner.Tuner.clear_cache ();
   let before = Store.stats Artifacts.cache in
   let second =
@@ -323,8 +276,8 @@ let test_identical_across_kernels_and_gpus () =
 let test_bc_plane_shared_across_processes () =
   reset ();
   (* Sweep at BC=32 only, then a "new process" sweeps the BC=64 plane
-     (and a new problem size): everything downstream of scheduling is
-     weight-free, so the second sweep must be all hits. *)
+     (and a new problem size): the verdict key reads neither BC nor N,
+     so the second sweep must be all hits. *)
   let bc32 = { small_space with Space.bc = [ 32 ] } in
   let bc64 = { small_space with Space.bc = [ 64 ] } in
   ignore (Gat_tuner.Tuner.sweep ~space:bc32 ~jobs:1 kernel gpu ~n:64 ~seed:3);
@@ -332,7 +285,7 @@ let test_bc_plane_shared_across_processes () =
   let before = Store.stats Artifacts.cache in
   ignore (Gat_tuner.Tuner.sweep ~space:bc64 ~jobs:1 kernel gpu ~n:128 ~seed:3);
   let after = Store.stats Artifacts.cache in
-  Alcotest.(check int) "BC-only variants recompute nothing" 0
+  Alcotest.(check int) "BC-only variants verify nothing" 0
     (after.Store.misses - before.Store.misses);
   Alcotest.(check bool) "served from the BC=32 plane's artifacts" true
     (after.Store.hits - before.Store.hits > 0)
@@ -343,121 +296,38 @@ let atax_edited =
   let body = List.map (Gat_ir.Stmt.map_exprs edit) kernel.Gat_ir.Kernel.body in
   { kernel with Gat_ir.Kernel.body }
 
-let sched_counters () =
-  let v name =
-    Option.value ~default:0
-      (List.assoc_opt name (Gat_util.Metrics.counters_snapshot ()))
-  in
-  (v "artifact.sched.hits", v "artifact.sched.misses")
-
-let test_edit_resweeps_delta () =
+let test_edit_serves_no_stale_verdict () =
   reset ();
   ignore (Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:64 ~seed:3);
-  (* A "new process" sweeping the edited kernel: in-memory caches gone,
-     the artifact tree still on disk. *)
+  (* A "new process" sweeping the edited kernel: every program digest
+     moved, so no verdict of the original kernel may be served. *)
   Gat_tuner.Tuner.clear_cache ();
-  let h0, m0 = sched_counters () in
-  ignore
-    (Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 atax_edited gpu ~n:64 ~seed:3);
-  let h1, m1 = sched_counters () in
-  let rescheduled = m1 - m0 and lookups = h1 - h0 + (m1 - m0) in
-  (* O(delta): the edit is noticed (some block rescheduled) and
-     contained (the untouched blocks served from the store). *)
-  Alcotest.(check bool) "the edited block is rescheduled" true (rescheduled > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "%d of %d block lookups rescheduled" rescheduled lookups)
-    true (rescheduled < lookups)
-
-(* ---- corruption (QCheck) ----
-
-   Every truncation and single-byte corruption of a stored entry must
-   read as a miss (or, when the mutation writes back the original
-   byte, an unchanged hit) — never a wrong hit, never an exception. *)
-
-let ra_entry =
-  lazy
-    (reset ();
-     let c = Lazy.force compiled in
-     let key = Artifacts.ra_key ~gpu c.Gat_compiler.Driver.program in
-     Artifacts.store_ra ~key c.Gat_compiler.Driver.program
-       c.Gat_compiler.Driver.alloc_stats;
-     let path = Filename.concat (Store.dir Artifacts.cache) ("ra-" ^ key ^ ".art") in
-     Alcotest.(check bool) "ra entry on disk" true (Sys.file_exists path);
-     (key, path, In_channel.with_open_bin path In_channel.input_all))
-
-let find_mutated mutated =
-  let key, path, whole = Lazy.force ra_entry in
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc mutated);
-  match Artifacts.find_ra ~key with
-  | exception e ->
-      Alcotest.failf "find_ra raised on corrupted entry: %s" (Printexc.to_string e)
-  | None -> String.compare mutated whole <> 0
-  | Some _ -> String.compare mutated whole = 0
-
-let test_truncation_property =
-  QCheck.Test.make ~name:"every truncation is a miss" ~count:200
-    QCheck.(float_range 0.0 1.0)
-    (fun frac ->
-      let _, _, whole = Lazy.force ra_entry in
-      let keep = int_of_float (frac *. float_of_int (String.length whole)) in
-      let keep = min keep (String.length whole - 1) in
-      find_mutated (String.sub whole 0 keep))
-
-let test_byte_flip_property =
-  QCheck.Test.make ~name:"every single-byte corruption is a miss" ~count:500
-    QCheck.(pair (float_range 0.0 1.0) (int_range 0 255))
-    (fun (frac, byte) ->
-      let _, _, whole = Lazy.force ra_entry in
-      let pos =
-        min
-          (String.length whole - 1)
-          (int_of_float (frac *. float_of_int (String.length whole)))
-      in
-      let mutated = Bytes.of_string whole in
-      Bytes.set mutated pos (Char.chr byte);
-      find_mutated (Bytes.to_string mutated))
+  let before = Store.stats Artifacts.cache in
+  let edited =
+    Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 atax_edited gpu ~n:64 ~seed:3
+  in
+  let after = Store.stats Artifacts.cache in
+  Alcotest.(check int) "no verdict hit after the edit" 0
+    (after.Store.hits - before.Store.hits);
+  Alcotest.(check bool) "the edited kernel's verdicts looked up" true
+    (after.Store.misses - before.Store.misses > 0);
+  Gat_tuner.Tuner.clear_cache ();
+  Store.set_enabled Artifacts.cache false;
+  let uncached =
+    Fun.protect
+      ~finally:(fun () -> Store.set_enabled Artifacts.cache true)
+      (fun () ->
+        Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 atax_edited gpu ~n:64 ~seed:3)
+  in
+  check_variants_identical uncached edited
 
 (* ---- golden bytes ----
 
-   One entry per stage for fixed inputs.  The keys are pinned above;
-   this pins the bytes: the MD5 of each file as written, and a copy of
-   each file as first written ([fixtures/entries/]) must still read
-   back as a hit.  A codec or envelope change that moved one byte
+   One verdict entry for fixed inputs.  The key is pinned above; this
+   pins the bytes: the MD5 of the file as written, and a copy of the
+   file as first written ([fixtures/entries/verdict.art]) must still
+   read back as a hit.  A codec or envelope change that moved one byte
    would orphan every entry in every user's cache. *)
-
-let coal_access ~pattern ~kind ~op ~segments ~transactions =
-  {
-    Gat_analysis.Coalescing.block_index = 3;
-    block_label = "BB3";
-    instr_index = 7;
-    op;
-    kind;
-    pattern;
-    tid_stride = Gat_analysis.Affine.Known { k = 4; e = 0 };
-    iter_stride = Gat_analysis.Affine.Unknown;
-    segments;
-    transactions;
-  }
-
-(* The atax summary plus one group exercising every pattern. *)
-let golden_coal () =
-  let open Gat_analysis in
-  (Lazy.force compiled).Gat_compiler.Driver.mem_summary
-  @ [
-      ( "BB3",
-        [
-          coal_access ~pattern:Coalescing.Broadcast ~kind:`Load
-            ~op:Gat_isa.Opcode.LDG ~segments:1 ~transactions:0.25;
-          coal_access
-            ~pattern:(Coalescing.Large (Affine.Known { k = -8; e = 2 }))
-            ~kind:`Store ~op:Gat_isa.Opcode.STG ~segments:32
-            ~transactions:(1.0 /. 3.0);
-          coal_access ~pattern:Coalescing.Unknown ~kind:`Load
-            ~op:Gat_isa.Opcode.LDG ~segments:32 ~transactions:32.0;
-          coal_access ~pattern:(Coalescing.Stride 12) ~kind:`Load
-            ~op:Gat_isa.Opcode.LDG ~segments:3 ~transactions:Float.min_float;
-        ] );
-    ]
 
 (* A report exercising every finding shape the verdict codec knows. *)
 let golden_verdict =
@@ -511,85 +381,90 @@ let golden_verdict =
       ];
   }
 
-let block_text (b : Gat_isa.Basic_block.t) =
-  ( b.Gat_isa.Basic_block.label,
-    List.map Gat_isa.Instruction.to_string b.Gat_isa.Basic_block.body,
-    b.Gat_isa.Basic_block.term )
+let verdict_key () =
+  Artifacts.verdict_key ~threads_per_block:256
+    (Lazy.force compiled).Gat_compiler.Driver.digest
 
-(* (stage, key, store, "find hits with the stored value") *)
-let golden_entries () =
-  let c = Lazy.force compiled in
-  let body = (List.hd (vp ()).Gat_isa.Program.blocks).Gat_isa.Basic_block.body in
-  let program = c.Gat_compiler.Driver.program in
-  let st = c.Gat_compiler.Driver.alloc_stats in
-  let coal = golden_coal () in
-  let ra_key = Artifacts.ra_key ~gpu program in
-  let coal_key = Artifacts.coal_key ~gpu c.Gat_compiler.Driver.digest in
-  let verdict_key =
-    Artifacts.verdict_key ~threads_per_block:256 c.Gat_compiler.Driver.digest
-  in
-  let sched_key = Artifacts.sched_key body in
-  [
-    ( "sched",
-      sched_key,
-      (fun () -> Artifacts.store_sched ~key:sched_key body),
-      fun () ->
-        Option.map (List.map Gat_isa.Instruction.to_string)
-          (Artifacts.find_sched ~key:sched_key)
-        = Some (List.map Gat_isa.Instruction.to_string body) );
-    ( "ra",
-      ra_key,
-      (fun () -> Artifacts.store_ra ~key:ra_key program st),
-      fun () ->
-        match Artifacts.find_ra ~key:ra_key with
-        | Some (blocks, st') ->
-            st' = st
-            && List.map block_text blocks
-               = List.map block_text program.Gat_isa.Program.blocks
-        | None -> false );
-    ( "coal",
-      coal_key,
-      (fun () -> Artifacts.store_coal ~key:coal_key coal),
-      fun () -> Artifacts.find_coal ~key:coal_key = Some coal );
-    ( "verdict",
-      verdict_key,
-      (fun () -> Artifacts.store_verdict ~key:verdict_key golden_verdict),
-      fun () -> Artifacts.find_verdict ~key:verdict_key = Some golden_verdict );
-  ]
-
-let golden_md5 =
-  [
-    ("sched", "9501a06abafd238980c5430402b70603");
-    ("ra", "705f55da70cc0243876ec382065f4a2e");
-    ("coal", "b8fcdc9963228acf76cb36a2596460af");
-    ("verdict", "b7a0517aec79e0bb28975f633c6abea4");
-  ]
+let verdict_path key =
+  Filename.concat (Store.dir Artifacts.cache) ("verdict-" ^ key ^ ".art")
 
 let test_golden_bytes () =
   reset ();
-  let entries = golden_entries () in
-  let path stage key = Filename.concat (Store.dir Artifacts.cache) (stage ^ "-" ^ key ^ ".art") in
-  let got =
-    List.map
-      (fun (stage, key, store, _) ->
-        store ();
-        (stage, Digest.to_hex (Digest.file (path stage key))))
-      entries
-  in
-  Alcotest.(check (list (pair string string))) "file digests" golden_md5 got;
-  (* Each file as first written reads back as a hit. *)
+  let key = verdict_key () in
+  Artifacts.store_verdict ~key golden_verdict;
+  Alcotest.(check string) "file digest" "b7a0517aec79e0bb28975f633c6abea4"
+    (Digest.to_hex (Digest.file (verdict_path key)));
+  (* The file as first written reads back as a hit. *)
   ignore (Store.clear Artifacts.cache);
-  List.iter
-    (fun (stage, key, _, found) ->
-      let fixture =
-        In_channel.with_open_bin
-          (Filename.concat "fixtures/entries" (stage ^ ".art"))
-          In_channel.input_all
+  let fixture =
+    In_channel.with_open_bin "fixtures/entries/verdict.art" In_channel.input_all
+  in
+  Out_channel.with_open_bin (verdict_path key) (fun oc ->
+      Out_channel.output_string oc fixture);
+  Alcotest.(check bool) "verdict fixture is a hit" true
+    (Artifacts.find_verdict ~key = Some golden_verdict)
+
+let test_disabled_is_inert () =
+  reset ();
+  Store.set_enabled Artifacts.cache false;
+  let key = verdict_key () in
+  Artifacts.store_verdict ~key golden_verdict;
+  Alcotest.(check bool) "no find when disabled" true
+    (Artifacts.find_verdict ~key = None);
+  let files, _ = Store.disk_usage Artifacts.cache in
+  Alcotest.(check int) "no file written" 0 files;
+  let s = stats () in
+  Alcotest.(check int) "no counters touched" 0
+    (s.Store.hits + s.Store.misses + s.Store.stores);
+  Store.set_enabled Artifacts.cache true
+
+(* ---- corruption (QCheck) ----
+
+   Every truncation and single-byte corruption of a stored entry must
+   read as a miss (or, when the mutation writes back the original
+   byte, an unchanged hit) — never a wrong hit, never an exception. *)
+
+let verdict_entry =
+  lazy
+    (reset ();
+     let key = verdict_key () in
+     Artifacts.store_verdict ~key golden_verdict;
+     let path = verdict_path key in
+     Alcotest.(check bool) "verdict entry on disk" true (Sys.file_exists path);
+     (key, path, In_channel.with_open_bin path In_channel.input_all))
+
+let find_mutated mutated =
+  let key, path, whole = Lazy.force verdict_entry in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc mutated);
+  match Artifacts.find_verdict ~key with
+  | exception e ->
+      Alcotest.failf "find_verdict raised on corrupted entry: %s"
+        (Printexc.to_string e)
+  | None -> String.compare mutated whole <> 0
+  | Some r -> String.compare mutated whole = 0 && r = golden_verdict
+
+let test_truncation_property =
+  QCheck.Test.make ~name:"every truncation is a miss" ~count:200
+    QCheck.(float_range 0.0 1.0)
+    (fun frac ->
+      let _, _, whole = Lazy.force verdict_entry in
+      let keep = int_of_float (frac *. float_of_int (String.length whole)) in
+      let keep = min keep (String.length whole - 1) in
+      find_mutated (String.sub whole 0 keep))
+
+let test_byte_flip_property =
+  QCheck.Test.make ~name:"every single-byte corruption is a miss" ~count:500
+    QCheck.(pair (float_range 0.0 1.0) (int_range 0 255))
+    (fun (frac, byte) ->
+      let _, _, whole = Lazy.force verdict_entry in
+      let pos =
+        min
+          (String.length whole - 1)
+          (int_of_float (frac *. float_of_int (String.length whole)))
       in
-      Out_channel.with_open_bin (path stage key) (fun oc ->
-          Out_channel.output_string oc fixture);
-      Alcotest.(check bool) (stage ^ " fixture is a hit") true (found ()))
-    entries
+      let mutated = Bytes.of_string whole in
+      Bytes.set mutated pos (Char.chr byte);
+      find_mutated (Bytes.to_string mutated))
 
 (* ---- gc ---- *)
 
@@ -635,35 +510,42 @@ let test_gc_unbounded_keeps_everything () =
   Alcotest.(check int) "files intact" files files';
   Alcotest.(check int) "bytes intact" bytes bytes'
 
-(* Caches written before the block table stopped being stored hold
-   [bt-*.art] files.  They are still [.art] entries, so stats count
-   them and clear and gc reclaim them. *)
-let plant_stale_bt () =
-  let path =
-    Filename.concat (Store.dir Artifacts.cache)
-      ("bt-" ^ Digest.to_hex (Digest.string "stale") ^ ".art")
-  in
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc "gat-artifact 1\nstage bt/1\n");
-  path
+(* Caches written before the block table, schedule, register
+   allocation and coalescing summary stopped being stored hold
+   [bt-*.art], [sched-*.art], [ra-*.art] and [coal-*.art] files.  They
+   are still [.art] entries, so stats count them and clear and gc
+   reclaim them. *)
+let plant_stale () =
+  List.map
+    (fun stage ->
+      let path =
+        Filename.concat (Store.dir Artifacts.cache)
+          (stage ^ "-" ^ Digest.to_hex (Digest.string "stale") ^ ".art")
+      in
+      Out_channel.with_open_bin path (fun oc ->
+          Printf.fprintf oc "gat-artifact 1\nstage %s/1\n" stage);
+      path)
+    [ "bt"; "sched"; "ra"; "coal" ]
 
-let test_stale_bt_reclaimable () =
+let test_stale_reclaimable () =
   reset ();
   ignore (Gat_tuner.Tuner.sweep ~space:small_space ~jobs:1 kernel gpu ~n:64 ~seed:3);
   let files, bytes = Store.disk_usage Artifacts.cache in
-  let path = plant_stale_bt () in
-  let size = (Unix.stat path).Unix.st_size in
+  let paths = plant_stale () in
+  let size = List.fold_left (fun n p -> n + (Unix.stat p).Unix.st_size) 0 paths in
   let files', bytes' = Store.disk_usage Artifacts.cache in
-  Alcotest.(check (pair int int)) "cache stats count it" (files + 1, bytes + size)
+  Alcotest.(check (pair int int)) "cache stats count them"
+    (files + List.length paths, bytes + size)
     (files', bytes');
-  Alcotest.(check int) "cache clear removes it" files' (Store.clear Artifacts.cache);
-  Alcotest.(check bool) "gone after clear" false (Sys.file_exists path);
-  let path = plant_stale_bt () in
+  Alcotest.(check int) "cache clear removes them" files' (Store.clear Artifacts.cache);
+  Alcotest.(check bool) "gone after clear" false (List.exists Sys.file_exists paths);
+  let paths = plant_stale () in
   let past = Unix.time () -. 864000.0 in
-  Unix.utimes path past past;
+  List.iter (fun p -> Unix.utimes p past past) paths;
   let r = Artifact_store.gc ~max_bytes:0 in
-  Alcotest.(check bool) "cache gc evicts it" true (r.Artifact_store.removed_files >= 1);
-  Alcotest.(check bool) "gone after gc" false (Sys.file_exists path)
+  Alcotest.(check bool) "cache gc evicts them" true
+    (r.Artifact_store.removed_files >= List.length paths);
+  Alcotest.(check bool) "gone after gc" false (List.exists Sys.file_exists paths)
 
 let cleanup () =
   Store.set_enabled Artifacts.cache true;
@@ -687,7 +569,6 @@ let () =
             ] );
           ( "entries",
             [
-              Alcotest.test_case "sched roundtrip" `Quick test_sched_roundtrip;
               Alcotest.test_case "disabled inert" `Quick test_disabled_is_inert;
               Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
             ] );
@@ -699,8 +580,8 @@ let () =
                 test_identical_across_kernels_and_gpus;
               Alcotest.test_case "BC plane shared across processes" `Quick
                 test_bc_plane_shared_across_processes;
-              Alcotest.test_case "one-statement edit re-sweeps O(delta)" `Quick
-                test_edit_resweeps_delta;
+              Alcotest.test_case "edit serves no stale verdict" `Quick
+                test_edit_serves_no_stale_verdict;
             ] );
           ( "integrity",
             [
@@ -713,6 +594,6 @@ let () =
               Alcotest.test_case "no-op within budget" `Quick
                 test_gc_unbounded_keeps_everything;
               Alcotest.test_case "stale bt entries reclaimable" `Quick
-                test_stale_bt_reclaimable;
+                test_stale_reclaimable;
             ] );
         ])

@@ -461,9 +461,9 @@ let test_counters_independent_of_jobs () =
   Alcotest.(check (list (pair string int))) "jobs 1 = jobs 4" one four
 
 (* The artifact store's counters are job-count independent too: each
-   run starts from a fresh cache root, so every distinct artifact is
-   one miss and one store — two programs sharing a block body must not
-   both schedule and store it. *)
+   run starts from a fresh cache root, so every distinct verdict is one
+   miss and one store — two points of one code class at one TC must not
+   both verify and store it. *)
 let test_artifact_counters_independent_of_jobs () =
   let kernel = Gat_workloads.Workloads.bicg and gpu = Gat_arch.Gpu.k20 in
   let artifact_counters () =
