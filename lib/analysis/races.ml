@@ -16,6 +16,8 @@ type witness = Exact of int * int | May of string
 
 type finding = { first : access; second : access; kind : kind; witness : witness }
 
+type pair = { pair_first : access; pair_second : access; pair_kind : kind }
+
 (* Walk every block with the affine environment live (the same walk
    {!Affine.memory_sites} does) and capture each LDS/STS with the
    abstract value of its address and, for stores, of the operand
@@ -182,11 +184,12 @@ let pair_witness ~tc a b =
               Some (May "unresolved base address"))
       | _ -> Some (May "per-lane stride scales with n"))
 
-let check ~threads_per_block cfg =
-  let tc = threads_per_block in
-  let accesses = Array.of_list (shared_accesses cfg) in
-  let intervals = Gat_cfg.Intervals.compute cfg in
-  let findings = ref [] in
+(* The TC-free half of the check: every same-phase pair with a store,
+   minus the benign same-constant store pairs.  Only the witness search
+   below reads TC. *)
+let candidates intervals accesses =
+  let accesses = Array.of_list accesses in
+  let pairs = ref [] in
   let n = Array.length accesses in
   for i = 0 to n - 1 do
     for j = i to n - 1 do
@@ -200,14 +203,20 @@ let check ~threads_per_block cfg =
              (b.block_index, b.instr_index)
         && not (a_store && b_store && benign_same_value a b)
       then
-        match pair_witness ~tc a b with
-        | Some witness ->
-            let kind = if a_store && b_store then Write_write else Read_write in
-            findings := { first = a; second = b; kind; witness } :: !findings
-        | None -> ()
+        let kind = if a_store && b_store then Write_write else Read_write in
+        pairs := { pair_first = a; pair_second = b; pair_kind = kind } :: !pairs
     done
   done;
-  List.rev !findings
+  List.rev !pairs
+
+let witnesses ~threads_per_block pairs =
+  List.filter_map
+    (fun p ->
+      Option.map
+        (fun witness ->
+          { first = p.pair_first; second = p.pair_second; kind = p.pair_kind; witness })
+        (pair_witness ~tc:threads_per_block p.pair_first p.pair_second))
+    pairs
 
 (* ---- rendering ---- *)
 

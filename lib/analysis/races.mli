@@ -18,7 +18,14 @@
     {e same known constant} cannot produce an observable race (every
     interleaving leaves the same bytes), which admits the compiler's
     own staging prologue — all threads store literal zero to the same
-    staging slots before the barrier. *)
+    staging slots before the barrier.
+
+    The check is two steps, and only the second reads TC:
+    {!candidates} keeps the pairs that survive the store, phase and
+    benign-value filters, which depend on the instruction structure
+    alone; {!witnesses} runs the thread-pair witness search over them
+    for one TC.  A code class is filtered once and searched per TC
+    ({!Verify.analyze} / {!Verify.report}). *)
 
 type access = {
   block_index : int;
@@ -40,13 +47,21 @@ type witness =
 
 type finding = { first : access; second : access; kind : kind; witness : witness }
 
+type pair = { pair_first : access; pair_second : access; pair_kind : kind }
+(** A candidate: two accesses, at least one a store, that may share a
+    barrier phase and are not a benign same-constant store pair. *)
+
 val shared_accesses : Gat_cfg.Cfg.t -> access list
 (** Every shared-memory access, in block/program order. *)
 
-val check : threads_per_block:int -> Gat_cfg.Cfg.t -> finding list
-(** All racing pairs, ordered by (first, second) program position.
-    [threads_per_block] bounds the symbolic thread indices — the TC
-    condition under which an exact witness fires. *)
+val candidates : Gat_cfg.Intervals.t -> access list -> pair list
+(** The candidate pairs among the accesses, ordered by (first, second)
+    program position.  Reads no TC. *)
+
+val witnesses : threads_per_block:int -> pair list -> finding list
+(** The candidates with a witness at this TC, in the same order: all
+    racing pairs.  The only step that reads [threads_per_block], which
+    bounds the symbolic thread indices. *)
 
 val address_to_string : Affine.value -> string
 (** Stable rendering, e.g. ["0 + 4·t"], ["u + 4n·t + 4·j"]. *)

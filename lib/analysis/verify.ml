@@ -8,6 +8,15 @@ type report = {
   races : Races.finding list;
 }
 
+type facts = {
+  name : string;
+  barriers : int;
+  accesses : int;
+  divergent : Barrier_safety.finding list;
+  candidates : Races.pair list;
+}
+
+let m_analyzed = Gat_util.Metrics.counter "verify.analyzed"
 let m_checked = Gat_util.Metrics.counter "verify.checked"
 let m_unsafe = Gat_util.Metrics.counter "verify.unsafe"
 let m_divergent = Gat_util.Metrics.counter "verify.divergent_barriers"
@@ -15,34 +24,44 @@ let m_races = Gat_util.Metrics.counter "verify.races"
 
 let safe r = r.divergent_barriers = [] && r.races = []
 
-let run ~threads_per_block (program : Gat_isa.Program.t) =
+let analyze (program : Gat_isa.Program.t) =
   Gat_util.Trace.span "verify.run"
-    ~args:
-      [
-        ("program", Gat_util.Trace.S program.Gat_isa.Program.name);
-        ("tc", Gat_util.Trace.I threads_per_block);
-      ]
+    ~args:[ ("program", Gat_util.Trace.S program.Gat_isa.Program.name) ]
   @@ fun () ->
   let cfg = Gat_cfg.Cfg.of_program program in
   let intervals = Gat_cfg.Intervals.compute cfg in
-  let divergent_barriers = Barrier_safety.check cfg in
-  let races = Races.check ~threads_per_block cfg in
+  let accesses = Races.shared_accesses cfg in
+  Gat_util.Metrics.incr m_analyzed;
+  {
+    name = program.Gat_isa.Program.name;
+    barriers = Gat_cfg.Intervals.barrier_count intervals;
+    accesses = List.length accesses;
+    divergent = Barrier_safety.check cfg;
+    candidates = Races.candidates intervals accesses;
+  }
+
+(* No span: binding a TC takes well under a microsecond, less than
+   recording one. *)
+let report ~threads_per_block f =
+  let races = Races.witnesses ~threads_per_block f.candidates in
   let r =
     {
-      program_name = program.Gat_isa.Program.name;
+      program_name = f.name;
       threads_per_block;
-      barrier_count = Gat_cfg.Intervals.barrier_count intervals;
-      interval_count = Gat_cfg.Intervals.barrier_count intervals + 1;
-      shared_accesses = List.length (Races.shared_accesses cfg);
-      divergent_barriers;
+      barrier_count = f.barriers;
+      interval_count = f.barriers + 1;
+      shared_accesses = f.accesses;
+      divergent_barriers = f.divergent;
       races;
     }
   in
   Gat_util.Metrics.incr m_checked;
   if not (safe r) then Gat_util.Metrics.incr m_unsafe;
-  Gat_util.Metrics.incr ~by:(List.length divergent_barriers) m_divergent;
+  Gat_util.Metrics.incr ~by:(List.length f.divergent) m_divergent;
   Gat_util.Metrics.incr ~by:(List.length races) m_races;
   r
+
+let run ~threads_per_block program = report ~threads_per_block (analyze program)
 
 let verdict r = if safe r then "SAFE" else "UNSAFE"
 

@@ -14,9 +14,18 @@
     the problem size — which is what makes per-variant verdict caching
     ([Gat_tuner.Tuner.verdict]) sound across the (BC, N) axes.
 
-    Observability: each run increments [verify.checked] plus
-    [verify.unsafe] / [verify.divergent_barriers] / [verify.races]
-    counters and runs inside a [verify.run] trace span. *)
+    Verification is two steps.  {!analyze} reads the instruction
+    structure alone: the CFG, the barrier intervals, the divergent
+    barriers, the shared accesses with their affine addresses, and the
+    race candidate pairs ({!Races.candidates}), each pass once.
+    {!report} binds the thread count: it runs only the race-witness
+    search ({!Races.witnesses}), the one step that reads TC.  A code
+    class is analyzed once and reported at every TC.
+
+    Observability: each {!analyze} increments [verify.analyzed] and
+    runs inside a [verify.run] trace span; each {!report} increments
+    [verify.checked] plus [verify.unsafe] /
+    [verify.divergent_barriers] / [verify.races]. *)
 
 type report = {
   program_name : string;
@@ -28,7 +37,22 @@ type report = {
   races : Races.finding list;
 }
 
+type facts = {
+  name : string;  (** The program's name. *)
+  barriers : int;
+  accesses : int;  (** LDS/STS instructions inspected. *)
+  divergent : Barrier_safety.finding list;
+  candidates : Races.pair list;
+}
+(** Everything the verifier knows about a program before it reads TC. *)
+
+val analyze : Gat_isa.Program.t -> facts
+
+val report : threads_per_block:int -> facts -> report
+(** The witness search at one TC over the analyzed facts. *)
+
 val run : threads_per_block:int -> Gat_isa.Program.t -> report
+(** [report ~threads_per_block (analyze program)]. *)
 
 val safe : report -> bool
 (** No findings of either kind. *)

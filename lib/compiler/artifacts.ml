@@ -1,11 +1,12 @@
 (* The persistent content-addressed artifact store.
 
-   One entry per verifier report, keyed by an MD5 over everything that
-   shapes it — the weight-free structural digest of the virtual
-   program ({!Gat_isa.Fingerprint.program}) and the threads per block
-   — plus the format version.  The verifier never reads the device,
+   One entry per code class: the verifier's TC-free facts, keyed by an
+   MD5 over everything that shapes them — the weight-free structural
+   digest of the virtual program ({!Gat_isa.Fingerprint.program}) —
+   plus the format version.  The facts never read the TC, the device,
    the block count or the problem size, so every variant of a code
-   class at one TC shares one entry, across runs and across processes.
+   class shares one entry, across runs and across processes; each
+   TC's report is only the race-witness search over it.
 
    The other backend stages (schedule, register allocation, coalescing
    summary, block table) are recomputed on every class miss: each is
@@ -19,8 +20,8 @@
    keep computing uncached.  Chaos testing hooks in through the
    [artifact-read] / [artifact-write] fault sites.
 
-   The hard invariant the codec must preserve: a store-served report
-   is bit-identical to a recomputed one. *)
+   The hard invariant the codec must preserve: store-served facts are
+   bit-identical to recomputed ones, so every report over them is too. *)
 
 open Gat_isa
 module Store = Gat_util.Store
@@ -28,17 +29,15 @@ module Store = Gat_util.Store
 (* The format version participates in the key and in the entry's
    header line, so bumping it orphans every old entry (reclaimed by
    [gat cache gc]). *)
-let version = "verdict/1"
+let version = "verdict/2"
 
 let cache =
   Store.create ~name:"artifact store" ~metrics:"artifact" ~site:"artifact"
     ~dir:(fun () -> Filename.concat (Gat_util.Cache_dir.root ()) "artifacts")
     ~suffixes:[ ".art" ]
 
-let verdict_key ~threads_per_block digest =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00" [ version; string_of_int threads_per_block; digest ]))
+let verdict_key digest =
+  Digest.to_hex (Digest.string (String.concat "\x00" [ version; digest ]))
 
 let header = "gat-artifact 1\nstage " ^ version ^ "\n"
 let path key = Store.path cache ("verdict-" ^ key ^ ".art")
@@ -100,7 +99,7 @@ let read_opcode cur =
 let read_flag cur =
   match Store.int cur with 0 -> false | 1 -> true | _ -> Store.bad ()
 
-(* ---- verdict: the full safety report ---- *)
+(* ---- verdict: the verifier's TC-free facts ---- *)
 
 let emit_race_access buf (a : Gat_analysis.Races.access) =
   addf buf "a %d %s %d %s %d %d" a.Gat_analysis.Races.block_index
@@ -162,114 +161,81 @@ let read_divergent cur =
     branch_labels;
   }
 
-let read_race cur =
+let read_pair cur =
   Store.start cur;
-  Store.keyword cur "r";
-  let kind =
+  Store.keyword cur "p";
+  let pair_kind =
     match Store.word cur with
     | "WW" -> Gat_analysis.Races.Write_write
     | "RW" -> Gat_analysis.Races.Read_write
     | _ -> Store.bad ()
   in
   Store.end_line cur;
-  let first = read_race_access cur in
-  let second = read_race_access cur in
-  Store.start cur;
-  Store.keyword cur "w";
-  let witness =
-    match Store.word cur with
-    | "E" ->
-        let i = Store.int cur in
-        let j = Store.int cur in
-        Store.end_line cur;
-        Gat_analysis.Races.Exact (i, j)
-    | "M" -> Gat_analysis.Races.May (Store.rest cur)
-    | _ -> Store.bad ()
-  in
-  { Gat_analysis.Races.first; second; kind; witness }
+  let pair_first = read_race_access cur in
+  let pair_second = read_race_access cur in
+  { Gat_analysis.Races.pair_first; pair_second; pair_kind }
 
 let find_verdict ~key =
   Store.find cache ~header (path key) (fun cur ->
       Store.start cur;
       Store.keyword cur "name";
-      let program_name = Store.rest cur in
+      let name = Store.rest cur in
       Store.start cur;
-      Store.keyword cur "report";
-      let threads_per_block = Store.int cur in
-      let barrier_count = Store.int cur in
-      let interval_count = Store.int cur in
-      let shared_accesses = Store.int cur in
+      Store.keyword cur "facts";
+      let barriers = Store.int cur in
+      let accesses = Store.int cur in
       Store.end_line cur;
-      let divergent_barriers =
+      let divergent =
         List.init (Store.counted cur "divergent") (fun _ -> read_divergent cur)
       in
-      let races = List.init (Store.counted cur "races") (fun _ -> read_race cur) in
-      {
-        Gat_analysis.Verify.program_name;
-        threads_per_block;
-        barrier_count;
-        interval_count;
-        shared_accesses;
-        divergent_barriers;
-        races;
-      })
+      let candidates =
+        List.init (Store.counted cur "pairs") (fun _ -> read_pair cur)
+      in
+      { Gat_analysis.Verify.name; barriers; accesses; divergent; candidates })
 
-let store_verdict ~key (r : Gat_analysis.Verify.report) =
-  let finding_safe (f : Gat_analysis.Barrier_safety.finding) =
-    safe_text f.Gat_analysis.Barrier_safety.block_label
-    && List.for_all safe_text f.Gat_analysis.Barrier_safety.branch_labels
+let store_verdict ~key (f : Gat_analysis.Verify.facts) =
+  let finding_safe (d : Gat_analysis.Barrier_safety.finding) =
+    safe_text d.Gat_analysis.Barrier_safety.block_label
+    && List.for_all safe_text d.Gat_analysis.Barrier_safety.branch_labels
   in
-  let access_safe (a : Gat_analysis.Races.access) =
-    safe_text a.Gat_analysis.Races.block_label
-  in
-  let race_safe (f : Gat_analysis.Races.finding) =
-    access_safe f.Gat_analysis.Races.first
-    && access_safe f.Gat_analysis.Races.second
-    &&
-    match f.Gat_analysis.Races.witness with
-    | Gat_analysis.Races.Exact _ -> true
-    | Gat_analysis.Races.May m -> not (String.contains m '\n')
+  let pair_safe (p : Gat_analysis.Races.pair) =
+    safe_text p.Gat_analysis.Races.pair_first.Gat_analysis.Races.block_label
+    && safe_text p.Gat_analysis.Races.pair_second.Gat_analysis.Races.block_label
   in
   if
-    (not (String.contains r.Gat_analysis.Verify.program_name '\n'))
-    && List.for_all finding_safe r.Gat_analysis.Verify.divergent_barriers
-    && List.for_all race_safe r.Gat_analysis.Verify.races
+    (not (String.contains f.Gat_analysis.Verify.name '\n'))
+    && List.for_all finding_safe f.Gat_analysis.Verify.divergent
+    && List.for_all pair_safe f.Gat_analysis.Verify.candidates
   then
     Store.store cache ~header (path key) (fun buf ->
-        addf buf "name %s\n" r.Gat_analysis.Verify.program_name;
-        addf buf "report %d %d %d %d\n" r.Gat_analysis.Verify.threads_per_block
-          r.Gat_analysis.Verify.barrier_count
-          r.Gat_analysis.Verify.interval_count
-          r.Gat_analysis.Verify.shared_accesses;
-        addf buf "divergent %d\n"
-          (List.length r.Gat_analysis.Verify.divergent_barriers);
+        addf buf "name %s\n" f.Gat_analysis.Verify.name;
+        addf buf "facts %d %d\n" f.Gat_analysis.Verify.barriers
+          f.Gat_analysis.Verify.accesses;
+        addf buf "divergent %d\n" (List.length f.Gat_analysis.Verify.divergent);
         List.iter
-          (fun (f : Gat_analysis.Barrier_safety.finding) ->
-            addf buf "d %d %s %d %d\n" f.Gat_analysis.Barrier_safety.block_index
-              f.Gat_analysis.Barrier_safety.block_label
-              f.Gat_analysis.Barrier_safety.instr_index
-              (List.length f.Gat_analysis.Barrier_safety.branch_indices);
+          (fun (d : Gat_analysis.Barrier_safety.finding) ->
+            addf buf "d %d %s %d %d\n" d.Gat_analysis.Barrier_safety.block_index
+              d.Gat_analysis.Barrier_safety.block_label
+              d.Gat_analysis.Barrier_safety.instr_index
+              (List.length d.Gat_analysis.Barrier_safety.branch_indices);
             Buffer.add_string buf "bi";
             List.iter
               (fun i -> addf buf " %d" i)
-              f.Gat_analysis.Barrier_safety.branch_indices;
+              d.Gat_analysis.Barrier_safety.branch_indices;
             Buffer.add_char buf '\n';
             Buffer.add_string buf "bl";
             List.iter
               (fun l -> addf buf " %s" l)
-              f.Gat_analysis.Barrier_safety.branch_labels;
+              d.Gat_analysis.Barrier_safety.branch_labels;
             Buffer.add_char buf '\n')
-          r.Gat_analysis.Verify.divergent_barriers;
-        addf buf "races %d\n" (List.length r.Gat_analysis.Verify.races);
+          f.Gat_analysis.Verify.divergent;
+        addf buf "pairs %d\n" (List.length f.Gat_analysis.Verify.candidates);
         List.iter
-          (fun (f : Gat_analysis.Races.finding) ->
-            addf buf "r %s\n"
-              (match f.Gat_analysis.Races.kind with
+          (fun (p : Gat_analysis.Races.pair) ->
+            addf buf "p %s\n"
+              (match p.Gat_analysis.Races.pair_kind with
               | Gat_analysis.Races.Write_write -> "WW"
               | Gat_analysis.Races.Read_write -> "RW");
-            emit_race_access buf f.Gat_analysis.Races.first;
-            emit_race_access buf f.Gat_analysis.Races.second;
-            match f.Gat_analysis.Races.witness with
-            | Gat_analysis.Races.Exact (i, j) -> addf buf "w E %d %d\n" i j
-            | Gat_analysis.Races.May m -> addf buf "w M %s\n" m)
-          r.Gat_analysis.Verify.races)
+            emit_race_access buf p.Gat_analysis.Races.pair_first;
+            emit_race_access buf p.Gat_analysis.Races.pair_second)
+          f.Gat_analysis.Verify.candidates)

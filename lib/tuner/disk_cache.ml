@@ -51,20 +51,46 @@ let key space kernel gpu ~n ~seed =
 let file_of_key k = Store.path cache (k ^ ".sweep")
 let ckpt_of_key k = Store.path cache (k ^ ".ckpt")
 
-(* ---- serialization: emit ---- *)
+(* ---- serialization: emit ----
+
+   Entries are emitted with [Buffer.add_string] rather than [Printf]:
+   a paper-space entry is some 5,000 lines, and through the format
+   interpreter emitting one cost more than parsing it back.  Integers
+   print as [%d] does, digit by digit ([string_of_int] goes through
+   the C formatter too), and floats through the primitive behind [%h],
+   so the bytes are the same. *)
+
+external hexstring_of_float : float -> int -> char -> string
+  = "caml_hexstring_of_float"
+
+(* [%h]: no precision limit (a negative one), a sign only when
+   negative. *)
+let add_float buf f =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (hexstring_of_float f (-6) '-')
+
+let add_int buf i =
+  Buffer.add_char buf ' ';
+  Gat_isa.Register.add_int buf i
+
+(* A section header: the tag and its line count. *)
+let add_count buf tag n =
+  Buffer.add_string buf tag;
+  add_int buf n;
+  Buffer.add_char buf '\n'
 
 let emit_mix buf (m : Gat_core.Imix.t) =
-  Buffer.add_string buf (string_of_int (Array.length m.Gat_core.Imix.per_category));
-  Array.iter
-    (fun v -> Buffer.add_string buf (Printf.sprintf " %h" v))
-    m.Gat_core.Imix.per_category;
-  Buffer.add_string buf (Printf.sprintf " %h" m.Gat_core.Imix.reg_operands)
+  Gat_isa.Register.add_int buf (Array.length m.Gat_core.Imix.per_category);
+  Array.iter (add_float buf) m.Gat_core.Imix.per_category;
+  add_float buf m.Gat_core.Imix.reg_operands
 
 let emit_params buf (p : Gat_compiler.Params.t) =
-  Printf.bprintf buf "%d %d %d %d %d %d" p.Gat_compiler.Params.threads_per_block
-    p.Gat_compiler.Params.block_count p.Gat_compiler.Params.unroll
-    p.Gat_compiler.Params.l1_pref_kb p.Gat_compiler.Params.staging
-    (if p.Gat_compiler.Params.fast_math then 1 else 0)
+  Gat_isa.Register.add_int buf p.Gat_compiler.Params.threads_per_block;
+  add_int buf p.Gat_compiler.Params.block_count;
+  add_int buf p.Gat_compiler.Params.unroll;
+  add_int buf p.Gat_compiler.Params.l1_pref_kb;
+  add_int buf p.Gat_compiler.Params.staging;
+  add_int buf (if p.Gat_compiler.Params.fast_math then 1 else 0)
 
 (* The instruction mixes repeat heavily across a sweep — the estimated
    mix is per compile class, not per (TC, BC) point — so each entry
@@ -75,21 +101,31 @@ let emit_params buf (p : Gat_compiler.Params.t) =
    structurally. *)
 let emit_variant buf (v : Variant.t) ~dyn_idx ~est_idx =
   emit_params buf v.Variant.params;
-  Printf.bprintf buf " %h %h %d %d %d\n" v.Variant.time_ms v.Variant.occupancy
-    v.Variant.registers dyn_idx est_idx
+  add_float buf v.Variant.time_ms;
+  add_float buf v.Variant.occupancy;
+  add_int buf v.Variant.registers;
+  add_int buf dyn_idx;
+  add_int buf est_idx;
+  Buffer.add_char buf '\n'
 
 let one_line s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
+let add_text buf s =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (one_line s);
+  Buffer.add_char buf '\n'
+
 let emit_failure buf (f : Variant.failure) =
   emit_params buf f.Variant.failed_params;
-  Printf.bprintf buf " %d %s\n" f.Variant.attempts (one_line f.Variant.message)
+  add_int buf f.Variant.attempts;
+  add_text buf f.Variant.message
 
 let emit_unsafe buf (u : Variant.unsafe) =
   emit_params buf u.Variant.unsafe_params;
-  Printf.bprintf buf " %s\n" (one_line u.Variant.reason)
+  add_text buf u.Variant.reason
 
 let emit_unsafe_section buf unsafe =
-  Buffer.add_string buf (Printf.sprintf "unsafe %d\n" (List.length unsafe));
+  add_count buf "unsafe" (List.length unsafe);
   List.iter (emit_unsafe buf) unsafe
 
 (* The mix dictionary plus the variant lines — shared by entry and
@@ -114,14 +150,13 @@ let emit_variants_section buf variants =
         (mix_id v.Variant.dynamic_mix, mix_id v.Variant.est_mix))
       variants
   in
-  Buffer.add_string buf (Printf.sprintf "mixes %d\n" !n_mixes);
+  add_count buf "mixes" !n_mixes;
   List.iter
     (fun m ->
       emit_mix buf m;
       Buffer.add_char buf '\n')
     (List.rev !mixes_rev);
-  Buffer.add_string buf
-    (Printf.sprintf "variants %d\n" (List.length variants));
+  add_count buf "variants" (List.length variants);
   List.iter2
     (fun v (dyn_idx, est_idx) -> emit_variant buf v ~dyn_idx ~est_idx)
     variants refs
@@ -221,8 +256,8 @@ type checkpoint = {
 }
 
 let emit_checkpoint ckpt buf =
-  Printf.bprintf buf "done %d\nfailures %d\n" ckpt.done_points
-    (List.length ckpt.failures);
+  add_count buf "done" ckpt.done_points;
+  add_count buf "failures" (List.length ckpt.failures);
   List.iter (emit_failure buf) ckpt.failures;
   emit_unsafe_section buf ckpt.unsafe;
   emit_variants_section buf ckpt.variants

@@ -22,10 +22,14 @@ let compile kernel gpu params =
 
 (* A verdict reads only the virtual program's instruction structure
    and TC — never the weights (the only BC-dependent part of the code),
-   the device or N — so it is memoized on the compile's weight-free
-   digest plus TC: one verification per code class and TC, shared by
-   every BC and N point.  The [verdict] artifact shares it across
-   processes. *)
+   the device or N.  The TC-free facts are memoized on the compile's
+   weight-free digest: one analysis per code class, shared across
+   processes by the class's [verdict] artifact.  The report binds TC,
+   which only the race-witness search reads; it is memoized on digest
+   plus TC, so [cache.verdict.*] and [verify.checked] count one report
+   per code class and TC, shared by every BC and N point. *)
+module Facts = Gat_util.Memo.Make (String)
+
 module Verdicts = Gat_util.Memo.Make (struct
   type t = string * int
 
@@ -33,22 +37,28 @@ module Verdicts = Gat_util.Memo.Make (struct
   let hash = Hashtbl.hash
 end)
 
+let facts : Gat_analysis.Verify.facts Facts.t = Facts.create ()
+
 let verdicts =
   Verdicts.create
     ~hits:(Gat_util.Metrics.counter "cache.verdict.hits")
     ~misses:(Gat_util.Metrics.counter "cache.verdict.misses")
     ()
 
+let class_facts (c : Gat_compiler.Driver.compiled) =
+  Facts.find_or_compute facts c.digest (fun () ->
+      let key = Gat_compiler.Artifacts.verdict_key c.digest in
+      match Gat_compiler.Artifacts.find_verdict ~key with
+      | Some f -> f
+      | None ->
+          let f = Gat_analysis.Verify.analyze c.ptx in
+          Gat_compiler.Artifacts.store_verdict ~key f;
+          f)
+
 let verdict (c : Gat_compiler.Driver.compiled) =
   let tc = c.params.Gat_compiler.Params.threads_per_block in
   Verdicts.find_or_compute verdicts (c.digest, tc) (fun () ->
-      let key = Gat_compiler.Artifacts.verdict_key ~threads_per_block:tc c.digest in
-      match Gat_compiler.Artifacts.find_verdict ~key with
-      | Some report -> report
-      | None ->
-          let report = Gat_analysis.Verify.run ~threads_per_block:tc c.ptx in
-          Gat_compiler.Artifacts.store_verdict ~key report;
-          report)
+      Gat_analysis.Verify.report ~threads_per_block:tc (class_facts c))
 
 let eval_point kernel gpu ~n ~seed params =
   let rng = Gat_util.Rng.create (point_seed kernel gpu ~seed params) in
@@ -84,6 +94,7 @@ let sweep_key = Disk_cache.key
 
 let clear_cache () =
   Sweeps.clear sweeps;
+  Facts.clear facts;
   Verdicts.clear verdicts;
   Gat_compiler.Codegen_cache.clear ()
 
@@ -99,6 +110,8 @@ let clear_cache () =
    checkpoint, so a crash or SIGINT costs at most one block of work. *)
 let default_block_size = 256
 
+(* A point's identity at the [compile] and [simulate] fault sites;
+   built only when the site has a rule ({!Gat_util.Fault.armed}). *)
 let fault_key kernel gpu params =
   Printf.sprintf "%s/%s/%s" kernel.Gat_ir.Kernel.name gpu.Gat_arch.Gpu.name
     (Gat_compiler.Params.to_string params)
@@ -196,8 +209,9 @@ let run_range ?jobs ?(retries = 1) ?max_failures
         Gat_util.Metrics.observe_timed h_compile @@ fun () ->
         Gat_util.Pool.map_result ?jobs ~retries ?max_failures:(budget_left ())
           (fun params ->
-            Gat_util.Fault.inject ~site:"compile"
-              ~key:(fault_key kernel gpu params);
+            if Gat_util.Fault.armed ~site:"compile" then
+              Gat_util.Fault.inject ~site:"compile"
+                ~key:(fault_key kernel gpu params);
             ( Gat_util.Rng.create (point_seed kernel gpu ~seed params),
               (* Verify right after compiling, while the block's
                  workers are already fanned out; the verdict cache
@@ -257,11 +271,12 @@ let run_range ?jobs ?(retries = 1) ?max_failures
                   when not (Gat_analysis.Verify.safe verdict) ->
                     None (* unsafe variant: never simulated or ranked *)
                 | Ok (rng, Ok (c, _)) ->
-                    Gat_util.Fault.inject ~site:"simulate"
-                      ~key:
-                        (Printf.sprintf "%s/n=%d"
-                           (fault_key kernel gpu blk.(i))
-                           n);
+                    if Gat_util.Fault.armed ~site:"simulate" then
+                      Gat_util.Fault.inject ~site:"simulate"
+                        ~key:
+                          (Printf.sprintf "%s/n=%d"
+                             (fault_key kernel gpu blk.(i))
+                             n);
                     Some
                       (Measure.evaluate_compiled c ~n
                          ~rng:(Gat_util.Rng.copy rng)))

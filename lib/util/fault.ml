@@ -9,11 +9,14 @@ type rule = { prob : float; mode : mode }
 
 type config = { seed : int; rules : (string * rule) list }
 
+(* Guards the attempt counters and the first read of GAT_FAULT.  Once
+   configured, [state] is read without it: the unarmed path of every
+   [inject] is one atomic load. *)
 let lock = Mutex.create ()
 
 (* None = not yet configured (read GAT_FAULT lazily);
    Some None = configured off; Some (Some c) = active. *)
-let state : config option option ref = ref None
+let state : config option option Atomic.t = Atomic.make None
 let attempts : (string, int) Hashtbl.t = Hashtbl.create 64
 
 exception Injected of string
@@ -63,27 +66,35 @@ let parse spec =
 let set_spec spec =
   Pool.with_lock lock (fun () ->
       Hashtbl.reset attempts;
-      state := Some (match spec with None -> None | Some s -> parse s))
+      Atomic.set state (Some (match spec with None -> None | Some s -> parse s)))
 
 let reset () =
   Pool.with_lock lock (fun () ->
       Hashtbl.reset attempts;
-      state := None)
+      Atomic.set state None)
 
 let config () =
-  Pool.with_lock lock (fun () ->
-      match !state with
-      | Some c -> c
-      | None ->
-          let c =
-            match Sys.getenv_opt "GAT_FAULT" with
-            | None | Some "" -> None
-            | Some s -> parse s
-          in
-          state := Some c;
-          c)
+  match Atomic.get state with
+  | Some c -> c
+  | None ->
+      Pool.with_lock lock (fun () ->
+          match Atomic.get state with
+          | Some c -> c
+          | None ->
+              let c =
+                match Sys.getenv_opt "GAT_FAULT" with
+                | None | Some "" -> None
+                | Some s -> parse s
+              in
+              Atomic.set state (Some c);
+              c)
 
 let enabled () = config () <> None
+
+let armed ~site =
+  match config () with
+  | None -> false
+  | Some { rules; _ } -> List.mem_assoc site rules
 
 (* 30 uniform bits from the structural hash; enough resolution for
    probabilities down to ~1e-9. *)

@@ -37,6 +37,11 @@ val inject : site:string -> key:string -> unit
 val enabled : unit -> bool
 (** True when any injection rule is active. *)
 
+val armed : site:string -> bool
+(** True when a rule for [site] is active.  A caller whose key is
+    costly to build checks this first and builds the key only then;
+    with no rule, {!inject} and [armed] take no lock. *)
+
 val set_spec : string option -> unit
 (** Programmatic override of [GAT_FAULT]; [None] disables injection.
     Also clears the per-(site, key) attempt counters.

@@ -61,30 +61,28 @@ let test_golden_keys () =
   let got =
     [
       ("program fingerprint", Fingerprint.program p);
-      ( "verdict key",
-        Artifacts.verdict_key ~threads_per_block:128 (Fingerprint.program p) );
+      ("verdict key", Artifacts.verdict_key (Fingerprint.program p));
     ]
   in
   let want =
     [
       ("program fingerprint", "133774d54218b7a5eb6218242fd5a562");
-      ("verdict key", "39ac2ff361dab7fbcaf28a82a2675617");
+      ("verdict key", "a87517ce07736bfb743a4c3b0d9852d0");
     ]
   in
   Alcotest.(check (list (pair string string))) "pinned digests" want got
 
 let test_keys_weight_free () =
-  (* Same code at a different launch geometry: the fingerprint must be
-     unchanged; the verdict key still reads TC. *)
+  (* Same code at a different launch geometry: the fingerprint, and so
+     the class's verdict key, must be unchanged. *)
   let c1 = Lazy.force compiled in
   let params2 = Params.make ~threads_per_block:512 ~block_count:24 () in
   let c2 = Gat_compiler.Driver.compile_exn kernel gpu params2 in
   let p1 = c1.Gat_compiler.Driver.ptx and p2 = c2.Gat_compiler.Driver.ptx in
   let d1 = Fingerprint.program p1 and d2 = Fingerprint.program p2 in
   Alcotest.(check string) "fingerprint ignores TC/BC" d1 d2;
-  Alcotest.(check bool) "verdict key reads TC" false
-    (Artifacts.verdict_key ~threads_per_block:128 d1
-    = Artifacts.verdict_key ~threads_per_block:512 d1)
+  Alcotest.(check string) "verdict key ignores TC/BC" (Artifacts.verdict_key d1)
+    (Artifacts.verdict_key d2)
 
 (* The instruction printer as it was before it wrote into the caller's
    buffer: one string per register, operand and instruction.  The
@@ -323,14 +321,16 @@ let test_edit_serves_no_stale_verdict () =
 
 (* ---- golden bytes ----
 
-   One verdict entry for fixed inputs.  The key is pinned above; this
+   One class entry for fixed inputs.  The key is pinned above; this
    pins the bytes: the MD5 of the file as written, and a copy of the
    file as first written ([fixtures/entries/verdict.art]) must still
    read back as a hit.  A codec or envelope change that moved one byte
    would orphan every entry in every user's cache. *)
 
-(* A report exercising every finding shape the verdict codec knows. *)
-let golden_verdict =
+(* Facts exercising every shape the codec knows: a divergent barrier,
+   write-write and read-write candidates, stored values known and
+   unknown, guarded and unguarded accesses. *)
+let golden_facts =
   let open Gat_analysis in
   let value base tid =
     { Affine.base; mag = 1; tid; iter = Affine.Known { k = 0; e = 0 } }
@@ -349,12 +349,10 @@ let golden_verdict =
   let sts = access ~op:Gat_isa.Opcode.STS ~stored:(Some (value None Affine.Unknown)) in
   let lds = access ~op:Gat_isa.Opcode.LDS ~stored:None in
   {
-    Verify.program_name = "golden kernel";
-    threads_per_block = 256;
-    barrier_count = 2;
-    interval_count = 3;
-    shared_accesses = 5;
-    divergent_barriers =
+    Verify.name = "golden kernel";
+    barriers = 2;
+    accesses = 5;
+    divergent =
       [
         {
           Barrier_safety.block_index = 4;
@@ -364,51 +362,65 @@ let golden_verdict =
           branch_labels = [ "BB1"; "BB2" ];
         };
       ];
-    races =
+    candidates =
       [
         {
-          Races.first = sts ~predicated:false 1;
-          second = sts ~predicated:true 2;
-          kind = Races.Write_write;
-          witness = Races.Exact (0, 32);
+          Races.pair_first = sts ~predicated:false 1;
+          pair_second = sts ~predicated:true 2;
+          pair_kind = Races.Write_write;
         };
         {
-          Races.first = sts ~predicated:false 1;
-          second = lds ~predicated:false 3;
-          kind = Races.Read_write;
-          witness = Races.May "address depends on a uniform unknown";
+          Races.pair_first = sts ~predicated:false 1;
+          pair_second = lds ~predicated:false 3;
+          pair_kind = Races.Read_write;
         };
       ];
   }
 
-let verdict_key () =
-  Artifacts.verdict_key ~threads_per_block:256
-    (Lazy.force compiled).Gat_compiler.Driver.digest
+let verdict_key () = Artifacts.verdict_key (Lazy.force compiled).Gat_compiler.Driver.digest
 
 let verdict_path key =
   Filename.concat (Store.dir Artifacts.cache) ("verdict-" ^ key ^ ".art")
 
+let read_fixture name =
+  In_channel.with_open_bin (Filename.concat "fixtures/entries" name) In_channel.input_all
+
+let plant path contents =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
+
 let test_golden_bytes () =
   reset ();
   let key = verdict_key () in
-  Artifacts.store_verdict ~key golden_verdict;
-  Alcotest.(check string) "file digest" "b7a0517aec79e0bb28975f633c6abea4"
+  Artifacts.store_verdict ~key golden_facts;
+  Alcotest.(check string) "file digest" "abc8b9605ad2f87361b864967558529e"
     (Digest.to_hex (Digest.file (verdict_path key)));
   (* The file as first written reads back as a hit. *)
   ignore (Store.clear Artifacts.cache);
-  let fixture =
-    In_channel.with_open_bin "fixtures/entries/verdict.art" In_channel.input_all
-  in
-  Out_channel.with_open_bin (verdict_path key) (fun oc ->
-      Out_channel.output_string oc fixture);
+  plant (verdict_path key) (read_fixture "verdict.art");
   Alcotest.(check bool) "verdict fixture is a hit" true
-    (Artifacts.find_verdict ~key = Some golden_verdict)
+    (Artifacts.find_verdict ~key = Some golden_facts)
+
+(* A [verdict/1] entry held one report per (class, TC), under a key
+   that read TC.  Its key never comes up again; and even planted under
+   a current key, its header reads as a miss. *)
+let test_old_format_never_served () =
+  reset ();
+  let key = verdict_key () in
+  plant (verdict_path key) (read_fixture "verdict1.art");
+  Alcotest.(check bool) "verdict/1 entry is a miss" true
+    (Artifacts.find_verdict ~key = None);
+  let s = stats () in
+  Alcotest.(check (pair int int)) "counted as one miss" (0, 1) (s.Store.hits, s.Store.misses);
+  (* The next analysis of the class overwrites it. *)
+  ignore (Gat_tuner.Tuner.verdict (Lazy.force compiled));
+  Alcotest.(check bool) "rewritten as a class entry" true
+    (Artifacts.find_verdict ~key <> None)
 
 let test_disabled_is_inert () =
   reset ();
   Store.set_enabled Artifacts.cache false;
   let key = verdict_key () in
-  Artifacts.store_verdict ~key golden_verdict;
+  Artifacts.store_verdict ~key golden_facts;
   Alcotest.(check bool) "no find when disabled" true
     (Artifacts.find_verdict ~key = None);
   let files, _ = Store.disk_usage Artifacts.cache in
@@ -428,7 +440,7 @@ let verdict_entry =
   lazy
     (reset ();
      let key = verdict_key () in
-     Artifacts.store_verdict ~key golden_verdict;
+     Artifacts.store_verdict ~key golden_facts;
      let path = verdict_path key in
      Alcotest.(check bool) "verdict entry on disk" true (Sys.file_exists path);
      (key, path, In_channel.with_open_bin path In_channel.input_all))
@@ -441,7 +453,7 @@ let find_mutated mutated =
       Alcotest.failf "find_verdict raised on corrupted entry: %s"
         (Printexc.to_string e)
   | None -> String.compare mutated whole <> 0
-  | Some r -> String.compare mutated whole = 0 && r = golden_verdict
+  | Some f -> String.compare mutated whole = 0 && f = golden_facts
 
 let test_truncation_property =
   QCheck.Test.make ~name:"every truncation is a miss" ~count:200
@@ -512,20 +524,20 @@ let test_gc_unbounded_keeps_everything () =
 
 (* Caches written before the block table, schedule, register
    allocation and coalescing summary stopped being stored hold
-   [bt-*.art], [sched-*.art], [ra-*.art] and [coal-*.art] files.  They
-   are still [.art] entries, so stats count them and clear and gc
-   reclaim them. *)
+   [bt-*.art], [sched-*.art], [ra-*.art] and [coal-*.art] files, and
+   caches written before verdicts were stored per class hold
+   [verdict/1] entries under keys that read TC.  They are still [.art]
+   entries, so stats count them and clear and gc reclaim them. *)
 let plant_stale () =
-  List.map
-    (fun stage ->
-      let path =
-        Filename.concat (Store.dir Artifacts.cache)
-          (stage ^ "-" ^ Digest.to_hex (Digest.string "stale") ^ ".art")
-      in
-      Out_channel.with_open_bin path (fun oc ->
-          Printf.fprintf oc "gat-artifact 1\nstage %s/1\n" stage);
-      path)
-    [ "bt"; "sched"; "ra"; "coal" ]
+  let stale = Digest.to_hex (Digest.string "stale") in
+  let path stage = Filename.concat (Store.dir Artifacts.cache) (stage ^ "-" ^ stale ^ ".art") in
+  plant (path "verdict") (read_fixture "verdict1.art");
+  path "verdict"
+  :: List.map
+       (fun stage ->
+         plant (path stage) (Printf.sprintf "gat-artifact 1\nstage %s/1\n" stage);
+         path stage)
+       [ "bt"; "sched"; "ra"; "coal" ]
 
 let test_stale_reclaimable () =
   reset ();
@@ -571,6 +583,8 @@ let () =
             [
               Alcotest.test_case "disabled inert" `Quick test_disabled_is_inert;
               Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
+              Alcotest.test_case "verdict/1 never served" `Quick
+                test_old_format_never_served;
             ] );
           ( "sweeps",
             [

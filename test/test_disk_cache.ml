@@ -536,6 +536,72 @@ let test_sweep_multi_restored () =
       check_variants_identical v1 v2)
     first second
 
+(* ---- field printing ----
+
+   The emitter writes integers and floats without [Printf]; every value,
+   extremes and special floats included, must come out as [%d] and
+   [%h] print it, or entries would move bytes. *)
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
+let test_fields_print_as_printf =
+  let any_int = QCheck.(oneof [ int; small_signed_int; always min_int; always max_int ]) in
+  let any_float =
+    QCheck.(
+      oneof
+        [
+          map Int64.float_of_bits int64;
+          oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 5e-324 ];
+        ])
+  in
+  QCheck.Test.make ~name:"fields print as %d and %h" ~count:300
+    QCheck.(pair (list_of_size (Gen.return 6) any_int) (list_of_size (Gen.return 4) any_float))
+    (fun (ints, floats) ->
+      match (ints, floats) with
+      | [ tc; bc; uif; pl; sc; regs ], [ t; o; m; r ] ->
+          let params =
+            {
+              Params.threads_per_block = tc;
+              block_count = bc;
+              unroll = uif;
+              l1_pref_kb = pl;
+              staging = sc;
+              fast_math = true;
+            }
+          in
+          let im = { Gat_core.Imix.per_category = [| m |]; reg_operands = r } in
+          let v =
+            {
+              Variant.params;
+              time_ms = t;
+              occupancy = o;
+              registers = regs;
+              dynamic_mix = im;
+              est_mix = im;
+            }
+          in
+          let text =
+            Disk_cache.checkpoint_text
+              {
+                Disk_cache.done_points = tc;
+                variants = [ v ];
+                failures = [ { Variant.failed_params = params; message = "m"; attempts = regs } ];
+                unsafe = [];
+              }
+          in
+          let p = Printf.sprintf "%d %d %d %d %d 1" tc bc uif pl sc in
+          List.for_all (contains text)
+            [
+              Printf.sprintf "\ndone %d\n" tc;
+              Printf.sprintf "\n%s %d m\n" p regs;
+              Printf.sprintf "\n1 %h %h\n" m r;
+              Printf.sprintf "\n%s %h %h %d 0 0\n" p t o regs;
+            ]
+      | _ -> false)
+
 let cleanup () =
   Store.set_enabled Disk_cache.cache true;
   ignore (Store.clear Disk_cache.cache);
@@ -559,6 +625,7 @@ let () =
               Alcotest.test_case "disabled inert" `Quick test_disabled_is_inert;
               Alcotest.test_case "usage and clear" `Quick test_usage_and_clear;
               Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
+              QCheck_alcotest.to_alcotest test_fields_print_as_printf;
             ] );
           ( "integrity",
             [

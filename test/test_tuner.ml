@@ -438,6 +438,7 @@ let test_counters_independent_of_jobs () =
       "cache.codegen.misses";
       "cache.verdict.hits";
       "cache.verdict.misses";
+      "verify.analyzed";
       "verify.checked";
     ]
   in
@@ -461,9 +462,9 @@ let test_counters_independent_of_jobs () =
   Alcotest.(check (list (pair string int))) "jobs 1 = jobs 4" one four
 
 (* The artifact store's counters are job-count independent too: each
-   run starts from a fresh cache root, so every distinct verdict is one
-   miss and one store — two points of one code class at one TC must not
-   both verify and store it. *)
+   run starts from a fresh cache root, so every code class is one miss
+   and one store — two points of one class must not both analyze and
+   store it. *)
 let test_artifact_counters_independent_of_jobs () =
   let kernel = Gat_workloads.Workloads.bicg and gpu = Gat_arch.Gpu.k20 in
   let artifact_counters () =

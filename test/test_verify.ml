@@ -131,7 +131,7 @@ let test_uniform_barrier_clean () =
 
 (* ---- shared-memory races ---- *)
 
-let races_of p ~tc = Races.check ~threads_per_block:tc (Gat_cfg.Cfg.of_program p)
+let races_of p ~tc = (Verify.run ~threads_per_block:tc p).Verify.races
 
 let test_racy_fixture () =
   let p = parse (read_fixture "racy_smem.sass") in
@@ -372,6 +372,89 @@ let test_verdict_cache_shares_bc () =
   Alcotest.(check int) "one shared verdict" 1 (counter "cache.verdict.hits" - hits0);
   Alcotest.(check bool) "one code class" true (v1 == v2)
 
+(* ---- golden verdicts ----
+
+   One MD5 over the rendered report of every (code class, TC) pair the
+   paper's space produces for every bundled kernel on every device,
+   with staging on as well as off, plus the barrier-in-loop kernel and
+   the race and divergence fixtures at several TCs.  The digest was
+   captured from the verifier that ran the whole analysis once per
+   (class, TC); it pins every verdict, finding and witness that
+   binding TC over a class's facts must reproduce, whether the facts
+   were just computed or served by the artifact store. *)
+
+let golden_verdicts_md5 = "a2541d6151cc070e9459b15a6ddf6982"
+
+(* Each distinct weight-free digest once, with its program and every
+   TC it was compiled at, sorted by digest. *)
+let golden_classes () =
+  let space =
+    { Space.paper with Space.bc = [ List.hd Space.paper.Space.bc ]; sc = [ 1; 2; 4 ] }
+  in
+  let classes = Hashtbl.create 64 in
+  List.iter
+    (fun kernel ->
+      List.iter
+        (fun gpu ->
+          List.iter
+            (fun (params : Params.t) ->
+              match Gat_compiler.Driver.compile kernel gpu params with
+              | Error _ -> ()
+              | Ok c ->
+                  let d = c.Gat_compiler.Driver.digest in
+                  let p, tcs =
+                    Option.value (Hashtbl.find_opt classes d)
+                      ~default:(c.Gat_compiler.Driver.ptx, [])
+                  in
+                  let tc = params.Params.threads_per_block in
+                  if not (List.mem tc tcs) then
+                    Hashtbl.replace classes d (p, tc :: tcs))
+            (Space.points space))
+        Gat_arch.Gpu.all)
+    (sync_kernel :: Gat_workloads.Workloads.all);
+  let fixtures =
+    List.map
+      (fun p -> ("fixture " ^ p.Gat_isa.Program.name, (p, [ 1; 2; 32; 33; 128; 1024 ])))
+      [
+        parse (read_fixture "racy_smem.sass");
+        parse (read_fixture "divergent_bar.sass");
+        staged ~with_barrier:true;
+        { (staged ~with_barrier:false) with Gat_isa.Program.name = "staged_nobar" };
+      ]
+  in
+  List.sort compare (Hashtbl.fold (fun d c acc -> (d, c) :: acc) classes [])
+  @ fixtures
+
+let golden_md5 classes report_of =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (d, (p, tcs)) ->
+      List.iter
+        (fun tc ->
+          Buffer.add_string buf (d ^ "\n");
+          Buffer.add_string buf (Verify.render (report_of d p tc)))
+        (List.sort compare tcs))
+    classes;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_verdicts () =
+  let classes = golden_classes () in
+  Alcotest.(check string) "report (analyze p)" golden_verdicts_md5
+    (golden_md5 classes (fun _ p tc ->
+         Verify.report ~threads_per_block:tc (Verify.analyze p)));
+  (* Every class analyzed and stored once, then every report bound
+     over the facts the store serves back. *)
+  let module Artifacts = Gat_compiler.Artifacts in
+  List.iter
+    (fun (d, (p, _)) ->
+      Artifacts.store_verdict ~key:(Artifacts.verdict_key d) (Verify.analyze p))
+    classes;
+  Alcotest.(check string) "facts served by the store" golden_verdicts_md5
+    (golden_md5 classes (fun d _ tc ->
+         match Artifacts.find_verdict ~key:(Artifacts.verdict_key d) with
+         | Some f -> Verify.report ~threads_per_block:tc f
+         | None -> Alcotest.failf "class %s not served by the store" d))
+
 let test_verify_exit_code () =
   Alcotest.(check int) "verify maps to exit 7" 7
     (Gat_util.Error.exit_code Gat_util.Error.Verify);
@@ -409,6 +492,7 @@ let () =
           Alcotest.test_case "workloads safe everywhere" `Quick
             test_workloads_safe_everywhere;
           QCheck_alcotest.to_alcotest test_verdict_invariant;
+          Alcotest.test_case "golden verdicts" `Quick test_golden_verdicts;
         ] );
       ( "sweep",
         [
