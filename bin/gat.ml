@@ -716,24 +716,15 @@ let sweep kernel gpu n seed jobs retries max_failures resume no_checkpoint
               ~total:(Gat_tuner.Space.cardinality space)
               ()
           in
-          (* Baseline so the line shows steals for this sweep only, not
-             whatever earlier maps in the process accumulated. *)
-          let steals0 =
-            (Gat_util.Pool.scheduler_stats ()).Gat_util.Pool.steals
-          in
           Some
             (fun ~done_ ~total ~failures ->
               let render =
                 if done_ >= total then Gat_util.Progress.finish
                 else Gat_util.Progress.update
               in
-              let steals =
-                (Gat_util.Pool.scheduler_stats ()).Gat_util.Pool.steals
-                - steals0
-              in
               render p ~done_ ~failures
                 ?cache_hit_pct:(codegen_cache_hit_pct ())
-                ~steals ())
+                ())
         end
       in
       let report, dt =
@@ -1242,7 +1233,7 @@ let trace_check_cmd =
             "Fail unless a counter sample with this name is present \
              (repeatable).  $(i,NAME>K), $(i,NAME>=K) and $(i,NAME=K) \
              additionally compare the sample's value against the \
-             integer $(i,K), e.g. $(b,--require pool.steals>0).")
+             integer $(i,K), e.g. $(b,--require pool.maps>0).")
   in
   Cmd.v
     (Cmd.info "trace-check"

@@ -21,16 +21,16 @@ let recording t objective params =
      assignment and the push happen under the lock together so indices
      are dense and unique even under concurrent recording. *)
   let result = objective params in
-  Gat_util.Pool.with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       let index = List.length t.entries_rev + 1 in
       t.entries_rev <- { index; params; time_ms = result } :: t.entries_rev);
   result
 
 let entries t =
-  Gat_util.Pool.with_lock t.lock (fun () -> List.rev t.entries_rev)
+  Mutex.protect t.lock (fun () -> List.rev t.entries_rev)
 
 let length t =
-  Gat_util.Pool.with_lock t.lock (fun () -> List.length t.entries_rev)
+  Mutex.protect t.lock (fun () -> List.length t.entries_rev)
 
 (* ---- serialization ---- *)
 

@@ -24,7 +24,8 @@ type t = {
   mutable entries_rev : entry list;
       (** Access through {!entries}/{!length}, which take [lock] —
           recording is thread-safe, so an objective wrapped by
-          {!recording} may be evaluated under {!Gat_util.Pool.map}. *)
+          {!recording} may be evaluated by several
+          {!Gat_util.Pool} workers at once. *)
   lock : Mutex.t;
 }
 

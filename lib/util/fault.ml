@@ -64,12 +64,12 @@ let parse spec =
   | None -> if !config.rules = [] then None else Some !config
 
 let set_spec spec =
-  Pool.with_lock lock (fun () ->
+  Mutex.protect lock (fun () ->
       Hashtbl.reset attempts;
       Atomic.set state (Some (match spec with None -> None | Some s -> parse s)))
 
 let reset () =
-  Pool.with_lock lock (fun () ->
+  Mutex.protect lock (fun () ->
       Hashtbl.reset attempts;
       Atomic.set state None)
 
@@ -77,7 +77,7 @@ let config () =
   match Atomic.get state with
   | Some c -> c
   | None ->
-      Pool.with_lock lock (fun () ->
+      Mutex.protect lock (fun () ->
           match Atomic.get state with
           | Some c -> c
           | None ->
@@ -111,7 +111,7 @@ let inject ~site ~key =
       | Some { prob; mode } ->
           let id = site ^ "\x00" ^ key in
           let attempt =
-            Pool.with_lock lock (fun () ->
+            Mutex.protect lock (fun () ->
                 let a =
                   1 + Option.value ~default:0 (Hashtbl.find_opt attempts id)
                 in

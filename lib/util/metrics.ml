@@ -28,17 +28,6 @@ type timer = {
 
 let lock = Mutex.create ()
 
-let with_lock f =
-  Mutex.lock lock;
-  match f () with
-  | v ->
-      Mutex.unlock lock;
-      v
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Mutex.unlock lock;
-      Printexc.raise_with_backtrace e bt
-
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
 let timers : (string, timer) Hashtbl.t = Hashtbl.create 16
 
@@ -47,7 +36,7 @@ type hist = { hname : string; h : Histogram.Log.t }
 let hists : (string, hist) Hashtbl.t = Hashtbl.create 16
 
 let counter name =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt counters name with
       | Some c -> c
       | None ->
@@ -61,7 +50,7 @@ let value c = Atomic.get c.value
 let bump ?by name = incr ?by (counter name)
 
 let timer tname =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt timers tname with
       | Some t -> t
       | None ->
@@ -88,7 +77,7 @@ let timed t f =
 let time t f = fst (timed t f)
 
 let histogram hname =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt hists hname with
       | Some h -> h
       | None ->
@@ -112,7 +101,7 @@ let observe_timed h f =
 let observe_by_name hname ns = observe (histogram hname) ns
 
 let reset () =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       Hashtbl.iter (fun _ c -> Atomic.set c.value 0) counters;
       Hashtbl.iter
         (fun _ t ->
@@ -122,12 +111,12 @@ let reset () =
       Hashtbl.iter (fun _ h -> Histogram.Log.reset h.h) hists)
 
 let counters_snapshot () =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       Hashtbl.fold (fun name c acc -> (name, Atomic.get c.value) :: acc) counters [])
   |> List.sort compare
 
 let timers_snapshot () =
-  with_lock (fun () ->
+  Mutex.protect lock (fun () ->
       Hashtbl.fold
         (fun name t acc ->
           (name, Atomic.get t.events, float_of_int (Atomic.get t.total_ns) *. 1e-9)
@@ -136,7 +125,7 @@ let timers_snapshot () =
   |> List.sort compare
 
 let histograms_snapshot () =
-  with_lock (fun () -> Hashtbl.fold (fun name h acc -> (name, h.h) :: acc) hists [])
+  Mutex.protect lock (fun () -> Hashtbl.fold (fun name h acc -> (name, h.h) :: acc) hists [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let merge_histogram name other =

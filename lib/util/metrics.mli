@@ -98,10 +98,8 @@ val timers_snapshot : unit -> (string * int * float) list
 
 val render_counters : unit -> string
 (** Prometheus-style text dump of the counters only — sorted.
-    Deterministic for a deterministic run, with one exception: the
-    scheduler-internal counters ([pool.steals], [pool.steal_fails],
-    [pool.splits]) count scheduling events, not outcomes, and vary
-    with runtime interleaving. *)
+    Deterministic for a deterministic run: no counter records how
+    the pool's workers interleaved. *)
 
 val render : unit -> string
 (** {!render_counters} plus the timers as [_seconds_count] /

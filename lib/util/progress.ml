@@ -41,7 +41,7 @@ let pct ~done_ ~total =
 
 (* Pure so tests can cover the formatting without a clock or a TTY. *)
 let render_line ?workers ?reclaimed ~label ~total ~done_ ~failures
-    ~cache_hit_pct ~steals ~elapsed_s () =
+    ~cache_hit_pct ~elapsed_s () =
   let rate = if elapsed_s > 0.0 then float_of_int done_ /. elapsed_s else 0.0 in
   let eta =
     if done_ > 0 && done_ < total && rate > 0.0 then
@@ -52,16 +52,6 @@ let render_line ?workers ?reclaimed ~label ~total ~done_ ~failures
     match cache_hit_pct with
     | Some p -> Printf.sprintf "  cache %d%%" p
     | None -> ""
-  in
-  (* Steal activity only once it exists: a balanced (or sequential)
-     sweep keeps the line short. *)
-  let steals =
-    match steals with
-    | Some s when s > 0 ->
-        if elapsed_s > 0.0 then
-          Printf.sprintf "  steals %d (%.0f/s)" s (float_of_int s /. elapsed_s)
-        else Printf.sprintf "  steals %d" s
-    | _ -> ""
   in
   (* Distributed-sweep fields, rendered only while relevant: external
      workers attached to the coordination directory, and leases
@@ -76,10 +66,10 @@ let render_line ?workers ?reclaimed ~label ~total ~done_ ~failures
     | Some r when r > 0 -> Printf.sprintf "  reclaimed %d" r
     | _ -> ""
   in
-  Printf.sprintf "%s %d/%d %d%%  %.0f pts/s  %s%s%s%s%s  failed %d" label done_
+  Printf.sprintf "%s %d/%d %d%%  %.0f pts/s  %s%s%s%s  failed %d" label done_
     total
     (pct ~done_ ~total)
-    rate eta cache steals workers reclaimed failures
+    rate eta cache workers reclaimed failures
 
 let write t line =
   if t.tty then begin
@@ -93,19 +83,19 @@ let write t line =
 let elapsed_s t =
   Int64.to_float (Int64.sub (Metrics.now_ns ()) t.start_ns) /. 1e9
 
-let line t ?workers ?reclaimed ~done_ ~failures ~cache_hit_pct ~steals () =
+let line t ?workers ?reclaimed ~done_ ~failures ~cache_hit_pct () =
   render_line ?workers ?reclaimed ~label:t.label ~total:t.total ~done_
-    ~failures ~cache_hit_pct ~steals ~elapsed_s:(elapsed_s t) ()
+    ~failures ~cache_hit_pct ~elapsed_s:(elapsed_s t) ()
 
-let update t ~done_ ~failures ?cache_hit_pct ?steals ?workers ?reclaimed () =
+let update t ~done_ ~failures ?cache_hit_pct ?workers ?reclaimed () =
   let now = Metrics.now_ns () in
   let due = Int64.sub now t.last_ns in
   let refresh = if t.tty then tty_refresh_ns else line_refresh_ns in
   if due >= refresh then begin
     t.last_ns <- now;
-    write t (line t ?workers ?reclaimed ~done_ ~failures ~cache_hit_pct ~steals ())
+    write t (line t ?workers ?reclaimed ~done_ ~failures ~cache_hit_pct ())
   end
 
-let finish t ~done_ ~failures ?cache_hit_pct ?steals ?workers ?reclaimed () =
-  write t (line t ?workers ?reclaimed ~done_ ~failures ~cache_hit_pct ~steals ());
+let finish t ~done_ ~failures ?cache_hit_pct ?workers ?reclaimed () =
+  write t (line t ?workers ?reclaimed ~done_ ~failures ~cache_hit_pct ());
   if t.tty then Printf.fprintf t.out "\n%!"

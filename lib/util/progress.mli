@@ -19,26 +19,22 @@ val update :
   done_:int ->
   failures:int ->
   ?cache_hit_pct:int ->
-  ?steals:int ->
   ?workers:int ->
   ?reclaimed:int ->
   unit ->
   unit
 (** Report progress; renders only when the refresh interval has
     elapsed, so callers can invoke it as often as they like.
-    [?steals] is the cumulative work-steal count for this sweep
-    (typically a delta of {!Pool.scheduler_stats}); [?workers] is the
-    number of external worker processes attached to a sharded sweep
-    and [?reclaimed] the leases reclaimed from dead ones.  Each is
-    rendered only when positive, so plain sweeps keep the short
-    line. *)
+    [?workers] is the number of external worker processes attached to
+    a sharded sweep and [?reclaimed] the leases reclaimed from dead
+    ones.  Each is rendered only when positive, so plain sweeps keep
+    the short line. *)
 
 val finish :
   t ->
   done_:int ->
   failures:int ->
   ?cache_hit_pct:int ->
-  ?steals:int ->
   ?workers:int ->
   ?reclaimed:int ->
   unit ->
@@ -54,7 +50,6 @@ val render_line :
   done_:int ->
   failures:int ->
   cache_hit_pct:int option ->
-  steals:int option ->
   elapsed_s:float ->
   unit ->
   string

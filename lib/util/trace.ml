@@ -716,7 +716,7 @@ let validate_string ?(require = []) body =
                   | 'M' -> ()
                   | 'C' ->
                       (* Keep the sample's value so [require] can
-                         assert thresholds ("pool.steals>0"), not
+                         assert thresholds ("pool.maps>0"), not
                          just presence. *)
                       let value =
                         match field "args" ev with

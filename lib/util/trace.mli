@@ -144,8 +144,7 @@ val finish : unit -> (string * int) option
     samples are present.  A requirement is a bare counter name
     (presence) or a comparison ["name>K"], ["name>=K"] or ["name=K"]
     with integer [K] against the latest sample — CI uses
-    ["pool.steals>0"] to prove the work-stealing scheduler actually
-    stole under load. *)
+    ["verify.checked=160"] to pin the verifier's work on a sweep. *)
 
 type validation = {
   events : int;  (** Span/instant events (metadata and counters excluded). *)

@@ -633,7 +633,7 @@ let test_codegen_cache_parallel_instantiate () =
   in
   Codegen_cache.clear ();
   ignore (Driver.compile_exn kernel gpu points.(0));
-  let parallel = Gat_util.Pool.map ~jobs:4 ~chunk:1 (compile_fields kernel gpu) points in
+  let parallel = Gat_util.Pool.map ~jobs:4 (compile_fields kernel gpu) points in
   Alcotest.(check int) "one class" 1 (Codegen_cache.stats ()).Codegen_cache.classes;
   Array.iteri
     (fun i p ->

@@ -35,28 +35,28 @@ let test_map_matches_sequential () =
         (Pool.map ~jobs f input))
     job_counts
 
-let test_chunk_sizes () =
-  let input = Array.init 97 (fun i -> i) in
-  let expected = Array.map string_of_int input in
-  List.iter
-    (fun chunk ->
-      Alcotest.(check (array string))
-        (Printf.sprintf "chunk=%d" chunk)
-        expected
-        (Pool.map ~jobs:4 ~chunk string_of_int input))
-    [ 1; 2; 3; 7; 64; 1000 ]
-
 let test_jobs_exceed_length () =
   Alcotest.(check (array int))
     "more workers than elements" [| 2; 4; 6 |]
     (Pool.map ~jobs:64 (fun x -> x * 2) [| 1; 2; 3 |])
 
-let test_jobs_one_equals_list_map () =
-  let l = List.init 50 (fun i -> i - 25) in
-  let f x = (3 * x) + 1 in
-  Alcotest.(check (list int))
-    "jobs=1 is List.map" (List.map f l)
-    (Pool.map_list ~jobs:1 f l)
+let test_jobs_one_on_caller () =
+  (* One worker spawns nothing: the same loop runs on the calling
+     domain, visiting the indices in order. *)
+  let self = Domain.self () in
+  let visited = ref [] in
+  let f x =
+    Alcotest.(check bool) "runs on the caller" true (Domain.self () = self);
+    visited := x :: !visited;
+    (3 * x) + 1
+  in
+  let input = Array.init 50 (fun i -> i - 25) in
+  Alcotest.(check (array int))
+    "jobs=1 is Array.map"
+    (Array.map (fun x -> (3 * x) + 1) input)
+    (Pool.map ~jobs:1 f input);
+  Alcotest.(check (list int)) "in index order" (Array.to_list input)
+    (List.rev !visited)
 
 let test_exception_propagates () =
   List.iter
@@ -146,7 +146,7 @@ let test_map_result_retry_recovers () =
   let lock = Mutex.create () in
   let flaky x =
     let a =
-      Pool.with_lock lock (fun () ->
+      Mutex.protect lock (fun () ->
           let a = 1 + Option.value ~default:0 (Hashtbl.find_opt tries x) in
           Hashtbl.replace tries x a;
           a)
@@ -228,25 +228,22 @@ let spin budget =
 let cost_of ~skew x = if skew && x land 7 = 0 then 2_000 else 20
 
 let arb_shape =
-  let gen =
-    QCheck.Gen.(
-      tup4 (int_bound 300) (int_range 1 8) (int_range 1 50) bool)
-  in
+  let gen = QCheck.Gen.(triple (int_bound 300) (int_range 1 8) bool) in
   QCheck.make
-    ~print:(fun (n, jobs, chunk, skew) ->
-      Printf.sprintf "n=%d jobs=%d chunk=%d skew=%b" n jobs chunk skew)
+    ~print:(fun (n, jobs, skew) ->
+      Printf.sprintf "n=%d jobs=%d skew=%b" n jobs skew)
     gen
 
 let prop_map_matches_sequential =
   QCheck.Test.make ~count:60 ~name:"map = Array.map across random shapes"
     arb_shape
-    (fun (n, jobs, chunk, skew) ->
+    (fun (n, jobs, skew) ->
       let input = Array.init n (fun i -> i) in
       let f x =
         ignore (spin (cost_of ~skew x));
         (x * 7) + 3
       in
-      Pool.map ~jobs ~chunk f input
+      Pool.map ~jobs f input
       = Array.map f input)
 
 (* Structural comparison of supervised outcomes: values, error
@@ -263,19 +260,19 @@ let prop_map_result_matches_sequential =
   QCheck.Test.make ~count:40
     ~name:"map_result = sequential, failures included"
     (QCheck.pair arb_shape (QCheck.int_range 0 2))
-    (fun ((n, jobs, chunk, skew), retries) ->
+    (fun ((n, jobs, skew), retries) ->
       let input = Array.init n (fun i -> i) in
       let f x =
         ignore (spin (cost_of ~skew x));
         if x land 15 = 5 then failwith "flaky" else x * 3
       in
-      observe (Pool.map_result ~jobs ~chunk ~retries f input)
+      observe (Pool.map_result ~jobs ~retries f input)
       = observe (Pool.map_result ~jobs:1 ~retries f input))
 
 let prop_map_result_under_fault =
   QCheck.Test.make ~count:25 ~name:"map_result = sequential under GAT_FAULT"
     (QCheck.pair arb_shape (QCheck.int_bound 1000))
-    (fun ((n, jobs, chunk, _skew), seed) ->
+    (fun ((n, jobs, _skew), seed) ->
       let input = Array.init n (fun i -> i) in
       let spec = Printf.sprintf "pooltest:0.3,seed:%d" seed in
       let f x =
@@ -287,12 +284,68 @@ let prop_map_result_under_fault =
          attempt streams — which exactly-once scheduling guarantees. *)
       let run jobs =
         Fault.set_spec (Some spec);
-        observe (Pool.map_result ~jobs ~chunk ~retries:1 f input)
+        observe (Pool.map_result ~jobs ~retries:1 f input)
       in
       let par = run jobs in
       let seq = run 1 in
       Fault.set_spec None;
       par = seq)
+
+(* Element [x] fails its first [x mod 4] attempts, whichever worker
+   runs it, so the attempts each index needs are known up front.  Every
+   index the map reaches must run exactly that many times (its recorded
+   [attempts] when it fails); once the map has returned or raised,
+   nothing runs again.  One worker halts right after the failure that
+   crosses the budget, so it has reached exactly a prefix. *)
+let prop_exact_attempts =
+  QCheck.Test.make ~count:40
+    ~name:"exact attempts, none after a halt"
+    QCheck.(
+      quad (int_bound 200) (int_range 1 8) (int_range 0 2)
+        (option (int_bound 6)))
+    (fun (n, jobs, retries, budget) ->
+      let calls = Array.init n (fun _ -> Atomic.make 0) in
+      let f x =
+        let attempt = 1 + Atomic.fetch_and_add calls.(x) 1 in
+        if attempt <= x mod 4 then failwith "transient" else x
+      in
+      let attempts x = min ((x mod 4) + 1) (retries + 1) in
+      let fails x = x mod 4 > retries in
+      let outcome =
+        match
+          Pool.map_result ~jobs ~retries ?max_failures:budget f
+            (Array.init n Fun.id)
+        with
+        | r -> Ok r
+        | exception Pool.Budget_exceeded { failed; _ } -> Error failed
+      in
+      let ran = Array.map Atomic.get calls in
+      Unix.sleepf 0.001;
+      let settled = Array.map Atomic.get calls = ran in
+      let reached x = ran.(x) > 0 in
+      let whole = List.for_all (fun x -> ran.(x) = 0 || ran.(x) = attempts x) in
+      let indices = List.init n Fun.id in
+      settled && whole indices
+      &&
+      match outcome with
+      | Ok r ->
+          List.for_all
+            (fun x ->
+              match r.(x) with
+              | Ok v -> v = x && not (fails x)
+              | Error e -> fails x && e.Pool.attempts = ran.(x))
+            indices
+          && List.for_all reached indices
+      | Error failed ->
+          let failed_reached =
+            List.filter (fun x -> reached x && fails x) indices
+          in
+          failed = List.length failed_reached
+          && failed > Option.get budget
+          && (jobs > 1
+             ||
+             let cross = List.nth failed_reached (Option.get budget) in
+             List.for_all (fun x -> reached x = (x <= cross)) indices))
 
 let qcheck_props =
   List.map
@@ -301,35 +354,13 @@ let qcheck_props =
       prop_map_matches_sequential;
       prop_map_result_matches_sequential;
       prop_map_result_under_fault;
+      prop_exact_attempts;
     ]
 
-let test_steals_recorded () =
-  (* First half heavy: workers seeded with the light tail drain fast
-     and must steal from the loaded ones. *)
-  let input = Array.init 64 (fun i -> i) in
-  let s0 = Pool.scheduler_stats () in
-  let out =
-    Pool.map ~jobs:4
-      (fun x ->
-        ignore (spin (if x < 32 then 500_000 else 10));
-        x)
-      input
-  in
-  let s1 = Pool.scheduler_stats () in
-  Alcotest.(check (array int)) "result intact" input out;
-  Alcotest.(check bool) "steals recorded" true (s1.Pool.steals > s0.Pool.steals);
-  Alcotest.(check bool) "splits recorded" true (s1.Pool.splits > s0.Pool.splits)
-
 let test_counter_dump_deterministic () =
-  (* Two traced skewed runs must produce byte-identical outcome
-     counters.  The scheduler-internal counters (steals, steal_fails,
-     splits) depend on runtime interleaving by design and are filtered
-     out — DESIGN.md 5.6 documents the split. *)
-  let scheduler_internal line =
-    List.exists
-      (fun p -> String.starts_with ~prefix:p line)
-      [ "gat_pool_steals"; "gat_pool_steal_fails"; "gat_pool_splits" ]
-  in
+  (* Two traced skewed runs must produce byte-identical counter dumps:
+     the pool counts outcomes only, never how its workers interleaved
+     (DESIGN.md 5.6). *)
   let run () =
     Metrics.reset ();
     Trace.enable ();
@@ -341,25 +372,14 @@ let test_counter_dump_deterministic () =
     let trace, _ = Trace.render () in
     Trace.disable ();
     Trace.clear ();
-    (match Trace.validate_string ~require:[ "pool.steals" ] trace with
+    (match Trace.validate_string ~require:[ "pool.jobs.ok" ] trace with
     | Ok _ -> ()
     | Error e -> Alcotest.failf "trace invalid: %s" e);
-    String.concat "\n"
-      (List.filter
-         (fun l -> not (scheduler_internal l))
-         (String.split_on_char '\n' (Metrics.render_counters ())))
+    Metrics.render_counters ()
   in
   let a = run () in
   let b = run () in
-  Alcotest.(check string) "byte-identical filtered counter dumps" a b
-
-let test_with_lock () =
-  let m = Mutex.create () in
-  Alcotest.(check int) "returns the value" 5 (Pool.with_lock m (fun () -> 5));
-  (try Pool.with_lock m (fun () -> failwith "inside") with Failure _ -> ());
-  (* The mutex must have been released by the raising call. *)
-  Alcotest.(check int) "unlocked after exception" 6
-    (Pool.with_lock m (fun () -> 6))
+  Alcotest.(check string) "byte-identical counter dumps" a b
 
 let () =
   Alcotest.run "gat_pool"
@@ -369,9 +389,9 @@ let () =
           Alcotest.test_case "empty" `Quick test_map_empty;
           Alcotest.test_case "single element" `Quick test_map_single;
           Alcotest.test_case "matches sequential" `Quick test_map_matches_sequential;
-          Alcotest.test_case "chunk sizes" `Quick test_chunk_sizes;
           Alcotest.test_case "jobs > length" `Quick test_jobs_exceed_length;
-          Alcotest.test_case "jobs=1 is List.map" `Quick test_jobs_one_equals_list_map;
+          Alcotest.test_case "jobs=1 runs in order on the caller" `Quick
+            test_jobs_one_on_caller;
           Alcotest.test_case "exceptions propagate" `Quick test_exception_propagates;
         ] );
       ( "map_result",
@@ -392,14 +412,11 @@ let () =
       ( "scheduler",
         qcheck_props
         @ [
-            Alcotest.test_case "skewed run records steals" `Quick
-              test_steals_recorded;
             Alcotest.test_case "traced counter dumps deterministic" `Quick
               test_counter_dump_deterministic;
           ] );
       ( "config",
         [
           Alcotest.test_case "GAT_JOBS and override" `Quick test_env_and_override;
-          Alcotest.test_case "with_lock" `Quick test_with_lock;
         ] );
     ]

@@ -175,7 +175,7 @@ let test_validator_negatives () =
 let test_require_thresholds () =
   let counter_trace v =
     Printf.sprintf
-      {|{"traceEvents": [{"name": "pool.steals", "ph": "C", "ts": 0, "tid": 0, "args": {"value": %d}}]}|}
+      {|{"traceEvents": [{"name": "pool.maps", "ph": "C", "ts": 0, "tid": 0, "args": {"value": %d}}]}|}
       v
   in
   let expect ~require body = function
@@ -190,30 +190,30 @@ let test_require_thresholds () =
         | Ok _ ->
             Alcotest.failf "%s accepted" (String.concat "," require))
   in
-  expect ~require:[ "pool.steals>0" ] (counter_trace 3) `Ok;
-  expect ~require:[ "pool.steals>2" ] (counter_trace 3) `Ok;
-  expect ~require:[ "pool.steals>3" ] (counter_trace 3) `Err;
-  expect ~require:[ "pool.steals>0" ] (counter_trace 0) `Err;
+  expect ~require:[ "pool.maps>0" ] (counter_trace 3) `Ok;
+  expect ~require:[ "pool.maps>2" ] (counter_trace 3) `Ok;
+  expect ~require:[ "pool.maps>3" ] (counter_trace 3) `Err;
+  expect ~require:[ "pool.maps>0" ] (counter_trace 0) `Err;
   expect ~require:[ "absent>0" ] (counter_trace 3) `Err;
   (* Malformed bound: rejected loudly, not treated as a name. *)
-  expect ~require:[ "pool.steals>many" ] (counter_trace 3) `Err;
+  expect ~require:[ "pool.maps>many" ] (counter_trace 3) `Err;
   (* Bare name still means presence, whatever the value. *)
-  expect ~require:[ "pool.steals" ] (counter_trace 0) `Ok;
+  expect ~require:[ "pool.maps" ] (counter_trace 0) `Ok;
   (* >= : inclusive lower bound. *)
-  expect ~require:[ "pool.steals>=3" ] (counter_trace 3) `Ok;
-  expect ~require:[ "pool.steals>=4" ] (counter_trace 3) `Err;
-  expect ~require:[ "pool.steals>=0" ] (counter_trace 0) `Ok;
+  expect ~require:[ "pool.maps>=3" ] (counter_trace 3) `Ok;
+  expect ~require:[ "pool.maps>=4" ] (counter_trace 3) `Err;
+  expect ~require:[ "pool.maps>=0" ] (counter_trace 0) `Ok;
   (* = : exact value. *)
-  expect ~require:[ "pool.steals=3" ] (counter_trace 3) `Ok;
-  expect ~require:[ "pool.steals=2" ] (counter_trace 3) `Err;
-  expect ~require:[ "pool.steals=0" ] (counter_trace 0) `Ok;
+  expect ~require:[ "pool.maps=3" ] (counter_trace 3) `Ok;
+  expect ~require:[ "pool.maps=2" ] (counter_trace 3) `Err;
+  expect ~require:[ "pool.maps=0" ] (counter_trace 0) `Ok;
   (* Negatives for the new comparators: absent names and malformed
      bounds still fail loudly. *)
   expect ~require:[ "absent>=0" ] (counter_trace 3) `Err;
   expect ~require:[ "absent=0" ] (counter_trace 3) `Err;
-  expect ~require:[ "pool.steals>=" ] (counter_trace 3) `Err;
-  expect ~require:[ "pool.steals=" ] (counter_trace 3) `Err;
-  expect ~require:[ "pool.steals=many" ] (counter_trace 3) `Err;
+  expect ~require:[ "pool.maps>=" ] (counter_trace 3) `Err;
+  expect ~require:[ "pool.maps=" ] (counter_trace 3) `Err;
+  expect ~require:[ "pool.maps=many" ] (counter_trace 3) `Err;
   expect ~require:[ "=3" ] (counter_trace 3) `Err
 
 let test_write_file_and_validate () =
@@ -265,7 +265,7 @@ let test_pool_recovered_metric () =
   let attempts : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let flaky x =
     let a =
-      Pool.with_lock lock (fun () ->
+      Mutex.protect lock (fun () ->
           let a = 1 + Option.value ~default:0 (Hashtbl.find_opt attempts x) in
           Hashtbl.replace attempts x a;
           a)
@@ -323,27 +323,19 @@ let test_render_line () =
   Alcotest.(check string) "mid-sweep"
     "atax/k20 50/100 50%  5 pts/s  ETA 10.0 s  cache 87%  failed 2"
     (Progress.render_line ~label:"atax/k20" ~total:100 ~done_:50 ~failures:2
-       ~cache_hit_pct:(Some 87) ~steals:None ~elapsed_s:10.0 ());
+       ~cache_hit_pct:(Some 87) ~elapsed_s:10.0 ());
   Alcotest.(check string) "start, no cache figure"
     "k 0/10 0%  0 pts/s  ETA --  failed 0"
     (Progress.render_line ~label:"k" ~total:10 ~done_:0 ~failures:0
-       ~cache_hit_pct:None ~steals:None ~elapsed_s:0.0 ());
-  Alcotest.(check string) "steals shown once positive"
-    "k 5/10 50%  1 pts/s  ETA 5.0 s  steals 12 (2/s)  failed 0"
-    (Progress.render_line ~label:"k" ~total:10 ~done_:5 ~failures:0
-       ~cache_hit_pct:None ~steals:(Some 12) ~elapsed_s:5.0 ());
-  Alcotest.(check string) "zero steals stays hidden"
-    "k 5/10 50%  1 pts/s  ETA 5.0 s  failed 0"
-    (Progress.render_line ~label:"k" ~total:10 ~done_:5 ~failures:0
-       ~cache_hit_pct:None ~steals:(Some 0) ~elapsed_s:5.0 ());
+       ~cache_hit_pct:None ~elapsed_s:0.0 ());
   Alcotest.(check string) "sharded sweep shows workers and reclaims"
     "k 5/10 50%  1 pts/s  ETA 5.0 s  workers 2  reclaimed 1  failed 0"
     (Progress.render_line ~workers:2 ~reclaimed:1 ~label:"k" ~total:10
-       ~done_:5 ~failures:0 ~cache_hit_pct:None ~steals:None ~elapsed_s:5.0 ());
+       ~done_:5 ~failures:0 ~cache_hit_pct:None ~elapsed_s:5.0 ());
   Alcotest.(check string) "zero workers stays hidden"
     "k 5/10 50%  1 pts/s  ETA 5.0 s  failed 0"
     (Progress.render_line ~workers:0 ~reclaimed:0 ~label:"k" ~total:10
-       ~done_:5 ~failures:0 ~cache_hit_pct:None ~steals:None ~elapsed_s:5.0 ())
+       ~done_:5 ~failures:0 ~cache_hit_pct:None ~elapsed_s:5.0 ())
 
 let test_progress_non_tty () =
   let path = Filename.temp_file "gat-progress" ".log" in

@@ -292,7 +292,7 @@ let test_memo_single_flight () =
   let memo = Int_memo.create () in
   let computed = Array.init 8 (fun _ -> Atomic.make 0) in
   let results =
-    Pool.map ~jobs:4 ~chunk:1
+    Pool.map ~jobs:4
       (fun i ->
         let k = i mod 8 in
         Int_memo.find_or_compute memo k (fun () ->
