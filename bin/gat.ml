@@ -98,18 +98,7 @@ let analyze kernel gpu params n =
   Format.printf "@.Static instruction mix:@.%a@." Gat_core.Imix.pp static_mix;
   Printf.printf "\nComputational intensity (static): %.2f\n"
     (Gat_core.Imix.intensity static_mix);
-  let accesses = List.concat_map snd c.Gat_compiler.Driver.mem_summary in
-  let mem_factor =
-    match accesses with
-    | [] -> 1.0
-    | _ ->
-        Float.max 1.0
-          (List.fold_left
-             (fun acc (a : Gat_analysis.Coalescing.access) ->
-               acc +. a.Gat_analysis.Coalescing.transactions)
-             0.0 accesses
-          /. float_of_int (List.length accesses))
-  in
+  let mem_factor = Gat_tuner.Static_search.transaction_factor c in
   Printf.printf
     "Effective intensity (transaction-weighted, %.2fx mem): %.2f\n"
     mem_factor

@@ -1,7 +1,6 @@
 open Gat_isa
 
 type t = {
-  tainted : Register.Set.t;
   divergent : int list;
   branches : int;
 }
@@ -48,10 +47,6 @@ let compute cfg =
         List.fold_left instruction_taints facts
           (Dataflow.block_instructions block))
   in
-  let tainted =
-    Array.fold_left Register.Set.union Register.Set.empty
-      solution.Taint.after
-  in
   let divergent = ref [] and branches = ref 0 in
   List.iteri
     (fun i (b : Basic_block.t) ->
@@ -62,9 +57,8 @@ let compute cfg =
             divergent := i :: !divergent
       | Basic_block.Jump _ | Basic_block.Exit -> ())
     cfg.Cfg.program.Program.blocks;
-  { tainted; divergent = List.rev !divergent; branches = !branches }
+  { divergent = List.rev !divergent; branches = !branches }
 
-let thread_dependent_registers t = t.tainted
 let divergent_branches t = t.divergent
 let branch_count t = t.branches
 

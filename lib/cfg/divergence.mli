@@ -14,9 +14,6 @@ type t
 
 val compute : Cfg.t -> t
 
-val thread_dependent_registers : t -> Gat_isa.Register.Set.t
-(** Registers (GPR and predicate) that may hold lane-varying values. *)
-
 val divergent_branches : t -> int list
 (** Node indices whose terminator is a conditional branch on a
     thread-dependent predicate, in program order. *)

@@ -11,18 +11,6 @@ let cost (gpu : Gpu.t) mix =
   +. (cb *. Imix.octrl mix)
   +. (cr *. Imix.oreg mix)
 
-let cost_with_memory (gpu : Gpu.t) mix ~mem_transaction_factor =
-  let cc = gpu.Gpu.cc in
-  let cf = Throughput.class_cpi cc Throughput.Flops in
-  let cm = Throughput.class_cpi cc Throughput.Memory in
-  let cb = Throughput.class_cpi cc Throughput.Control in
-  let cr = Throughput.class_cpi cc Throughput.Register in
-  let factor = Float.max 1.0 mem_transaction_factor in
-  (cf *. Imix.ofl mix)
-  +. (cm *. factor *. Imix.omem mix)
-  +. (cb *. Imix.octrl mix)
-  +. (cr *. Imix.oreg mix)
-
 let cost_per_category (gpu : Gpu.t) mix =
   let cc = gpu.Gpu.cc in
   let acc =

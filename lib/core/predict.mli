@@ -10,14 +10,6 @@
 val cost : Gat_arch.Gpu.t -> Imix.t -> float
 (** The Eq. 6 weighted sum over a mix (static or estimated dynamic). *)
 
-val cost_with_memory :
-  Gat_arch.Gpu.t -> Imix.t -> mem_transaction_factor:float -> float
-(** Eq. 6 with the memory term scaled by the average
-    transactions-per-warp of the kernel's global accesses, as reported
-    by the static coalescing analysis: an uncoalesced kernel pays its
-    [cm*Omem] term once per replayed transaction.  Factors below 1 are
-    clamped to 1 (the issue cost is a floor). *)
-
 val cost_per_category : Gat_arch.Gpu.t -> Imix.t -> float
 (** A finer-grained variant that weights every Table II category by its
     own CPI instead of the class average — used by the ablation bench to

@@ -49,7 +49,6 @@ type pruning_row = {
 
 let pruning_row gpu kernel =
   let space = Gat_tuner.Space.paper in
-  let n = Context.eval_size kernel in
   let pruning =
     match Gat_tuner.Static_search.prune kernel gpu space with
     | Ok p -> p
@@ -62,17 +61,7 @@ let pruning_row gpu kernel =
          ~intensity:pruning.Gat_tuner.Static_search.effective_intensity
          space.Gat_tuner.Space.tc)
   in
-  let exhaustive_best =
-    List.fold_left
-      (fun acc (v : Gat_tuner.Variant.t) -> Float.min acc v.Gat_tuner.Variant.time_ms)
-      infinity (Context.sweep kernel gpu)
-  in
-  let obj = Gat_tuner.Tuner.objective kernel gpu ~n ~seed:Context.seed in
-  let evaluate target =
-    let outcome = Gat_tuner.Strategies.exhaustive obj target in
-    ( Gat_tuner.Static_search.reduction ~original:space ~pruned:target,
-      exhaustive_best /. outcome.Gat_tuner.Search.best_time )
-  in
+  let evaluate = Context.pruned kernel gpu in
   {
     kernel = kernel.Gat_ir.Kernel.name;
     static_only = evaluate pruning.Gat_tuner.Static_search.static_space;

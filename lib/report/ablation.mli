@@ -9,7 +9,8 @@
     - {b Pruning rules}: the paper composes occupancy-based thread
       suggestions (static) with the intensity rule (RB).  What do the
       pieces achieve alone?  Measured as search-space reduction and
-      solution quality on the Kepler device. *)
+      solution quality on the Kepler device, read off the exhaustive
+      sweep by {!Context.pruned} as Fig. 6 is. *)
 
 type predictor_row = {
   kernel : string;

@@ -6,6 +6,21 @@ let eval_size kernel = Gat_workloads.Workloads.default_size kernel
 let sweep kernel gpu =
   Gat_tuner.Tuner.sweep kernel gpu ~n:(eval_size kernel) ~seed
 
+(* A pruned space's points are a subset of the sweep's, each with the
+   time the sweep already measured, so a search over the pruned space
+   finds the best of those sweep times; [infinity] when none survives,
+   as the search would report. *)
+let pruned kernel gpu space =
+  let best keep =
+    List.fold_left
+      (fun acc (v : Gat_tuner.Variant.t) ->
+        if keep v.params then Float.min acc v.time_ms else acc)
+      infinity (sweep kernel gpu)
+  in
+  ( Gat_tuner.Static_search.reduction ~original:Gat_tuner.Space.paper
+      ~pruned:space,
+    best (fun _ -> true) /. best (Gat_tuner.Space.mem space) )
+
 (* One compile per variant, five simulate passes — the compile-sharing
    multi-size sweep.  The tuner's sweep memo holds every result. *)
 let sweeps kernel gpu =

@@ -25,6 +25,14 @@ val sweep : Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> Gat_tuner.Variant.t list
 (** The exhaustive 5,120-variant evaluation for a kernel/device pair
     at {!eval_size} (memoized by the tuner). *)
 
+val pruned :
+  Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> Gat_tuner.Space.t -> float * float
+(** [(reduction, quality)] of a sub-space of {!Gat_tuner.Space.paper}:
+    the fraction of the paper space it avoids, and the {!sweep}'s best
+    time over the whole space divided by its best time over the
+    sub-space's points (0 when none of them is a valid, safe variant).
+    Read off the sweep: nothing is compiled or simulated again. *)
+
 val sweeps :
   Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> (int * Gat_tuner.Variant.t list) list
 (** One exhaustive sweep per paper input size, sharing one compile

@@ -8,35 +8,24 @@ type row = {
 }
 
 let row kernel gpu =
-  let space = Gat_tuner.Space.paper in
-  let n = Context.eval_size kernel in
   let pruning =
-    match Gat_tuner.Static_search.prune kernel gpu space with
+    match Gat_tuner.Static_search.prune kernel gpu Gat_tuner.Space.paper with
     | Ok p -> p
     | Error e -> Gat_util.Error.fail Compile e
   in
-  let obj = Gat_tuner.Tuner.objective kernel gpu ~n ~seed:Context.seed in
-  (* Reuse the cached sweep for the exhaustive baseline. *)
-  let exhaustive_best =
-    List.fold_left
-      (fun acc (v : Gat_tuner.Variant.t) -> Float.min acc v.Gat_tuner.Variant.time_ms)
-      infinity (Context.sweep kernel gpu)
+  let static_improvement, static_quality =
+    Context.pruned kernel gpu pruning.Gat_tuner.Static_search.static_space
   in
-  let quality target =
-    let outcome = Gat_tuner.Strategies.exhaustive obj target in
-    exhaustive_best /. outcome.Gat_tuner.Search.best_time
+  let rule_improvement, rule_quality =
+    Context.pruned kernel gpu pruning.Gat_tuner.Static_search.rule_space
   in
   {
     kernel = kernel.Gat_ir.Kernel.name;
     family = Gat_arch.Gpu.family gpu;
-    static_improvement =
-      Gat_tuner.Static_search.reduction ~original:space
-        ~pruned:pruning.Gat_tuner.Static_search.static_space;
-    rule_improvement =
-      Gat_tuner.Static_search.reduction ~original:space
-        ~pruned:pruning.Gat_tuner.Static_search.rule_space;
-    static_quality = quality pruning.Gat_tuner.Static_search.static_space;
-    rule_quality = quality pruning.Gat_tuner.Static_search.rule_space;
+    static_improvement;
+    rule_improvement;
+    static_quality;
+    rule_quality;
   }
 
 let rows () =

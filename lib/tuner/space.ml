@@ -56,6 +56,14 @@ let points t =
         t.bc)
     t.tc
 
+let mem t (p : Gat_compiler.Params.t) =
+  List.mem p.threads_per_block t.tc
+  && List.mem p.block_count t.bc
+  && List.mem p.unroll t.uif
+  && List.mem p.l1_pref_kb t.pl
+  && List.mem p.staging t.sc
+  && List.mem p.fast_math t.cflags
+
 let with_tc t tc = { t with tc }
 let restrict_tc t ~keep = { t with tc = List.filter keep t.tc }
 

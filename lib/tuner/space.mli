@@ -23,6 +23,10 @@ val cardinality : t -> int
 val points : t -> Gat_compiler.Params.t list
 (** Cartesian product in deterministic order (TC outermost). *)
 
+val mem : t -> Gat_compiler.Params.t -> bool
+(** [mem t p] iff [p] is one of [points t]: every coordinate lies on
+    its axis.  No list is built. *)
+
 val with_tc : t -> int list -> t
 (** Replace the thread-count axis — how the static analyzer's
     suggestions prune the space. *)

@@ -25,6 +25,11 @@ type pruning = {
   rule_space : Space.t;  (** Further halved by the intensity rule. *)
 }
 
+val transaction_factor : Gat_compiler.Driver.compiled -> float
+(** Average transactions-per-warp over the compile's global accesses,
+    from the static coalescing analysis; 1.0 for memory-free kernels and
+    never below 1. *)
+
 val prune :
   Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> Space.t -> (pruning, string) result
 (** Compile at reference parameters, analyze, restrict.  Suggested

@@ -173,7 +173,6 @@ let run_range ?jobs ?(retries = 1) ?max_failures
     Option.map (fun b -> max 0 (b - !failed_global)) max_failures
   in
   let start = ref 0 in
-  let restored = ref 0 in
   (match init with
   | Some c
     when c.Disk_cache.done_points > 0 && c.Disk_cache.done_points <= total
@@ -184,8 +183,7 @@ let run_range ?jobs ?(retries = 1) ?max_failures
           failures_rev := List.rev c.Disk_cache.failures;
           unsafe_rev := List.rev c.Disk_cache.unsafe;
           failed_global := List.length c.Disk_cache.failures;
-          start := c.Disk_cache.done_points;
-          restored := c.Disk_cache.done_points
+          start := c.Disk_cache.done_points
       | _ -> ())
   | _ -> ());
   (match progress with
@@ -329,8 +327,7 @@ let run_range ?jobs ?(retries = 1) ?max_failures
       (fun (n, variants_rev, failures_rev) ->
         (n, (List.rev !variants_rev, List.rev !failures_rev)))
       acc,
-    List.rev !unsafe_rev,
-    !restored )
+    List.rev !unsafe_rev )
 
 (* A sweep missing from the in-process cache may still be on disk from
    an earlier run; only sweeps absent from both are computed, and every
@@ -383,7 +380,7 @@ let sweep_report ?(space = Space.paper) ?jobs ?retries ?max_failures
           ~interrupt_note kernel gpu ~space ~first:0 ~range_len:total
           ~ns:[ n ] ~seed
       with
-      | [ (_, (variants, failures)) ], unsafe, _ ->
+      | [ (_, (variants, failures)) ], unsafe ->
           if checkpoint then
             Disk_cache.checkpoint_clear space kernel gpu ~n ~seed;
           persist space kernel gpu ~n ~seed
@@ -402,7 +399,7 @@ let sweep_range ?jobs ?retries ?max_failures ?block ?flush ?init
     run_range ?jobs ?retries ?max_failures ?block ?flush ?init ?interrupt_note
       kernel gpu ~space ~first ~range_len:len ~ns:[ n ] ~seed
   with
-  | [ (_, (variants, failures)) ], unsafe, _ ->
+  | [ (_, (variants, failures)) ], unsafe ->
       { Disk_cache.done_points = len; variants; failures; unsafe }
   | _ -> assert false
 
@@ -426,7 +423,7 @@ let sweep_multi ?(space = Space.paper) ?jobs kernel gpu ~ns ~seed =
   (match missing with
   | [] -> ()
   | _ ->
-      let results, unsafe, _ =
+      let results, unsafe =
         run_range ?jobs kernel gpu ~space ~first:0
           ~range_len:(Space.cardinality space) ~ns:missing ~seed
       in

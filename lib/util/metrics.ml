@@ -98,8 +98,6 @@ let observe_timed h f =
       observe h (Int64.to_int (Int64.sub (now_ns ()) t0));
       Printexc.raise_with_backtrace e bt
 
-let observe_by_name hname ns = observe (histogram hname) ns
-
 let reset () =
   Mutex.protect lock (fun () ->
       Hashtbl.iter (fun _ c -> Atomic.set c.value 0) counters;

@@ -70,9 +70,6 @@ val observe : hist -> int -> unit
 val observe_timed : hist -> (unit -> 'a) -> 'a
 (** Run the thunk and record its duration (recorded even on raise). *)
 
-val observe_by_name : string -> int -> unit
-(** {!observe} by name, paying the registry lookup — cold paths only. *)
-
 val histograms_snapshot : unit -> (string * Histogram.Log.t) list
 (** All histograms, sorted by name.  The returned histograms are the
     live registry entries — copy via {!Histogram.Log.counts} before

@@ -302,14 +302,16 @@ let find t ~header path parse =
     Metrics.incr (if Option.is_some v then t.hits else t.misses);
     v
 
+(* The span and histogram cover the whole store — building and sealing
+   the entry too — so a traced ledger charges all of it to the store. *)
 let write t ~header path emit =
+  let file = Filename.basename path in
+  Trace.span t.write_span ~args:[ ("file", Trace.S file) ] @@ fun () ->
+  Metrics.observe_timed t.h_write @@ fun () ->
   let buf = Buffer.create 1024 in
   Buffer.add_string buf header;
   emit buf;
   Sealed_file.seal buf;
-  let file = Filename.basename path in
-  Trace.span t.write_span ~args:[ ("file", Trace.S file) ] @@ fun () ->
-  Metrics.observe_timed t.h_write @@ fun () ->
   Fault.inject ~site:t.write_site ~key:file;
   Sealed_file.publish ~path buf;
   Metrics.incr ~by:(Buffer.length buf) t.bytes_written

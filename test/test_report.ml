@@ -155,6 +155,43 @@ let test_fig6_claims () =
         (r.Gat_report.Fig6.rule_quality >= 0.87))
     rows
 
+(* Fig. 6 and Ablation B read a pruned space's best off the exhaustive
+   sweep; an exhaustive search of the pruned space, the way the tuner
+   runs one, must find the same best time. *)
+let test_pruned_quality_matches_search () =
+  List.iter
+    (fun (kernel, gpu) ->
+      let label = kernel.Gat_ir.Kernel.name ^ "/" ^ gpu.Gat_arch.Gpu.name in
+      let pruning =
+        Result.get_ok
+          (Gat_tuner.Static_search.prune kernel gpu Gat_tuner.Space.paper)
+      in
+      let obj =
+        Gat_tuner.Tuner.objective kernel gpu
+          ~n:(Gat_report.Context.eval_size kernel) ~seed:Gat_report.Context.seed
+      in
+      let exhaustive_best =
+        List.fold_left
+          (fun acc (v : Gat_tuner.Variant.t) -> Float.min acc v.time_ms)
+          infinity
+          (Gat_report.Context.sweep kernel gpu)
+      in
+      List.iter
+        (fun (name, space) ->
+          let outcome = Gat_tuner.Strategies.exhaustive obj space in
+          let _, quality = Gat_report.Context.pruned kernel gpu space in
+          Alcotest.(check (float 0.0)) (label ^ " " ^ name ^ " quality")
+            (exhaustive_best /. outcome.Gat_tuner.Search.best_time)
+            quality)
+        [
+          ("static", pruning.Gat_tuner.Static_search.static_space);
+          ("static+rules", pruning.Gat_tuner.Static_search.rule_space);
+        ])
+    [
+      (Gat_workloads.Workloads.atax, Gat_arch.Gpu.k20);
+      (Gat_workloads.Workloads.ex14fj, Gat_arch.Gpu.m2050);
+    ]
+
 (* Fig. 5: the normalized Eq. 6 estimate tracks measured time with a
    mean absolute error in [0.14, 0.32] everywhere. *)
 let test_fig5_mae_range () =
@@ -249,6 +286,8 @@ let () =
           Alcotest.test_case "table6 intensity" `Slow test_table6_ex14fj_most_intense;
           Alcotest.test_case "table6 bicg worst ctrl" `Slow test_table6_bicg_worst_ctrl;
           Alcotest.test_case "fig6 claims" `Slow test_fig6_claims;
+          Alcotest.test_case "pruned quality matches search" `Slow
+            test_pruned_quality_matches_search;
           Alcotest.test_case "fig5 mae range" `Slow test_fig5_mae_range;
           Alcotest.test_case "fig7" `Quick test_fig7_render;
         ] );

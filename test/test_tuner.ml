@@ -73,6 +73,39 @@ let test_space_restrict_tc () =
   let replaced = Space.with_tc small_space [ 32 ] in
   Alcotest.(check (list int)) "replaced" [ 32 ] replaced.Space.tc
 
+(* [Space.mem] agrees with membership in the enumerated points, on
+   random sub-spaces of the paper space and for points on and off
+   their axes. *)
+let prop_space_mem_matches_points =
+  let open QCheck.Gen in
+  let p = Space.paper in
+  let sub axis =
+    let maybe x = map (fun keep -> if keep then Some x else None) bool in
+    map (List.filter_map Fun.id) (flatten_l (List.map maybe axis))
+  in
+  let coord axis off = oneofl (off :: axis) in
+  let gen =
+    let* tc = sub p.Space.tc and* bc = sub p.Space.bc
+    and* uif = sub p.Space.uif and* pl = sub p.Space.pl
+    and* cflags = sub p.Space.cflags in
+    let space = { p with Space.tc; bc; uif; pl; cflags } in
+    let+ threads_per_block = coord p.Space.tc 33
+    and+ block_count = coord p.Space.bc 7
+    and+ unroll = coord p.Space.uif 9
+    and+ l1_pref_kb = coord p.Space.pl 32
+    and+ staging = coord p.Space.sc 2
+    and+ fast_math = bool in
+    ( space,
+      Params.make ~threads_per_block ~block_count ~unroll ~l1_pref_kb ~staging
+        ~fast_math () )
+  in
+  QCheck.Test.make ~name:"mem iff in points" ~count:300
+    (QCheck.make
+       ~print:(fun (s, pt) -> Space.to_string s ^ " / " ^ Params.to_string pt)
+       gen)
+    (fun (space, point) ->
+      Space.mem space point = List.mem point (Space.points space))
+
 let test_space_of_spec_defaults () =
   let spec = Gat_ir.Tuning_spec.parse_exn "param TC[] = [64,128];" in
   let s = Space.of_spec spec in
@@ -749,6 +782,7 @@ let () =
           Alcotest.test_case "points unique" `Quick test_space_points_unique;
           Alcotest.test_case "restrict tc" `Quick test_space_restrict_tc;
           Alcotest.test_case "of_spec defaults" `Quick test_space_of_spec_defaults;
+          QCheck_alcotest.to_alcotest prop_space_mem_matches_points;
         ] );
       ( "search",
         [
