@@ -298,14 +298,7 @@ let occupancy_cmd =
 
 let suggest kernel gpu =
   let c = compile_or_die kernel gpu Gat_compiler.Params.default in
-  let log = c.Gat_compiler.Driver.log in
-  let s =
-    Gat_core.Suggest.suggest gpu
-      ~regs_per_thread:log.Gat_compiler.Ptxas_info.registers
-      ~smem_per_block:
-        (log.Gat_compiler.Ptxas_info.smem_static
-        + log.Gat_compiler.Ptxas_info.smem_dynamic)
-  in
+  let s = Gat_tuner.Static_search.suggestion gpu c in
   Printf.printf "%s on %s: %s\n" kernel.Gat_ir.Kernel.name
     (Gat_arch.Gpu.family gpu)
     (Gat_core.Suggest.row_to_string s)
@@ -421,15 +414,7 @@ let emulate_cmd =
 (* ---- parse ---- *)
 
 let parse_file path gpu tune seed =
-  let text =
-    match open_in path with
-    | exception Sys_error e -> Gat_util.Error.fail Io e
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Gat_ir.Source.parse text with
+  match Gat_ir.Source.parse (read_file path) with
   | Error e ->
       Gat_util.Error.failf Parse "%s: %s" path
         (Gat_ir.Source.error_to_string e)
@@ -449,14 +434,7 @@ let parse_file path gpu tune seed =
             Gat_tuner.Space.paper
       in
       let c = compile_or_die kernel gpu Gat_compiler.Params.default in
-      let log = c.Gat_compiler.Driver.log in
-      let suggestion =
-        Gat_core.Suggest.suggest gpu
-          ~regs_per_thread:log.Gat_compiler.Ptxas_info.registers
-          ~smem_per_block:
-            (log.Gat_compiler.Ptxas_info.smem_static
-            + log.Gat_compiler.Ptxas_info.smem_dynamic)
-      in
+      let suggestion = Gat_tuner.Static_search.suggestion gpu c in
       Printf.printf "static analysis on %s: %s\n" (Gat_arch.Gpu.family gpu)
         (Gat_core.Suggest.row_to_string suggestion);
       if tune then begin

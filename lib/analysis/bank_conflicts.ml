@@ -73,5 +73,3 @@ let of_sites gpu sites =
             replay;
           })
     sites
-
-let analyze gpu cfg = of_sites gpu (Affine.memory_sites cfg (Affine.analyze cfg))

@@ -32,7 +32,4 @@ type conflict = {
 
 val conflicted : conflict -> bool
 
-val analyze : Gat_arch.Gpu.t -> Gat_cfg.Cfg.t -> conflict list
-(** All [LDS]/[STS] accesses in block order. *)
-
 val of_sites : Gat_arch.Gpu.t -> Affine.access_site list -> conflict list

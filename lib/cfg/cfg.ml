@@ -51,18 +51,19 @@ let reachable t =
   visit 0;
   seen
 
-let reverse_postorder t =
-  let n = n_blocks t in
-  let seen = Array.make n false in
+let reverse_postorder_of ~root succ =
+  let seen = Array.make (Array.length succ) false in
   let order = ref [] in
   let rec visit i =
     if not seen.(i) then begin
       seen.(i) <- true;
-      List.iter visit t.succ.(i);
+      List.iter visit succ.(i);
       order := i :: !order
     end
   in
-  visit 0;
+  visit root;
   Array.of_list !order
+
+let reverse_postorder t = reverse_postorder_of ~root:0 t.succ
 
 let edge_count t = Array.fold_left (fun acc s -> acc + List.length s) 0 t.succ

@@ -30,5 +30,10 @@ val reachable : t -> bool array
 val reverse_postorder : t -> int array
 (** Reverse postorder of the reachable subgraph, entry first. *)
 
+val reverse_postorder_of : root:int -> int list array -> int array
+(** Reverse postorder of the nodes reachable from [root] in the graph
+    given by its successor lists, [root] first; each node's successors
+    are visited in list order. *)
+
 val edge_count : t -> int
 (** Total number of CFG edges. *)

@@ -1,15 +1,14 @@
-type t = { idoms : int array; rpo_index : int array; reachable : bool array }
+type t = { idoms : int array; reachable : bool array }
 
 (* Cooper, Harvey & Kennedy, "A simple, fast dominance algorithm". *)
-let compute cfg =
-  let n = Cfg.n_blocks cfg in
-  let rpo = Cfg.reverse_postorder cfg in
+let of_graph ~root ~(succ : int list array) ~(pred : int list array) =
+  let n = Array.length succ in
+  let rpo = Cfg.reverse_postorder_of ~root succ in
   let rpo_index = Array.make n (-1) in
   Array.iteri (fun order node -> rpo_index.(node) <- order) rpo;
   let reachable = Array.map (fun x -> x >= 0) rpo_index in
   let idoms = Array.make n (-1) in
-  let entry = Cfg.entry cfg in
-  idoms.(entry) <- entry;
+  idoms.(root) <- root;
   let intersect a b =
     let a = ref a and b = ref b in
     while !a <> !b do
@@ -27,9 +26,9 @@ let compute cfg =
     changed := false;
     Array.iter
       (fun node ->
-        if node <> entry then begin
+        if node <> root then begin
           let preds =
-            List.filter (fun p -> reachable.(p) && idoms.(p) >= 0) cfg.Cfg.pred.(node)
+            List.filter (fun p -> reachable.(p) && idoms.(p) >= 0) pred.(node)
           in
           match preds with
           | [] -> ()
@@ -42,7 +41,10 @@ let compute cfg =
         end)
       rpo
   done;
-  { idoms; rpo_index; reachable }
+  { idoms; reachable }
+
+let compute cfg =
+  of_graph ~root:(Cfg.entry cfg) ~succ:cfg.Cfg.succ ~pred:cfg.Cfg.pred
 
 let idom t node =
   if node < 0 || node >= Array.length t.idoms then None

@@ -3,7 +3,14 @@
 type t
 (** Dominator tree for a CFG's reachable subgraph. *)
 
+val of_graph : root:int -> succ:int list array -> pred:int list array -> t
+(** Dominators of the graph given by its successor and predecessor
+    lists (one per node), rooted at [root].  Nodes not reachable from
+    [root] have no dominator.  {!Postdominators} passes a CFG's edges
+    reversed. *)
+
 val compute : Cfg.t -> t
+(** [of_graph] over the CFG's edges, rooted at its entry. *)
 
 val idom : t -> int -> int option
 (** Immediate dominator of a node; [None] for the entry and for

@@ -1,6 +1,6 @@
-type t = { idoms : int array; reachable : bool array; exit_node : int }
+type t = { dom : Dominators.t; exit_node : int }
 
-(* Cooper–Harvey–Kennedy on the reversed graph, rooted at the exit. *)
+(* Dominators of the reversed graph, rooted at the exit. *)
 let compute (cfg : Cfg.t) =
   let n = Cfg.n_blocks cfg in
   let exit_node =
@@ -11,77 +11,11 @@ let compute (cfg : Cfg.t) =
     in
     find 0
   in
-  (* Reverse postorder of the reversed graph. *)
-  let seen = Array.make n false in
-  let order = ref [] in
-  let rec visit i =
-    if not seen.(i) then begin
-      seen.(i) <- true;
-      List.iter visit cfg.Cfg.pred.(i);
-      order := i :: !order
-    end
-  in
-  visit exit_node;
-  let rpo = Array.of_list !order in
-  let rpo_index = Array.make n (-1) in
-  Array.iteri (fun order node -> rpo_index.(node) <- order) rpo;
-  let reachable = Array.map (fun x -> x >= 0) rpo_index in
-  let idoms = Array.make n (-1) in
-  idoms.(exit_node) <- exit_node;
-  let intersect a b =
-    let a = ref a and b = ref b in
-    while !a <> !b do
-      while rpo_index.(!a) > rpo_index.(!b) do
-        a := idoms.(!a)
-      done;
-      while rpo_index.(!b) > rpo_index.(!a) do
-        b := idoms.(!b)
-      done
-    done;
-    !a
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun node ->
-        if node <> exit_node then begin
-          (* Predecessors in the reversed graph = successors here. *)
-          let preds =
-            List.filter
-              (fun p -> reachable.(p) && idoms.(p) >= 0)
-              cfg.Cfg.succ.(node)
-          in
-          match preds with
-          | [] -> ()
-          | first :: rest ->
-              let new_idom = List.fold_left intersect first rest in
-              if idoms.(node) <> new_idom then begin
-                idoms.(node) <- new_idom;
-                changed := true
-              end
-        end)
-      rpo
-  done;
-  { idoms; reachable; exit_node }
+  {
+    dom = Dominators.of_graph ~root:exit_node ~succ:cfg.Cfg.pred ~pred:cfg.Cfg.succ;
+    exit_node;
+  }
 
 let exit_node t = t.exit_node
-
-let ipdom t node =
-  if node < 0 || node >= Array.length t.idoms then None
-  else if not t.reachable.(node) then None
-  else if t.idoms.(node) = node then None
-  else Some t.idoms.(node)
-
-let postdominates t p b =
-  let n = Array.length t.idoms in
-  if p < 0 || b < 0 || p >= n || b >= n then false
-  else if not (t.reachable.(p) && t.reachable.(b)) then false
-  else begin
-    let rec climb node =
-      if node = p then true
-      else if t.idoms.(node) = node then false
-      else climb t.idoms.(node)
-    in
-    climb b
-  end
+let ipdom t = Dominators.idom t.dom
+let postdominates t = Dominators.dominates t.dom

@@ -14,9 +14,6 @@ let find_counts t ~n label =
   | Some agg -> agg
   | None -> zero_agg
 
-let total_issues t ~n =
-  List.fold_left (fun acc (_, agg) -> acc +. agg.execs) 0.0 (t.block_counts n)
-
 (* ---- pure expression evaluation ---- *)
 
 let rec eval_pure ~bindings ~n (e : Gat_ir.Expr.t) =

@@ -33,10 +33,6 @@ val find_counts : t -> n:int -> string -> agg
 (** Aggregate of one block ({!agg} of zero for labels never recorded —
     does not happen for blocks emitted by the lowering). *)
 
-val total_issues : t -> n:int -> float
-(** Total warp issues across all blocks (each block's instruction count
-    is not included — multiply per block for instruction totals). *)
-
 (** Evaluation of pure (array-free) IR expressions — used for the
     Monte-Carlo branch-probability estimation and the stride analysis.
     Exposed for tests. *)

@@ -53,21 +53,6 @@ let params_of_point (a : axes) point =
 let random_point rng (a : axes) =
   Array.init (dims a) (fun i -> Gat_util.Rng.int rng (axis_length a i))
 
-let fold_points (a : axes) ~init ~f =
-  let d = dims a in
-  let point = Array.make d 0 in
-  let acc = ref init in
-  let rec go i =
-    if i = d then acc := f !acc (params_of_point a point)
-    else
-      for k = 0 to axis_length a i - 1 do
-        point.(i) <- k;
-        go (i + 1)
-      done
-  in
-  go 0;
-  !acc
-
 let counting_objective objective =
   let count = ref 0 in
   let wrapped params =

@@ -29,10 +29,6 @@ val params_of_point : axes -> int array -> Gat_compiler.Params.t
 
 val random_point : Gat_util.Rng.t -> axes -> int array
 
-val fold_points :
-  axes -> init:'a -> f:('a -> Gat_compiler.Params.t -> 'a) -> 'a
-(** Visit every point in deterministic order. *)
-
 val counting_objective : objective -> objective * (unit -> int)
 (** Wrap an objective with an evaluation counter. *)
 

@@ -180,15 +180,15 @@ let try_read_part dir i ~len =
   | _ -> None
   | exception Fault.Injected _ -> None
 
-(* Callers have seen no part for shard [i]. *)
-let try_claim ~dir ~ttl ~owner i =
+(* Callers have seen no part for shard [i].  An expired lease is
+   broken first, so a dead holder's shard is claimable at once. *)
+let try_claim ~log ~dir ~ttl ~owner i =
   let lease = lease_file dir i in
   if Lease.break_if_expired ~ttl lease then (
     Metrics.incr m_reclaimed;
     Trace.instant ~args:[ ("shard", Trace.I i) ] "shard.reclaim";
-    `Reclaimed)
-  else if Lease.acquire ~path:lease ~owner then `Claimed
-  else `Held
+    log (Printf.sprintf "shard %d: reclaimed expired lease" i));
+  Lease.acquire ~path:lease ~owner
 
 let dir_files dir =
   match Sys.readdir dir with
@@ -268,11 +268,46 @@ let live_leases ?(owner = "") ~ttl dir =
          && Lease.live ~ttl f)
        (dir_files dir))
 
+(* The one claim loop of coordinators and workers.  Until [stop ()]
+   holds: claim the first shard without a part whose lease this
+   process can take, evaluate it, and tell [on_claim] how the claim
+   ended; when nothing is claimable, poll again after 50 ms. *)
+let drain ?jobs ?retries ?max_failures ?block ?(log = ignore) ~dir ~owner
+    ~manifest:m ~kernel ~gpu ~stop ~on_block ~on_claim () =
+  let k = Array.length m.ranges in
+  let rec claimable i =
+    if i = k then None
+    else if
+      (not (Sys.file_exists (part_file dir i)))
+      && try_claim ~log ~dir ~ttl:m.ttl ~owner i
+    then Some i
+    else claimable (i + 1)
+  in
+  while not (stop ()) do
+    if Cancel.requested () then
+      Error.failf Interrupted "sweep interrupted; shard state saved under %s"
+        dir;
+    match claimable 0 with
+    | None -> Unix.sleepf 0.05
+    | Some i ->
+        Metrics.incr m_claimed;
+        on_claim i
+          (match
+             eval_shard ?jobs ?retries ?max_failures ?block ~dir ~owner
+               ~manifest:m ~kernel ~gpu ~on_block:(on_block i) i
+           with
+          | () -> `Done
+          | exception Lease_lost _ -> `Lost)
+  done
+
 (* ---- coordinator ---- *)
 
-let coordinate ?jobs ?retries ?max_failures ?block ?(shard_retries = 5)
-    ?(ttl = default_ttl) ?progress ?(log = fun (_ : string) -> ()) ?dir
-    ~shards space kernel gpu ~n ~seed =
+(* Attempts a coordinator gives one shard (lost leases and damaged
+   parts) before it aborts. *)
+let shard_attempts = 5
+
+let coordinate ?jobs ?retries ?max_failures ?block ?(ttl = default_ttl)
+    ?progress ?(log = ignore) ?dir ~shards space kernel gpu ~n ~seed =
   match Disk_cache.find space kernel gpu ~n ~seed with
   | Some (variants, unsafe) ->
       { Tuner.variants; failures = []; unsafe; restored_points = 0 }
@@ -346,8 +381,7 @@ let coordinate ?jobs ?retries ?max_failures ?block ?(shard_retries = 5)
       let owner = Lease.make_owner () in
       let parts : Disk_cache.checkpoint option array = Array.make k None in
       let attempts = Array.make k 0 in
-      let next_try = Array.make k 0.0 in
-      let reclaimed = ref 0 in
+      let reclaimed0 = Metrics.value m_reclaimed in
       let local_done = ref 0 and local_failures = ref 0 in
       let sum f = Array.fold_left (fun a p -> a + f p) 0 parts in
       let report_progress () =
@@ -367,76 +401,49 @@ let coordinate ?jobs ?retries ?max_failures ?block ?(shard_retries = 5)
                     | Some c -> List.length c.Disk_cache.failures
                     | None -> 0))
               ~workers:(live_leases ~owner ~ttl:m.ttl dir)
-              ~reclaimed:!reclaimed
+              ~reclaimed:(Metrics.value m_reclaimed - reclaimed0)
       in
-      (* Capped exponential backoff per shard; a shard that keeps
-         failing (damaged parts, lost leases, reclaims) exhausts its
-         retry budget and aborts the coordination. *)
-      let bump i =
+      (* A shard whose part keeps arriving damaged, or whose lease this
+         process keeps losing, exhausts its budget and aborts the
+         coordination. *)
+      let failed i =
         attempts.(i) <- attempts.(i) + 1;
-        if attempts.(i) > shard_retries then
+        if attempts.(i) > shard_attempts then
           Error.failf Shard
             ~hint:"inspect the shard directory, or remove it and re-run"
             "shard %d exhausted its retry budget (%d attempts)" i
-            attempts.(i);
-        let backoff =
-          Float.min 8.0 (0.25 *. float_of_int (1 lsl min attempts.(i) 6))
-        in
-        next_try.(i) <- Unix.gettimeofday () +. backoff
+            attempts.(i)
       in
-      let all_done () = Array.for_all Option.is_some parts in
-      report_progress ();
-      while not (all_done ()) do
-        if Cancel.requested () then
-          Error.failf Interrupted
-            "sweep interrupted; shard state saved under %s" dir;
-        let made_progress = ref false in
-        for i = 0 to k - 1 do
-          if Option.is_none parts.(i) then
-            let _, len = m.ranges.(i) in
-            if Sys.file_exists (part_file dir i) then (
-              match try_read_part dir i ~len with
+      (* Merge every newly published part, this process's own included;
+         a damaged or mismatched part is removed, so the loop redoes
+         it. *)
+      let merged () =
+        Array.iteri
+          (fun i p ->
+            if Option.is_none p && Sys.file_exists (part_file dir i) then
+              match try_read_part dir i ~len:(snd m.ranges.(i)) with
               | Some c ->
                   parts.(i) <- Some c;
                   Metrics.incr m_parts_merged;
-                  made_progress := true;
                   report_progress ()
               | None ->
-                  (* Damaged or mismatched part: discard and redo. *)
                   (try Sys.remove (part_file dir i) with Sys_error _ -> ());
-                  bump i)
-            else if Unix.gettimeofday () >= next_try.(i) then (
-              match try_claim ~dir ~ttl:m.ttl ~owner i with
-              | `Held -> ()
-              | `Reclaimed ->
-                  incr reclaimed;
-                  log (Printf.sprintf "shard %d: reclaimed expired lease" i);
-                  made_progress := true;
-                  bump i
-              | `Claimed -> (
-                  Metrics.incr m_claimed;
-                  made_progress := true;
-                  local_done := 0;
-                  local_failures := 0;
-                  let on_block ~done_ ~failures =
-                    local_done := done_;
-                    local_failures := failures;
-                    report_progress ()
-                  in
-                  match
-                    eval_shard ?jobs ?retries ?max_failures ?block ~dir
-                      ~owner ~manifest:m ~kernel ~gpu ~on_block i
-                  with
-                  | () ->
-                      local_done := 0;
-                      local_failures := 0
-                  | exception Lease_lost _ ->
-                      local_done := 0;
-                      local_failures := 0;
-                      bump i))
-        done;
-        if (not !made_progress) && not (all_done ()) then Unix.sleepf 0.05
-      done;
+                  failed i)
+          parts;
+        Array.for_all Option.is_some parts
+      in
+      report_progress ();
+      drain ?jobs ?retries ?max_failures ?block ~log ~dir ~owner ~manifest:m
+        ~kernel ~gpu ~stop:merged
+        ~on_block:(fun _ ~done_ ~failures ->
+          local_done := done_;
+          local_failures := failures;
+          report_progress ())
+        ~on_claim:(fun i outcome ->
+          local_done := 0;
+          local_failures := 0;
+          if outcome = `Lost then failed i)
+        ();
       let report =
         Trace.span "shard.merge" (fun () ->
             let parts_l =
@@ -486,49 +493,32 @@ let work ?jobs ?retries ?block ?progress ~dir m ~kernel ~gpu () =
   (* Attach snapshot: a worker SIGKILLed before its first block
      still left one flushed snapshot for the fleet merge. *)
   Telemetry.flush ();
-  let owner = Lease.make_owner () in
   let k = Array.length m.ranges in
-  let shards_done = ref 0 and points_done = ref 0 in
-  let finished = ref false and stale = ref false in
-  while not !finished do
-    if Cancel.requested () then
-      Error.failf Interrupted "worker interrupted; lease state saved under %s"
-        dir;
+  let shards_done = ref 0 and points_done = ref 0 and stale = ref false in
+  let rec parts_from i =
+    i = k || (Sys.file_exists (part_file dir i) && parts_from (i + 1))
+  in
+  let finished () =
     if Sys.file_exists (done_file dir) then (
       (* The coordinator finished (possibly while we were computing a
          shard someone else also finished): clean success. *)
       Metrics.incr m_stale_done;
       stale := true;
-      finished := true)
-    else
-      let claimed = ref false and remaining = ref 0 in
-      for i = 0 to k - 1 do
-        if not (Sys.file_exists (part_file dir i)) then (
-          incr remaining;
-          if not !claimed then
-            match try_claim ~dir ~ttl:m.ttl ~owner i with
-            | `Held | `Reclaimed -> ()
-            | `Claimed -> (
-                claimed := true;
-                Metrics.incr m_claimed;
-                let _, len = m.ranges.(i) in
-                let on_block ~done_ ~failures =
-                  match progress with
-                  | Some f -> f ~shard:i ~done_ ~total:len ~failures
-                  | None -> ()
-                in
-                match
-                  eval_shard ?jobs ?retries ?block ~dir ~owner ~manifest:m
-                    ~kernel ~gpu ~on_block i
-                with
-                | () ->
-                    incr shards_done;
-                    points_done := !points_done + len
-                | exception Lease_lost _ -> ()))
-      done;
-      if !remaining = 0 then finished := true
-      else if not !claimed then Unix.sleepf 0.25
-  done;
+      true)
+    else parts_from 0
+  in
+  drain ?jobs ?retries ?block ~dir ~owner:(Lease.make_owner ()) ~manifest:m
+    ~kernel ~gpu ~stop:finished
+    ~on_block:(fun i ~done_ ~failures ->
+      Option.iter
+        (fun f -> f ~shard:i ~done_ ~total:(snd m.ranges.(i)) ~failures)
+        progress)
+    ~on_claim:(fun i -> function
+      | `Done ->
+          incr shards_done;
+          points_done := !points_done + snd m.ranges.(i)
+      | `Lost -> ())
+    ();
   Telemetry.flush ();
   { shards = !shards_done; points = !points_done; stale = !stale }
 

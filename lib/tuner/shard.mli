@@ -87,7 +87,6 @@ val coordinate :
   ?retries:int ->
   ?max_failures:int ->
   ?block:int ->
-  ?shard_retries:int ->
   ?ttl:float ->
   ?progress:
     (done_:int ->
@@ -108,15 +107,17 @@ val coordinate :
 (** Run one sweep to completion as a sharded coordination.  Serves a
     finished sweep straight from {!Disk_cache} when one exists;
     otherwise writes (or adopts — same kernel/gpu/n/seed/space, else
-    stage [Shard]) the manifest, then loops: merge any published
-    part (validated against its seal and range length; damaged parts
-    are discarded and redone), reclaim expired leases
-    ([shard.leases_reclaimed]), and claim + evaluate shards locally —
-    so a coordinator with no workers degrades gracefully to an
-    ordinary in-process sweep.  Each shard failure (lost lease,
-    damaged part, reclaim) costs one attempt from its
-    [shard_retries] budget (default 5) with capped exponential
-    backoff; an exhausted budget aborts with stage [Shard].
+    stage [Shard]) the manifest, then runs the same claim loop as
+    {!work}: claim the first shard without a part whose lease it can
+    take (breaking expired leases on the way,
+    [shard.leases_reclaimed]) and evaluate it, polling every 50 ms
+    while nothing is claimable — so a coordinator with no workers
+    degrades gracefully to an ordinary in-process sweep.  Before each
+    claim it merges every newly published part, its own included
+    (validated against its seal and range length; a damaged part is
+    removed and redone).  A lost lease or a damaged part costs the
+    shard one of its 5 attempts; an exhausted budget aborts with
+    stage [Shard].  Breaking a lease costs no attempt.
 
     The merged report is byte-identical to {!Tuner.sweep_report} of
     the same sweep; when it has no failures it is stored to
@@ -158,10 +159,11 @@ val work :
   gpu:Gat_arch.Gpu.t ->
   unit ->
   worker_report
-(** Attach to a coordination directory and evaluate shards until none
-    remain unclaimed-and-unfinished, or until the [done] marker
-    appears ([stale = true] — the stale-but-done race is a clean
-    success, exit 0).  The caller resolves [kernel]/[gpu] from the
+(** Attach to a coordination directory and run the claim loop of
+    {!coordinate} until every shard has a part, or until the [done]
+    marker appears ([stale = true] — the stale-but-done race is a
+    clean success, exit 0).  A worker never gives up on a shard: a
+    lost lease just sends it back to the loop.  The caller resolves [kernel]/[gpu] from the
     manifest's names and must pass the same objects the coordinator
     used.  [progress] reports the in-flight shard's index and
     range-relative progress ([total] is that shard's length).

@@ -30,18 +30,19 @@ let transaction_factor (compiled : Gat_compiler.Driver.compiled) =
    across the space for these kernels, and no variant is executed. *)
 let reference_params = Gat_compiler.Params.default
 
+let suggestion gpu (compiled : Gat_compiler.Driver.compiled) =
+  let log = compiled.Gat_compiler.Driver.log in
+  Gat_core.Suggest.suggest gpu
+    ~regs_per_thread:log.Gat_compiler.Ptxas_info.registers
+    ~smem_per_block:
+      (log.Gat_compiler.Ptxas_info.smem_static
+      + log.Gat_compiler.Ptxas_info.smem_dynamic)
+
 let prune kernel gpu space =
   match Gat_compiler.Driver.compile kernel gpu reference_params with
   | Error e -> Error ("static analysis failed to compile the kernel: " ^ e)
   | Ok compiled ->
-      let log = compiled.Gat_compiler.Driver.log in
-      let suggestion =
-        Gat_core.Suggest.suggest gpu
-          ~regs_per_thread:log.Gat_compiler.Ptxas_info.registers
-          ~smem_per_block:
-            (log.Gat_compiler.Ptxas_info.smem_static
-            + log.Gat_compiler.Ptxas_info.smem_dynamic)
-      in
+      let suggestion = suggestion gpu compiled in
       let mix = Gat_core.Imix.static_of_program compiled.Gat_compiler.Driver.program in
       let intensity = Gat_core.Imix.intensity mix in
       let mem_transaction_factor = transaction_factor compiled in

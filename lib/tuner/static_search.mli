@@ -30,6 +30,11 @@ val transaction_factor : Gat_compiler.Driver.compiled -> float
     from the static coalescing analysis; 1.0 for memory-free kernels and
     never below 1. *)
 
+val suggestion : Gat_arch.Gpu.t -> Gat_compiler.Driver.compiled -> Gat_core.Suggest.t
+(** The Table VII row for a compile: {!Gat_core.Suggest.suggest} at
+    its registers per thread and its static plus dynamic shared memory
+    per block. *)
+
 val prune :
   Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> Space.t -> (pruning, string) result
 (** Compile at reference parameters, analyze, restrict.  Suggested

@@ -7,12 +7,13 @@ let better time best = time < best
 
 let exhaustive objective space =
   let objective, count = counting_objective objective in
-  let axes = axes_of_space space in
   let best_params, best_time =
-    fold_points axes ~init:(None, infinity) ~f:(fun (bp, bt) params ->
+    List.fold_left
+      (fun (bp, bt) params ->
         match objective params with
         | Some t when better t bt -> (Some params, t)
         | Some _ | None -> (bp, bt))
+      (None, infinity) (Space.points space)
   in
   finish best_params best_time (count ())
 

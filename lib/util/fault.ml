@@ -89,8 +89,6 @@ let config () =
               Atomic.set state (Some c);
               c)
 
-let enabled () = config () <> None
-
 let armed ~site =
   match config () with
   | None -> false

@@ -34,9 +34,6 @@ val inject : site:string -> key:string -> unit
 (** No-op unless a rule for [site] is configured.  Counts one attempt
     for (site, key) and raises {!Injected} if the roll fails. *)
 
-val enabled : unit -> bool
-(** True when any injection rule is active. *)
-
 val armed : site:string -> bool
 (** True when a rule for [site] is active.  A caller whose key is
     costly to build checks this first and builds the key only then;

@@ -218,6 +218,65 @@ let test_postdominators_compiled_kernels () =
         (Gat_cfg.Divergence.divergent_branches d))
     Gat_workloads.Workloads.all
 
+(* Oracle: [p] post-dominates [b] iff [b] cannot reach the exit once
+   [p] is removed from the graph.  Checked for every pair whose [b]
+   reaches the exit at all (the others have no post-dominator). *)
+let check_postdominators_by_removal name g =
+  let pd = Gat_cfg.Postdominators.compute g in
+  let exit = Gat_cfg.Postdominators.exit_node pd in
+  let n = Gat_cfg.Cfg.n_blocks g in
+  let reaches_exit ~removed b =
+    let seen = Array.make n false in
+    let rec go i =
+      if i = removed || seen.(i) then false
+      else (
+        seen.(i) <- true;
+        i = exit || List.exists go g.Gat_cfg.Cfg.succ.(i))
+    in
+    go b
+  in
+  for b = 0 to n - 1 do
+    if reaches_exit ~removed:(-1) b then
+      for p = 0 to n - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %d postdominates %d" name p b)
+          (not (reaches_exit ~removed:p b))
+          (Gat_cfg.Postdominators.postdominates pd p b)
+      done
+  done
+
+let test_postdominators_removal_oracle () =
+  let points =
+    List.filteri (fun i _ -> i mod 331 = 0)
+      (Gat_tuner.Space.points Gat_tuner.Space.paper)
+  in
+  List.iter
+    (fun kernel ->
+      List.iter
+        (fun gpu ->
+          List.iter
+            (fun params ->
+              match Gat_compiler.Driver.compile kernel gpu params with
+              | Error _ -> ()
+              | Ok c ->
+                  check_postdominators_by_removal
+                    (Printf.sprintf "%s/%s %s" kernel.Gat_ir.Kernel.name
+                       gpu.Gat_arch.Gpu.name
+                       (Gat_compiler.Params.to_string params))
+                    (Gat_cfg.Cfg.of_program c.Gat_compiler.Driver.program))
+            points)
+        Gat_arch.Gpu.all)
+    Gat_workloads.Workloads.all;
+  List.iter
+    (fun f ->
+      let text =
+        In_channel.with_open_text (Filename.concat "fixtures" f)
+          In_channel.input_all
+      in
+      check_postdominators_by_removal f
+        (Gat_cfg.Cfg.of_program (Gat_isa.Parser.program_exn text)))
+    [ "racy_smem.sass"; "divergent_bar.sass" ]
+
 (* ---- Divergence ---- *)
 
 let mov dst src = Instruction.make ~dst Opcode.MOV [ src ]
@@ -359,6 +418,7 @@ let () =
           Alcotest.test_case "diamond" `Quick test_postdominators_diamond;
           Alcotest.test_case "loop" `Quick test_postdominators_loop;
           Alcotest.test_case "compiled kernels" `Quick test_postdominators_compiled_kernels;
+          Alcotest.test_case "removal oracle" `Quick test_postdominators_removal_oracle;
         ] );
       ( "divergence",
         [

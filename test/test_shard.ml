@@ -382,14 +382,68 @@ let test_merge_fault_sticky_exhausts_budget () =
   Fault.set_spec (Some "shard-merge:1:sticky,seed:3");
   let dir = fresh_dir () in
   (match
-     Shard.coordinate ~jobs:2 ~dir ~shards:2 ~shard_retries:1 space kernel gpu
-       ~n:64 ~seed:42
+     Shard.coordinate ~jobs:2 ~dir ~shards:2 space kernel gpu ~n:64 ~seed:42
    with
   | _ -> Alcotest.fail "coordinate survived an always-failing merge"
   | exception Error.Error e ->
       Alcotest.(check string) "stage" "shard" (Error.stage_name e.Error.stage);
       Alcotest.(check int) "exit code" 8 (Error.exit_code e.Error.stage));
   Fault.set_spec None
+
+(* ---- lost leases ---- *)
+
+(* A two-block shard (32 points at [~block:16]) whose lease file is
+   removed after its first block, so the second block's heartbeat
+   finds no lease and the holder stands down with [Lease_lost]. *)
+let lost_space = { space with Space.tc = [ 64; 128; 256; 512 ]; cflags = [ false; true ] }
+
+let lease_lost = Gat_util.Metrics.counter "lease.lost"
+let claimed = Gat_util.Metrics.counter "shard.claimed"
+
+(* Remove [dir]'s shard-0 lease the first time a block is reported. *)
+let lose_lease_once dir =
+  let lost = ref false in
+  fun ~done_ ->
+    if done_ > 0 && not !lost then (
+      lost := true;
+      Sys.remove (Filename.concat dir "shard-0.lease"))
+
+let test_coordinator_redoes_lost_shard () =
+  reset ();
+  let clean = Tuner.sweep_report ~space:lost_space ~jobs:2 kernel gpu ~n:64 ~seed:42 in
+  reset ();
+  let dir = fresh_dir () in
+  let lose = lose_lease_once dir in
+  let lost0 = Gat_util.Metrics.value lease_lost in
+  let claimed0 = Gat_util.Metrics.value claimed in
+  let r =
+    Shard.coordinate ~jobs:2 ~block:16 ~dir ~shards:1
+      ~progress:(fun ~done_ ~total:_ ~failures:_ ~workers:_ ~reclaimed:_ ->
+        lose ~done_)
+      lost_space kernel gpu ~n:64 ~seed:42
+  in
+  check_report_eq clean r;
+  Alcotest.(check int) "one lease lost" 1
+    (Gat_util.Metrics.value lease_lost - lost0);
+  Alcotest.(check int) "the shard was claimed again" 2
+    (Gat_util.Metrics.value claimed - claimed0)
+
+let test_worker_stands_down_on_lost_lease () =
+  reset ();
+  let dir = fresh_dir () in
+  let m = { (manifest (Shard.plan ~total:32 ~shards:1)) with Shard.space = lost_space } in
+  Shard.write_manifest ~dir m;
+  let lose = lose_lease_once dir in
+  let lost0 = Gat_util.Metrics.value lease_lost in
+  let w =
+    Shard.work ~jobs:2 ~block:16 ~dir m ~kernel ~gpu
+      ~progress:(fun ~shard:_ ~done_ ~total:_ ~failures:_ -> lose ~done_)
+      ()
+  in
+  Alcotest.(check int) "one lease lost" 1
+    (Gat_util.Metrics.value lease_lost - lost0);
+  Alcotest.(check int) "the lost claim is not counted" 1 w.Shard.shards;
+  Alcotest.(check int) "only the redone shard's points" 32 w.Shard.points
 
 (* ---- prefix-of-parts + salvage merge property ---- *)
 
@@ -591,6 +645,10 @@ let () =
                 test_merge_fault_transient_recovers;
               Alcotest.test_case "sticky merge faults exhaust the budget"
                 `Quick test_merge_fault_sticky_exhausts_budget;
+              Alcotest.test_case "lost lease: coordinator redoes the shard"
+                `Quick test_coordinator_redoes_lost_shard;
+              Alcotest.test_case "lost lease: worker stands down" `Quick
+                test_worker_stands_down_on_lost_lease;
               QCheck_alcotest.to_alcotest test_prefix_merge_property;
             ] );
           ( "maintenance",

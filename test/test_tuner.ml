@@ -139,11 +139,6 @@ let test_params_of_point_clamps () =
   Alcotest.(check int) "tc clamped to last" 512 p.Params.threads_per_block;
   Alcotest.(check int) "bc clamped to first" 24 p.Params.block_count
 
-let test_fold_points_visits_all () =
-  let axes = Search.axes_of_space small_space in
-  let count = Search.fold_points axes ~init:0 ~f:(fun acc _ -> acc + 1) in
-  Alcotest.(check int) "all points" (Space.cardinality small_space) count
-
 (* ---- Strategies on the synthetic objective ---- *)
 
 let check_outcome name (o : Search.outcome) ~max_best ~max_evals =
@@ -789,7 +784,6 @@ let () =
           Alcotest.test_case "counting" `Quick test_counting_objective;
           Alcotest.test_case "memoized" `Quick test_memoized_objective;
           Alcotest.test_case "clamping" `Quick test_params_of_point_clamps;
-          Alcotest.test_case "fold visits all" `Quick test_fold_points_visits_all;
         ] );
       ( "strategies",
         [
