@@ -1073,7 +1073,7 @@ let cache action max_bytes =
       Printf.printf
         "shards:    %d director%s, %d files (%s); %d live lease%s (%s \
          pinned)\n\
-         telemetry: %d snapshot%s, %d crash record%s under shard dirs\n"
+         telemetry: %d snapshot%s under shard dirs\n"
         sh.Gat_tuner.Shard.dirs
         (if sh.Gat_tuner.Shard.dirs = 1 then "y" else "ies")
         sh.Gat_tuner.Shard.files
@@ -1083,8 +1083,6 @@ let cache action max_bytes =
         (human_bytes sh.Gat_tuner.Shard.pinned_bytes)
         sh.Gat_tuner.Shard.telem_files
         (if sh.Gat_tuner.Shard.telem_files = 1 then "" else "s")
-        sh.Gat_tuner.Shard.crash_files
-        (if sh.Gat_tuner.Shard.crash_files = 1 then "" else "s")
   | "clear" ->
       let removed =
         Gat_util.Store.clear Gat_tuner.Disk_cache.cache
@@ -1236,7 +1234,7 @@ let trace_merge_cmd =
       & info [] ~docv:"DIR"
           ~doc:
             "A coordination directory holding $(i,host.pid.telem) \
-             snapshots (and $(i,.crash) flight records).")
+             snapshots, one per process, crashed ones included.")
   in
   let out =
     Arg.(
@@ -1324,7 +1322,7 @@ let monitor_cmd =
        ~doc:
          "Live fleet view of a sharded sweep: one line per worker — \
           host/pid, held shard, points/s, block-latency p50/p99, \
-          heartbeat age, reclaims, crash status — from the telemetry \
+          heartbeat age, reclaims, crash note — from the telemetry \
           records in the coordination directory.  Read-only.  \
           Redraws in place on a TTY; prints a full table per refresh \
           otherwise.  Exits when the coordination publishes its done \
@@ -1395,8 +1393,9 @@ let () =
     with
     | Gat_util.Error.Error e ->
         (* Crash flight recorder: a fatal error during a telemetry
-           session leaves a sealed .crash snapshot (ring buffers +
-           counters) for the coordinator to surface and merge. *)
+           session republishes its sealed record with the error as its
+           note (ring buffers, counters, the last hold) for the
+           coordinator to surface and merge. *)
         Gat_util.Telemetry.crash_dump ~reason:(Gat_util.Error.to_string e);
         Printf.eprintf "gat: %s\n" (Gat_util.Error.to_string e);
         Option.iter (Printf.eprintf "hint: %s\n") e.Gat_util.Error.hint;

@@ -27,4 +27,3 @@ let version = function Sm20 -> 2.0 | Sm35 -> 3.5 | Sm52 -> 5.2 | Sm60 -> 6.0
 
 let rank = function Sm20 -> 0 | Sm35 -> 1 | Sm52 -> 2 | Sm60 -> 3
 let compare a b = Int.compare (rank a) (rank b)
-let pp fmt t = Format.pp_print_string fmt (to_string t)

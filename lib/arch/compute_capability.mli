@@ -25,6 +25,3 @@ val version : t -> float
 
 val compare : t -> t -> int
 (** Generation order. *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints {!to_string}. *)

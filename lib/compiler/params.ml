@@ -47,5 +47,3 @@ let compare a b =
   Stdlib.compare
     (a.threads_per_block, a.block_count, a.unroll, a.l1_pref_kb, a.staging, a.fast_math)
     (b.threads_per_block, b.block_count, b.unroll, b.l1_pref_kb, b.staging, b.fast_math)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -40,5 +40,3 @@ val to_string : t -> string
 
 val compare : t -> t -> int
 (** Lexicographic order, usable as a map key. *)
-
-val pp : Format.formatter -> t -> unit

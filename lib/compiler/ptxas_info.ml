@@ -31,5 +31,3 @@ let render t =
     (Gat_arch.Compute_capability.to_string t.target)
     t.kernel_name t.stack_frame (4 * t.spill_stores) (4 * t.spill_loads)
     t.registers t.smem_static t.smem_dynamic
-
-let pp fmt t = Format.pp_print_string fmt (render t)

@@ -25,5 +25,3 @@ val render : t -> string
         0 bytes stack frame, 0 bytes spill stores, 0 bytes spill loads
     ptxas info    : Used 27 registers, 0 bytes smem
     v} *)
-
-val pp : Format.formatter -> t -> unit

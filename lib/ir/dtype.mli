@@ -7,4 +7,3 @@ val size_bytes : t -> int
 
 val is_float : t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

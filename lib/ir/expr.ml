@@ -120,5 +120,3 @@ let rec to_string = function
   | Un (op, a) -> Printf.sprintf "%s(%s)" (unop_name op) (to_string a)
   | Select (c, a, b) ->
       Printf.sprintf "(%s ? %s : %s)" (to_string c) (to_string a) (to_string b)
-
-let pp fmt e = Format.pp_print_string fmt (to_string e)

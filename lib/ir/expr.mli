@@ -65,5 +65,3 @@ val to_string : t -> string
 (** Source-like rendering.  A [Float] prints with the fewest
     significant digits (at least six, as [%g]) that read back as the
     same float, so distinct constants never print alike. *)
-
-val pp : Format.formatter -> t -> unit

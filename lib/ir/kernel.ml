@@ -72,5 +72,3 @@ let to_string t =
       Buffer.add_char buf '\n')
     t.body;
   Buffer.contents buf
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

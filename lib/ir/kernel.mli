@@ -36,4 +36,3 @@ val find_array : t -> string -> array_decl
 (** Raises [Not_found]. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

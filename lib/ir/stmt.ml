@@ -119,5 +119,3 @@ let rec to_string ?(indent = 0) stmt =
         (block e_branch (indent + 2))
         pad
   | Sync -> pad ^ "sync;"
-
-let pp fmt stmt = Format.pp_print_string fmt (to_string stmt)

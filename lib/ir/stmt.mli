@@ -41,4 +41,3 @@ val count_parallel_loops : t list -> int
 (** Number of [Parallel] loops anywhere in the tree. *)
 
 val to_string : ?indent:int -> t -> string
-val pp : Format.formatter -> t -> unit

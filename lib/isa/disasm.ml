@@ -39,5 +39,3 @@ let program (p : Program.t) =
   Buffer.add_char buf '\n';
   List.iter (fun b -> Buffer.add_string buf (block b)) p.Program.blocks;
   Buffer.contents buf
-
-let pp fmt p = Format.pp_print_string fmt (program p)

@@ -13,5 +13,3 @@ val block : Basic_block.t -> string
 
 val program : Program.t -> string
 (** Full listing with header directives. *)
-
-val pp : Format.formatter -> Program.t -> unit

@@ -138,5 +138,3 @@ let of_string line =
             | _ -> None
           else Some { op; cmp; dst = None; srcs = operands; pred })
   end
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

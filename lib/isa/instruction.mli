@@ -45,5 +45,3 @@ val to_string : t -> string
 
 val of_string : string -> t option
 (** Parse one instruction line as printed by {!to_string}. *)
-
-val pp : Format.formatter -> t -> unit

@@ -165,5 +165,3 @@ let latency gpu op =
   | VABSDIFF | F2D | D2F | I2D | D2I | F2I | I2F | F2F | IADD | IMUL | IMAD
   | LOP_AND | LOP_OR | LOP_XOR | PSETP | BRA | EXIT | SSY | MOV | SEL ->
       alu
-
-let pp fmt t = Format.pp_print_string fmt (mnemonic t)

@@ -98,5 +98,3 @@ val latency : Gat_arch.Gpu.t -> t -> float
     small per-family constant, SFU slightly higher, global loads use the
     device's memory latency, shared loads a fixed short latency.  Used
     only by the simulator substrate, not by the static analyzer. *)
-
-val pp : Format.formatter -> t -> unit

@@ -105,5 +105,3 @@ let of_string s =
             match float_of_string_opt s with
             | Some f -> Some (FImm f)
             | None -> None))
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -41,4 +41,3 @@ val to_string : t -> string
 (** {!add_to_buffer} into a fresh string. *)
 
 val of_string : string -> t option
-val pp : Format.formatter -> t -> unit

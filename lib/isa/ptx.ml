@@ -159,5 +159,3 @@ let program (p : Program.t) =
     p.Program.blocks;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let pp fmt p = Format.pp_print_string fmt (program p)

@@ -16,5 +16,3 @@ val instruction : Instruction.t -> string
 val program : Program.t -> string
 (** Full [.visible .entry] listing with register declarations, the
     target directive and labelled blocks. *)
-
-val pp : Format.formatter -> Program.t -> unit

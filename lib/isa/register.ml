@@ -48,8 +48,6 @@ let of_string s =
     | 'P' -> parse_id Pred
     | _ -> None
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 module Ord = struct
   type nonrec t = t
 

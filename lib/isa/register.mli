@@ -33,7 +33,5 @@ val to_string : t -> string
 val of_string : string -> t option
 (** Inverse of {!to_string}. *)
 
-val pp : Format.formatter -> t -> unit
-
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -48,6 +48,3 @@ let of_string s =
   | _ -> None
 
 let equal a b = a.c0 = b.c0 && a.c1 = b.c1 && a.c2 = b.c2 && a.c3 = b.c3
-
-let pp fmt t =
-  Format.fprintf fmt "%g + %g*N + %g*N^2 + %g*N^3" t.c0 t.c1 t.c2 t.c3

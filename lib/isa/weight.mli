@@ -37,4 +37,3 @@ val degree : t -> int
 val to_string : t -> string
 val of_string : string -> t option
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

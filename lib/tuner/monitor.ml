@@ -4,8 +4,9 @@
    writes, and builds its table purely from what the shard protocol
    already leaves on disk — each process's telemetry record says which
    shard it holds (while the record is under one ttl old), how fast it
-   is moving and where its latency lives; crash flight records say who
-   died screaming.  One row per (host,pid) ever seen in the directory. *)
+   is moving and where its latency lives; a record's crash note says
+   who died screaming.  One row per (host,pid) ever seen in the
+   directory. *)
 
 open Gat_util
 
@@ -44,25 +45,19 @@ let rows ?(now = Unix.gettimeofday ()) dir =
   in
   (* Header-only: a row needs counters, histograms and the anchor,
      never the events, so no events log is opened. *)
-  let telem, sk1 = Telemetry.load_dir ~header_only:true dir in
-  let crashes, sk2 = Telemetry.load_crashes ~header_only:true dir in
-  let crashed : (string * int, string) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun s ->
-      Hashtbl.replace crashed (s.Telemetry.host, s.Telemetry.pid)
-        s.Telemetry.note)
-    crashes;
+  let snaps, skipped = Telemetry.load_dir ~header_only:true dir in
   let row_of snap =
-    let key = (snap.Telemetry.host, snap.Telemetry.pid) in
+    let crashed = snap.Telemetry.note <> "" in
     let age =
       Float.max 0.
         (now -. (Int64.to_float snap.Telemetry.captured_wall_ns /. 1e9))
     in
     (* The record is the holder's heartbeat: a hold whose record is
-       older than one ttl belongs to a dead holder. *)
+       older than one ttl, or that a crash republished, belongs to a
+       dead holder. *)
     let shard =
       match snap.Telemetry.hold with
-      | Some h when age <= ttl -> Some h.Telemetry.shard
+      | Some h when age <= ttl && not crashed -> Some h.Telemetry.shard
       | _ -> None
     in
     let elapsed_s =
@@ -82,12 +77,11 @@ let rows ?(now = Unix.gettimeofday ()) dir =
       p99_ns = Histogram.Log.percentile_ns h 0.99;
       snapshot_age_s = age;
       reclaimed = counter_of snap "shard.leases_reclaimed";
-      crashed = Hashtbl.mem crashed key;
-      crash_note =
-        Option.value ~default:"" (Hashtbl.find_opt crashed key);
+      crashed;
+      crash_note = snap.Telemetry.note;
     }
   in
-  (List.map row_of (Telemetry.dedupe (telem @ crashes)), sk1 + sk2)
+  (List.map row_of snaps, skipped)
 
 (* One fixed-width line per worker; pure so the table is golden-
    testable and greppable in non-TTY mode. *)
@@ -103,8 +97,7 @@ let render_row r =
     | None -> ("-", "-")
   in
   let status =
-    if r.crashed then
-      if r.crash_note <> "" then "crashed: " ^ r.crash_note else "crashed"
+    if r.crashed then "crashed: " ^ r.crash_note
     else if r.shard <> None then "running"
     else Printf.sprintf "idle %.0fs" r.snapshot_age_s
   in

@@ -3,8 +3,8 @@
     Read-only: the table is built purely from the files the shard
     protocol already maintains — telemetry records
     ({!Gat_util.Telemetry}: held shard, points, latency histograms,
-    reclaim counts) and crash flight records, read header-only: the
-    events logs beside them are never opened.
+    reclaim counts, and the crash note of a process that died), read
+    header-only: the events logs beside them are never opened.
     One row per (host,pid) ever seen in the directory. *)
 
 type row = {
@@ -17,7 +17,9 @@ type row = {
   p99_ns : int;
   snapshot_age_s : float;  (** Seconds since the last telemetry flush. *)
   reclaimed : int;  (** [shard.leases_reclaimed] by this process. *)
-  crashed : bool;  (** A crash flight record exists for this worker. *)
+  crashed : bool;
+      (** The worker's record carries a crash note; its row shows no
+          held shard. *)
   crash_note : string;
 }
 

@@ -475,13 +475,13 @@ let coordinate ?jobs ?retries ?max_failures ?block ?(ttl = default_ttl)
       Telemetry.flush ();
       let snaps, skipped = Telemetry.load_dir ~header_only:true dir in
       Telemetry.absorb_foreign snaps;
-      let crashes, bad = Telemetry.load_crashes ~header_only:true dir in
-      if skipped + bad > 0 then
-        log (Printf.sprintf "%d corrupt telemetry snapshot(s) skipped" (skipped + bad));
+      if skipped > 0 then
+        log (Printf.sprintf "%d corrupt telemetry snapshot(s) skipped" skipped);
       List.iter
         (fun (c : Telemetry.snapshot) ->
-          log (Printf.sprintf "crash flight record of %s:%d: %s" c.host c.pid c.note))
-        crashes;
+          if c.note <> "" then
+            log (Printf.sprintf "crash flight record of %s:%d: %s" c.host c.pid c.note))
+        snaps;
       report
 
 (* ---- worker ---- *)
@@ -549,7 +549,6 @@ type usage = {
   live_leases : int;
   pinned_bytes : int;
   telem_files : int;
-  crash_files : int;
 }
 
 let usage () =
@@ -565,15 +564,14 @@ let usage () =
             | exception Unix.Unix_error _ -> a)
           0 files
       in
-      let count pred = List.length (List.filter pred files) in
       {
         dirs = acc.dirs + 1;
         files = acc.files + List.length files;
         bytes = acc.bytes + b;
         live_leases = acc.live_leases + live;
         pinned_bytes = (acc.pinned_bytes + if live > 0 then b else 0);
-        telem_files = acc.telem_files + count Telemetry.is_telem_file;
-        crash_files = acc.crash_files + count Telemetry.is_crash_file;
+        telem_files =
+          acc.telem_files + List.length (List.filter Telemetry.is_telem_file files);
       })
     {
       dirs = 0;
@@ -582,7 +580,6 @@ let usage () =
       live_leases = 0;
       pinned_bytes = 0;
       telem_files = 0;
-      crash_files = 0;
     }
     (shard_dirs ())
 

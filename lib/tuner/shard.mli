@@ -136,8 +136,9 @@ val coordinate :
     worker's counters and histograms into the live registries so the
     final [gat stats] is fleet-wide.  [log]
     (default: drop) receives one line per reclaimed lease, per
-    skipped corrupt snapshot, and per crash flight record found in
-    the directory.
+    skipped corrupt snapshot, and per record in the directory that
+    carries a crash note (the crash flight record of a process that
+    died).
     @raise Gat_util.Error.Error (stage [Interrupted]) between blocks
     and between shards when {!Gat_util.Cancel.requested} fires; all
     flushed shard state survives for a later re-run. *)
@@ -172,8 +173,8 @@ val work :
 (** {1 Maintenance} — [gat cache stats] / [gc] / [clear].
 
     Shard directories holding at least one live lease are {e pinned}:
-    their lease files, parts, telemetry records (with the in-flight
-    prefixes they hold) and crash flight records are all invisible to
+    their lease files, parts and telemetry records (with the in-flight
+    prefixes and crash notes they hold) are all invisible to
     {!gc_candidates}, so [gat cache gc] never yanks state — or
     evidence — from under a running coordination.  Directories with
     no live lease (finished or crashed-and-expired runs) are
@@ -188,8 +189,7 @@ type usage = {
   bytes : int;
   live_leases : int;
   pinned_bytes : int;  (** Bytes in directories with a live lease. *)
-  telem_files : int;  (** Telemetry snapshots across shard dirs. *)
-  crash_files : int;  (** Crash flight records across shard dirs. *)
+  telem_files : int;  (** Telemetry records across shard dirs. *)
 }
 
 val usage : unit -> usage

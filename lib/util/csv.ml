@@ -24,9 +24,3 @@ let to_string rows =
       Buffer.add_char buf '\n')
     rows;
   Buffer.contents buf
-
-let write path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string rows))

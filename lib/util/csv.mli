@@ -1,14 +1,11 @@
-(** Minimal RFC-4180 CSV writer, for exporting experiment series
-    (Fig. 4–6 data) to files that external plotting tools can read. *)
+(** Minimal RFC-4180 CSV rows: the format of the sweep journal
+    ([Gat_tuner.Journal]), its only writer. *)
 
 val escape : string -> string
 (** Quote a field if it contains a comma, quote or newline. *)
 
 val row_to_string : string list -> string
 (** Join escaped fields with commas (no trailing newline). *)
-
-val write : string -> string list list -> unit
-(** [write path rows] writes all rows to [path], one line each. *)
 
 val to_string : string list list -> string
 (** Render rows to a single newline-terminated string. *)

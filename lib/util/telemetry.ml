@@ -13,9 +13,9 @@
      trace events recorded since the previous one, as one framed batch,
      before it publishes the record that counts them.
 
-   The crash flight recorder is the same record under a [.crash] name,
-   written from the fatal-error and fatal-signal paths; it points at
-   the same log.
+   The crash flight recorder republishes the same record with the
+   failure as its note and the last flush's hold, from the fatal-error
+   and fatal-signal paths: one record per process, whatever its end.
 
    The record is line-oriented text inside the standard {!Sealed_file}
    envelope: a header (host, pid, the monotonic→wall epoch anchor,
@@ -83,6 +83,7 @@ type session = {
   s_anchor_wall_ns : int64;
   mutable log : event_log;
   mutable log_fd : Unix.file_descr option;  (* opened at the first publish *)
+  mutable held : hold option;  (* the last flush's hold, for a crash dump *)
 }
 
 let session : session option ref = ref None
@@ -110,6 +111,7 @@ let enable ~dir =
       s_anchor_wall_ns = Int64.of_float (Unix.gettimeofday () *. 1e9);
       log = no_log;
       log_fd = None;
+      held = None;
     }
   in
   Mutex.lock lock;
@@ -379,12 +381,8 @@ let of_payload ?log body =
 let snapshot_path ~dir ~host ~pid =
   Filename.concat dir (Printf.sprintf "%s.%d.telem" host pid)
 
-let crash_path ~dir ~host ~pid =
-  Filename.concat dir (Printf.sprintf "%s.%d.crash" host pid)
-
 let events_path record = Filename.remove_extension record ^ ".events"
 let is_telem_file name = Filename.check_suffix name ".telem"
-let is_crash_file name = Filename.check_suffix name ".crash"
 
 let write_at fd off s =
   ignore (Unix.lseek fd off Unix.SEEK_SET);
@@ -447,24 +445,30 @@ let flush ?hold () =
   match active () with
   | None -> ()
   | Some s ->
+      s.held <- hold;
       if
         publish s ~note:"" ?hold
           (snapshot_path ~dir:s.dir ~host:s.s_host ~pid:s.s_pid)
       then Metrics.incr m_flushes
 
+(* The same record, with the failure as its note; it keeps the last
+   flush's hold, so a dead holder's prefix stays salvageable. *)
 let crash_dump ~reason =
   match active () with
   | None -> ()
   | Some s ->
-      if publish s ~note:reason (crash_path ~dir:s.dir ~host:s.s_host ~pid:s.s_pid)
+      if
+        publish s ~note:reason ?hold:s.held
+          (snapshot_path ~dir:s.dir ~host:s.s_host ~pid:s.s_pid)
       then Metrics.incr m_crashes
 
 (* Fatal signals (SIGTERM) dump the flight record, then restore the
    default disposition and re-deliver so the exit status still says
-   "killed by signal" to whoever is waiting. *)
+   "killed by signal" to whoever is waiting.  OCaml numbers signals
+   its own way ([Sys.sigterm] is -11); the note uses POSIX's. *)
 let install_signal_dump () =
   let dump_and_die signo =
-    crash_dump ~reason:(Printf.sprintf "fatal signal %d" signo);
+    crash_dump ~reason:"fatal signal 15 (SIGTERM)";
     Sys.set_signal signo Sys.Signal_default;
     Unix.kill (Unix.getpid ()) signo
   in
@@ -488,15 +492,16 @@ let read_file ?(header_only = false) path =
   | Some ((_, _, bytes) as r) ->
       Option.bind (read_prefix (events_path path) bytes) (with_events r)
 
-let load_matching ?header_only pred d =
+let by_process a b = compare (a.host, a.pid) (b.host, b.pid)
+
+let load_dir ?header_only d =
   match Sys.readdir d with
   | exception Sys_error _ -> ([], 0)
   | names ->
       let skipped = ref 0 in
       let snaps =
         Array.to_list names
-        |> List.filter pred
-        |> List.sort compare
+        |> List.filter is_telem_file
         |> List.filter_map (fun name ->
                match read_file ?header_only (Filename.concat d name) with
                | Some s -> Some s
@@ -505,17 +510,13 @@ let load_matching ?header_only pred d =
                    Metrics.incr m_skipped;
                    None)
       in
-      (snaps, !skipped)
+      (List.sort by_process snaps, !skipped)
 
-let load_dir ?header_only d = load_matching ?header_only is_telem_file d
-let load_crashes ?header_only d = load_matching ?header_only is_crash_file d
-
-(* One snapshot per (host,pid): a process can leave both a periodic
-   [.telem] and a [.crash] with overlapping ring buffers, and both are
-   cumulative — keep the latest capture: counters only grow, so the
-   larger counter total wins, then the later capture instant.  Events
-   are not weighed, so header-only and full reads pick the same
-   snapshot. *)
+(* One snapshot per (host,pid) among snapshots gathered from several
+   places: they are cumulative, so keep the latest capture — counters
+   only grow, so the larger counter total wins, then the later capture
+   instant.  Events are not weighed, so header-only and full reads pick
+   the same snapshot. *)
 let dedupe snaps =
   let rank s =
     (List.fold_left (fun acc (_, v) -> acc + v) 0 s.counters, s.captured_wall_ns)
@@ -528,8 +529,7 @@ let dedupe snaps =
       | Some prev when compare (rank prev) (rank s) >= 0 -> ()
       | _ -> Hashtbl.replace best k s)
     snaps;
-  Hashtbl.fold (fun _ s acc -> s :: acc) best []
-  |> List.sort (fun a b -> compare (a.host, a.pid) (b.host, b.pid))
+  List.sort by_process (Hashtbl.fold (fun _ s acc -> s :: acc) best [])
 
 let to_process s =
   {
@@ -542,14 +542,13 @@ let to_process s =
     p_dropped = s.dropped;
   }
 
-(* Merge a fleet directory into one Chrome trace.  Periodic snapshots
-   and crash records both contribute; each (host,pid) appears once. *)
+(* Merge a fleet directory into one Chrome trace: one record, so one
+   process, per (host,pid), crashed or not. *)
 let merge_dir d =
-  let telem, sk1 = load_dir d in
-  let crash, sk2 = load_crashes d in
-  let procs = List.map to_process (dedupe (telem @ crash)) in
+  let snaps, skipped = load_dir d in
+  let procs = List.map to_process snaps in
   let body, events = Trace.render_merged procs in
-  (body, events, List.length procs, sk1 + sk2)
+  (body, events, List.length procs, skipped)
 
 (* Fold foreign processes' counters and histograms into the live
    registries, so the coordinator's final [gat stats] / [GAT_STATS]

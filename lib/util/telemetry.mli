@@ -11,9 +11,10 @@
     LEN bytes of event lines); the record's events are the log's first
     BYTES bytes, N events in all.  While it holds a shard the record
     carries a {!hold}, and its mtime is the lease heartbeat ({!Lease}).
-    The crash flight recorder writes the same record to
-    [<host>.<pid>.crash] from the fatal-error and fatal-signal paths;
-    it points at the same log.  Readers skip-and-count corrupt or
+    The crash flight recorder republishes the same record from the
+    fatal-error and fatal-signal paths, with the failure as its [note]
+    and the last flush's hold, so a process leaves one record whatever
+    its end.  Readers skip-and-count corrupt or
     truncated snapshots ([telem.snapshots_skipped]) — a bad seal, a log
     shorter than BYTES, a batch failing its MD5, a wrong event count —
     and ignore log bytes past BYTES; a SIGKILLed worker's last flushed
@@ -29,7 +30,7 @@
 
     Metrics: [telem.flushes], [telem.snapshots_skipped],
     [telem.crashes], [telem.bytes_written] (bytes of every published
-    record and crash record, plus every log batch). *)
+    record, crash dumps included, plus every log batch). *)
 
 type hold = {
   shard : int;
@@ -49,7 +50,7 @@ type snapshot = {
       (** When this snapshot was captured, as anchor-aligned wall ns —
           [gat monitor] derives rates and staleness from it. *)
   dropped : int;  (** Trace events dropped at buffer capacity. *)
-  note : string;  (** Crash reason; empty for periodic snapshots. *)
+  note : string;  (** Crash reason, set by {!crash_dump}; else empty. *)
   counters : (string * int) list;
   timers : (string * int * int) list;  (** (name, events, total ns). *)
   histograms : (string * Histogram.Log.t) list;
@@ -79,20 +80,22 @@ val flush : ?hold:hold -> unit -> unit
     [<host>.<pid>.events] as one batch (at the log's end, never past
     it: a crash dump interrupting a flush rewrites the same region),
     then capture and atomically publish [<host>.<pid>.telem] (with
-    [hold], if any) counting them.  A {!Trace.clear} in between
+    [hold], if any, which the session keeps for {!crash_dump})
+    counting them.  A {!Trace.clear} in between
     restarts the log.  No-op without a session; swallows I/O errors
     (telemetry never takes a sweep down).  Shard holders publish
     through {!Lease.heartbeat}. *)
 
 val crash_dump : reason:string -> unit
-(** Like {!flush}, but publish [<host>.<pid>.crash] with [reason] as
-    the snapshot note — the crash flight recorder, called from the
-    top-level fatal-error catch.  It shares the session's log. *)
+(** Like {!flush}, but with [reason] as the record's note and the last
+    flush's hold, so a dead holder's prefix stays claimable — the crash
+    flight recorder, called from the top-level fatal-error catch. *)
 
 val install_signal_dump : unit -> unit
-(** Install a SIGTERM handler that writes the crash flight record,
-    restores the default disposition and re-delivers the signal (the
-    exit status still reports death-by-signal). *)
+(** Install a SIGTERM handler that writes the crash flight record
+    (note [fatal signal 15 (SIGTERM)]), restores the default
+    disposition and re-delivers the signal (the exit status still
+    reports death-by-signal). *)
 
 (** {2 Capture and wire format} *)
 
@@ -110,15 +113,12 @@ val of_payload : ?log:string -> string -> snapshot option
     [events] is empty. *)
 
 val snapshot_path : dir:string -> host:string -> pid:int -> string
-val crash_path : dir:string -> host:string -> pid:int -> string
 
 val events_path : string -> string
 (** The events log a record at this path points at: the record's path
-    with its extension replaced by [.events], so a process's [.telem]
-    and [.crash] share one log. *)
+    with its extension replaced by [.events]. *)
 
 val is_telem_file : string -> bool
-val is_crash_file : string -> bool
 
 val read_file : ?header_only:bool -> string -> snapshot option
 (** Unseal and parse one record and read its events from the first
@@ -130,14 +130,13 @@ val read_file : ?header_only:bool -> string -> snapshot option
 (** {2 Fleet reads and merging} *)
 
 val load_dir : ?header_only:bool -> string -> snapshot list * int
-(** All [.telem] snapshots under a directory (sorted by filename) and
-    the number of corrupt/unreadable ones skipped. *)
-
-val load_crashes : ?header_only:bool -> string -> snapshot list * int
-(** Same for [.crash] flight records. *)
+(** All [.telem] snapshots under a directory, one per process, sorted
+    by (host, pid), and the number of corrupt/unreadable ones
+    skipped. *)
 
 val dedupe : snapshot list -> snapshot list
-(** One snapshot per (host,pid) — the latest capture wins: the larger
+(** One snapshot per (host,pid), for snapshots gathered from several
+    places — the latest capture wins: the larger
     counter total (counters are cumulative), then the later
     [captured_wall_ns] — sorted by (host, pid).  Events are not
     weighed, so header-only and full reads pick the same snapshot. *)
@@ -146,7 +145,7 @@ val to_process : snapshot -> Trace.process
 (** The snapshot as {!Trace.render_merged} input. *)
 
 val merge_dir : string -> string * int * int * int
-(** Fold every snapshot and crash record under a directory into one
+(** Fold every snapshot under a directory, crashed or not, into one
     Chrome trace: [(json, events, processes, skipped)].  Clocks are
     aligned via the epoch anchors; counters are summed across
     processes. *)

@@ -525,6 +525,51 @@ let test_prefix_merge_property =
         (Gat_util.Metrics.value salvaged - before);
       true)
 
+(* A holder that heartbeat a prefix of shard 1, then failed with an
+   error: it released its lease on the way out, and its crash dump
+   republished its record with the note and the hold.  The holder is
+   [fleet_child.exe] (built beside this test), so its record is a
+   foreign one; a later coordination salvages its prefix. *)
+let test_crashed_holder_salvaged () =
+  let clean = golden () in
+  reset ();
+  let dir = fresh_dir () in
+  let ranges = Shard.plan ~total ~shards:3 in
+  Shard.write_manifest ~dir (manifest ranges);
+  let first, len = ranges.(1) in
+  let half = len / 2 in
+  let prefix_file = Filename.concat scratch "prefix.txt" in
+  Out_channel.with_open_bin prefix_file (fun oc ->
+      Out_channel.output_string oc
+        (Disk_cache.checkpoint_text
+           (Tuner.sweep_range ~jobs:2 ~space ~first ~len:half kernel gpu ~n:64
+              ~seed:42)));
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "fleet_child.exe"
+  in
+  let child =
+    Unix.create_process exe
+      [| exe; dir; "1"; prefix_file; "crash" |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  (match Unix.waitpid [] child with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "the holder did not heartbeat and crash");
+  (match Telemetry.load_dir ~header_only:true dir with
+  | [ r ], 0 ->
+      Alcotest.(check string) "the record carries the crash"
+        "internal error: boom" r.Telemetry.note;
+      Alcotest.(check bool) "and the hold" true (r.Telemetry.hold <> None)
+  | l, _ -> Alcotest.failf "expected the holder's record, got %d" (List.length l));
+  let salvaged = Gat_util.Metrics.counter "shard.salvaged_points" in
+  let before = Gat_util.Metrics.value salvaged in
+  let r =
+    Shard.coordinate ~jobs:2 ~dir ~shards:3 space kernel gpu ~n:64 ~seed:42
+  in
+  check_report_eq clean r;
+  Alcotest.(check int) "the crashed holder's prefix was salvaged" half
+    (Gat_util.Metrics.value salvaged - before)
+
 (* ---- maintenance: gc pinning ---- *)
 
 let test_gc_pins_live_coordinations () =
@@ -650,6 +695,8 @@ let () =
               Alcotest.test_case "lost lease: worker stands down" `Quick
                 test_worker_stands_down_on_lost_lease;
               QCheck_alcotest.to_alcotest test_prefix_merge_property;
+              Alcotest.test_case "crashed holder's prefix is salvaged" `Quick
+                test_crashed_holder_salvaged;
             ] );
           ( "maintenance",
             [

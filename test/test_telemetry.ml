@@ -37,6 +37,15 @@ let write_file path s =
 
 let read_all path = In_channel.with_open_bin path In_channel.input_all
 
+(* This process's record in [d]. *)
+let own_record d =
+  Telemetry.snapshot_path ~dir:d ~host:(Unix.gethostname ())
+    ~pid:(Unix.getpid ())
+
+(* The files in [d] with extension [ext]. *)
+let files_with d ext =
+  List.filter (fun f -> Filename.check_suffix f ext) (Array.to_list (Sys.readdir d))
+
 (* A hand-built snapshot on disk: its events log, then its record. *)
 let publish_snapshot path s =
   let b, log = Telemetry.to_payload s in
@@ -322,18 +331,60 @@ let test_crash_records () =
   let d = temp_dir "crash" in
   Telemetry.disable ();
   Telemetry.enable ~dir:d;
+  let hold = { Telemetry.shard = 2; owner = "me:1:0"; prefix = "prefix" } in
+  Telemetry.flush ~hold ();
   Telemetry.crash_dump ~reason:"internal error: boom";
   Telemetry.disable ();
-  Alcotest.(check bool) "one crash file" true
-    (Sys.file_exists
-       (Telemetry.crash_path ~dir:d ~host:(Unix.gethostname ()) ~pid:(Unix.getpid ())));
-  let crashes, skipped = Telemetry.load_crashes d in
+  Alcotest.(check (list string)) "no crash file" [] (files_with d ".crash");
+  let snaps, skipped = Telemetry.load_dir d in
   Alcotest.(check int) "no skips" 0 skipped;
-  match crashes with
+  match snaps with
   | [ c ] ->
       Alcotest.(check string) "note" "internal error: boom" c.Telemetry.note;
-      Alcotest.(check int) "own pid" (Unix.getpid ()) c.Telemetry.pid
-  | _ -> Alcotest.fail "expected exactly one crash record"
+      Alcotest.(check int) "own pid" (Unix.getpid ()) c.Telemetry.pid;
+      Alcotest.(check bool) "the last flush's hold" true
+        (c.Telemetry.hold = Some hold);
+      Alcotest.(check bool) "the process's own record" true
+        (Telemetry.read_file (own_record d) = Some c)
+  | _ -> Alcotest.fail "expected exactly one record"
+
+(* Run [fleet_child.exe] (built beside this test) holding [shard] of
+   [dir] with [prefix]; its pid and exit status. *)
+let run_fleet_child ~dir ~shard ~prefix mode =
+  let prefix_file = Filename.temp_file "gat-test-prefix" ".txt" in
+  write_file prefix_file prefix;
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "fleet_child.exe"
+  in
+  let pid =
+    Unix.create_process exe
+      [| exe; dir; string_of_int shard; prefix_file; mode |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let _, status = Unix.waitpid [] pid in
+  Sys.remove prefix_file;
+  (pid, status)
+
+(* A child with an active session SIGTERMs itself: the handler dumps
+   the record with a note naming the signal as POSIX does, then
+   re-delivers it, so the child still dies by SIGTERM. *)
+let test_sigterm_note () =
+  let d = temp_dir "sigterm" in
+  let child, status = run_fleet_child ~dir:d ~shard:1 ~prefix:"p" "sigterm" in
+  Alcotest.(check bool) "signalled 15: the signal was re-delivered" true
+    (status = Unix.WSIGNALED Sys.sigterm);
+  match Telemetry.load_dir d with
+  | [ r ], 0 ->
+      Alcotest.(check int) "the child's record" child r.Telemetry.pid;
+      Alcotest.(check string) "the note names the signal"
+        "fatal signal 15 (SIGTERM)" r.Telemetry.note;
+      Alcotest.(check bool) "the flushed hold is kept" true
+        (match r.Telemetry.hold with
+        | Some h -> h.Telemetry.shard = 1 && h.Telemetry.prefix = "p"
+        | None -> false)
+  | l, skipped ->
+      Alcotest.failf "expected one record, got %d (%d skipped)" (List.length l)
+        skipped
 
 let test_dedupe_keeps_fullest () =
   let thin = sample_snapshot () in
@@ -351,18 +402,17 @@ let test_dedupe_keeps_fullest () =
   | l -> Alcotest.fail (Printf.sprintf "expected 2 snapshots, got %d" (List.length l))
 
 let test_dedupe_tie_on_counters () =
-  (* A .telem and a .crash of one process with equal counter totals:
-     the later capture wins, however many events the earlier one
-     carries — so header-only and full reads pick the same one. *)
-  let d = temp_dir "dedupe-tie" in
+  (* Two snapshots of one process with equal counter totals: the later
+     capture wins, however many events the earlier one carries — so
+     header-only and full reads pick the same one. *)
   let base = sample_snapshot () in
-  let telem =
+  let early =
     {
       base with
       Telemetry.events = base.Telemetry.events @ base.Telemetry.events;
     }
   in
-  let crash =
+  let late =
     {
       base with
       Telemetry.captured_wall_ns = Int64.add base.Telemetry.captured_wall_ns 1L;
@@ -370,24 +420,14 @@ let test_dedupe_tie_on_counters () =
       events = [];
     }
   in
-  (match Telemetry.dedupe [ telem; crash ] with
-  | [ s ] ->
-      Alcotest.(check string) "later capture wins" "fatal signal 15"
-        s.Telemetry.note
-  | l -> Alcotest.failf "expected 1 snapshot, got %d" (List.length l));
-  let host = base.Telemetry.host and pid = base.Telemetry.pid in
-  publish_snapshot (Telemetry.snapshot_path ~dir:d ~host ~pid) telem;
-  publish_snapshot (Telemetry.crash_path ~dir:d ~host ~pid) crash;
-  let pick header_only =
-    let t, _ = Telemetry.load_dir ~header_only d in
-    let c, _ = Telemetry.load_crashes ~header_only d in
-    match Telemetry.dedupe (t @ c) with
-    | [ s ] -> (s.Telemetry.note, s.Telemetry.captured_wall_ns)
-    | l -> Alcotest.failf "expected 1 snapshot, got %d" (List.length l)
-  in
-  Alcotest.(check (pair string int64))
-    "header-only and full reads agree" (pick false) (pick true);
-  Alcotest.(check string) "the crash record" "fatal signal 15" (fst (pick true))
+  List.iter
+    (fun snaps ->
+      match Telemetry.dedupe snaps with
+      | [ s ] ->
+          Alcotest.(check string) "later capture wins" "fatal signal 15"
+            s.Telemetry.note
+      | l -> Alcotest.failf "expected 1 snapshot, got %d" (List.length l))
+    [ [ early; late ]; [ late; early ] ]
 
 (* ---- incremental flushes ---- *)
 
@@ -447,7 +487,7 @@ let test_incremental_flushes () =
   Alcotest.(check bool) "events were recorded" true (Trace.events () <> []);
   record 5;
   Telemetry.crash_dump ~reason:"end";
-  check "crash dump" (Telemetry.crash_path ~dir:d ~host ~pid);
+  check "crash dump" path;
   Telemetry.disable ();
   Trace.clear ()
 
@@ -475,10 +515,6 @@ let test_header_only_read () =
   | _ -> Alcotest.fail "snapshot did not parse"
 
 (* ---- the events log ---- *)
-
-let own_record d =
-  Telemetry.snapshot_path ~dir:d ~host:(Unix.gethostname ())
-    ~pid:(Unix.getpid ())
 
 (* A session in a fresh directory that flushed twice, each time with a
    new event: its record path. *)
@@ -584,30 +620,22 @@ let test_clear_restarts_log () =
   | None -> Alcotest.fail "snapshot did not read");
   Telemetry.disable ()
 
-let test_records_share_log () =
+let test_crash_extends_log () =
   let d = temp_dir "log-shared" in
   Telemetry.disable ();
   Telemetry.enable ~dir:d;
+  let record = own_record d in
   Trace.span "shared.first" (fun () -> ());
   Telemetry.flush ();
+  let flushed = Telemetry.read_file record in
   Trace.span "shared.second" (fun () -> ());
   Telemetry.crash_dump ~reason:"boom";
   Telemetry.disable ();
-  let telem = own_record d in
-  let crash =
-    Telemetry.crash_path ~dir:d ~host:(Unix.gethostname ())
-      ~pid:(Unix.getpid ())
-  in
-  Alcotest.(check string) "one log path" (Telemetry.events_path telem)
-    (Telemetry.events_path crash);
-  Alcotest.(check int) "one log file" 1
-    (List.length
-       (List.filter
-          (fun f -> Filename.check_suffix f ".events")
-          (Array.to_list (Sys.readdir d))));
-  match (Telemetry.read_file telem, Telemetry.read_file crash) with
+  Alcotest.(check int) "one log file" 1 (List.length (files_with d ".events"));
+  match (flushed, Telemetry.read_file record) with
   | Some t, Some c ->
       let nt = List.length t.Telemetry.events in
+      Alcotest.(check string) "the crash note" "boom" c.Telemetry.note;
       Alcotest.(check bool) "the crash record extends the flush's" true
         (List.filteri (fun i _ -> i < nt) c.Telemetry.events
         = t.Telemetry.events
@@ -778,6 +806,8 @@ let test_monitor_rows () =
       Alcotest.(check bool) "lapsed hold not shown" true (r.Monitor.shard = None);
       Alcotest.(check bool) "line says idle" true (contains (Monitor.render_row r) "idle")
   | l, _ -> Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length l)));
+  (* The crash republishes the record with the note and the hold: the
+     row is crashed and shows no shard, however fresh the record. *)
   Telemetry.crash_dump ~reason:"boom";
   Telemetry.disable ();
   let rows, _ = Monitor.rows d in
@@ -785,8 +815,16 @@ let test_monitor_rows () =
   | [ r ] ->
       Alcotest.(check bool) "crashed flagged" true r.Monitor.crashed;
       Alcotest.(check string) "crash note" "boom" r.Monitor.crash_note;
+      Alcotest.(check bool) "crashed row shows no shard" true
+        (r.Monitor.shard = None);
+      let line = Monitor.render_row r in
       Alcotest.(check bool) "line says crashed" true
-        (contains (Monitor.render_row r) "crashed: boom")
+        (contains line "crashed: boom");
+      Alcotest.(check bool) "line shows no shard" true
+        (contains line
+           (Printf.sprintf "%-20s %6s"
+              (Printf.sprintf "%s:%d" r.Monitor.host r.Monitor.pid)
+              "-"))
   | l -> Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length l))
 
 let () =
@@ -810,6 +848,8 @@ let () =
           Alcotest.test_case "corruption skipped-and-counted" `Quick
             test_corruption_skipped;
           Alcotest.test_case "crash flight records" `Quick test_crash_records;
+          Alcotest.test_case "SIGTERM note names the signal" `Quick
+            test_sigterm_note;
           Alcotest.test_case "dedupe keeps fullest" `Quick
             test_dedupe_keeps_fullest;
           Alcotest.test_case "dedupe tie on counters" `Quick
@@ -831,8 +871,8 @@ let () =
             test_header_only_without_log;
           Alcotest.test_case "Trace.clear restarts the log" `Quick
             test_clear_restarts_log;
-          Alcotest.test_case ".telem and .crash share a log" `Quick
-            test_records_share_log;
+          Alcotest.test_case "crash dump extends the flush's log" `Quick
+            test_crash_extends_log;
           Alcotest.test_case "bytes_written tracks the batches" `Quick
             test_bytes_written_bound;
           Alcotest.test_case "no leaked log descriptors" `Quick
