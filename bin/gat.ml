@@ -652,15 +652,31 @@ let print_sweep_report kernel gpu ~n ~seed ~space ~top
           Printf.printf "  %2d. %s\n" (i + 1) (Gat_tuner.Variant.summary v))
         (take top ranked)
 
-let sweep kernel gpu n seed jobs retries max_failures resume no_checkpoint
-    block no_cache top show_progress trace shards coordinator lease_ttl =
-  skip_caches no_cache;
-  set_trace trace;
-  set_jobs jobs;
+(* One --progress bar over [total] points; only a sharded coordinator
+   passes [workers] and [reclaimed]. *)
+let progress_bar ~label ~total =
+  let p = Gat_util.Progress.create ~label ~total () in
+  fun ?workers ?reclaimed ~done_ ~failures () ->
+    let render =
+      if done_ >= total then Gat_util.Progress.finish
+      else Gat_util.Progress.update
+    in
+    render p ~done_ ~failures ?cache_hit_pct:(codegen_cache_hit_pct ())
+      ?workers ?reclaimed ()
+
+(* The knobs [sweep] and [sweep-worker] share. *)
+let check_sweep_args ~retries ~block =
   if retries < 0 then
     Gat_util.Error.failf Usage "--retries must be >= 0 (got %d)" retries;
   if block < 1 then
-    Gat_util.Error.failf Usage "--checkpoint-every must be >= 1 (got %d)" block;
+    Gat_util.Error.failf Usage "--checkpoint-every must be >= 1 (got %d)" block
+
+let sweep kernel gpu n seed jobs retries max_failures block no_cache top
+    show_progress trace shards coordinator lease_ttl =
+  skip_caches no_cache;
+  set_trace trace;
+  set_jobs jobs;
+  check_sweep_args ~retries ~block;
   if lease_ttl <= 0.0 then
     Gat_util.Error.failf Usage "--lease-ttl must be > 0 (got %g)" lease_ttl;
   (match shards with
@@ -673,37 +689,20 @@ let sweep kernel gpu n seed jobs retries max_failures resume no_checkpoint
   let label =
     Printf.sprintf "%s/%s" kernel.Gat_ir.Kernel.name gpu.Gat_arch.Gpu.name
   in
+  let total = Gat_tuner.Space.cardinality space in
   match (shards, coordinator) with
   | None, None ->
       let progress =
         if not show_progress then None
-        else begin
-          let p =
-            Gat_util.Progress.create ~label
-              ~total:(Gat_tuner.Space.cardinality space)
-              ()
-          in
-          Some
-            (fun ~done_ ~total ~failures ->
-              let render =
-                if done_ >= total then Gat_util.Progress.finish
-                else Gat_util.Progress.update
-              in
-              render p ~done_ ~failures
-                ?cache_hit_pct:(codegen_cache_hit_pct ())
-                ())
-        end
+        else
+          let bar = progress_bar ~label ~total in
+          Some (fun ~done_ ~total:_ ~failures -> bar ~done_ ~failures ())
       in
       let report, dt =
         Gat_util.Metrics.timed t_sweep (fun () ->
-            Gat_tuner.Tuner.sweep_report ~space ~retries ?max_failures
-              ~checkpoint:(not no_checkpoint) ~resume ~block ?progress kernel
-              gpu ~n ~seed)
+            Gat_tuner.Tuner.sweep_report ~space ~retries ?max_failures ~block
+              ?progress kernel gpu ~n ~seed)
       in
-      if report.Gat_tuner.Tuner.restored_points > 0 then
-        Printf.eprintf "gat: resumed from checkpoint: %d/%d points\n%!"
-          report.Gat_tuner.Tuner.restored_points
-          (Gat_tuner.Space.cardinality space);
       print_sweep_report kernel gpu ~n ~seed ~space ~top report;
       Printf.eprintf "gat: sweep finished in %s\n%!"
         (Gat_util.Metrics.pp_duration dt)
@@ -724,22 +723,11 @@ let sweep kernel gpu n seed jobs retries max_failures resume no_checkpoint
       Gat_util.Telemetry.install_signal_dump ();
       let progress =
         if not show_progress then None
-        else begin
-          let p =
-            Gat_util.Progress.create ~label
-              ~total:(Gat_tuner.Space.cardinality space)
-              ()
-          in
+        else
+          let bar = progress_bar ~label ~total in
           Some
-            (fun ~done_ ~total ~failures ~workers ~reclaimed ->
-              let render =
-                if done_ >= total then Gat_util.Progress.finish
-                else Gat_util.Progress.update
-              in
-              render p ~done_ ~failures
-                ?cache_hit_pct:(codegen_cache_hit_pct ())
-                ~workers ~reclaimed ())
-        end
+            (fun ~done_ ~total:_ ~failures ~workers ~reclaimed ->
+              bar ~workers ~reclaimed ~done_ ~failures ())
       in
       let log line = Printf.eprintf "gat: shard: %s\n%!" line in
       let report, dt =
@@ -772,29 +760,16 @@ let sweep_cmd =
              variants have failed.  Default: record all failures and \
              keep going.")
   in
-  let resume =
-    Arg.(
-      value & flag
-      & info [ "resume" ]
-          ~doc:
-            "Continue from the last checkpoint of the same sweep if one \
-             exists under $(b,GAT_CACHE_DIR); a byte-identical report \
-             is produced either way.")
-  in
-  let no_checkpoint =
-    Arg.(
-      value & flag
-      & info [ "no-checkpoint" ]
-          ~doc:"Do not write progress checkpoints during the sweep.")
-  in
   let block =
     Arg.(
       value
       & opt int Gat_tuner.Tuner.default_block_size
       & info [ "checkpoint-every" ] ~docv:"POINTS"
           ~doc:
-            "Flush a checkpoint after each block of $(docv) points.  \
-             Results never depend on the block size.")
+            "Evaluate the space in blocks of $(docv) points.  A sharded \
+             sweep's holder publishes its finished prefix after each \
+             block, so a killed run loses at most one block.  Results \
+             never depend on the block size.")
   in
   let top =
     Arg.(
@@ -849,14 +824,16 @@ let sweep_cmd =
        ~doc:
          "Exhaustively evaluate the paper's 5,120-variant space with \
           supervision: per-variant failures are recorded (not fatal), \
-          progress is checkpointed, an interrupted sweep can \
-          $(b,--resume), and the work can be sharded across processes \
-          and machines ($(b,--shards), $(b,gat sweep-worker)) — all \
-          with byte-identical results.")
+          and the work can be sharded across processes and machines \
+          ($(b,--shards), $(b,gat sweep-worker)) — all with \
+          byte-identical results.  A plain sweep keeps its progress in \
+          memory; a sharded one is resumable: re-running the same \
+          command after an interrupt or a crash resumes from the \
+          saved prefix.")
     Term.(
       const sweep $ kernel_arg $ gpu_arg $ n_arg $ seed $ jobs_arg $ retries
-      $ max_failures $ resume $ no_checkpoint $ block $ no_cache_arg $ top
-      $ progress $ trace_arg $ shards $ coordinator $ lease_ttl)
+      $ max_failures $ block $ no_cache_arg $ top $ progress $ trace_arg
+      $ shards $ coordinator $ lease_ttl)
 
 (* ---- sweep-worker ---- *)
 
@@ -864,10 +841,7 @@ let sweep_worker dir jobs retries block no_cache show_progress trace =
   skip_caches no_cache;
   set_trace trace;
   set_jobs jobs;
-  if retries < 0 then
-    Gat_util.Error.failf Usage "--retries must be >= 0 (got %d)" retries;
-  if block < 1 then
-    Gat_util.Error.failf Usage "--checkpoint-every must be >= 1 (got %d)" block;
+  check_sweep_args ~retries ~block;
   Gat_util.Cancel.install ();
   Gat_util.Telemetry.install_signal_dump ();
   match Gat_tuner.Shard.read_manifest dir with
@@ -896,25 +870,19 @@ let sweep_worker dir jobs retries block no_cache show_progress trace =
               let cur = ref None in
               Some
                 (fun ~shard ~done_ ~total ~failures ->
-                  let p =
+                  let bar =
                     match !cur with
-                    | Some (s, p) when s = shard -> p
+                    | Some (s, bar) when s = shard -> bar
                     | _ ->
-                        let p =
-                          Gat_util.Progress.create
+                        let bar =
+                          progress_bar
                             ~label:(Printf.sprintf "shard %d" shard)
-                            ~total ()
+                            ~total
                         in
-                        cur := Some (shard, p);
-                        p
+                        cur := Some (shard, bar);
+                        bar
                   in
-                  let render =
-                    if done_ >= total then Gat_util.Progress.finish
-                    else Gat_util.Progress.update
-                  in
-                  render p ~done_ ~failures
-                    ?cache_hit_pct:(codegen_cache_hit_pct ())
-                    ())
+                  bar ~done_ ~failures ())
             end
           in
           let r =
@@ -1134,9 +1102,10 @@ let cache_cmd =
       & opt (some int) None
       & info [ "max-bytes" ] ~docv:"BYTES"
           ~doc:
-            "Byte budget for $(b,gc): sweep entries, checkpoints and \
-             compile artifacts are evicted coldest-first (by access \
-             time) until the cache fits.")
+            "Byte budget for $(b,gc): sweep entries, compile artifacts, \
+             the state of sharded sweeps with no live lease, and \
+             $(b,.ckpt) files older versions left are evicted \
+             coldest-first (by access time) until the cache fits.")
   in
   Cmd.v
     (Cmd.info "cache"

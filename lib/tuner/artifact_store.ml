@@ -16,11 +16,11 @@ type gc_result = {
   removed_bytes : int;
 }
 
-(* Sweep entries, checkpoints and artifacts — each store's own
-   listing, orphaned temp files included — plus shard coordination
-   state, but only from directories with no live lease: gc must never
-   yank a manifest, lease or in-flight partial checkpoint from under a
-   running coordination. *)
+(* Sweep entries, older versions' [.ckpt] files and artifacts — each
+   store's own listing, orphaned temp files included — plus shard
+   coordination state, but only from directories with no live lease:
+   gc must never yank a manifest, lease or in-flight partial checkpoint
+   from under a running coordination. *)
 let candidate_files () =
   Gat_util.Store.files Disk_cache.cache
   @ Gat_util.Store.files Gat_compiler.Artifacts.cache

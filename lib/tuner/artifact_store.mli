@@ -13,10 +13,10 @@ type gc_result = {
 }
 
 val gc : max_bytes:int -> gc_result
-(** Evict least-recently-used cache files (sweep entries, checkpoints,
-    artifacts, orphaned temp files, and shard coordination state
-    from directories with no live lease — see {!Shard.gc_candidates})
-    until the total is at most [max_bytes].  Live lease files and the
+(** Evict least-recently-used cache files (sweep entries, the [.ckpt]
+    files older versions left, artifacts, orphaned temp files, and shard
+    coordination state from directories with no live lease — see
+    {!Shard.gc_candidates}) until the total is at most [max_bytes].  Live lease files and the
     in-flight partial checkpoints they protect are never candidates.
     Recency is [max(atime, mtime)] — honest under relatime mounts —
     with the path as a stable tiebreak.  Removal errors are skipped,

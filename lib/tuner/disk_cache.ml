@@ -10,10 +10,9 @@
    verification; anything that does not parse and verify is reported
    as a miss, never an error.
 
-   Checkpoints live in the same store under the same keys and
-   serialization: a [<key>.ckpt] file holds the completed prefix of an
-   in-flight sweep (point count, variants, failures) so a killed run
-   can resume instead of starting over. *)
+   Checkpoints share the serialization: the completed prefix of a
+   shard's range (point count, variants, failures), written by path as
+   a finished [.part] file or carried as text in a holder's record. *)
 
 let model_version = "gat-sim/3"
 
@@ -25,12 +24,11 @@ let ckpt_header = header "gat-sweep-ckpt 2"
 
 module Store = Gat_util.Store
 
+(* Nothing writes [.ckpt] files any more; the suffix stays listed so
+   [gat cache] upkeep still reclaims those older versions left. *)
 let cache =
   Store.create ~name:"sweep cache" ~metrics:"cache.disk" ~site:"cache"
     ~dir:Gat_util.Cache_dir.root ~suffixes:[ ".sweep"; ".ckpt" ]
-
-let ckpt_stores = Store.counter cache "ckpt.stores"
-let ckpt_resumes = Store.counter cache "ckpt.resumes"
 
 (* ---- keys ---- *)
 
@@ -49,7 +47,6 @@ let key space kernel gpu ~n ~seed =
   Digest.to_hex (Digest.string payload)
 
 let file_of_key k = Store.path cache (k ^ ".sweep")
-let ckpt_of_key k = Store.path cache (k ^ ".ckpt")
 
 (* ---- serialization: emit ----
 
@@ -271,14 +268,12 @@ let read_checkpoint cur =
   let variants = read_variants_section cur in
   { done_points; variants; failures; unsafe }
 
-(* Path-addressed checkpoint I/O: the exact serialization of keyed
-   checkpoints, but writable to any path (or carried as text in a
-   shard holder's record).  Finished [.part] files are ordinary
-   checkpoints whose [done_points] is relative to the shard's range.
-   Unlike {!checkpoint_store},
-   {!checkpoint_write} is coordination state, not a cache optimization:
-   it ignores the enabled/degraded latches and raises on failure so
-   the shard layer can apply its own retry policy. *)
+(* Path-addressed checkpoint I/O, or text carried in a shard holder's
+   record.  Finished [.part] files are checkpoints whose [done_points]
+   is relative to the shard's range.  They are coordination state, not
+   a cache optimization: {!checkpoint_write} ignores the
+   enabled/degraded latches and raises on failure so the shard layer
+   can apply its own retry policy. *)
 let checkpoint_write ~path ckpt =
   Store.write cache ~header:ckpt_header path (emit_checkpoint ckpt)
 
@@ -291,19 +286,3 @@ let checkpoint_text ckpt =
   Buffer.contents buf
 
 let checkpoint_of_text s = Store.parse ~header:ckpt_header s read_checkpoint
-
-let checkpoint_store space kernel gpu ~n ~seed ckpt =
-  Store.store cache ~counter:ckpt_stores ~header:ckpt_header
-    (ckpt_of_key (key space kernel gpu ~n ~seed))
-    (emit_checkpoint ckpt)
-
-let checkpoint_find space kernel gpu ~n ~seed =
-  if not (Store.enabled cache) then None
-  else
-    let c = checkpoint_read (ckpt_of_key (key space kernel gpu ~n ~seed)) in
-    if Option.is_some c then Gat_util.Metrics.incr ckpt_resumes;
-    c
-
-let checkpoint_clear space kernel gpu ~n ~seed =
-  let path = ckpt_of_key (key space kernel gpu ~n ~seed) in
-  try Sys.remove path with Sys_error _ -> ()

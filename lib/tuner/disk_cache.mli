@@ -35,11 +35,12 @@ val model_version : string
     (self-invalidation). *)
 
 val cache : Gat_util.Store.t
-(** The store behind every [.sweep] and [.ckpt] file under
+(** The store behind every [.sweep] file under
     {!Gat_util.Cache_dir.root}: its switch ([--no-cache]), degrade
-    latch, [cache.disk.*] counters (checkpoints under
-    [cache.disk.ckpt.{stores,resumes}]), fault sites [cache-read] /
-    [cache-write], and [gat cache] upkeep. *)
+    latch, [cache.disk.*] counters, fault sites [cache-read] /
+    [cache-write], and [gat cache] upkeep.  Its upkeep also lists
+    [.ckpt] files, the local sweep checkpoints older versions wrote, so
+    [gat cache clear] and [gc] still reclaim them. *)
 
 val key :
   Space.t -> Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> n:int -> seed:int -> string
@@ -71,55 +72,27 @@ val store :
 
 (** {2 Sweep checkpoints}
 
-    The completed prefix of an in-flight sweep, stored next to the
-    entries under the same content key as [<key>.ckpt] with the same
-    serialization, integrity trailer and atomic publish.  {!Tuner}
-    writes one after every completed block and removes it when the
-    sweep finishes; a run killed in between can resume from the last
-    checkpoint and produce byte-identical results. *)
+    The completed prefix of a range of {!Space.points}, with the
+    entries' serialization and integrity trailer: a finished shard's
+    [.part] file, or a shard holder's flushed prefix carried as text in
+    its telemetry record.  Killed holders' prefixes are salvaged by the
+    next claim and resume byte-identically. *)
 
 type checkpoint = {
-  done_points : int;  (** Completed prefix length of [Space.points]. *)
+  done_points : int;  (** Completed prefix length of the range. *)
   variants : Variant.t list;  (** Outcomes of that prefix, in order. *)
   failures : Variant.failure list;  (** Failed points of that prefix. *)
   unsafe : Variant.unsafe list;  (** Verifier-rejected points of it. *)
 }
 
-val checkpoint_store :
-  Space.t ->
-  Gat_ir.Kernel.t ->
-  Gat_arch.Gpu.t ->
-  n:int ->
-  seed:int ->
-  checkpoint ->
-  unit
-(** Atomically replace the sweep's checkpoint.  Never raises; write
-    failures degrade the cache exactly like {!store}. *)
-
-val checkpoint_find :
-  Space.t ->
-  Gat_ir.Kernel.t ->
-  Gat_arch.Gpu.t ->
-  n:int ->
-  seed:int ->
-  checkpoint option
-(** The last checkpoint for this exact sweep configuration, or [None]
-    if absent, damaged, or the cache is disabled.  Restarting from
-    scratch is always a safe answer. *)
-
-val checkpoint_clear :
-  Space.t -> Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> n:int -> seed:int -> unit
-(** Remove the sweep's checkpoint, if any. *)
-
 val checkpoint_write : path:string -> checkpoint -> unit
 (** Atomically publish a checkpoint to an explicit path — the
     partial-entry layout of the distributed sweep (finished per-shard
     [.part] files, whose [done_points] is relative to the shard's
-    range).  Unlike {!checkpoint_store} this
-    is coordination state, not a cache optimization: it ignores the
-    enabled/degraded latches and raises [Sys_error] (or
-    {!Gat_util.Fault.Injected}, site [cache-write]) on failure so the
-    caller can apply its own retry policy. *)
+    range).  Unlike {!store} this is coordination state, not a cache
+    optimization: it ignores the enabled/degraded latches and raises
+    [Sys_error] (or {!Gat_util.Fault.Injected}, site [cache-write]) on
+    failure so the caller can apply its own retry policy. *)
 
 val checkpoint_read : string -> checkpoint option
 (** Read a checkpoint from an explicit path; [None] when absent,

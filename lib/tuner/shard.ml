@@ -212,6 +212,11 @@ let salvage dir i ~len =
   |> List.sort (fun a b -> compare b.Disk_cache.done_points a.done_points)
   |> function c :: _ -> Some c | [] -> None
 
+(* An interrupted holder releases its lease, and its record keeps the
+   flushed prefix for the next claim to salvage. *)
+let resume_hint =
+  "re-running the same command resumes from the saved prefix"
+
 (* One record per process holds one shard: evaluate one at a time. *)
 let holding = Atomic.make false
 
@@ -241,7 +246,7 @@ let eval_shard ?jobs ?retries ?max_failures ?block ~dir ~owner ~manifest:m
     let part =
       Trace.span ~args:[ ("shard", Trace.I i) ] "shard.eval" (fun () ->
           Tuner.sweep_range ?jobs ?retries ?max_failures ?block ~flush ?init
-            ~interrupt_note:"; shard checkpoint saved" ~space:m.space ~first
+            ~interrupt_hint:resume_hint ~space:m.space ~first
             ~len kernel gpu ~n:m.n ~seed:m.seed)
     in
     Disk_cache.checkpoint_write ~path:(part_file dir i) part;
@@ -285,8 +290,8 @@ let drain ?jobs ?retries ?max_failures ?block ?(log = ignore) ~dir ~owner
   in
   while not (stop ()) do
     if Cancel.requested () then
-      Error.failf Interrupted "sweep interrupted; shard state saved under %s"
-        dir;
+      Error.failf Interrupted ~hint:resume_hint
+        "sweep interrupted; shard state saved under %s" dir;
     match claimable 0 with
     | None -> Unix.sleepf 0.05
     | Some i ->
@@ -310,7 +315,7 @@ let coordinate ?jobs ?retries ?max_failures ?block ?(ttl = default_ttl)
     ?progress ?(log = ignore) ?dir ~shards space kernel gpu ~n ~seed =
   match Disk_cache.find space kernel gpu ~n ~seed with
   | Some (variants, unsafe) ->
-      { Tuner.variants; failures = []; unsafe; restored_points = 0 }
+      { Tuner.variants; failures = []; unsafe }
   | None ->
       let total = Space.cardinality space in
       let dir =
@@ -463,7 +468,7 @@ let coordinate ?jobs ?retries ?max_failures ?block ?(ttl = default_ttl)
               Disk_cache.store space kernel gpu ~n ~seed variants unsafe;
             publish_done dir;
             report_progress ();
-            { Tuner.variants; failures; unsafe; restored_points = 0 })
+            { Tuner.variants; failures; unsafe })
       in
       (* Fleet telemetry epilogue.  Order matters: publish this
          process's own (purely local) final snapshot first, then fold

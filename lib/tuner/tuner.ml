@@ -82,7 +82,6 @@ type report = {
   variants : Variant.t list;
   failures : Variant.failure list;
   unsafe : Variant.unsafe list;
-  restored_points : int;
 }
 
 (* The in-process tier shares the disk tier's content key: two kernels
@@ -106,8 +105,8 @@ let clear_cache () =
    count; exactly-once compilation per (kernel, gpu, params) is by
    construction, not a cache property.  Blocks are also the sweep's
    fault boundaries: after each one the supervised outcomes are folded
-   into the accumulators and (single-size runs) flushed to an atomic
-   checkpoint, so a crash or SIGINT costs at most one block of work. *)
+   into the accumulators and (a shard's range) flushed as the holder's
+   heartbeat, so a crash or SIGINT costs it at most one block of work. *)
 let default_block_size = 256
 
 (* A point's identity at the [compile] and [simulate] fault sites;
@@ -132,27 +131,25 @@ let m_points = Gat_util.Metrics.counter "sweep.points"
 let m_blocks = Gat_util.Metrics.counter "sweep.blocks"
 let m_fail_compile = Gat_util.Metrics.counter "sweep.failures.compile"
 let m_fail_simulate = Gat_util.Metrics.counter "sweep.failures.simulate"
-let m_restored = Gat_util.Metrics.counter "sweep.restored_points"
 let m_unsafe = Gat_util.Metrics.counter "sweep.unsafe"
 let h_compile = Gat_util.Metrics.histogram "sweep.compile"
 let h_simulate = Gat_util.Metrics.histogram "sweep.simulate"
 
 (* Evaluation order over [Space.points] is fixed, so the accumulated
    variant and failure lists depend only on (space, kernel, gpu, n,
-   seed) — never on the job count, the block size, whether the run
-   was interrupted and resumed from a checkpointed prefix, or how the
-   space was partitioned into shard ranges.  Resume and distributed
+   seed) — never on the job count, the block size, whether a shard
+   was interrupted and resumed from a salvaged prefix, or how the
+   space was partitioned into shard ranges.  Salvage and distributed
    merge correctness both ride entirely on that invariant.
 
    The core walks the half-open point range [first, first + range_len)
    of the space.  [init] restores an already-evaluated prefix of the
    range (its [done_points] is range-relative); [flush] is invoked
    after every completed block with the accumulated range-relative
-   checkpoint — the hook under both local checkpointing and per-shard
-   heartbeats. *)
+   checkpoint — the hook under per-shard heartbeats. *)
 let run_range ?jobs ?(retries = 1) ?max_failures
-    ?(block = default_block_size) ?progress ?flush ?init
-    ?(interrupt_note = "") kernel gpu ~space ~first ~range_len ~ns ~seed =
+    ?(block = default_block_size) ?progress ?flush ?init ?interrupt_hint
+    kernel gpu ~space ~first ~range_len ~ns ~seed =
   let all_points = Array.of_list (Space.points space) in
   if first < 0 || range_len < 0 || first + range_len > Array.length all_points
   then invalid_arg "Tuner.run_range: range outside the space";
@@ -190,11 +187,11 @@ let run_range ?jobs ?(retries = 1) ?max_failures
   | Some f -> f ~done_:!start ~total ~failures:!failed_global
   | None -> ());
   while !start < total do
-    (* Cooperative SIGINT: the previous block's checkpoint is already
-       on disk, so stopping here loses nothing. *)
+    (* Cooperative SIGINT: stop between blocks, after the previous
+       block's [flush]. *)
     if Gat_util.Cancel.requested () then
-      Gat_util.Error.failf Interrupted
-        "sweep interrupted at %d/%d points%s" !start total interrupt_note;
+      Gat_util.Error.failf Interrupted ?hint:interrupt_hint
+        "sweep interrupted at %d/%d points" !start total;
     let len = min block_size (total - !start) in
     let blk = Array.sub points !start len in
     let block_args =
@@ -336,8 +333,7 @@ let run_range ?jobs ?(retries = 1) ?max_failures
    must never masquerade as the complete sweep in a later process. *)
 let from_disk space kernel gpu ~n ~seed =
   Option.map
-    (fun (variants, unsafe) ->
-      { variants; failures = []; unsafe; restored_points = 0 })
+    (fun (variants, unsafe) -> { variants; failures = []; unsafe })
     (Disk_cache.find space kernel gpu ~n ~seed)
 
 let persist space kernel gpu ~n ~seed r =
@@ -345,46 +341,26 @@ let persist space kernel gpu ~n ~seed r =
     Disk_cache.store space kernel gpu ~n ~seed r.variants r.unsafe;
   r
 
-let sweep_report ?(space = Space.paper) ?jobs ?retries ?max_failures
-    ?(checkpoint = false) ?(resume = false) ?block ?progress kernel gpu ~n
-    ~seed =
+(* The unsharded sweep keeps its progress in memory only: a sharded
+   sweep is the resumable one. *)
+let interrupt_hint =
+  "an unsharded sweep keeps no progress; run it with --shards K to make \
+   it resumable"
+
+let sweep_report ?(space = Space.paper) ?jobs ?retries ?max_failures ?block
+    ?progress kernel gpu ~n ~seed =
   Sweeps.find_or_compute sweeps (sweep_key space kernel gpu ~n ~seed)
   @@ fun () ->
   match from_disk space kernel gpu ~n ~seed with
   | Some r -> r
   | None -> (
-      let total = Space.cardinality space in
-      let init =
-        if resume then Disk_cache.checkpoint_find space kernel gpu ~n ~seed
-        else None
-      in
-      let restored =
-        match init with
-        | Some c when c.Disk_cache.done_points > 0
-                      && c.Disk_cache.done_points <= total ->
-            c.Disk_cache.done_points
-        | _ -> 0
-      in
-      Gat_util.Metrics.incr ~by:restored m_restored;
-      let flush =
-        if checkpoint then
-          Some (Disk_cache.checkpoint_store space kernel gpu ~n ~seed)
-        else None
-      in
-      let interrupt_note =
-        if checkpoint then "; checkpoint saved — re-run with --resume"
-        else ""
-      in
       match
-        run_range ?jobs ?retries ?max_failures ?block ?progress ?flush ?init
-          ~interrupt_note kernel gpu ~space ~first:0 ~range_len:total
-          ~ns:[ n ] ~seed
+        run_range ?jobs ?retries ?max_failures ?block ?progress
+          ~interrupt_hint kernel gpu ~space ~first:0
+          ~range_len:(Space.cardinality space) ~ns:[ n ] ~seed
       with
       | [ (_, (variants, failures)) ], unsafe ->
-          if checkpoint then
-            Disk_cache.checkpoint_clear space kernel gpu ~n ~seed;
-          persist space kernel gpu ~n ~seed
-            { variants; failures; unsafe; restored_points = restored }
+          persist space kernel gpu ~n ~seed { variants; failures; unsafe }
       | _ -> assert false)
 
 (* The distributed-sweep entry point: evaluate one contiguous range of
@@ -394,9 +370,9 @@ let sweep_report ?(space = Space.paper) ?jobs ?retries ?max_failures
    hook); [init] salvages a previously flushed prefix of the same
    range. *)
 let sweep_range ?jobs ?retries ?max_failures ?block ?flush ?init
-    ?interrupt_note ~space ~first ~len kernel gpu ~n ~seed =
+    ?interrupt_hint ~space ~first ~len kernel gpu ~n ~seed =
   match
-    run_range ?jobs ?retries ?max_failures ?block ?flush ?init ?interrupt_note
+    run_range ?jobs ?retries ?max_failures ?block ?flush ?init ?interrupt_hint
       kernel gpu ~space ~first ~range_len:len ~ns:[ n ] ~seed
   with
   | [ (_, (variants, failures)) ], unsafe ->
@@ -429,7 +405,7 @@ let sweep_multi ?(space = Space.paper) ?jobs kernel gpu ~ns ~seed =
       in
       List.iter
         (fun (n, (variants, failures)) ->
-          let r = { variants; failures; unsafe; restored_points = 0 } in
+          let r = { variants; failures; unsafe } in
           ignore
             (persist space kernel gpu ~n ~seed
                (Sweeps.add sweeps (sweep_key space kernel gpu ~n ~seed) r)))

@@ -34,14 +34,14 @@
     persisted to disk, so a degraded result cannot masquerade as the
     complete sweep later.
 
-    {b Checkpoint / resume.}  Single-size sweeps can flush an atomic
-    checkpoint of the completed point-prefix after every block
-    ([checkpoint:true]) and continue from one ([resume:true]).
-    Evaluation order over {!Space.points} is fixed, so a resumed sweep
-    is byte-identical to an uninterrupted one regardless of where it
-    was killed — SIGKILL included, since checkpoints are published by
-    atomic rename.  {!Gat_util.Cancel} is polled between blocks, so
-    SIGINT (once routed there) stops cleanly right after a flush. *)
+    {b Resume.}  {!sweep_report} keeps its progress in memory; a
+    resumable sweep is a sharded one ({!Shard}), whose holders publish
+    their flushed prefix after every block ({!sweep_range}'s [flush])
+    and whose next claim salvages it.  Evaluation order over
+    {!Space.points} is fixed, so a salvaged sweep is byte-identical to
+    an uninterrupted one regardless of where it was killed.
+    {!Gat_util.Cancel} is polled between blocks, so SIGINT (once routed
+    there) stops cleanly at a block boundary. *)
 
 val point_seed :
   Gat_ir.Kernel.t ->
@@ -69,7 +69,7 @@ val verdict : Gat_compiler.Driver.compiled -> Gat_analysis.Verify.report
     verdicts across runs and processes. *)
 
 val default_block_size : int
-(** Points per sweep block (the checkpoint granularity). *)
+(** Points per sweep block (a shard holder's flush granularity). *)
 
 type report = {
   variants : Variant.t list;
@@ -85,8 +85,6 @@ type report = {
           per code shape ({!verdict}), counted under
           [sweep.unsafe], and — unlike failures — persisted with the
           sweep, since they are part of the complete result. *)
-  restored_points : int;
-      (** Points restored from a checkpoint (0 unless resumed). *)
 }
 
 val sweep_report :
@@ -94,8 +92,6 @@ val sweep_report :
   ?jobs:int ->
   ?retries:int ->
   ?max_failures:int ->
-  ?checkpoint:bool ->
-  ?resume:bool ->
   ?block:int ->
   ?progress:(done_:int -> total:int -> failures:int -> unit) ->
   Gat_ir.Kernel.t ->
@@ -107,20 +103,17 @@ val sweep_report :
     re-attempts per variant; [max_failures] aborts the sweep with
     {!Gat_util.Error.Error} (stage [Tune]) once {e more than} that
     many variants have failed (default: unbounded, all failures
-    recorded).  [checkpoint] (default false) flushes an atomic
-    checkpoint after each block of [block] (default 256) points;
-    [resume] (default false) continues from a previous checkpoint of
-    the exact same sweep when one exists.  Results never depend on
-    [jobs], [block], or resumption.
+    recorded).  [block] (default 256) is the points per block.
+    Results never depend on [jobs] or [block].
 
-    [progress] is invoked once before the first block (with the
-    restored point count when resuming) and once after every completed
-    block — only when the sweep is actually computed, not when it is
+    [progress] is invoked once before the first block and once after
+    every completed block — only when the sweep is actually computed, not when it is
     answered from the in-process or on-disk cache.  It runs on the
     coordinating domain; failures counts both compile and simulate
     failures so far.
-    @raise Gat_util.Error.Error (stage [Interrupted]) when
-    {!Gat_util.Cancel.requested} fires between blocks. *)
+    @raise Gat_util.Error.Error (stage [Interrupted], with a hint
+    naming [--shards]) when {!Gat_util.Cancel.requested} fires between
+    blocks. *)
 
 val sweep_range :
   ?jobs:int ->
@@ -129,7 +122,7 @@ val sweep_range :
   ?block:int ->
   ?flush:(Disk_cache.checkpoint -> unit) ->
   ?init:Disk_cache.checkpoint ->
-  ?interrupt_note:string ->
+  ?interrupt_hint:string ->
   space:Space.t ->
   first:int ->
   len:int ->
@@ -153,8 +146,8 @@ val sweep_range :
     state owned by the caller.
     @raise Invalid_argument when the range falls outside the space.
     @raise Gat_util.Error.Error (stage [Interrupted]) when
-    {!Gat_util.Cancel.requested} fires between blocks; [interrupt_note]
-    is appended to the message. *)
+    {!Gat_util.Cancel.requested} fires between blocks; [interrupt_hint]
+    is its hint. *)
 
 val sweep :
   ?space:Space.t ->

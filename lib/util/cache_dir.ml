@@ -1,6 +1,6 @@
 (* One resolution rule for every on-disk cache the system keeps —
-   sweep entries, checkpoints and the content-addressed artifact
-   store all live under the same root so [gat cache] can manage them
+   sweep entries, shard coordination state and the content-addressed
+   artifact store all live under the same root so [gat cache] can manage them
    together. *)
 
 let root () =

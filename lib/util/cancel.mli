@@ -2,8 +2,8 @@
 
     {!install} replaces the default SIGINT behaviour with a flag set;
     loops that can stop cleanly (the sweep engine, between blocks) poll
-    {!requested} and shut down at the next safe point — after flushing
-    a checkpoint — instead of dying mid-write.  Install it only in
+    {!requested} and shut down at the next safe point — after a shard
+    holder publishes its prefix — instead of dying mid-write.  Install it only in
     binaries that actually poll, or Ctrl-C stops stopping things. *)
 
 val install : unit -> unit

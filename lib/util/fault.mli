@@ -21,7 +21,7 @@
 
     Instrumented sites: [compile] and [simulate] (per-variant
     evaluation), [cache-read] and [cache-write] (the persistent sweep
-    cache and checkpoints), [artifact-read] / [artifact-write] (the
+    cache and shard checkpoints), [artifact-read] / [artifact-write] (the
     artifact store), and the distributed-sweep sites
     [lease-acquire], [lease-renew] ({!Lease} heartbeats) and [shard-merge]
     (validation of per-shard partial results at merge).  Sites are

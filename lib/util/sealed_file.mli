@@ -1,5 +1,6 @@
 (** MD5-sealed atomic file entries — the shared envelope of every
-    persistent cache file ([.sweep], [.ckpt], [.art]).
+    persistent cache file ([.sweep], [.art]) and of the sharded sweep's
+    files (manifest, leases, [.part], [.telem] records).
 
     A sealed file is a line-oriented text payload closed by an ["end"]
     line and an [md5] line covering every byte before it.  {!unseal}

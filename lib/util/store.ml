@@ -8,7 +8,6 @@ type t = {
   enabled : bool Atomic.t;
   degraded : bool Atomic.t;
   warned : bool Atomic.t;
-  metrics : string;
   hits : Metrics.counter;
   misses : Metrics.counter;
   stores : Metrics.counter;
@@ -32,7 +31,6 @@ let create ~name ~metrics ~site ~dir ~suffixes =
     enabled = Atomic.make true;
     degraded = Atomic.make false;
     warned = Atomic.make false;
-    metrics;
     hits = c "hits";
     misses = c "misses";
     stores = c "stores";
@@ -81,8 +79,6 @@ let stats (t : t) =
     misses = Metrics.value t.misses;
     stores = Metrics.value t.stores;
   }
-
-let counter t name = Metrics.counter (t.metrics ^ "." ^ name)
 
 (* ---- payload reader ----
 
@@ -316,10 +312,10 @@ let write t ~header path emit =
   Sealed_file.publish ~path buf;
   Metrics.incr ~by:(Buffer.length buf) t.bytes_written
 
-let store (t : t) ?(counter = t.stores) ~header path emit =
+let store t ~header path emit =
   if enabled t && not (degraded t) then
     match write t ~header path emit with
-    | () -> Metrics.incr counter
+    | () -> Metrics.incr t.stores
     | exception (Sys_error e | Fault.Injected e) -> degrade t e
 
 (* ---- upkeep ---- *)

@@ -35,8 +35,6 @@ val path : t -> string -> string
 
 (** {1 Switch and degrade latch} *)
 
-val enabled : t -> bool
-
 val set_enabled : t -> bool -> unit
 (** [false] makes {!find} a silent [None] and {!store} a no-op
     ([--no-cache]). *)
@@ -53,10 +51,6 @@ type stats = { hits : int; misses : int; stores : int }
 val stats : t -> stats
 (** Read from the {!Metrics} counters; tests take before/after
     deltas. *)
-
-val counter : t -> string -> Metrics.counter
-(** [counter t name] is the counter [<metrics>.<name>] (e.g. the sweep
-    cache's [ckpt.stores]). *)
 
 (** {1 Payload reader}
 
@@ -99,17 +93,10 @@ val find : t -> header:string -> string -> (cursor -> 'a) -> 'a option
     [parse] the rest, which must consume the whole payload.  Counts a
     hit or a miss; any failure is a miss. *)
 
-val store :
-  t ->
-  ?counter:Metrics.counter ->
-  header:string ->
-  string ->
-  (Buffer.t -> unit) ->
-  unit
+val store : t -> header:string -> string -> (Buffer.t -> unit) -> unit
 (** [store t ~header path emit]: unless disabled or degraded, write
     [header] and [emit]'s payload, seal and publish atomically (fault
-    site [<site>-write]), and count [counter] (default
-    [<metrics>.stores]).  [Sys_error] or an injected fault degrades the
+    site [<site>-write]), and count [<metrics>.stores].  [Sys_error] or an injected fault degrades the
     store; never raises for either. *)
 
 val read : t -> header:string -> string -> (cursor -> 'a) -> 'a option

@@ -7,14 +7,43 @@
    and heartbeats a hold of it whose prefix is PREFIX_FILE's text.
    Then [sigterm] SIGTERMs itself with the crash dump handler
    installed, and [crash] releases the lease and crash-dumps, as a
-   holder failing with an error does, and exits 0.  Anything else
-   exits 3. *)
+   holder failing with an error does, and exits 0.
+
+     fleet_child.exe DIR coordinate
+
+   coordinates, with the caches off, the one-shard sweep whose manifest
+   is already under DIR, in blocks of 16 points.  It requests a cancel
+   once its first block is flushed, so the sweep stops at the next
+   block boundary and the process exits 130 through the crash dump,
+   as [gat sweep --shards 1] does on SIGINT.  Anything else exits 3. *)
 
 module Telemetry = Gat_util.Telemetry
 module Lease = Gat_util.Lease
+module Shard = Gat_tuner.Shard
+
+let coordinate dir =
+  Gat_util.Store.set_enabled Gat_tuner.Disk_cache.cache false;
+  Gat_util.Store.set_enabled Gat_compiler.Artifacts.cache false;
+  match Shard.read_manifest dir with
+  | None -> exit 3
+  | Some m -> (
+      let kernel = Option.get (Gat_workloads.Workloads.find m.Shard.kernel) in
+      let gpu = Option.get (Gat_arch.Gpu.of_name m.Shard.gpu) in
+      let progress ~done_ ~total:_ ~failures:_ ~workers:_ ~reclaimed:_ =
+        if done_ > 0 then Gat_util.Cancel.request ()
+      in
+      match
+        Shard.coordinate ~jobs:1 ~block:16 ~ttl:m.Shard.ttl ~progress ~dir
+          ~shards:1 m.Shard.space kernel gpu ~n:m.Shard.n ~seed:m.Shard.seed
+      with
+      | _ -> exit 0
+      | exception Gat_util.Error.Error e ->
+          Telemetry.crash_dump ~reason:(Gat_util.Error.to_string e);
+          exit (Gat_util.Error.exit_code e.Gat_util.Error.stage))
 
 let () =
   match Sys.argv with
+  | [| _; dir; "coordinate" |] -> coordinate dir
   | [| _; dir; shard; prefix_file; mode |] ->
       Telemetry.enable ~dir;
       Telemetry.install_signal_dump ();

@@ -1,6 +1,5 @@
 (* Chaos tests: deterministic fault injection (GAT_FAULT) against the
-   supervised sweep engine, checkpoint/resume equivalence, structured
-   abort behaviour, cache degradation under injected I/O faults, and
+   supervised sweep engine, structured abort and interrupt behaviour, cache degradation under injected I/O faults, and
    concurrent journal recording.
 
    Fault decisions are pure hashes of (seed, site, key, attempt), so
@@ -190,75 +189,17 @@ let test_cancellation_interrupts () =
           Alcotest.(check bool) "Interrupted stage" true
             (e.Error.stage = Error.Interrupted);
           Alcotest.(check int) "exit code 130" 130
-            (Error.exit_code e.Error.stage))
-
-(* ---- checkpoint / resume ---- *)
-
-(* A sweep resumed from the checkpointed prefix of a reference run must
-   be byte-identical to the uninterrupted sweep.  The prefix checkpoint
-   is crafted from the reference report, exactly as a killed run would
-   have left it. *)
-let test_resume_equivalence () =
-  reset ();
-  Gat_util.Store.set_enabled Disk_cache.cache true;
-  ignore (Gat_util.Store.clear Disk_cache.cache);
-  let reference =
-    Tuner.sweep_report ~space ~jobs:2 ~checkpoint:false kernel gpu ~n:64
-      ~seed:101
-  in
-  (* Drop the persisted entry so the resumed run actually sweeps. *)
-  ignore (Gat_util.Store.clear Disk_cache.cache);
-  let points = Space.points space in
-  let done_points = List.length points / 2 in
-  let prefix = List.filteri (fun i _ -> i < done_points) points in
-  let in_prefix (p : Params.t) =
-    List.exists (fun q -> Params.compare p q = 0) prefix
-  in
-  Disk_cache.checkpoint_store space kernel gpu ~n:64 ~seed:101
-    {
-      Disk_cache.done_points;
-      variants =
-        List.filter
-          (fun (v : Variant.t) -> in_prefix v.Variant.params)
-          reference.Tuner.variants;
-      failures =
-        List.filter
-          (fun (f : Variant.failure) -> in_prefix f.Variant.failed_params)
-          reference.Tuner.failures;
-      unsafe =
-        List.filter
-          (fun (u : Variant.unsafe) -> in_prefix u.Variant.unsafe_params)
-          reference.Tuner.unsafe;
-    };
-  Tuner.clear_cache ();
-  let resumed =
-    Tuner.sweep_report ~space ~jobs:2 ~checkpoint:true ~resume:true ~block:4
-      kernel gpu ~n:64 ~seed:101
-  in
-  Alcotest.(check int) "prefix restored" done_points
-    resumed.Tuner.restored_points;
-  check_report_eq
-    { reference with Tuner.restored_points = resumed.Tuner.restored_points }
-    resumed;
-  (* The finished sweep must have cleared its checkpoint. *)
-  Alcotest.(check bool) "checkpoint consumed" true
-    (Disk_cache.checkpoint_find space kernel gpu ~n:64 ~seed:101 = None);
-  Gat_util.Store.set_enabled Disk_cache.cache false
-
-(* Resume with no checkpoint present is a plain cold start. *)
-let test_resume_without_checkpoint () =
-  reset ();
-  Gat_util.Store.set_enabled Disk_cache.cache true;
-  ignore (Gat_util.Store.clear Disk_cache.cache);
-  let cold =
-    Tuner.sweep_report ~space ~jobs:1 ~checkpoint:true ~resume:true kernel gpu
-      ~n:64 ~seed:202
-  in
-  Alcotest.(check int) "nothing restored" 0 cold.Tuner.restored_points;
-  Alcotest.(check bool) "sweep completed" true
-    (List.length cold.Tuner.variants > 0);
-  ignore (Gat_util.Store.clear Disk_cache.cache);
-  Gat_util.Store.set_enabled Disk_cache.cache false
+            (Error.exit_code e.Error.stage);
+          (* The unsharded sweep keeps no progress: the hint points at
+             the resumable, sharded one. *)
+          let names_shards h =
+            let k = String.length "--shards" in
+            List.exists
+              (fun i -> String.sub h i k = "--shards")
+              (List.init (max 0 (String.length h - k + 1)) Fun.id)
+          in
+          Alcotest.(check bool) "hint names --shards" true
+            (Option.fold ~none:false ~some:names_shards e.Error.hint))
 
 (* ---- injected cache I/O faults ---- *)
 
@@ -410,13 +351,6 @@ let () =
             [
               Alcotest.test_case "cancellation interrupts" `Quick
                 test_cancellation_interrupts;
-            ] );
-          ( "resume",
-            [
-              Alcotest.test_case "resume equivalence" `Quick
-                test_resume_equivalence;
-              Alcotest.test_case "resume without checkpoint" `Quick
-                test_resume_without_checkpoint;
             ] );
           ( "cache-io",
             [

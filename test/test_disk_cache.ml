@@ -339,8 +339,17 @@ let test_unwritable_dir_degrades () =
       (* Later stores are skipped silently, still no raise. *)
       Disk_cache.store small_space kernel gpu ~n:128 ~seed:42 sample_variants
     sample_unsafe;
-      Disk_cache.checkpoint_store small_space kernel gpu ~n:64 ~seed:42
-        { Disk_cache.done_points = 1; variants = []; failures = []; unsafe = [] };
+      (* A path-addressed checkpoint is coordination state, not a cache
+         optimization: it ignores the latch and raises for its caller's
+         retry policy instead. *)
+      Alcotest.(check bool) "checkpoint write raises" true
+        (match
+           Disk_cache.checkpoint_write
+             ~path:(Filename.concat (Store.dir Disk_cache.cache) "p.ckpt")
+             { Disk_cache.done_points = 1; variants = []; failures = []; unsafe = [] }
+         with
+        | () -> false
+        | exception Sys_error _ -> true);
       let s = stats () in
       Alcotest.(check int) "nothing counted as stored" 0 s.Store.stores);
   Alcotest.(check bool) "latch cleared for later tests" false
@@ -374,6 +383,10 @@ let check_failures_identical stored loaded =
       Alcotest.(check int) "attempts" a.Variant.attempts b.Variant.attempts)
     stored loaded
 
+(* Path-addressed checkpoints, written into the cache directory with
+   the suffix [clear] reclaims. *)
+let ckpt_path () = Filename.concat scratch "prefix.ckpt"
+
 let test_checkpoint_roundtrip () =
   reset ();
   let ckpt =
@@ -385,10 +398,10 @@ let test_checkpoint_roundtrip () =
     }
   in
   Alcotest.(check bool) "no checkpoint initially" true
-    (Disk_cache.checkpoint_find small_space kernel gpu ~n:64 ~seed:42 = None);
-  Disk_cache.checkpoint_store small_space kernel gpu ~n:64 ~seed:42 ckpt;
-  (match Disk_cache.checkpoint_find small_space kernel gpu ~n:64 ~seed:42 with
-  | None -> Alcotest.fail "stored checkpoint not found"
+    (Disk_cache.checkpoint_read (ckpt_path ()) = None);
+  Disk_cache.checkpoint_write ~path:(ckpt_path ()) ckpt;
+  (match Disk_cache.checkpoint_read (ckpt_path ()) with
+  | None -> Alcotest.fail "written checkpoint not found"
   | Some c ->
       Alcotest.(check int) "done_points" 3 c.Disk_cache.done_points;
       check_variants_identical sample_variants c.Disk_cache.variants;
@@ -397,23 +410,20 @@ let test_checkpoint_roundtrip () =
   (* A checkpoint is not a cache entry. *)
   Alcotest.(check bool) "entry lookup unaffected" true
     (Disk_cache.find small_space kernel gpu ~n:64 ~seed:42 = None);
-  (* Replacement is atomic-in-effect: the latest store wins. *)
-  Disk_cache.checkpoint_store small_space kernel gpu ~n:64 ~seed:42
+  (* Replacement is atomic-in-effect: the latest write wins. *)
+  Disk_cache.checkpoint_write ~path:(ckpt_path ())
     { ckpt with Disk_cache.done_points = 4 };
-  (match Disk_cache.checkpoint_find small_space kernel gpu ~n:64 ~seed:42 with
+  (match Disk_cache.checkpoint_read (ckpt_path ()) with
   | Some c -> Alcotest.(check int) "replaced" 4 c.Disk_cache.done_points
   | None -> Alcotest.fail "replacement lost");
-  Disk_cache.checkpoint_clear small_space kernel gpu ~n:64 ~seed:42;
-  Alcotest.(check bool) "cleared" true
-    (Disk_cache.checkpoint_find small_space kernel gpu ~n:64 ~seed:42 = None)
-
-let ckpt_path () =
-  Filename.concat scratch
-    (Disk_cache.key small_space kernel gpu ~n:64 ~seed:42 ^ ".ckpt")
+  (* The text a holder carries in its record is the file's payload. *)
+  match Disk_cache.checkpoint_of_text (Disk_cache.checkpoint_text ckpt) with
+  | Some c -> Alcotest.(check int) "text roundtrip" 3 c.Disk_cache.done_points
+  | None -> Alcotest.fail "checkpoint text does not parse"
 
 let test_checkpoint_corruption () =
   reset ();
-  Disk_cache.checkpoint_store small_space kernel gpu ~n:64 ~seed:42
+  Disk_cache.checkpoint_write ~path:(ckpt_path ())
     {
       Disk_cache.done_points = 2;
       variants = sample_variants;
@@ -425,7 +435,7 @@ let test_checkpoint_corruption () =
       Out_channel.output_string oc
         (String.sub whole 0 (String.length whole / 2)));
   Alcotest.(check bool) "truncated checkpoint reads as absent" true
-    (Disk_cache.checkpoint_find small_space kernel gpu ~n:64 ~seed:42 = None);
+    (Disk_cache.checkpoint_read (ckpt_path ()) = None);
   (* clear() sweeps damaged checkpoints too. *)
   Alcotest.(check bool) "clear removes it" true (Store.clear Disk_cache.cache >= 1);
   Alcotest.(check bool) "file gone" false (Sys.file_exists (ckpt_path ()))
@@ -457,7 +467,7 @@ let test_golden_bytes () =
   reset ();
   Disk_cache.store small_space kernel gpu ~n:64 ~seed:42 sample_variants
     sample_unsafe;
-  Disk_cache.checkpoint_store small_space kernel gpu ~n:64 ~seed:42 golden_ckpt;
+  Disk_cache.checkpoint_write ~path:(ckpt_path ()) golden_ckpt;
   let files = [ ("sweep", entry_path ()); ("ckpt", ckpt_path ()) ] in
   let got =
     List.map (fun (kind, path) -> (kind, Digest.to_hex (Digest.file path))) files
@@ -479,13 +489,41 @@ let test_golden_bytes () =
   | Some (loaded, unsafe_loaded) ->
       check_variants_identical sample_variants loaded;
       check_unsafe_identical sample_unsafe unsafe_loaded);
-  match Disk_cache.checkpoint_find small_space kernel gpu ~n:64 ~seed:42 with
+  match Disk_cache.checkpoint_read (ckpt_path ()) with
   | None -> Alcotest.fail "checkpoint fixture is not a hit"
   | Some c ->
       Alcotest.(check int) "done_points" 3 c.Disk_cache.done_points;
       check_variants_identical sample_variants c.Disk_cache.variants;
       check_failures_identical sample_failures c.Disk_cache.failures;
       check_unsafe_identical sample_unsafe c.Disk_cache.unsafe
+
+(* Older versions checkpointed plain sweeps to [<key>.ckpt] next to
+   the entries.  Nothing writes one now, but a user's cache may still
+   hold them: [gat cache clear] and [gc] must reclaim them. *)
+let test_orphaned_ckpt_reclaimed () =
+  reset ();
+  let orphan =
+    Filename.concat scratch
+      (Disk_cache.key small_space kernel gpu ~n:64 ~seed:42 ^ ".ckpt")
+  in
+  let plant () =
+    let fixture =
+      In_channel.with_open_bin "fixtures/entries/golden.ckpt"
+        In_channel.input_all
+    in
+    Out_channel.with_open_bin orphan (fun oc ->
+        Out_channel.output_string oc fixture)
+  in
+  plant ();
+  Alcotest.(check bool) "listed among the cache's files" true
+    (List.mem orphan (Store.files Disk_cache.cache));
+  Alcotest.(check int) "clear removes it" 1 (Store.clear Disk_cache.cache);
+  Alcotest.(check bool) "gone after clear" false (Sys.file_exists orphan);
+  plant ();
+  let r = Gat_tuner.Artifact_store.gc ~max_bytes:0 in
+  Alcotest.(check bool) "gc evicts it" true
+    (r.Gat_tuner.Artifact_store.removed_files >= 1);
+  Alcotest.(check bool) "gone after gc" false (Sys.file_exists orphan)
 
 (* ---- Tuner integration ---- *)
 
@@ -642,6 +680,8 @@ let () =
               Alcotest.test_case "roundtrip" `Quick test_checkpoint_roundtrip;
               Alcotest.test_case "corruption reads as absent" `Quick
                 test_checkpoint_corruption;
+              Alcotest.test_case "orphaned .ckpt reclaimed" `Quick
+                test_orphaned_ckpt_reclaimed;
             ] );
           ( "tuner",
             [

@@ -570,6 +570,55 @@ let test_crashed_holder_salvaged () =
   Alcotest.(check int) "the crashed holder's prefix was salvaged" half
     (Gat_util.Metrics.value salvaged - before)
 
+(* The one resume path, end to end: [gat sweep --shards 1] SIGINTed
+   after its first block, then re-run.  The interrupted coordinator is
+   [fleet_child.exe], a separate process because salvage skips this
+   process's own record; it requests a cancel once its first 16-point
+   block is flushed and exits through the crash dump with its hold.  A
+   second coordination salvages that block and equals the plain
+   sweep. *)
+let test_interrupted_coordinator_resumes () =
+  let space = { space with Space.pl = [ 16; 48 ] } in
+  let total = Space.cardinality space in
+  reset ();
+  let clean = Tuner.sweep_report ~space ~jobs:2 kernel gpu ~n:64 ~seed:42 in
+  reset ();
+  let dir = fresh_dir () in
+  Shard.write_manifest ~dir
+    { (manifest (Shard.plan ~total ~shards:1)) with Shard.space };
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "fleet_child.exe"
+  in
+  let child =
+    Unix.create_process exe [| exe; dir; "coordinate" |] Unix.stdin
+      Unix.stdout Unix.stderr
+  in
+  (match Unix.waitpid [] child with
+  | _, Unix.WEXITED 130 -> ()
+  | _ -> Alcotest.fail "the coordinator did not stop as interrupted");
+  (match Telemetry.load_dir ~header_only:true dir with
+  | [ r ], 0 -> (
+      Alcotest.(check bool) "the record carries the interrupt" true
+        (r.Telemetry.note <> "");
+      match r.Telemetry.hold with
+      | Some h -> (
+          match Disk_cache.checkpoint_of_text h.Telemetry.prefix with
+          | Some c ->
+              Alcotest.(check int) "and its first block" 16
+                c.Disk_cache.done_points
+          | None -> Alcotest.fail "the hold's prefix does not parse")
+      | None -> Alcotest.fail "the record lost its hold")
+  | l, _ -> Alcotest.failf "expected the child's record, got %d" (List.length l));
+  let salvaged = Gat_util.Metrics.counter "shard.salvaged_points" in
+  let before = Gat_util.Metrics.value salvaged in
+  let r =
+    Shard.coordinate ~jobs:2 ~block:16 ~dir ~shards:1 space kernel gpu ~n:64
+      ~seed:42
+  in
+  Alcotest.(check int) "the first block was salvaged" 16
+    (Gat_util.Metrics.value salvaged - before);
+  check_report_eq clean r
+
 (* ---- maintenance: gc pinning ---- *)
 
 let test_gc_pins_live_coordinations () =
@@ -697,6 +746,8 @@ let () =
               QCheck_alcotest.to_alcotest test_prefix_merge_property;
               Alcotest.test_case "crashed holder's prefix is salvaged" `Quick
                 test_crashed_holder_salvaged;
+              Alcotest.test_case "interrupted coordinator resumes" `Quick
+                test_interrupted_coordinator_resumes;
             ] );
           ( "maintenance",
             [

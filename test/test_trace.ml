@@ -298,8 +298,8 @@ let test_progress_callback () =
     calls := (done_, total, failures) :: !calls
   in
   let r =
-    Tuner.sweep_report ~space:small_space ~jobs:2 ~block:3 ~checkpoint:false
-      ~progress kernel gpu ~n:32 ~seed:11
+    Tuner.sweep_report ~space:small_space ~jobs:2 ~block:3 ~progress kernel
+      gpu ~n:32 ~seed:11
   in
   Gat_util.Store.set_enabled Gat_tuner.Disk_cache.cache true;
   let total = Space.cardinality small_space in
