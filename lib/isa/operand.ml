@@ -52,7 +52,7 @@ let registers = function
 
 let add_to_buffer buf = function
   | Reg r -> Register.add_to_buffer buf r
-  | Imm i -> Register.add_int buf i
+  | Imm i -> Gat_util.Store.add_decimal buf i
   | FImm f -> Printf.bprintf buf "%h" f
   | Special s -> Buffer.add_string buf (special_to_string s)
   | Addr { space; base; offset } ->
@@ -62,7 +62,7 @@ let add_to_buffer buf = function
       Register.add_to_buffer buf base;
       if offset <> 0 then begin
         Buffer.add_char buf '+';
-        Register.add_int buf offset
+        Gat_util.Store.add_decimal buf offset
       end;
       Buffer.add_char buf ']'
 

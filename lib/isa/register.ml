@@ -12,22 +12,9 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-(* Digits of [n <= 0], most significant first; working on the
-   non-positive side keeps [min_int] exact. *)
-let rec add_nonpos_digits buf n =
-  if n <= -10 then add_nonpos_digits buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
-
-let add_int buf n =
-  if n < 0 then begin
-    Buffer.add_char buf '-';
-    add_nonpos_digits buf n
-  end
-  else add_nonpos_digits buf (-n)
-
 let add_to_buffer buf t =
   Buffer.add_char buf (match t.cls with Gpr -> 'R' | Pred -> 'P');
-  add_int buf t.id
+  Gat_util.Store.add_decimal buf t.id
 
 let to_string t =
   let buf = Buffer.create 8 in

@@ -19,11 +19,6 @@ val pred : int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 
-val add_int : Buffer.t -> int -> unit
-(** Append [n] in decimal, the exact text of [string_of_int n], without
-    building the intermediate string (the instruction printers' inner
-    loop). *)
-
 val add_to_buffer : Buffer.t -> t -> unit
 (** Append ["R3"] or ["P1"]. *)
 

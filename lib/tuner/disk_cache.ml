@@ -48,46 +48,20 @@ let key space kernel gpu ~n ~seed =
 
 let file_of_key k = Store.path cache (k ^ ".sweep")
 
-(* ---- serialization: emit ----
-
-   Entries are emitted with [Buffer.add_string] rather than [Printf]:
-   a paper-space entry is some 5,000 lines, and through the format
-   interpreter emitting one cost more than parsing it back.  Integers
-   print as [%d] does, digit by digit ([string_of_int] goes through
-   the C formatter too), and floats through the primitive behind [%h],
-   so the bytes are the same. *)
-
-external hexstring_of_float : float -> int -> char -> string
-  = "caml_hexstring_of_float"
-
-(* [%h]: no precision limit (a negative one), a sign only when
-   negative. *)
-let add_float buf f =
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf (hexstring_of_float f (-6) '-')
-
-let add_int buf i =
-  Buffer.add_char buf ' ';
-  Gat_isa.Register.add_int buf i
-
-(* A section header: the tag and its line count. *)
-let add_count buf tag n =
-  Buffer.add_string buf tag;
-  add_int buf n;
-  Buffer.add_char buf '\n'
+(* ---- serialization: emit ({!Store}'s writer) ---- *)
 
 let emit_mix buf (m : Gat_core.Imix.t) =
-  Gat_isa.Register.add_int buf (Array.length m.Gat_core.Imix.per_category);
-  Array.iter (add_float buf) m.Gat_core.Imix.per_category;
-  add_float buf m.Gat_core.Imix.reg_operands
+  Store.add_decimal buf (Array.length m.Gat_core.Imix.per_category);
+  Array.iter (Store.add_float buf) m.Gat_core.Imix.per_category;
+  Store.add_float buf m.Gat_core.Imix.reg_operands
 
 let emit_params buf (p : Gat_compiler.Params.t) =
-  Gat_isa.Register.add_int buf p.Gat_compiler.Params.threads_per_block;
-  add_int buf p.Gat_compiler.Params.block_count;
-  add_int buf p.Gat_compiler.Params.unroll;
-  add_int buf p.Gat_compiler.Params.l1_pref_kb;
-  add_int buf p.Gat_compiler.Params.staging;
-  add_int buf (if p.Gat_compiler.Params.fast_math then 1 else 0)
+  Store.add_decimal buf p.Gat_compiler.Params.threads_per_block;
+  Store.add_int buf p.Gat_compiler.Params.block_count;
+  Store.add_int buf p.Gat_compiler.Params.unroll;
+  Store.add_int buf p.Gat_compiler.Params.l1_pref_kb;
+  Store.add_int buf p.Gat_compiler.Params.staging;
+  Store.add_int buf (if p.Gat_compiler.Params.fast_math then 1 else 0)
 
 (* The instruction mixes repeat heavily across a sweep — the estimated
    mix is per compile class, not per (TC, BC) point — so each entry
@@ -98,31 +72,24 @@ let emit_params buf (p : Gat_compiler.Params.t) =
    structurally. *)
 let emit_variant buf (v : Variant.t) ~dyn_idx ~est_idx =
   emit_params buf v.Variant.params;
-  add_float buf v.Variant.time_ms;
-  add_float buf v.Variant.occupancy;
-  add_int buf v.Variant.registers;
-  add_int buf dyn_idx;
-  add_int buf est_idx;
-  Buffer.add_char buf '\n'
-
-let one_line s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
-
-let add_text buf s =
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf (one_line s);
+  Store.add_float buf v.Variant.time_ms;
+  Store.add_float buf v.Variant.occupancy;
+  Store.add_int buf v.Variant.registers;
+  Store.add_int buf dyn_idx;
+  Store.add_int buf est_idx;
   Buffer.add_char buf '\n'
 
 let emit_failure buf (f : Variant.failure) =
   emit_params buf f.Variant.failed_params;
-  add_int buf f.Variant.attempts;
-  add_text buf f.Variant.message
+  Store.add_int buf f.Variant.attempts;
+  Store.add_text buf f.Variant.message
 
 let emit_unsafe buf (u : Variant.unsafe) =
   emit_params buf u.Variant.unsafe_params;
-  add_text buf u.Variant.reason
+  Store.add_text buf u.Variant.reason
 
 let emit_unsafe_section buf unsafe =
-  add_count buf "unsafe" (List.length unsafe);
+  Store.add_line buf [ "unsafe" ] [ List.length unsafe ];
   List.iter (emit_unsafe buf) unsafe
 
 (* The mix dictionary plus the variant lines — shared by entry and
@@ -147,13 +114,13 @@ let emit_variants_section buf variants =
         (mix_id v.Variant.dynamic_mix, mix_id v.Variant.est_mix))
       variants
   in
-  add_count buf "mixes" !n_mixes;
+  Store.add_line buf [ "mixes" ] [ !n_mixes ];
   List.iter
     (fun m ->
       emit_mix buf m;
       Buffer.add_char buf '\n')
     (List.rev !mixes_rev);
-  add_count buf "variants" (List.length variants);
+  Store.add_line buf [ "variants" ] [ List.length variants ];
   List.iter2
     (fun v (dyn_idx, est_idx) -> emit_variant buf v ~dyn_idx ~est_idx)
     variants refs
@@ -253,8 +220,8 @@ type checkpoint = {
 }
 
 let emit_checkpoint ckpt buf =
-  add_count buf "done" ckpt.done_points;
-  add_count buf "failures" (List.length ckpt.failures);
+  Store.add_line buf [ "done" ] [ ckpt.done_points ];
+  Store.add_line buf [ "failures" ] [ List.length ckpt.failures ];
   List.iter (emit_failure buf) ckpt.failures;
   emit_unsafe_section buf ckpt.unsafe;
   emit_variants_section buf ckpt.variants

@@ -34,6 +34,10 @@ val model_version : string
     changes behaviour: all previous entries become unreachable
     (self-invalidation). *)
 
+val header : string -> string
+(** [header magic]: the lines [magic] and ["model <model_version>"],
+    which open every file of this format, the shard manifest too. *)
+
 val cache : Gat_util.Store.t
 (** The store behind every [.sweep] file under
     {!Gat_util.Cache_dir.root}: its switch ([--no-cache]), degrade

@@ -5,8 +5,9 @@
    already leaves on disk — each process's telemetry record says which
    shard it holds (while the record is under one ttl old), how fast it
    is moving and where its latency lives; a record's crash note says
-   who died screaming.  One row per (host,pid) ever seen in the
-   directory. *)
+   who died screaming, and a pid no longer alive on this host says who
+   died silently (SIGKILL) or finished.  One row per (host,pid) ever
+   seen in the directory. *)
 
 open Gat_util
 
@@ -22,6 +23,7 @@ type row = {
   reclaimed : int;
   crashed : bool;
   crash_note : string;
+  gone : bool;  (* on this host, and its pid no longer exists *)
 }
 
 let counter_of snap name =
@@ -46,18 +48,27 @@ let rows ?(now = Unix.gettimeofday ()) dir =
   (* Header-only: a row needs counters, histograms and the anchor,
      never the events, so no events log is opened. *)
   let snaps, skipped = Telemetry.load_dir ~header_only:true dir in
+  let here = Unix.gethostname () in
+  let gone (snap : Telemetry.snapshot) =
+    snap.host = here
+    && match Unix.kill snap.pid 0 with
+       | () -> false
+       | exception Unix.Unix_error (e, _, _) -> e = Unix.ESRCH
+  in
   let row_of snap =
     let crashed = snap.Telemetry.note <> "" in
+    let gone = gone snap in
     let age =
       Float.max 0.
         (now -. (Int64.to_float snap.Telemetry.captured_wall_ns /. 1e9))
     in
     (* The record is the holder's heartbeat: a hold whose record is
-       older than one ttl, or that a crash republished, belongs to a
-       dead holder. *)
+       older than one ttl, that a crash republished, or whose process
+       is gone belongs to a dead holder. *)
     let shard =
       match snap.Telemetry.hold with
-      | Some h when age <= ttl && not crashed -> Some h.Telemetry.shard
+      | Some h when age <= ttl && not (crashed || gone) ->
+          Some h.Telemetry.shard
       | _ -> None
     in
     let elapsed_s =
@@ -79,6 +90,7 @@ let rows ?(now = Unix.gettimeofday ()) dir =
       reclaimed = counter_of snap "shard.leases_reclaimed";
       crashed;
       crash_note = snap.Telemetry.note;
+      gone;
     }
   in
   (List.map row_of snaps, skipped)
@@ -98,6 +110,7 @@ let render_row r =
   in
   let status =
     if r.crashed then "crashed: " ^ r.crash_note
+    else if r.gone then "gone"
     else if r.shard <> None then "running"
     else Printf.sprintf "idle %.0fs" r.snapshot_age_s
   in

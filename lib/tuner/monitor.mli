@@ -21,6 +21,9 @@ type row = {
       (** The worker's record carries a crash note; its row shows no
           held shard. *)
   crash_note : string;
+  gone : bool;
+      (** On this host, [kill pid 0] fails with [ESRCH]: the process
+          was SIGKILLed or has exited.  Its row shows no held shard. *)
 }
 
 val rows : ?now:float -> string -> row list * int
@@ -32,7 +35,9 @@ val header : string
 (** The table's fixed-width column header. *)
 
 val render_row : row -> string
-(** One fixed-width, greppable line per worker (pure). *)
+(** One fixed-width, greppable line per worker (pure).  Its status is
+    [crashed: NOTE], [gone], [running] (a held shard) or [idle Ns]
+    (seconds since the last flush), first match wins. *)
 
 val render : row list -> string
 (** Header plus one line per row. *)

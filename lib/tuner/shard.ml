@@ -29,8 +29,8 @@
 
 open Gat_util
 
-let manifest_magic = "gat-shard-manifest 1"
-let done_magic = "gat-shard-done 1"
+let manifest_header = Disk_cache.header "gat-shard-manifest 1"
+let done_header = "gat-shard-done 1\n"
 let default_ttl = 30.
 
 let m_planned = Metrics.counter "shard.planned"
@@ -75,95 +75,67 @@ let plan ~total ~shards =
 
 (* ---- manifest serialization (sealed, atomic) ---- *)
 
-let ints l = String.concat " " (List.map string_of_int l)
-
-let bools l =
-  String.concat " " (List.map (fun b -> if b then "1" else "0") l)
-
 let write_manifest ~dir m =
   let buf = Buffer.create 512 in
-  let line fmt =
-    Printf.ksprintf
-      (fun s ->
-        Buffer.add_string buf s;
-        Buffer.add_char buf '\n')
-      fmt
-  in
-  line "%s" manifest_magic;
-  line "model %s" Disk_cache.model_version;
-  line "kernel %s" m.kernel;
-  line "gpu %s" m.gpu;
-  line "n %d" m.n;
-  line "seed %d" m.seed;
-  line "ttl %h" m.ttl;
-  line "tc %s" (ints m.space.Space.tc);
-  line "bc %s" (ints m.space.Space.bc);
-  line "uif %s" (ints m.space.Space.uif);
-  line "pl %s" (ints m.space.Space.pl);
-  line "sc %s" (ints m.space.Space.sc);
-  line "cflags %s" (bools m.space.Space.cflags);
-  line "shards %d" (Array.length m.ranges);
-  Array.iter (fun (first, len) -> line "range %d %d" first len) m.ranges;
+  Buffer.add_string buf manifest_header;
+  Buffer.add_string buf "kernel";
+  Store.add_text buf m.kernel;
+  Buffer.add_string buf "gpu";
+  Store.add_text buf m.gpu;
+  Store.add_line buf [ "n" ] [ m.n ];
+  Store.add_line buf [ "seed" ] [ m.seed ];
+  Buffer.add_string buf "ttl";
+  Store.add_float buf m.ttl;
+  Buffer.add_char buf '\n';
+  Store.add_line buf [ "tc" ] m.space.Space.tc;
+  Store.add_line buf [ "bc" ] m.space.Space.bc;
+  Store.add_line buf [ "uif" ] m.space.Space.uif;
+  Store.add_line buf [ "pl" ] m.space.Space.pl;
+  Store.add_line buf [ "sc" ] m.space.Space.sc;
+  Store.add_line buf [ "cflags" ] (List.map Bool.to_int m.space.Space.cflags);
+  Store.add_line buf [ "shards" ] [ Array.length m.ranges ];
+  Array.iter
+    (fun (first, len) -> Store.add_line buf [ "range" ] [ first; len ])
+    m.ranges;
   Sealed_file.seal buf;
   Sealed_file.publish ~path:(manifest_file dir) buf
 
-let strip prefix line =
-  let lp = String.length prefix in
-  if String.length line >= lp && String.sub line 0 lp = prefix then
-    String.sub line lp (String.length line - lp)
-  else raise Exit
-
-let parse_manifest body =
-  match String.split_on_char '\n' body with
-  | magic :: model :: kernel :: gpu :: n :: seed :: ttl :: tc :: bc :: uif
-    :: pl :: sc :: cflags :: shards :: rest -> (
-      try
-        if magic <> manifest_magic then raise Exit;
-        if strip "model " model <> Disk_cache.model_version then raise Exit;
-        let axis name l =
-          List.map int_of_string (String.split_on_char ' ' (strip name l))
-        in
-        let space =
-          {
-            Space.tc = axis "tc " tc;
-            bc = axis "bc " bc;
-            uif = axis "uif " uif;
-            pl = axis "pl " pl;
-            sc = axis "sc " sc;
-            cflags =
-              List.map
-                (fun s -> s = "1")
-                (String.split_on_char ' ' (strip "cflags " cflags));
-          }
-        in
-        let k = int_of_string (strip "shards " shards) in
-        if k <= 0 then raise Exit;
-        let ranges = Array.make k (0, 0) in
-        let rec ranges_of i = function
-          | ([] | [ "" ]) when i = k -> ()
-          | l :: tl when i < k ->
-              (match String.split_on_char ' ' (strip "range " l) with
-              | [ a; b ] -> ranges.(i) <- (int_of_string a, int_of_string b)
-              | _ -> raise Exit);
-              ranges_of (i + 1) tl
-          | _ -> raise Exit
-        in
-        ranges_of 0 rest;
-        Some
-          {
-            kernel = strip "kernel " kernel;
-            gpu = strip "gpu " gpu;
-            n = int_of_string (strip "n " n);
-            seed = int_of_string (strip "seed " seed);
-            ttl = float_of_string (strip "ttl " ttl);
-            space;
-            ranges;
-          }
-      with Exit | Failure _ -> None)
-  | _ -> None
+(* Fields are read in sequence, never inside a record literal, whose
+   evaluation order is unspecified. *)
+let read_manifest_body cur =
+  let fields tag read =
+    Store.start cur;
+    Store.keyword cur tag;
+    Store.fields cur read
+  in
+  let one tag read =
+    match fields tag read with [ v ] -> v | _ -> Store.bad ()
+  in
+  let kernel = Store.text cur "kernel" in
+  let gpu = Store.text cur "gpu" in
+  let n = one "n" Store.int in
+  let seed = one "seed" Store.int in
+  let ttl = one "ttl" Store.float in
+  let tc = fields "tc" Store.int in
+  let bc = fields "bc" Store.int in
+  let uif = fields "uif" Store.int in
+  let pl = fields "pl" Store.int in
+  let sc = fields "sc" Store.int in
+  let cflags = List.map (fun b -> b <> 0) (fields "cflags" Store.int) in
+  let k = Store.counted cur "shards" in
+  if k = 0 then Store.bad ();
+  let ranges =
+    Array.init k (fun _ ->
+        match fields "range" Store.int with
+        | [ first; len ] -> (first, len)
+        | _ -> Store.bad ())
+  in
+  let space = { Space.tc; bc; uif; pl; sc; cflags } in
+  { kernel; gpu; n; seed; ttl; space; ranges }
 
 let read_manifest dir =
-  Option.bind (Sealed_file.read (manifest_file dir)) parse_manifest
+  Option.bind (Sealed_file.read (manifest_file dir)) (fun body ->
+      Store.parse ~header:manifest_header body read_manifest_body)
 
 (* ---- shard-level operations ---- *)
 
@@ -225,14 +197,19 @@ let holding = Atomic.make false
    and publish the finished range as a sealed [.part].  The lease is
    always released on the way out — including on interrupt, so the
    prefix in our record is immediately claimable. *)
-let eval_shard ?jobs ?retries ?max_failures ?block ~dir ~owner ~manifest:m
+let eval_shard ?jobs ?retries ?max_failures ?block ~log ~dir ~owner ~manifest:m
     ~kernel ~gpu ~on_block i =
   if not (Atomic.compare_and_set holding false true) then
     invalid_arg "Shard: this process already holds a shard";
   Fun.protect ~finally:(fun () -> Atomic.set holding false) @@ fun () ->
   let first, len = m.ranges.(i) in
   let init = salvage dir i ~len in
-  Option.iter (fun c -> Metrics.incr ~by:c.Disk_cache.done_points m_salvaged) init;
+  Option.iter
+    (fun c ->
+      let p = c.Disk_cache.done_points in
+      Metrics.incr ~by:p m_salvaged;
+      log (Printf.sprintf "shard %d: resumed from %d salvaged points" i p))
+    init;
   let lease = lease_file dir i in
   let flush c =
     let hold =
@@ -258,8 +235,7 @@ let eval_shard ?jobs ?retries ?max_failures ?block ~dir ~owner ~manifest:m
 
 let publish_done dir =
   let buf = Buffer.create 32 in
-  Buffer.add_string buf done_magic;
-  Buffer.add_char buf '\n';
+  Buffer.add_string buf done_header;
   Sealed_file.seal buf;
   try Sealed_file.publish ~path:(done_file dir) buf with Sys_error _ -> ()
 
@@ -298,7 +274,7 @@ let drain ?jobs ?retries ?max_failures ?block ?(log = ignore) ~dir ~owner
         Metrics.incr m_claimed;
         on_claim i
           (match
-             eval_shard ?jobs ?retries ?max_failures ?block ~dir ~owner
+             eval_shard ?jobs ?retries ?max_failures ?block ~log ~dir ~owner
                ~manifest:m ~kernel ~gpu ~on_block:(on_block i) i
            with
           | () -> `Done
@@ -482,10 +458,12 @@ let coordinate ?jobs ?retries ?max_failures ?block ?(ttl = default_ttl)
       Telemetry.absorb_foreign snaps;
       if skipped > 0 then
         log (Printf.sprintf "%d corrupt telemetry snapshot(s) skipped" skipped);
+      (* A note is the last word of a process that stopped early:
+         crashed, killed by SIGTERM, or interrupted. *)
       List.iter
         (fun (c : Telemetry.snapshot) ->
           if c.note <> "" then
-            log (Printf.sprintf "crash flight record of %s:%d: %s" c.host c.pid c.note))
+            log (Printf.sprintf "%s:%d stopped early: %s" c.host c.pid c.note))
         snaps;
       report
 

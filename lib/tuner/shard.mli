@@ -70,8 +70,10 @@ val plan : total:int -> shards:int -> (int * int) array
     to at least one shard and at most one shard per point. *)
 
 val read_manifest : string -> manifest option
-(** The sealed manifest under this directory, or [None] when absent,
-    torn, corrupt, or sealed by a different {!Disk_cache.model_version}. *)
+(** The sealed manifest under this directory, read with
+    {!Gat_util.Store}'s cursor after a {!Disk_cache.header}; [None]
+    when absent, torn, corrupt, or sealed by a different
+    {!Disk_cache.model_version}. *)
 
 val write_manifest : dir:string -> manifest -> unit
 (** Atomically publish the sealed manifest (normally the coordinator's
@@ -135,10 +137,12 @@ val coordinate :
     its [<host>.<pid>.events] log; after the merge the coordinator folds every
     worker's counters and histograms into the live registries so the
     final [gat stats] is fleet-wide.  [log]
-    (default: drop) receives one line per reclaimed lease, per
-    skipped corrupt snapshot, and per record in the directory that
-    carries a crash note (the crash flight record of a process that
-    died).
+    (default: drop) receives one line per reclaimed lease, per prefix
+    salvaged from an earlier holder ("shard N: resumed from P
+    salvaged points"), per skipped corrupt snapshot, and per record in
+    the directory that carries a note (["HOST:PID stopped early:
+    NOTE"]: a process that crashed, was killed by SIGTERM or was
+    interrupted).
     @raise Gat_util.Error.Error (stage [Interrupted]) between blocks
     and between shards when {!Gat_util.Cancel.requested} fires; all
     flushed shard state survives for a later re-run. *)

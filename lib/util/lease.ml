@@ -19,7 +19,7 @@
    layer does, because duplicate shard evaluations produce
    byte-identical parts. *)
 
-let magic = "gat-lease 2"
+let header = "gat-lease 2\n"
 
 let m_acquired = Metrics.counter "lease.acquired"
 let m_acquire_lost = Metrics.counter "lease.acquire_lost"
@@ -41,19 +41,21 @@ let make_owner () =
 
 let body ~owner =
   let buf = Buffer.create 160 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf '\n';
-  Printf.bprintf buf "owner %s\npid %d\nhost %s\n" owner (Unix.getpid ())
-    (hostname ());
+  Buffer.add_string buf header;
+  Buffer.add_string buf "owner";
+  Store.add_text buf owner;
+  Store.add_line buf [ "pid" ] [ Unix.getpid () ];
+  Buffer.add_string buf "host";
+  Store.add_text buf (hostname ());
   Sealed_file.seal buf;
   buf
 
 let parse payload =
-  try
-    Scanf.sscanf payload "%s@\nowner %s@\npid %d\nhost %s@\n%!"
-      (fun m owner pid host ->
-        if String.equal m magic then Some { owner; pid; host } else None)
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+  Store.parse ~header payload (fun cur ->
+      let owner = Store.text cur "owner" in
+      let pid = Store.counted cur "pid" in
+      let host = Store.text cur "host" in
+      { owner; pid; host })
 
 let read path = Option.bind (Sealed_file.read path) parse
 

@@ -3,7 +3,7 @@
     A lease is a small MD5-sealed file ({!Sealed_file}) created once
     with [O_EXCL]: however many processes race for {!acquire}, the
     filesystem grants it to exactly one.  The body records the owner
-    token, pid and host.  The heartbeat is the holder's telemetry
+    token, pid and host, written and read as lines by {!Store}.  The heartbeat is the holder's telemetry
     record ([<host>.<pid>.telem] beside the lease; small, since its
     trace events live in a separate events log), republished by
     {!heartbeat} after every block; observers treat a lease whose

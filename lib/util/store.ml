@@ -125,17 +125,20 @@ let keyword cur w =
     if String.unsafe_get cur.s (t0 + i) <> String.unsafe_get w i then bad ()
   done
 
+(* Up to 19 digits: nanoseconds since the epoch (about 1.8e18) need
+   all of them.  Only a 19th digit can pass [max_int], so only it pays
+   the overflow check. *)
 let int cur =
   let t0 = token cur in
-  let n = cur.pos - t0 in
-  if n > 18 then bad ();
   let neg = String.unsafe_get cur.s t0 = '-' in
   let i0 = if neg then t0 + 1 else t0 in
-  if i0 = cur.pos then bad ();
+  let n = cur.pos - i0 in
+  if n = 0 || n > 19 then bad ();
   let v = ref 0 in
   for i = i0 to cur.pos - 1 do
     let c = Char.code (String.unsafe_get cur.s i) - Char.code '0' in
     if c < 0 || c > 9 then bad ();
+    if n = 19 && i = cur.pos - 1 && !v > (max_int - c) / 10 then bad ();
     v := (!v * 10) + c
   done;
   if neg then - !v else !v
@@ -261,6 +264,31 @@ let end_line cur =
   if cur.pos <> cur.stop then bad ();
   cur.pos <- cur.stop + 1
 
+let tag cur =
+  start cur;
+  word cur
+
+let text cur tag =
+  start cur;
+  keyword cur tag;
+  rest cur
+
+let fields cur read =
+  let rec go acc =
+    skip_spaces cur;
+    if cur.pos < cur.stop then go (read cur :: acc)
+    else (
+      end_line cur;
+      List.rev acc)
+  in
+  go [ read cur ]
+
+let raw cur n =
+  if n < 0 || n > String.length cur.s - cur.pos then bad ();
+  let r = String.sub cur.s cur.pos n in
+  cur.pos <- cur.pos + n;
+  r
+
 let counted cur tag =
   start cur;
   keyword cur tag;
@@ -268,6 +296,48 @@ let counted cur tag =
   end_line cur;
   if n < 0 then bad ();
   n
+
+(* ---- payload writer ----
+
+   No [Printf]: through the format interpreter, emitting a 5,000-line
+   sweep entry cost more than parsing it back.  Integers print digit by
+   digit as [%d] does, floats through the primitive behind [%h]. *)
+
+(* Digits of [n <= 0], most significant first; working on the
+   non-positive side keeps [min_int] exact. *)
+let rec add_nonpos_digits buf n =
+  if n <= -10 then add_nonpos_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_decimal buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_nonpos_digits buf n
+  end
+  else add_nonpos_digits buf (-n)
+
+let add_int buf n =
+  Buffer.add_char buf ' ';
+  add_decimal buf n
+
+external hexstring_of_float : float -> int -> char -> string
+  = "caml_hexstring_of_float"
+
+(* [%h]: no precision limit (a negative one), a sign only when
+   negative. *)
+let add_float buf f =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (hexstring_of_float f (-6) '-')
+
+let add_line buf words ints =
+  Buffer.add_string buf (String.concat " " words);
+  List.iter (add_int buf) ints;
+  Buffer.add_char buf '\n'
+
+let add_text buf s =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (String.map (function '\n' | '\r' -> ' ' | c -> c) s);
+  Buffer.add_char buf '\n'
 
 (* ---- entries ---- *)
 
@@ -332,14 +402,11 @@ let files t =
       |> List.map (Filename.concat d)
 
 let disk_usage t =
-  let entry = List.hd t.suffixes in
   List.fold_left
     (fun (count, bytes) p ->
-      if not (Filename.check_suffix p entry) then (count, bytes)
-      else
-        match Unix.stat p with
-        | st -> (count + 1, bytes + st.Unix.st_size)
-        | exception Unix.Unix_error _ -> (count, bytes))
+      match Unix.stat p with
+      | st -> (count + 1, bytes + st.Unix.st_size)
+      | exception Unix.Unix_error _ -> (count, bytes))
     (0, 0) (files t)
 
 let clear t =

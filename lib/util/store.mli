@@ -25,8 +25,8 @@ val create :
     [<metrics>.{hits,misses,stores,degraded_writes,bytes_read,
     bytes_written}].  [site] names the fault sites [<site>-read] / [<site>-write] and the
     trace spans and histograms [<site>.read] / [<site>.write].  [dir]
-    is resolved on every call.  The first of [suffixes] names the
-    entries {!disk_usage} counts; {!files} lists all of them. *)
+    is resolved on every call.  [suffixes] name the store's files
+    ({!files}). *)
 
 val dir : t -> string
 
@@ -54,9 +54,10 @@ val stats : t -> stats
 
 (** {1 Payload reader}
 
-    An index cursor over the verified payload, line by line.  Every
-    reader raises on malformed input; the entry then reads as a
-    miss. *)
+    An index cursor over a verified payload, line by line: the one
+    reader of every line-format sealed file — the stores' entries, the
+    shard manifest, leases and fleet telemetry records.  Every reader
+    raises on malformed input; the entry then reads as a miss. *)
 
 type cursor
 
@@ -69,14 +70,25 @@ val counted : cursor -> string -> int
 val start : cursor -> unit
 (** Begin reading fields from the next line. *)
 
+val tag : cursor -> string
+(** {!start} the next line and return its first field, for a reader
+    that branches on it (optional and repeated lines). *)
+
 val keyword : cursor -> string -> unit
 (** The next field must be exactly this word. *)
 
 val word : cursor -> string
+
 val int : cursor -> int
+(** Decimal, up to 19 digits (nanoseconds since the epoch fit);
+    values past [max_int] are rejected. *)
 
 val float : cursor -> float
 (** Exact: [%h] literals parse bit-identically. *)
+
+val fields : cursor -> (cursor -> 'a) -> 'a list
+(** Every remaining field of the line, at least one, each read with
+    the given reader; ends the line. *)
 
 val rest : cursor -> string
 (** The remainder of the line after one separating space, verbatim;
@@ -84,6 +96,29 @@ val rest : cursor -> string
 
 val end_line : cursor -> unit
 (** No fields may remain on the line. *)
+
+val text : cursor -> string -> string
+(** A line ["<tag> <text>"]; returns the text ({!rest}). *)
+
+val raw : cursor -> int -> string
+(** [raw cur n]: the next [n] bytes verbatim, newlines included — a
+    length-counted block after an ended line. *)
+
+(** {1 Payload writer}
+
+    The reader's inverse, without [Printf]: {!add_decimal} prints an
+    int as [string_of_int] does; {!add_int} and {!add_float} (as [%h])
+    print one field after a separating space; [add_line buf words ints]
+    prints a whole line, the words and then the ints, space-separated
+    (["<tag> <n>"] is what {!counted} reads); {!add_text} ends a line
+    with a separating space and the text, its newlines turned into
+    spaces: what {!rest} reads back. *)
+
+val add_decimal : Buffer.t -> int -> unit
+val add_int : Buffer.t -> int -> unit
+val add_float : Buffer.t -> float -> unit
+val add_line : Buffer.t -> string list -> int list -> unit
+val add_text : Buffer.t -> string -> unit
 
 (** {1 Entries} *)
 
@@ -118,7 +153,7 @@ val files : t -> string list
     sorted by path. *)
 
 val disk_usage : t -> int * int
-(** [(entries, bytes)] over the files of the first suffix. *)
+(** [(files, bytes)] over {!files}: everything {!clear} removes. *)
 
 val clear : t -> int
 (** Remove {!files}; returns the number removed.  Nothing else in the

@@ -41,7 +41,7 @@
    to within the clocks' skew without requiring synchronized
    monotonic origins. *)
 
-let magic = "gat-telem 1"
+let header = "gat-telem 1\n"
 let m_flushes = Metrics.counter "telem.flushes"
 let m_skipped = Metrics.counter "telem.snapshots_skipped"
 let m_crashes = Metrics.counter "telem.crashes"
@@ -170,38 +170,38 @@ let capture_header ~note ~hold s =
     events = [];
   }
 
-(* ---- serialization ---- *)
-
-let oneline s =
-  String.map (fun c -> match c with '\n' | '\r' -> ' ' | c -> c) s
-
-let add_line b fmt =
-  Printf.ksprintf
-    (fun s ->
-      Buffer.add_string b s;
-      Buffer.add_char b '\n')
-    fmt
+(* ---- serialization: {!Store}'s line writer and cursor ---- *)
 
 (* Every line up to, not including, [events N BYTES]. *)
 let add_header b snap =
-  add_line b "%s" magic;
-  add_line b "host %s" (oneline snap.host);
-  add_line b "pid %d" snap.pid;
-  add_line b "anchor_mono_ns %Ld" snap.anchor_mono_ns;
-  add_line b "anchor_wall_ns %Ld" snap.anchor_wall_ns;
-  add_line b "captured_wall_ns %Ld" snap.captured_wall_ns;
-  add_line b "dropped %d" snap.dropped;
-  if snap.note <> "" then add_line b "note %s" (oneline snap.note);
-  List.iter (fun (name, v) -> add_line b "counter %s %d" name v) snap.counters;
+  let ns tag v = Store.add_line b [ tag ] [ Int64.to_int v ] in
+  Buffer.add_string b header;
+  Buffer.add_string b "host";
+  Store.add_text b snap.host;
+  Store.add_line b [ "pid" ] [ snap.pid ];
+  ns "anchor_mono_ns" snap.anchor_mono_ns;
+  ns "anchor_wall_ns" snap.anchor_wall_ns;
+  ns "captured_wall_ns" snap.captured_wall_ns;
+  Store.add_line b [ "dropped" ] [ snap.dropped ];
+  if snap.note <> "" then begin
+    Buffer.add_string b "note";
+    Store.add_text b snap.note
+  end;
   List.iter
-    (fun (name, events, ns) -> add_line b "timer %s %d %d" name events ns)
+    (fun (name, v) -> Store.add_line b [ "counter"; name ] [ v ])
+    snap.counters;
+  List.iter
+    (fun (name, ev, ns) -> Store.add_line b [ "timer"; name ] [ ev; ns ])
     snap.timers;
   List.iter
-    (fun (name, h) -> add_line b "hist %s %s" name (Histogram.Log.serialize h))
+    (fun (name, h) ->
+      Store.add_line b [ "hist"; name; Histogram.Log.serialize h ] [])
     snap.histograms;
   Option.iter
     (fun h ->
-      add_line b "hold %d %s %d" h.shard h.owner (String.length h.prefix);
+      Store.add_line b
+        [ "hold"; string_of_int h.shard; h.owner ]
+        [ String.length h.prefix ];
       Buffer.add_string b h.prefix)
     snap.hold
 
@@ -216,156 +216,90 @@ let to_payload snap =
   let log = if snap.events = [] then "" else frame snap.events in
   let b = Buffer.create 4096 in
   add_header b snap;
-  add_line b "events %d %d" (List.length snap.events) (String.length log);
+  Store.add_line b [ "events" ] [ List.length snap.events; String.length log ];
   (b, log)
 
-let split2 s =
-  match String.index_opt s ' ' with
-  | None -> (s, "")
-  | Some i ->
-      (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-
-(* The record's snapshot (no events yet) and its [events N BYTES]. *)
-let parse_record body =
-  let len = String.length body in
-  (* The line starting at [pos] and the position after its newline. *)
-  let next pos =
-    if pos >= len then None
-    else
-      let stop =
-        Option.value ~default:len (String.index_from_opt body pos '\n')
-      in
-      Some (String.sub body pos (stop - pos), stop + 1)
+(* The fixed header lines, then tagged lines up to the last one,
+   [events N BYTES]: the snapshot (no events yet), N and BYTES. *)
+let read_record cur =
+  let host = Store.text cur "host" in
+  let pid = Store.counted cur "pid" in
+  let ns tag = Int64.of_int (Store.counted cur tag) in
+  let anchor_mono_ns = ns "anchor_mono_ns" in
+  let anchor_wall_ns = ns "anchor_wall_ns" in
+  let captured_wall_ns = ns "captured_wall_ns" in
+  let dropped = Store.counted cur "dropped" in
+  let rec lines snap =
+    match Store.tag cur with
+    | "note" -> lines { snap with note = Store.rest cur }
+    | "counter" ->
+        let name = Store.word cur in
+        let v = Store.int cur in
+        Store.end_line cur;
+        lines { snap with counters = (name, v) :: snap.counters }
+    | "timer" ->
+        let name = Store.word cur in
+        let events = Store.int cur in
+        let ns = Store.int cur in
+        Store.end_line cur;
+        lines { snap with timers = (name, events, ns) :: snap.timers }
+    | "hist" -> (
+        let name = Store.word cur in
+        match Histogram.Log.parse (Store.rest cur) with
+        | Some h ->
+            lines { snap with histograms = (name, h) :: snap.histograms }
+        | None -> Store.bad ())
+    | "hold" ->
+        let shard = Store.int cur in
+        let owner = Store.word cur in
+        let n = Store.int cur in
+        Store.end_line cur;
+        let prefix = Store.raw cur n in
+        lines { snap with hold = Some { shard; owner; prefix } }
+    | "events" ->
+        let n = Store.int cur in
+        let bytes = Store.int cur in
+        Store.end_line cur;
+        if n < 0 || bytes < 0 then Store.bad ();
+        ( {
+            snap with
+            counters = List.rev snap.counters;
+            timers = List.rev snap.timers;
+            histograms = List.rev snap.histograms;
+          },
+          n,
+          bytes )
+    | _ -> Store.bad ()
   in
-  match next 0 with
-  | Some (m, pos) when m = magic -> (
-      let host = ref "" and pid = ref (-1) in
-      let amono = ref None and awall = ref None in
-      let captured = ref None in
-      let dropped = ref 0 and note = ref "" in
-      let counters = ref [] and timers = ref [] and hists = ref [] in
-      let hold = ref None in
-      let events = ref None in
-      try
-        let rec go pos =
-          match next pos with
-          | None -> ()
-          | Some (l, pos) -> (
-              let tag, rest = split2 l in
-              match tag with
-              | "host" ->
-                  host := rest;
-                  go pos
-              | "pid" ->
-                  pid := int_of_string rest;
-                  go pos
-              | "anchor_mono_ns" ->
-                  amono := Some (Int64.of_string rest);
-                  go pos
-              | "anchor_wall_ns" ->
-                  awall := Some (Int64.of_string rest);
-                  go pos
-              | "captured_wall_ns" ->
-                  captured := Some (Int64.of_string rest);
-                  go pos
-              | "dropped" ->
-                  dropped := int_of_string rest;
-                  go pos
-              | "note" ->
-                  note := rest;
-                  go pos
-              | "counter" ->
-                  let name, v = split2 rest in
-                  counters := (name, int_of_string v) :: !counters;
-                  go pos
-              | "timer" -> (
-                  match String.split_on_char ' ' rest with
-                  | [ name; ev; ns ] ->
-                      timers :=
-                        (name, int_of_string ev, int_of_string ns) :: !timers;
-                      go pos
-                  | _ -> raise Exit)
-              | "hist" -> (
-                  let name, ser = split2 rest in
-                  match Histogram.Log.parse ser with
-                  | Some h ->
-                      hists := (name, h) :: !hists;
-                      go pos
-                  | None -> raise Exit)
-              | "hold" -> (
-                  match String.split_on_char ' ' rest with
-                  | [ shard; owner; n ] ->
-                      let n = int_of_string n in
-                      if n < 0 || pos + n > len then raise Exit;
-                      let prefix = String.sub body pos n in
-                      hold := Some { shard = int_of_string shard; owner; prefix };
-                      go (pos + n)
-                  | _ -> raise Exit)
-              | "events" -> (
-                  (* The last line: the events live in the log. *)
-                  match String.split_on_char ' ' rest with
-                  | [ n; bytes ] ->
-                      let n = int_of_string n and bytes = int_of_string bytes in
-                      if n < 0 || bytes < 0 || pos < len then raise Exit;
-                      events := Some (n, bytes)
-                  | _ -> raise Exit)
-              | _ -> raise Exit)
-        in
-        go pos;
-        match (!amono, !awall, !events) with
-        | Some anchor_mono_ns, Some anchor_wall_ns, Some (n, bytes)
-          when !pid >= 0 ->
-            Some
-              ( {
-                host = !host;
-                pid = !pid;
-                anchor_mono_ns;
-                anchor_wall_ns;
-                captured_wall_ns =
-                  Option.value ~default:anchor_wall_ns !captured;
-                dropped = !dropped;
-                note = !note;
-                counters = List.rev !counters;
-                timers = List.rev !timers;
-                histograms = List.rev !hists;
-                hold = !hold;
-                events = [];
-              },
-                n,
-                bytes )
-        | _ -> None
-      with Exit | Failure _ -> None)
-  | _ -> None
+  lines
+    { host; pid; anchor_mono_ns; anchor_wall_ns; captured_wall_ns; dropped;
+      note = ""; counters = []; timers = []; histograms = []; hold = None;
+      events = [] }
+
+let parse_record body = Store.parse ~header body read_record
 
 (* The events in the first [bytes] bytes of [log]: every frame's MD5
    checked, exactly [n] events in all. *)
 let events_of_log ~n ~bytes log =
-  let rec go pos acc =
-    if pos = bytes then Some (List.concat (List.rev acc))
-    else
-      match String.index_from_opt log pos '\n' with
-      | Some nl when nl < bytes -> (
-          match String.split_on_char ' ' (String.sub log pos (nl - pos)) with
-          | [ "batch"; len; md5 ] -> (
-              match int_of_string_opt len with
-              | Some len
-                when len >= 0
-                     && nl + 1 + len <= bytes
-                     && String.equal md5
-                          (Digest.to_hex (Digest.substring log (nl + 1) len))
-                -> (
-                  match Trace.parse_events (String.sub log (nl + 1) len) with
-                  | Some evs -> go (nl + 1 + len) (evs :: acc)
-                  | None -> None)
-              | _ -> None)
-          | _ -> None)
-      | _ -> None
+  let rec frames cur got acc =
+    if got > n then Store.bad ()
+    else if got = n then List.concat (List.rev acc)
+    else begin
+      Store.start cur;
+      Store.keyword cur "batch";
+      let len = Store.int cur in
+      let md5 = Store.word cur in
+      Store.end_line cur;
+      let body = Store.raw cur len in
+      if md5 <> Digest.to_hex (Digest.string body) then Store.bad ();
+      match Trace.parse_events body with
+      | Some evs -> frames cur (got + List.length evs) (evs :: acc)
+      | None -> Store.bad ()
+    end
   in
   if String.length log < bytes then None
   else
-    match go 0 [] with
-    | Some evs when List.length evs = n -> Some evs
-    | _ -> None
+    Store.parse ~header:"" (String.sub log 0 bytes) (fun cur -> frames cur 0 [])
 
 let with_events (snap, n, bytes) log =
   Option.map (fun events -> { snap with events }) (events_of_log ~n ~bytes log)
@@ -431,7 +365,7 @@ let publish s ~note ?hold path =
     let held = match hold with Some h -> String.length h.prefix | None -> 0 in
     let b = Buffer.create (16_384 + held) in
     add_header b (capture_header ~note ~hold s);
-    add_line b "events %d %d" log.count log.bytes;
+    Store.add_line b [ "events" ] [ log.count; log.bytes ];
     Sealed_file.seal b;
     Sealed_file.publish ~path b;
     String.length batch + Buffer.length b

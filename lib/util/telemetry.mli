@@ -103,10 +103,15 @@ val to_payload : snapshot -> Buffer.t * string
 (** The record's line-oriented payload, ready for {!Sealed_file.seal},
     and the events log it counts: the snapshot's events as one batch
     (empty when there are none).  Shares its header writer with
-    {!flush}. *)
+    {!flush}; lines are emitted with {!Store}'s writer. *)
 
 val of_payload : ?log:string -> string -> snapshot option
-(** Inverse of {!to_payload}; [None] on any malformed input.  Given
+(** Inverse of {!to_payload}, read with {!Store}'s cursor: the fixed
+    header lines in order (the 19-digit wall-clock anchors included),
+    then tagged lines — an optional [note], repeated
+    [counter]/[timer]/[hist], an optional [hold] and its
+    length-counted prefix — up to the last, [events N BYTES].  [None]
+    on any malformed input.  Given
     [log], the events are read from exactly its first BYTES bytes
     (every batch's MD5 checked, N events required; bytes past BYTES are
     ignored).  Without it the parse is header-only and the snapshot's

@@ -525,6 +525,24 @@ let test_orphaned_ckpt_reclaimed () =
     (r.Gat_tuner.Artifact_store.removed_files >= 1);
   Alcotest.(check bool) "gone after gc" false (Sys.file_exists orphan)
 
+(* [gat cache stats] counts what [clear] removes: an orphaned [.ckpt]
+   beside an entry is two files, not one. *)
+let test_usage_counts_orphaned_ckpt () =
+  reset ();
+  Disk_cache.store small_space kernel gpu ~n:64 ~seed:42 sample_variants
+    sample_unsafe;
+  let fixture =
+    In_channel.with_open_bin "fixtures/entries/golden.ckpt" In_channel.input_all
+  in
+  Out_channel.with_open_bin (Filename.concat scratch "abc.ckpt") (fun oc ->
+      Out_channel.output_string oc fixture);
+  let files, bytes = Store.disk_usage Disk_cache.cache in
+  Alcotest.(check int) "the entry and the checkpoint" 2 files;
+  Alcotest.(check int) "their bytes"
+    ((Unix.stat (entry_path ())).Unix.st_size + String.length fixture)
+    bytes;
+  Alcotest.(check int) "clear removes as many" files (Store.clear Disk_cache.cache)
+
 (* ---- Tuner integration ---- *)
 
 let test_sweep_restored_across_processes () =
@@ -682,6 +700,8 @@ let () =
                 test_checkpoint_corruption;
               Alcotest.test_case "orphaned .ckpt reclaimed" `Quick
                 test_orphaned_ckpt_reclaimed;
+              Alcotest.test_case "usage counts orphaned checkpoints" `Quick
+                test_usage_counts_orphaned_ckpt;
             ] );
           ( "tuner",
             [

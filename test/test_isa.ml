@@ -38,14 +38,15 @@ let prop_register_roundtrip =
       let r = if is_pred then Register.pred id else Register.gpr id in
       Register.of_string (Register.to_string r) = Some r)
 
-(* The digit printer must write exactly [string_of_int]'s text: every
-   digest and artifact key is computed from it. *)
+(* The digit printer behind register names ([Store.add_decimal]) must
+   write exactly [string_of_int]'s text: every digest and artifact key
+   is computed from it. *)
 let prop_add_int_is_string_of_int =
   QCheck.Test.make ~count:1000 ~name:"add_int = string_of_int"
     QCheck.(oneof [ int; int_range (-100) 100; oneofl [ min_int; max_int; 0 ] ])
     (fun n ->
       let buf = Buffer.create 24 in
-      Register.add_int buf n;
+      Gat_util.Store.add_decimal buf n;
       String.equal (Buffer.contents buf) (string_of_int n))
 
 (* ---- Opcode ---- *)

@@ -251,6 +251,31 @@ let test_lease_race_under_faults () =
   done;
   Fault.set_spec None
 
+(* The lease body's bytes are pinned: the fixture, written by an
+   earlier build for a fixed owner, pid and host, keeps its MD5 and
+   reads back, and a fresh lease's payload is the same lines for this
+   process. *)
+let test_lease_golden_bytes () =
+  reset ();
+  let fixture = "fixtures/entries/golden.lease" in
+  Alcotest.(check string) "fixture bytes" "989c117abdcd8a99e1d7f84169964392"
+    (Digest.to_hex (Digest.file fixture));
+  (match Lease.read fixture with
+  | Some i ->
+      Alcotest.(check string) "owner" "fixture-host:4242:1a2b3c" i.Lease.owner;
+      Alcotest.(check int) "pid" 4242 i.Lease.pid;
+      Alcotest.(check string) "host" "fixture-host" i.Lease.host
+  | None -> Alcotest.fail "lease fixture does not read back");
+  let path = Filename.concat (fresh_dir ()) "g.lease" in
+  let owner = "fixture-host:4242:1a2b3c" in
+  Alcotest.(check bool) "acquired" true (Lease.acquire ~path ~owner);
+  Alcotest.(check (option string))
+    "payload"
+    (Some
+       (Printf.sprintf "gat-lease 2\nowner %s\npid %d\nhost %s\n" owner
+          (Unix.getpid ()) (Unix.gethostname ())))
+    (Gat_util.Sealed_file.read path)
+
 (* ---- planning ---- *)
 
 let test_plan_partitions () =
@@ -318,6 +343,88 @@ let test_manifest_corruption_is_a_miss () =
       Out_channel.output_bytes oc mutated);
   Alcotest.(check bool) "corrupt manifest reads as absent" true
     (Option.is_none (Shard.read_manifest dir))
+
+(* The manifest's bytes are pinned like the cache entries': the copy
+   in [fixtures/entries/] was written by an earlier build from these
+   inputs. *)
+let golden_manifest =
+  let space =
+    {
+      Space.tc = [ 32; 64; 128 ];
+      bc = [ 24; 48 ];
+      uif = [ 1; 2 ];
+      pl = [ 16; 48 ];
+      sc = [ 0; 1 ];
+      cflags = [ false; true ];
+    }
+  in
+  {
+    Shard.kernel = "atax";
+    gpu = "K20";
+    n = 64;
+    seed = 42;
+    ttl = 2.5;
+    space;
+    ranges = Shard.plan ~total:(Space.cardinality space) ~shards:3;
+  }
+
+let test_manifest_golden_bytes () =
+  reset ();
+  let md5 = "7bfde87d09e5f83161b23e1f06997785" in
+  let dir = fresh_dir () in
+  Shard.write_manifest ~dir golden_manifest;
+  Alcotest.(check string) "written bytes" md5
+    (Digest.to_hex (Digest.file (Filename.concat dir "manifest")));
+  Alcotest.(check string) "fixture bytes" md5
+    (Digest.to_hex (Digest.file "fixtures/entries/manifest"));
+  match Shard.read_manifest "fixtures/entries" with
+  | Some m -> Alcotest.(check bool) "fixture reads back" true (m = golden_manifest)
+  | None -> Alcotest.fail "manifest fixture does not read back"
+
+let test_manifest_roundtrip_property =
+  let open QCheck.Gen in
+  let sub l =
+    map
+      (fun mask ->
+        match List.filteri (fun i _ -> mask land (1 lsl i) <> 0) l with
+        | [] -> [ List.hd l ]
+        | s -> s)
+      (int_bound 1023)
+  in
+  let p = Space.paper in
+  let space =
+    map3
+      (fun (tc, bc) (uif, pl) (sc, cflags) ->
+        { Space.tc; bc; uif; pl; sc; cflags })
+      (pair (sub p.Space.tc) (sub p.Space.bc))
+      (pair (sub p.Space.uif) (sub p.Space.pl))
+      (pair (sub p.Space.sc) (sub p.Space.cflags))
+  in
+  let name = string_size ~gen:(char_range ' ' '~') (int_range 1 16) in
+  let manifest =
+    map3
+      (fun (kernel, gpu) (n, seed, ttl) (space, shards) ->
+        {
+          Shard.kernel;
+          gpu;
+          n;
+          seed;
+          ttl;
+          space;
+          ranges = Shard.plan ~total:(Space.cardinality space) ~shards;
+        })
+      (pair name name)
+      (triple nat int (float_range 0.001 1e6))
+      (pair space (int_range 1 16))
+  in
+  let dir = lazy (fresh_dir ()) in
+  QCheck.Test.make ~count:200
+    ~name:"manifest round-trips over sub-spaces of the paper space"
+    (QCheck.make manifest)
+    (fun m ->
+      let dir = Lazy.force dir in
+      Shard.write_manifest ~dir m;
+      Shard.read_manifest dir = Some m)
 
 (* ---- coordinator / worker end to end ---- *)
 
@@ -611,12 +718,23 @@ let test_interrupted_coordinator_resumes () =
   | l, _ -> Alcotest.failf "expected the child's record, got %d" (List.length l));
   let salvaged = Gat_util.Metrics.counter "shard.salvaged_points" in
   let before = Gat_util.Metrics.value salvaged in
+  let lines = ref [] in
   let r =
-    Shard.coordinate ~jobs:2 ~block:16 ~dir ~shards:1 space kernel gpu ~n:64
-      ~seed:42
+    Shard.coordinate ~jobs:2 ~block:16
+      ~log:(fun l -> lines := l :: !lines)
+      ~dir ~shards:1 space kernel gpu ~n:64 ~seed:42
   in
   Alcotest.(check int) "the first block was salvaged" 16
     (Gat_util.Metrics.value salvaged - before);
+  (* Its log says what was resumed, and names the interrupted
+     process's note without calling it a crash. *)
+  Alcotest.(check bool) "log names the salvaged prefix" true
+    (List.mem "shard 0: resumed from 16 salvaged points" !lines);
+  Alcotest.(check bool) "log names the stopped process" true
+    (List.exists
+       (String.starts_with
+          ~prefix:(Printf.sprintf "%s:%d stopped early: " (Unix.gethostname ()) child))
+       !lines);
   check_report_eq clean r
 
 (* ---- maintenance: gc pinning ---- *)
@@ -717,6 +835,7 @@ let () =
                 test_lease_race_single_winner;
               Alcotest.test_case "race under faults never double-grants"
                 `Quick test_lease_race_under_faults;
+              Alcotest.test_case "golden bytes" `Quick test_lease_golden_bytes;
             ] );
           ( "plan",
             [ Alcotest.test_case "partitions the space" `Quick
@@ -726,6 +845,9 @@ let () =
               Alcotest.test_case "roundtrip" `Quick test_manifest_roundtrip;
               Alcotest.test_case "corruption is a miss" `Quick
                 test_manifest_corruption_is_a_miss;
+              Alcotest.test_case "golden bytes" `Quick
+                test_manifest_golden_bytes;
+              QCheck_alcotest.to_alcotest test_manifest_roundtrip_property;
             ] );
           ( "coordinate",
             [

@@ -270,12 +270,161 @@ let test_payload_rejects_malformed () =
         replace ~sub:"events 2 " ~by:"events 3 " good );
       ( "hold overruns the payload",
         replace ~sub:"events 2 " ~by:"hold 0 o 100000\nevents 2 " good );
+      ( "negative hold length",
+        replace ~sub:"events 2 " ~by:"hold 0 o -1\nevents 2 " good );
+      ( "20-digit anchor",
+        replace ~sub:"anchor_wall_ns 456000"
+          ~by:"anchor_wall_ns 10000000000000000000" good );
+      ( "19-digit anchor past max_int",
+        replace ~sub:"anchor_wall_ns 456000"
+          ~by:"anchor_wall_ns 9999999999999999999" good );
+      ("header line missing", replace ~sub:"dropped 2\n" ~by:"" good);
+      ("events line missing", replace ~sub:"events 2 " ~by:"" good);
     ]
   in
   List.iter
     (fun (name, body) ->
       Alcotest.(check bool) name true (Telemetry.of_payload ~log body = None))
     cases
+
+(* Whole-snapshot equality; histograms compare by counts and sum. *)
+let snapshot_equal a b =
+  let strip s = { s with Telemetry.histograms = [] } in
+  let hist (n, h) = (n, H.counts h, H.sum_ns h) in
+  strip a = strip b
+  && List.map hist a.Telemetry.histograms = List.map hist b.Telemetry.histograms
+
+let prop_payload_roundtrip =
+  let open QCheck.Gen in
+  let word = string_size ~gen:(oneofl [ 'a'; 'z'; '.'; '_'; '0'; ':' ]) (int_range 1 12) in
+  let line = string_size ~gen:(char_range ' ' '~') (int_range 0 40) in
+  let ns =
+    map Int64.of_int
+      (oneof [ int_bound 1_000_000; int_range 1_000_000_000_000_000_000 max_int ])
+  in
+  let hist =
+    map
+      (fun xs ->
+        let h = H.create () in
+        List.iter (H.record h) xs;
+        h)
+      (list_size (int_bound 8) (int_bound 5_000_000))
+  in
+  let hold =
+    map3
+      (fun shard owner lines ->
+        { Telemetry.shard; owner; prefix = String.concat "\n" lines })
+      (int_bound 64) word
+      (list_size (int_range 0 30) line)
+  in
+  let snapshot =
+    map
+      (fun ((host, pid, mono, wall), (captured, dropped, note), (counters, timers, histograms), (hold, events)) ->
+        {
+          Telemetry.host;
+          pid;
+          anchor_mono_ns = mono;
+          anchor_wall_ns = wall;
+          captured_wall_ns = captured;
+          dropped;
+          note;
+          counters;
+          timers;
+          histograms;
+          hold;
+          events;
+        })
+      (quad
+         (quad line (int_bound 4_000_000) ns ns)
+         (triple ns nat line)
+         (triple
+            (list_size (int_bound 6) (pair word int))
+            (list_size (int_bound 4) (triple word nat nat))
+            (list_size (int_bound 3) (pair word hist)))
+         (pair (opt hold) (oneofl [ []; (sample_snapshot ()).Telemetry.events ])))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"record payload round-trips (notes with spaces, many-line holds)"
+    (QCheck.make snapshot)
+    (fun snap ->
+      match roundtrip snap with
+      | Some got -> snapshot_equal snap got
+      | None -> false)
+
+(* ---- golden bytes ----
+
+   A record and its events log written from fixed inputs — a crash
+   note, a hold whose prefix spans lines that read like tags, and a
+   19-digit wall-clock anchor — have pinned MD5s, and the copies in
+   [fixtures/entries/] read back whole: a codec change that moved one
+   byte would orphan every record a running fleet left. *)
+
+let golden_snapshot =
+  let h = H.create () in
+  List.iter (H.record h) [ 1_000; 2_000; 5_000_000 ];
+  {
+    Telemetry.host = "fixture-host";
+    pid = 4242;
+    anchor_mono_ns = 987_654_321L;
+    anchor_wall_ns = 1_760_000_000_123_456_789L;
+    captured_wall_ns = 1_760_000_002_500_000_000L;
+    dropped = 1;
+    note = "sweep interrupted at 16/32 points";
+    counters = [ ("sweep.points", 16); ("shard.salvaged_points", 0) ];
+    timers = [ ("sweep.block", 2, 1_234_567) ];
+    histograms = [ ("sweep.compile", h) ];
+    hold =
+      Some
+        {
+          Telemetry.shard = 1;
+          owner = "fixture-host:4242:1a2b3c";
+          prefix = "gat-sweep-ckpt 2\nevents 9 9\nhold 1 x 2\nlast line\n";
+        };
+    events =
+      [
+        {
+          Trace.name = "sweep.block";
+          ph = 'X';
+          ts_ns = 1_000L;
+          dur_ns = 500L;
+          tid = 0;
+          args = [ ("shard", Trace.I 1) ];
+        };
+        {
+          Trace.name = "shard.reclaim";
+          ph = 'i';
+          ts_ns = 2_000L;
+          dur_ns = 0L;
+          tid = 1;
+          args = [ ("who", Trace.S "fixture") ];
+        };
+      ];
+  }
+
+let golden_telem_md5 = "724862406e86a77acbda733b7f9819ce"
+let golden_events_md5 = "5876a02d71c4ad159841e6587866ebbb"
+
+let test_golden_bytes () =
+  let b, log = Telemetry.to_payload golden_snapshot in
+  Gat_util.Sealed_file.seal b;
+  Alcotest.(check string) "record bytes" golden_telem_md5
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  Alcotest.(check string) "log bytes" golden_events_md5
+    (Digest.to_hex (Digest.string log));
+  let fixture = "fixtures/entries/golden.telem" in
+  Alcotest.(check string) "record fixture" golden_telem_md5
+    (Digest.to_hex (Digest.file fixture));
+  Alcotest.(check string) "log fixture" golden_events_md5
+    (Digest.to_hex (Digest.file (Telemetry.events_path fixture)));
+  (match Telemetry.read_file fixture with
+  | None -> Alcotest.fail "record fixture does not read back"
+  | Some got ->
+      check_snapshot_eq golden_snapshot got;
+      Alcotest.(check int64) "19-digit anchor" 1_760_000_000_123_456_789L
+        got.Telemetry.anchor_wall_ns);
+  match Telemetry.read_file ~header_only:true fixture with
+  | None -> Alcotest.fail "record fixture does not read header-only"
+  | Some got -> check_snapshot_eq { golden_snapshot with events = [] } got
 
 (* ---- sealed snapshots on disk: corruption is skipped-and-counted ---- *)
 
@@ -824,7 +973,39 @@ let test_monitor_rows () =
         (contains line
            (Printf.sprintf "%-20s %6s"
               (Printf.sprintf "%s:%d" r.Monitor.host r.Monitor.pid)
-              "-"))
+              "-"));
+      (* A process on this host whose pid no longer exists (a reaped
+         child stands in for a SIGKILLed holder: no crash note) reads
+         gone, not running or idle, however fresh its record and
+         hold. *)
+      let here = Unix.gethostname () in
+      let child =
+        Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout
+          Unix.stderr
+      in
+      ignore (Unix.waitpid [] child);
+      publish_snapshot
+        (Telemetry.snapshot_path ~dir:d ~host:here ~pid:child)
+        {
+          (sample_snapshot ~host:here ~pid:child
+             ~hold:{ Telemetry.shard = 1; owner = "o"; prefix = "" }
+             ())
+          with
+          captured_wall_ns = Int64.of_float (Unix.gettimeofday () *. 1e9);
+        };
+      let rows, _ = Monitor.rows d in
+      (match List.find_opt (fun r -> r.Monitor.pid = child) rows with
+      | None -> Alcotest.fail "no row for the dead child"
+      | Some r ->
+          Alcotest.(check bool) "gone flagged" true r.Monitor.gone;
+          Alcotest.(check bool) "gone row shows no shard" true
+            (r.Monitor.shard = None);
+          Alcotest.(check bool) "line says gone" true
+            (contains (Monitor.render_row r) " gone"));
+      Alcotest.(check bool) "this live process is not gone" true
+        (List.for_all
+           (fun r -> r.Monitor.pid = child || not r.Monitor.gone)
+           rows)
   | l -> Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length l))
 
 let () =
@@ -845,6 +1026,8 @@ let () =
           Alcotest.test_case "payload roundtrip" `Quick test_payload_roundtrip;
           Alcotest.test_case "payload rejects malformed" `Quick
             test_payload_rejects_malformed;
+          QCheck_alcotest.to_alcotest prop_payload_roundtrip;
+          Alcotest.test_case "golden bytes" `Quick test_golden_bytes;
           Alcotest.test_case "corruption skipped-and-counted" `Quick
             test_corruption_skipped;
           Alcotest.test_case "crash flight records" `Quick test_crash_records;
