@@ -543,8 +543,12 @@ let set_jobs jobs =
       Gat_util.Pool.set_default_jobs (Some j))
     jobs
 
-let t_autotune = Gat_util.Metrics.timer "cli.autotune"
-let t_sweep = Gat_util.Metrics.timer "cli.sweep"
+(* The claim loop's lines (reclaims, salvage resumes), coordinator and
+   worker alike. *)
+let shard_log line = Printf.eprintf "gat: shard: %s\n%!" line
+
+let h_autotune = Gat_util.Metrics.histogram "cli.autotune"
+let h_sweep = Gat_util.Metrics.histogram "cli.sweep"
 
 let autotune kernel gpu n seed strategy journal_path no_cache trace =
   skip_caches no_cache;
@@ -559,7 +563,7 @@ let autotune kernel gpu n seed strategy journal_path no_cache trace =
       journal_path
   in
   let outcome, dt =
-    Gat_util.Metrics.timed t_autotune (fun () ->
+    Gat_util.Metrics.timed h_autotune (fun () ->
         Gat_tuner.Tuner.autotune ?journal ~strategy kernel gpu ~n ~seed)
   in
   (match outcome.Gat_tuner.Search.best_params with
@@ -699,7 +703,7 @@ let sweep kernel gpu n seed jobs retries max_failures block no_cache top
           Some (fun ~done_ ~total:_ ~failures -> bar ~done_ ~failures ())
       in
       let report, dt =
-        Gat_util.Metrics.timed t_sweep (fun () ->
+        Gat_util.Metrics.timed h_sweep (fun () ->
             Gat_tuner.Tuner.sweep_report ~space ~retries ?max_failures ~block
               ?progress kernel gpu ~n ~seed)
       in
@@ -729,12 +733,11 @@ let sweep kernel gpu n seed jobs retries max_failures block no_cache top
             (fun ~done_ ~total:_ ~failures ~workers ~reclaimed ->
               bar ~workers ~reclaimed ~done_ ~failures ())
       in
-      let log line = Printf.eprintf "gat: shard: %s\n%!" line in
       let report, dt =
-        Gat_util.Metrics.timed t_sweep (fun () ->
+        Gat_util.Metrics.timed h_sweep (fun () ->
             Gat_tuner.Shard.coordinate ~retries ?max_failures ~block
-              ~ttl:lease_ttl ?progress ~log ~dir ~shards:k space kernel gpu
-              ~n ~seed)
+              ~ttl:lease_ttl ?progress ~log:shard_log ~dir ~shards:k space
+              kernel gpu ~n ~seed)
       in
       print_sweep_report kernel gpu ~n ~seed ~space ~top report;
       Printf.eprintf "gat: sharded sweep finished in %s\n%!"
@@ -886,8 +889,8 @@ let sweep_worker dir jobs retries block no_cache show_progress trace =
             end
           in
           let r =
-            Gat_tuner.Shard.work ~retries ~block ?progress ~dir m ~kernel ~gpu
-              ()
+            Gat_tuner.Shard.work ~retries ~block ?progress ~log:shard_log ~dir m
+              ~kernel ~gpu ()
           in
           if r.Gat_tuner.Shard.stale then
             print_endline "coordinator already finished; nothing to do"
@@ -1128,16 +1131,17 @@ let stats_cmd =
       value & flag
       & info [ "timers" ]
           ~doc:
-            "Also print wall-clock timer summaries \
-             ($(b,_seconds_count)/$(b,_seconds_sum)); these are not \
-             deterministic across runs.")
+            "Also print every duration histogram: its \
+             $(b,_seconds_count)/$(b,_seconds_sum) lines, p50/p99 and \
+             bars; these are not deterministic across runs.")
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Print the process metrics registry as Prometheus-style text \
           (sorted, deterministic).  Set $(b,GAT_STATS=1) to dump the \
-          same snapshot to stderr after any subcommand.")
+          same registry, durations included, to stderr after any \
+          subcommand.")
     Term.(const stats $ timers)
 
 (* ---- trace-check ---- *)
@@ -1291,7 +1295,7 @@ let monitor_cmd =
        ~doc:
          "Live fleet view of a sharded sweep: one line per worker — \
           host/pid, held shard, points/s, block-latency p50/p99, \
-          heartbeat age, reclaims, crash note — from the telemetry \
+          heartbeat age, reclaims, stop note — from the telemetry \
           records in the coordination directory.  Read-only.  \
           Redraws in place on a TTY; prints a full table per refresh \
           otherwise.  Exits when the coordination publishes its done \

@@ -4,6 +4,7 @@ module Driver = Gat_compiler.Driver
 module Profile = Gat_compiler.Profile
 module Params = Gat_compiler.Params
 module Block_table = Gat_compiler.Block_table
+module Memory_model = Gat_analysis.Memory_model
 
 type result = {
   cycles : float;

@@ -4,10 +4,10 @@
    writes, and builds its table purely from what the shard protocol
    already leaves on disk — each process's telemetry record says which
    shard it holds (while the record is under one ttl old), how fast it
-   is moving and where its latency lives; a record's crash note says
-   who died screaming, and a pid no longer alive on this host says who
-   died silently (SIGKILL) or finished.  One row per (host,pid) ever
-   seen in the directory. *)
+   is moving and where its latency lives; a record's note says who
+   stopped early and why (a fatal error, SIGTERM or SIGINT), and a pid
+   no longer alive on this host says who died silently (SIGKILL) or
+   finished.  One row per (host,pid) ever seen in the directory. *)
 
 open Gat_util
 
@@ -21,8 +21,8 @@ type row = {
   p99_ns : int;
   snapshot_age_s : float;
   reclaimed : int;
-  crashed : bool;
-  crash_note : string;
+  stopped : bool;  (* the record carries a note *)
+  note : string;
   gone : bool;  (* on this host, and its pid no longer exists *)
 }
 
@@ -56,18 +56,18 @@ let rows ?(now = Unix.gettimeofday ()) dir =
        | exception Unix.Unix_error (e, _, _) -> e = Unix.ESRCH
   in
   let row_of snap =
-    let crashed = snap.Telemetry.note <> "" in
+    let stopped = snap.Telemetry.note <> "" in
     let gone = gone snap in
     let age =
       Float.max 0.
         (now -. (Int64.to_float snap.Telemetry.captured_wall_ns /. 1e9))
     in
     (* The record is the holder's heartbeat: a hold whose record is
-       older than one ttl, that a crash republished, or whose process
+       older than one ttl, that a stop republished, or whose process
        is gone belongs to a dead holder. *)
     let shard =
       match snap.Telemetry.hold with
-      | Some h when age <= ttl && not (crashed || gone) ->
+      | Some h when age <= ttl && not (stopped || gone) ->
           Some h.Telemetry.shard
       | _ -> None
     in
@@ -88,8 +88,8 @@ let rows ?(now = Unix.gettimeofday ()) dir =
       p99_ns = Histogram.Log.percentile_ns h 0.99;
       snapshot_age_s = age;
       reclaimed = counter_of snap "shard.leases_reclaimed";
-      crashed;
-      crash_note = snap.Telemetry.note;
+      stopped;
+      note = snap.Telemetry.note;
       gone;
     }
   in
@@ -109,7 +109,7 @@ let render_row r =
     | None -> ("-", "-")
   in
   let status =
-    if r.crashed then "crashed: " ^ r.crash_note
+    if r.stopped then "stopped: " ^ r.note
     else if r.gone then "gone"
     else if r.shard <> None then "running"
     else Printf.sprintf "idle %.0fs" r.snapshot_age_s

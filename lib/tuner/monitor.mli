@@ -3,7 +3,7 @@
     Read-only: the table is built purely from the files the shard
     protocol already maintains — telemetry records
     ({!Gat_util.Telemetry}: held shard, points, latency histograms,
-    reclaim counts, and the crash note of a process that died), read
+    reclaim counts, and the note of a process that stopped early), read
     header-only: the events logs beside them are never opened.
     One row per (host,pid) ever seen in the directory. *)
 
@@ -17,10 +17,11 @@ type row = {
   p99_ns : int;
   snapshot_age_s : float;  (** Seconds since the last telemetry flush. *)
   reclaimed : int;  (** [shard.leases_reclaimed] by this process. *)
-  crashed : bool;
-      (** The worker's record carries a crash note; its row shows no
-          held shard. *)
-  crash_note : string;
+  stopped : bool;
+      (** The worker's record carries a note — it stopped early on a
+          fatal error, SIGTERM or SIGINT; its row shows no held
+          shard. *)
+  note : string;
   gone : bool;
       (** On this host, [kill pid 0] fails with [ESRCH]: the process
           was SIGKILLed or has exited.  Its row shows no held shard. *)
@@ -36,7 +37,7 @@ val header : string
 
 val render_row : row -> string
 (** One fixed-width, greppable line per worker (pure).  Its status is
-    [crashed: NOTE], [gone], [running] (a held shard) or [idle Ns]
+    [stopped: NOTE], [gone], [running] (a held shard) or [idle Ns]
     (seconds since the last flush), first match wins. *)
 
 val render : row list -> string

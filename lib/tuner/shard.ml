@@ -471,7 +471,7 @@ let coordinate ?jobs ?retries ?max_failures ?block ?(ttl = default_ttl)
 
 type worker_report = { shards : int; points : int; stale : bool }
 
-let work ?jobs ?retries ?block ?progress ~dir m ~kernel ~gpu () =
+let work ?jobs ?retries ?block ?progress ?log ~dir m ~kernel ~gpu () =
   Telemetry.enable ~dir;
   (* Attach snapshot: a worker SIGKILLed before its first block
      still left one flushed snapshot for the fleet merge. *)
@@ -490,8 +490,8 @@ let work ?jobs ?retries ?block ?progress ~dir m ~kernel ~gpu () =
       true)
     else parts_from 0
   in
-  drain ?jobs ?retries ?block ~dir ~owner:(Lease.make_owner ()) ~manifest:m
-    ~kernel ~gpu ~stop:finished
+  drain ?jobs ?retries ?block ?log ~dir ~owner:(Lease.make_owner ())
+    ~manifest:m ~kernel ~gpu ~stop:finished
     ~on_block:(fun i ~done_ ~failures ->
       Option.iter
         (fun f -> f ~shard:i ~done_ ~total:(snd m.ranges.(i)) ~failures)

@@ -158,6 +158,7 @@ val work :
   ?retries:int ->
   ?block:int ->
   ?progress:(shard:int -> done_:int -> total:int -> failures:int -> unit) ->
+  ?log:(string -> unit) ->
   dir:string ->
   manifest ->
   kernel:Gat_ir.Kernel.t ->
@@ -171,7 +172,9 @@ val work :
     lost lease just sends it back to the loop.  The caller resolves [kernel]/[gpu] from the
     manifest's names and must pass the same objects the coordinator
     used.  [progress] reports the in-flight shard's index and
-    range-relative progress ([total] is that shard's length).
+    range-relative progress ([total] is that shard's length).  [log]
+    receives the claim loop's lines, as {!coordinate}'s does: a
+    reclaimed expired lease and a resume from salvaged points.
     @raise Gat_util.Error.Error (stage [Interrupted]) on cancel. *)
 
 (** {1 Maintenance} — [gat cache stats] / [gc] / [clear].

@@ -50,11 +50,21 @@ module Log = struct
 
   let buckets = 256
 
-  type t = { counts : int Atomic.t array; sum_ns : int Atomic.t }
+  (* The bucket cells are allocated by the first sample: a process
+     registers every histogram at start-up and a short one records
+     into few, so eager cells (about 6 KB each) would only grow its
+     start-up allocation. *)
+  type t = { cells : int Atomic.t array Atomic.t; sum_ns : int Atomic.t }
 
-  let create () =
-    { counts = Array.init buckets (fun _ -> Atomic.make 0);
-      sum_ns = Atomic.make 0 }
+  let create () = { cells = Atomic.make [||]; sum_ns = Atomic.make 0 }
+
+  let cells t =
+    match Atomic.get t.cells with
+    | [||] ->
+        let fresh = Array.init buckets (fun _ -> Atomic.make 0) in
+        if Atomic.compare_and_set t.cells [||] fresh then fresh
+        else Atomic.get t.cells
+    | cs -> cs
 
   let msb v =
     let rec go v acc = if v <= 1 then acc else go (v lsr 1) (acc + 1) in
@@ -76,24 +86,31 @@ module Log = struct
 
   let record t ns =
     let ns = if ns < 0 then 0 else ns in
-    ignore (Atomic.fetch_and_add t.counts.(bucket_of_ns ns) 1);
+    ignore (Atomic.fetch_and_add (cells t).(bucket_of_ns ns) 1);
     ignore (Atomic.fetch_and_add t.sum_ns ns)
 
-  let total t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.counts
+  let total t =
+    Array.fold_left (fun acc c -> acc + Atomic.get c) 0 (Atomic.get t.cells)
+
   let sum_ns t = Atomic.get t.sum_ns
-  let counts t = Array.map Atomic.get t.counts
+
+  let counts t =
+    match Atomic.get t.cells with
+    | [||] -> Array.make buckets 0
+    | cs -> Array.map Atomic.get cs
 
   let of_counts ?(sum_ns = 0) cs =
     if Array.length cs <> buckets then
       invalid_arg "Histogram.Log.of_counts: wrong bucket count";
-    { counts = Array.map Atomic.make cs; sum_ns = Atomic.make sum_ns }
+    { cells = Atomic.make (Array.map Atomic.make cs);
+      sum_ns = Atomic.make sum_ns }
 
   let merge_into ~into t =
     Array.iteri
       (fun i c ->
         let n = Atomic.get c in
-        if n <> 0 then ignore (Atomic.fetch_and_add into.counts.(i) n))
-      t.counts;
+        if n <> 0 then ignore (Atomic.fetch_and_add (cells into).(i) n))
+      (Atomic.get t.cells);
     let s = Atomic.get t.sum_ns in
     if s <> 0 then ignore (Atomic.fetch_and_add into.sum_ns s)
 
@@ -104,7 +121,7 @@ module Log = struct
     m
 
   let reset t =
-    Array.iter (fun c -> Atomic.set c 0) t.counts;
+    Array.iter (fun c -> Atomic.set c 0) (Atomic.get t.cells);
     Atomic.set t.sum_ns 0
 
   (* Lower edge of the first bucket whose cumulative count reaches
@@ -126,58 +143,9 @@ module Log = struct
                found := bucket_lower i;
                raise Exit
              end)
-           t.counts
+           (Atomic.get t.cells)
        with Exit -> ());
       !found
-
-  (* Sparse text form, one token per non-empty bucket: "i:count",
-     prefixed by the total sample sum so mean survives round-trips. *)
-  let serialize t =
-    let b = Buffer.create 128 in
-    Buffer.add_string b (Printf.sprintf "sum=%d" (Atomic.get t.sum_ns));
-    Array.iteri
-      (fun i c ->
-        let n = Atomic.get c in
-        if n <> 0 then Buffer.add_string b (Printf.sprintf " %d:%d" i n))
-      t.counts;
-    Buffer.contents b
-
-  let parse s =
-    match String.split_on_char ' ' (String.trim s) with
-    | [] -> None
-    | sum :: rest -> (
-        let parse_sum s =
-          if String.length s > 4 && String.sub s 0 4 = "sum=" then
-            int_of_string_opt (String.sub s 4 (String.length s - 4))
-          else None
-        in
-        match parse_sum sum with
-        | None -> None
-        | Some sum_ns -> (
-            let t = create () in
-            Atomic.set t.sum_ns sum_ns;
-            try
-              List.iter
-                (fun tok ->
-                  if tok <> "" then
-                    match String.index_opt tok ':' with
-                    | None -> raise Exit
-                    | Some j -> (
-                        let i =
-                          int_of_string_opt (String.sub tok 0 j)
-                        and n =
-                          int_of_string_opt
-                            (String.sub tok (j + 1)
-                               (String.length tok - j - 1))
-                        in
-                        match (i, n) with
-                        | Some i, Some n when i >= 0 && i < buckets && n >= 0
-                          ->
-                            Atomic.set t.counts.(i) n
-                        | _ -> raise Exit))
-                rest;
-              Some t
-            with Exit -> None))
 
   let pp_ns ns =
     let f = float_of_int ns in

@@ -37,7 +37,9 @@ module Log : sig
   (** Number of buckets in the global scheme (256). *)
 
   val create : unit -> t
-  (** A fresh, empty histogram. *)
+  (** A fresh, empty histogram.  Its bucket cells are allocated by its
+      first sample, so a registered histogram never recorded into costs
+      a few words. *)
 
   val record : t -> int -> unit
   (** Record one sample in nanoseconds (negative clamps to 0). *)
@@ -75,13 +77,6 @@ module Log : sig
   (** [percentile_ns t q] is the lower edge of the first bucket whose
       cumulative count reaches [q] of the total ([q] in [0,1]); 0 for
       an empty histogram.  Deterministic and monotone in [q]. *)
-
-  val serialize : t -> string
-  (** One-line sparse text form ("sum=N i:count i:count ...") for
-      telemetry snapshots. *)
-
-  val parse : string -> t option
-  (** Inverse of {!serialize}; [None] on any malformed input. *)
 
   val pp_ns : int -> string
   (** Human-readable nanoseconds ("1.5ms", "2.10s"). *)

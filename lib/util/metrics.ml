@@ -1,4 +1,4 @@
-(* Process-wide counters and timers.
+(* Process-wide counters and duration histograms.
 
    The substrate is deliberately minimal: a counter is one atomic
    integer, an increment is one [fetch_and_add], and the registry
@@ -9,29 +9,26 @@
    engine's cache-hit rates, retry counts and failure totals are
    always available, not only when someone remembered to profile.
 
-   Timers record wall-clock durations on the monotonic clock
-   (bechamel's [clock_gettime(CLOCK_MONOTONIC)] stub, nanosecond
-   resolution, allocation-free).  Counter values are deterministic for
-   a deterministic run; timer sums are not, which is why the
-   deterministic {!render_counters} dump and the full {!render} dump
-   are separate entry points — golden tests cover the former. *)
+   Every duration is a log-bucketed histogram ({!Histogram.Log}) of
+   wall-clock samples on the monotonic clock (bechamel's
+   [clock_gettime(CLOCK_MONOTONIC)] stub, nanosecond resolution,
+   allocation-free): its count and sum are what a timer would keep,
+   its buckets give p50/p99, and it merges across a fleet bucket-wise.
+   Counter values are deterministic for a deterministic run; durations
+   are not, which is why the deterministic {!render_counters} dump and
+   the full {!render} dump are separate entry points — golden tests
+   cover the former. *)
 
 let now_ns () = Monotonic_clock.now ()
+let seconds ns = float_of_int ns *. 1e-9
 
 type counter = { name : string; value : int Atomic.t }
-
-type timer = {
-  tname : string;
-  events : int Atomic.t;
-  total_ns : int Atomic.t;
-}
 
 let lock = Mutex.create ()
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
-let timers : (string, timer) Hashtbl.t = Hashtbl.create 16
 
-type hist = { hname : string; h : Histogram.Log.t }
+type hist = Histogram.Log.t
 
 let hists : (string, hist) Hashtbl.t = Hashtbl.create 16
 
@@ -49,86 +46,53 @@ let set c v = Atomic.set c.value v
 let value c = Atomic.get c.value
 let bump ?by name = incr ?by (counter name)
 
-let timer tname =
+let histogram name =
   Mutex.protect lock (fun () ->
-      match Hashtbl.find_opt timers tname with
-      | Some t -> t
-      | None ->
-          let t = { tname; events = Atomic.make 0; total_ns = Atomic.make 0 } in
-          Hashtbl.replace timers tname t;
-          t)
-
-let timer_add t ns =
-  ignore (Atomic.fetch_and_add t.events 1);
-  ignore (Atomic.fetch_and_add t.total_ns ns)
-
-let timed t f =
-  let t0 = now_ns () in
-  match f () with
-  | v ->
-      let dt = Int64.to_int (Int64.sub (now_ns ()) t0) in
-      timer_add t dt;
-      (v, float_of_int dt *. 1e-9)
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      timer_add t (Int64.to_int (Int64.sub (now_ns ()) t0));
-      Printexc.raise_with_backtrace e bt
-
-let time t f = fst (timed t f)
-
-let histogram hname =
-  Mutex.protect lock (fun () ->
-      match Hashtbl.find_opt hists hname with
+      match Hashtbl.find_opt hists name with
       | Some h -> h
       | None ->
-          let h = { hname; h = Histogram.Log.create () } in
-          Hashtbl.replace hists hname h;
+          let h = Histogram.Log.create () in
+          Hashtbl.replace hists name h;
           h)
 
-let observe h ns = Histogram.Log.record h.h ns
+let observe = Histogram.Log.record
 
-let observe_timed h f =
+let timed h f =
   let t0 = now_ns () in
+  let elapsed () = Int64.to_int (Int64.sub (now_ns ()) t0) in
   match f () with
   | v ->
-      observe h (Int64.to_int (Int64.sub (now_ns ()) t0));
-      v
+      let dt = elapsed () in
+      observe h dt;
+      (v, seconds dt)
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      observe h (Int64.to_int (Int64.sub (now_ns ()) t0));
+      observe h (elapsed ());
       Printexc.raise_with_backtrace e bt
+
+let observe_timed h f = fst (timed h f)
 
 let reset () =
   Mutex.protect lock (fun () ->
       Hashtbl.iter (fun _ c -> Atomic.set c.value 0) counters;
-      Hashtbl.iter
-        (fun _ t ->
-          Atomic.set t.events 0;
-          Atomic.set t.total_ns 0)
-        timers;
-      Hashtbl.iter (fun _ h -> Histogram.Log.reset h.h) hists)
+      Hashtbl.iter (fun _ h -> Histogram.Log.reset h) hists)
 
 let counters_snapshot () =
   Mutex.protect lock (fun () ->
       Hashtbl.fold (fun name c acc -> (name, Atomic.get c.value) :: acc) counters [])
   |> List.sort compare
 
-let timers_snapshot () =
-  Mutex.protect lock (fun () ->
-      Hashtbl.fold
-        (fun name t acc ->
-          (name, Atomic.get t.events, float_of_int (Atomic.get t.total_ns) *. 1e-9)
-          :: acc)
-        timers [])
-  |> List.sort compare
-
 let histograms_snapshot () =
-  Mutex.protect lock (fun () -> Hashtbl.fold (fun name h acc -> (name, h.h) :: acc) hists [])
+  Mutex.protect lock (fun () -> Hashtbl.fold (fun name h acc -> (name, h) :: acc) hists [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+let timers_snapshot () =
+  List.map
+    (fun (name, h) -> (name, Histogram.Log.total h, seconds (Histogram.Log.sum_ns h)))
+    (histograms_snapshot ())
+
 let merge_histogram name other =
-  let h = histogram name in
-  Histogram.Log.merge_into ~into:h.h other
+  Histogram.Log.merge_into ~into:(histogram name) other
 
 (* ---- rendering ---- *)
 
@@ -157,33 +121,26 @@ let render_counters () =
     (counters_snapshot ());
   Buffer.contents b
 
-let render_histograms () =
-  let b = Buffer.create 2048 in
-  List.iter
-    (fun (name, h) ->
-      let n = Histogram.Log.total h in
-      if n > 0 then begin
-        Buffer.add_string b
-          (Printf.sprintf "# %s: %d samples, p50 %s, p99 %s, mean %s\n" name n
-             (Histogram.Log.pp_ns (Histogram.Log.percentile_ns h 0.5))
-             (Histogram.Log.pp_ns (Histogram.Log.percentile_ns h 0.99))
-             (Histogram.Log.pp_ns (Histogram.Log.sum_ns h / n)));
-        Buffer.add_string b (Histogram.Log.render h)
-      end)
-    (histograms_snapshot ());
-  Buffer.contents b
-
+(* One section per duration: its Prometheus summary lines, then, once
+   it has samples, p50/p99/mean and the log-scale bars. *)
 let render () =
   let b = Buffer.create 2048 in
   Buffer.add_string b (render_counters ());
   List.iter
-    (fun (name, count, seconds) ->
+    (fun (name, h) ->
+      let n = Histogram.Log.total h and sum = Histogram.Log.sum_ns h in
       let p = prometheus_name name ^ "_seconds" in
-      Buffer.add_string b
-        (Printf.sprintf "# TYPE %s summary\n%s_count %d\n%s_sum %.6f\n" p p
-           count p seconds))
-    (timers_snapshot ());
-  Buffer.add_string b (render_histograms ());
+      Printf.bprintf b "# TYPE %s summary\n%s_count %d\n%s_sum %.6f\n" p p n p
+        (seconds sum);
+      if n > 0 then begin
+        let pp = Histogram.Log.pp_ns in
+        Printf.bprintf b "# %s: p50 %s, p99 %s, mean %s\n" name
+          (pp (Histogram.Log.percentile_ns h 0.5))
+          (pp (Histogram.Log.percentile_ns h 0.99))
+          (pp (sum / n));
+        Buffer.add_string b (Histogram.Log.render h)
+      end)
+    (histograms_snapshot ());
   Buffer.contents b
 
 let dump_requested () =

@@ -1,4 +1,5 @@
-(** Process-wide counters and timers: the always-on metrics substrate.
+(** Process-wide counters and duration histograms: the always-on
+    metrics substrate.
 
     A counter is one atomic integer; an increment is one
     [fetch_and_add] with no lock and no allocation, cheap enough that
@@ -13,15 +14,18 @@
     single-flight {!Memo}, so its misses count distinct keys), so
     {!render_counters} is golden-testable.  Only the pool's scheduling
     counters vary with the worker count (see {!render_counters}).
-    Timer sums are wall-clock and are rendered only by the full
-    {!render}.
+
+    Every duration is one kind of metric, a log-bucketed histogram
+    ({!Histogram.Log}): its sample count and nanosecond sum are a
+    timer's, its buckets give percentiles, and a fleet's
+    histograms merge bucket-wise.  Durations are wall-clock and are rendered only by
+    the full {!render}.
 
     Naming convention: dotted lowercase paths
     ([cache.disk.hits], [pool.jobs.recovered]); rendering mangles them
     to Prometheus form ([gat_cache_disk_hits]). *)
 
 type counter
-type timer
 
 val now_ns : unit -> int64
 (** Monotonic clock ([CLOCK_MONOTONIC]), nanoseconds, allocation-free.
@@ -43,32 +47,23 @@ val bump : ?by:int -> string -> unit
 (** [incr] by name, paying the registry lookup — for cold paths with
     dynamic names (e.g. [fault.injected.<site>]). *)
 
-val timer : string -> timer
-(** Find or register a timer (event count + total duration). *)
-
-val timer_add : timer -> int -> unit
-(** Record one event of the given duration in nanoseconds. *)
-
-val timed : timer -> (unit -> 'a) -> 'a * float
-(** Run the thunk, record its duration, and also return it in seconds
-    (for printing).  The duration is recorded even if the thunk
-    raises. *)
-
-val time : timer -> (unit -> 'a) -> 'a
-(** {!timed} without the duration. *)
-
 type hist
-(** A named log-bucketed latency histogram ({!Histogram.Log}). *)
+(** A named log-bucketed duration histogram ({!Histogram.Log}). *)
 
 val histogram : string -> hist
 (** Find or register the histogram with this name (registry-locked;
     call at module initialization, not per event). *)
 
 val observe : hist -> int -> unit
-(** Record one latency sample in nanoseconds — two atomic adds. *)
+(** Record one duration in nanoseconds — two atomic adds. *)
+
+val timed : hist -> (unit -> 'a) -> 'a * float
+(** Run the thunk, record its duration, and also return it in seconds
+    (for printing).  The duration is recorded even if the thunk
+    raises. *)
 
 val observe_timed : hist -> (unit -> 'a) -> 'a
-(** Run the thunk and record its duration (recorded even on raise). *)
+(** {!timed} without the duration. *)
 
 val histograms_snapshot : unit -> (string * Histogram.Log.t) list
 (** All histograms, sorted by name.  The returned histograms are the
@@ -79,19 +74,17 @@ val merge_histogram : string -> Histogram.Log.t -> unit
 (** Bucket-wise add an external histogram (e.g. a worker snapshot's)
     into the named registry histogram, registering it if needed. *)
 
-val render_histograms : unit -> string
-(** ASCII rendering of every non-empty histogram: a summary line
-    (samples, p50, p99, mean) followed by log-scale bars. *)
-
 val reset : unit -> unit
-(** Zero every registered counter and timer (registration survives). *)
+(** Zero every registered counter and histogram (registration
+    survives). *)
 
 val counters_snapshot : unit -> (string * int) list
 (** All counters, sorted by name.  Deterministic for a deterministic
     run. *)
 
 val timers_snapshot : unit -> (string * int * float) list
-(** All timers as [(name, events, total_seconds)], sorted by name. *)
+(** Every histogram as [(name, samples, total_seconds)], sorted by
+    name: the count-and-sum view of {!histograms_snapshot}. *)
 
 val render_counters : unit -> string
 (** Prometheus-style text dump of the counters only — sorted.
@@ -99,8 +92,10 @@ val render_counters : unit -> string
     the pool's workers interleaved. *)
 
 val render : unit -> string
-(** {!render_counters} plus the timers as [_seconds_count] /
-    [_seconds_sum] summaries (not deterministic). *)
+(** {!render_counters} plus one section per histogram: its
+    [_seconds_count] / [_seconds_sum] summary lines and, once it has
+    samples, a p50/p99/mean line and log-scale bars (not
+    deterministic). *)
 
 val pp_duration : float -> string
 (** Human duration from seconds — the single formatting path for CLI

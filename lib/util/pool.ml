@@ -2,15 +2,15 @@ let override = Atomic.make None
 
 (* Pool observability.  Outcome counters (maps, ok, failed, recovered,
    retries) are deterministic for a deterministic workload; the
-   busy/idle timers depend on how the workers interleave — they
+   busy/idle histograms depend on how the workers interleave — they
    describe how the work moved, never what it computed. *)
 let m_maps = Metrics.counter "pool.maps"
 let m_ok = Metrics.counter "pool.jobs.ok"
 let m_failed = Metrics.counter "pool.jobs.failed"
 let m_recovered = Metrics.counter "pool.jobs.recovered"
 let m_retries = Metrics.counter "pool.retries"
-let t_busy = Metrics.timer "pool.worker.busy"
-let t_idle = Metrics.timer "pool.worker.idle"
+let h_busy = Metrics.histogram "pool.worker.busy"
+let h_idle = Metrics.histogram "pool.worker.idle"
 
 let set_default_jobs j =
   (match j with
@@ -87,8 +87,8 @@ let run ?jobs:requested ~halted n body =
   let wall = Int64.to_int (Int64.sub (Metrics.now_ns ()) t0) in
   Array.iter
     (fun b ->
-      Metrics.timer_add t_busy b;
-      Metrics.timer_add t_idle (max 0 (wall - b)))
+      Metrics.observe h_busy b;
+      Metrics.observe h_idle (max 0 (wall - b)))
     busy;
   match Atomic.get failure with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt

@@ -79,6 +79,7 @@ val map_result :
     [pool.retries] counts extra attempts, and [pool.jobs.recovered]
     counts elements that succeeded only after a retry — which the [Ok]
     payload alone cannot distinguish from first-try successes.  The
-    timers [pool.worker.busy] / [pool.worker.idle] split each worker's
-    share of a map's wall time; they depend on the interleaving.
+    histograms [pool.worker.busy] / [pool.worker.idle] take one sample
+    per worker per map, splitting its share of the map's wall time;
+    they depend on the interleaving.
     @raise Invalid_argument if [retries < 0]. *)

@@ -20,10 +20,11 @@
    The record is line-oriented text inside the standard {!Sealed_file}
    envelope: a header (host, pid, the monotonic→wall epoch anchor,
    dropped-event count, an optional crash note), then tagged lines —
-   [counter NAME V], [timer NAME EVENTS NS], [hist NAME <sparse
-   buckets>], [hold SHARD OWNER BYTES] and that many bytes of prefix —
-   and finally [events N BYTES]: the record's events are the first
-   BYTES bytes of the log, N of them.  The log is a sequence of frames
+   [counter NAME V], [hist NAME SUM I C I C …] (the nanosecond sum,
+   then each non-empty bucket's index and count), [hold SHARD OWNER
+   BYTES] and that many bytes of prefix — and finally [events N
+   BYTES]: the record's events are the first BYTES bytes of the log, N
+   of them.  The log is a sequence of frames
    [batch LEN MD5\n] + LEN bytes of trace events, one JSON object per
    line ({!Trace.serialize_events}).  A batch is written at offset
    BYTES of the record before it, never appended blind: a crash dump
@@ -41,7 +42,7 @@
    to within the clocks' skew without requiring synchronized
    monotonic origins. *)
 
-let header = "gat-telem 1\n"
+let header = "gat-telem 2\n"
 let m_flushes = Metrics.counter "telem.flushes"
 let m_skipped = Metrics.counter "telem.snapshots_skipped"
 let m_crashes = Metrics.counter "telem.crashes"
@@ -58,7 +59,6 @@ type snapshot = {
   dropped : int;
   note : string;  (* crash reason; empty for periodic snapshots *)
   counters : (string * int) list;
-  timers : (string * int * int) list;  (* name, events, total ns *)
   histograms : (string * Histogram.Log.t) list;
   hold : hold option;
   events : Trace.event list;
@@ -160,17 +160,38 @@ let capture_header ~note ~hold s =
     dropped = Trace.dropped ();
     note;
     counters = Metrics.counters_snapshot ();
-    timers =
-      List.map
-        (fun (name, events, seconds) ->
-          (name, events, int_of_float (seconds *. 1e9)))
-        (Metrics.timers_snapshot ());
     histograms = Metrics.histograms_snapshot ();
     hold;
     events = [];
   }
 
 (* ---- serialization: {!Store}'s line writer and cursor ---- *)
+
+(* A histogram's [hist] fields: its sum, then [i c] per non-empty
+   bucket, ascending. *)
+let hist_ints h =
+  let cs = Histogram.Log.counts h in
+  let pairs = ref [] in
+  for i = Histogram.Log.buckets - 1 downto 0 do
+    if cs.(i) <> 0 then pairs := i :: cs.(i) :: !pairs
+  done;
+  Histogram.Log.sum_ns h :: !pairs
+
+(* Their inverse: indices in range, counts and sum non-negative. *)
+let read_hist cur =
+  let cs = Array.make Histogram.Log.buckets 0 in
+  let rec fill = function
+    | i :: c :: rest when i >= 0 && i < Histogram.Log.buckets && c >= 0 ->
+        cs.(i) <- c;
+        fill rest
+    | [] -> ()
+    | _ -> Store.bad ()
+  in
+  match Store.fields cur Store.int with
+  | sum :: pairs when sum >= 0 ->
+      fill pairs;
+      Histogram.Log.of_counts ~sum_ns:sum cs
+  | _ -> Store.bad ()
 
 (* Every line up to, not including, [events N BYTES]. *)
 let add_header b snap =
@@ -191,11 +212,7 @@ let add_header b snap =
     (fun (name, v) -> Store.add_line b [ "counter"; name ] [ v ])
     snap.counters;
   List.iter
-    (fun (name, ev, ns) -> Store.add_line b [ "timer"; name ] [ ev; ns ])
-    snap.timers;
-  List.iter
-    (fun (name, h) ->
-      Store.add_line b [ "hist"; name; Histogram.Log.serialize h ] [])
+    (fun (name, h) -> Store.add_line b [ "hist"; name ] (hist_ints h))
     snap.histograms;
   Option.iter
     (fun h ->
@@ -237,18 +254,10 @@ let read_record cur =
         let v = Store.int cur in
         Store.end_line cur;
         lines { snap with counters = (name, v) :: snap.counters }
-    | "timer" ->
+    | "hist" ->
         let name = Store.word cur in
-        let events = Store.int cur in
-        let ns = Store.int cur in
-        Store.end_line cur;
-        lines { snap with timers = (name, events, ns) :: snap.timers }
-    | "hist" -> (
-        let name = Store.word cur in
-        match Histogram.Log.parse (Store.rest cur) with
-        | Some h ->
-            lines { snap with histograms = (name, h) :: snap.histograms }
-        | None -> Store.bad ())
+        let h = read_hist cur in
+        lines { snap with histograms = (name, h) :: snap.histograms }
     | "hold" ->
         let shard = Store.int cur in
         let owner = Store.word cur in
@@ -264,7 +273,6 @@ let read_record cur =
         ( {
             snap with
             counters = List.rev snap.counters;
-            timers = List.rev snap.timers;
             histograms = List.rev snap.histograms;
           },
           n,
@@ -273,7 +281,7 @@ let read_record cur =
   in
   lines
     { host; pid; anchor_mono_ns; anchor_wall_ns; captured_wall_ns; dropped;
-      note = ""; counters = []; timers = []; histograms = []; hold = None;
+      note = ""; counters = []; histograms = []; hold = None;
       events = [] }
 
 let parse_record body = Store.parse ~header body read_record
@@ -484,10 +492,11 @@ let merge_dir d =
   let body, events = Trace.render_merged procs in
   (body, events, List.length procs, skipped)
 
-(* Fold foreign processes' counters and histograms into the live
-   registries, so the coordinator's final [gat stats] / [GAT_STATS]
-   output is fleet-wide.  The caller's own snapshot (same host+pid)
-   is excluded — its numbers are already live. *)
+(* Fold foreign processes' counters and histograms — every duration
+   among them — into the live registries, so the coordinator's final
+   [gat stats] / [GAT_STATS] output is fleet-wide.  The caller's own
+   snapshot (same host+pid) is excluded — its numbers are already
+   live. *)
 let absorb_foreign snaps =
   let self_host = Unix.gethostname () and self_pid = Unix.getpid () in
   List.iter

@@ -4,9 +4,9 @@
     Every coordinator/worker keeps two files in the coordination
     directory.  Its record, [<host>.<pid>.telem], is small, MD5-sealed
     and atomically renamed — after every block, plus on every exit path
-    — and carries its counters, timers, log-bucketed latency
-    histograms, a monotonic→wall epoch anchor and, last,
-    [events N BYTES].  Its events log, [<host>.<pid>.events], holds the
+    — and carries its counters, its log-bucketed duration histograms
+    (the one duration kind, {!Metrics.hist}), a monotonic→wall epoch
+    anchor and, last, [events N BYTES].  Its events log, [<host>.<pid>.events], holds the
     trace ring buffers' events as framed batches ([batch LEN MD5] and
     LEN bytes of event lines); the record's events are the log's first
     BYTES bytes, N events in all.  While it holds a shard the record
@@ -52,8 +52,9 @@ type snapshot = {
   dropped : int;  (** Trace events dropped at buffer capacity. *)
   note : string;  (** Crash reason, set by {!crash_dump}; else empty. *)
   counters : (string * int) list;
-  timers : (string * int * int) list;  (** (name, events, total ns). *)
   histograms : (string * Histogram.Log.t) list;
+      (** Every duration: [pool.worker.busy], [cli.sweep],
+          [sweep.compile], … *)
   hold : hold option;
   events : Trace.event list;
 }
@@ -106,12 +107,14 @@ val to_payload : snapshot -> Buffer.t * string
     {!flush}; lines are emitted with {!Store}'s writer. *)
 
 val of_payload : ?log:string -> string -> snapshot option
-(** Inverse of {!to_payload}, read with {!Store}'s cursor: the fixed
-    header lines in order (the 19-digit wall-clock anchors included),
-    then tagged lines — an optional [note], repeated
-    [counter]/[timer]/[hist], an optional [hold] and its
+(** Inverse of {!to_payload}, read with {!Store}'s cursor: the
+    [gat-telem 2] header, the fixed header lines in order (the
+    19-digit wall-clock anchors included), then tagged lines — an
+    optional [note], repeated [counter NAME V] and
+    [hist NAME SUM I C I C …] (bucket indices in range, counts and
+    sum non-negative, whole pairs), an optional [hold] and its
     length-counted prefix — up to the last, [events N BYTES].  [None]
-    on any malformed input.  Given
+    on any malformed input, a record of an older format included.  Given
     [log], the events are read from exactly its first BYTES bytes
     (every batch's MD5 checked, N events required; bytes past BYTES are
     ignored).  Without it the parse is header-only and the snapshot's
@@ -156,7 +159,7 @@ val merge_dir : string -> string * int * int * int
     processes. *)
 
 val absorb_foreign : snapshot list -> unit
-(** Add foreign processes' counters and histograms into this
-    process's live registries (skipping any snapshot matching this
-    host+pid), so the coordinator's final [gat stats] output is
-    fleet-wide. *)
+(** Add foreign processes' counters and histograms — every duration
+    among them — into this process's live registries (skipping any
+    snapshot matching this host+pid), so the coordinator's final
+    [gat stats] output is fleet-wide. *)

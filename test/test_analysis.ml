@@ -229,7 +229,7 @@ let test_flat_decompositions_coalesce () =
 (* The simulator's memory model must order analysis-derived accesses:
    a strided (column) access costs strictly more latency and traffic
    than a unit-stride or broadcast one.  This pins the wiring of the
-   static analysis into Sim.Memory_model. *)
+   static analysis into the memory model. *)
 let test_memory_model_orders_strides () =
   List.iter
     (fun gpu ->
@@ -242,10 +242,10 @@ let test_memory_model_orders_strides () =
           accesses
       in
       Alcotest.(check bool) "more transactions" true
-        (Gat_sim.Memory_model.access_transactions strided
-        > Gat_sim.Memory_model.access_transactions unit);
+        (Gat_analysis.Memory_model.access_transactions strided
+        > Gat_analysis.Memory_model.access_transactions unit);
       let lat a =
-        Gat_sim.Memory_model.access_latency gpu ~l1_pref_kb:16 ~staging:1 a
+        Gat_analysis.Memory_model.access_latency gpu ~l1_pref_kb:16 ~staging:1 a
       in
       Alcotest.(check bool) "higher latency" true (lat strided > lat unit))
     [ Gat_arch.Gpu.m2050; Gat_arch.Gpu.k20; Gat_arch.Gpu.p100 ]

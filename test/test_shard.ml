@@ -567,7 +567,6 @@ let dead_holder_record ~dir ~shard c =
       dropped = 0;
       note = "";
       counters = [];
-      timers = [];
       histograms = [];
       hold =
         Some
@@ -676,6 +675,36 @@ let test_crashed_holder_salvaged () =
   check_report_eq clean r;
   Alcotest.(check int) "the crashed holder's prefix was salvaged" half
     (Gat_util.Metrics.value salvaged - before)
+
+(* A worker reports its claim loop as a coordinator does.  Shard 0's
+   lease is a foreign holder's (the lease fixture's host and pid, no
+   record beside it), backdated past the ttl, and a dead holder's
+   record holds a 6-point prefix: the worker breaks the lease, resumes
+   from the prefix and logs both. *)
+let test_worker_logs_reclaim_and_salvage () =
+  reset ();
+  let dir = fresh_dir () in
+  let m = manifest (Shard.plan ~total ~shards:1) in
+  Shard.write_manifest ~dir m;
+  let lease = Filename.concat dir "shard-0.lease" in
+  Out_channel.with_open_bin lease (fun oc ->
+      Out_channel.output_string oc
+        (In_channel.with_open_bin "fixtures/entries/golden.lease"
+           In_channel.input_all));
+  backdate lease 60.;
+  dead_holder_record ~dir ~shard:0
+    (Tuner.sweep_range ~jobs:2 ~space ~first:0 ~len:6 kernel gpu ~n:64
+       ~seed:42);
+  let lines = ref [] in
+  let w =
+    Shard.work ~jobs:2 ~log:(fun l -> lines := l :: !lines) ~dir m ~kernel
+      ~gpu ()
+  in
+  Alcotest.(check int) "the worker did the shard" 1 w.Shard.shards;
+  Alcotest.(check (list string))
+    "log lines"
+    [ "shard 0: reclaimed expired lease"; "shard 0: resumed from 6 salvaged points" ]
+    (List.rev !lines)
 
 (* The one resume path, end to end: [gat sweep --shards 1] SIGINTed
    after its first block, then re-run.  The interrupted coordinator is
@@ -868,6 +897,8 @@ let () =
               QCheck_alcotest.to_alcotest test_prefix_merge_property;
               Alcotest.test_case "crashed holder's prefix is salvaged" `Quick
                 test_crashed_holder_salvaged;
+              Alcotest.test_case "worker logs reclaim and salvage" `Quick
+                test_worker_logs_reclaim_and_salvage;
               Alcotest.test_case "interrupted coordinator resumes" `Quick
                 test_interrupted_coordinator_resumes;
             ] );

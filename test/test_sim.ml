@@ -9,6 +9,7 @@ let () =
          (Printf.sprintf "gat-test-%d" (Unix.getpid ())))
 
 open Gat_sim
+module Memory_model = Gat_analysis.Memory_model
 module Gpu = Gat_arch.Gpu
 module Params = Gat_compiler.Params
 module Driver = Gat_compiler.Driver

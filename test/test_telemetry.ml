@@ -134,25 +134,6 @@ let prop_merge_order_invariant =
       && H.total fwd = List.length all
       && H.sum_ns fwd = List.fold_left ( + ) 0 all)
 
-let prop_serialize_roundtrip =
-  QCheck.Test.make ~count:100 ~name:"serialize/parse round-trips"
-    QCheck.(list_of_size Gen.(int_range 0 30) (int_bound 5_000_000))
-    (fun xs ->
-      let h = H.create () in
-      List.iter (H.record h) xs;
-      match H.parse (H.serialize h) with
-      | None -> false
-      | Some h' -> H.counts h = H.counts h' && H.sum_ns h = H.sum_ns h')
-
-let test_parse_rejects_garbage () =
-  List.iter
-    (fun s ->
-      Alcotest.(check bool)
-        (Printf.sprintf "parse %S fails" s)
-        true
-        (H.parse s = None))
-    [ "garbage"; "sum=x 1:2"; "sum=3 999:1"; "sum=3 1:nope"; "1:2" ]
-
 let test_percentiles () =
   let h = H.create () in
   List.iter (H.record h) [ 1; 2; 3; 4; 5 ];
@@ -176,7 +157,6 @@ let sample_snapshot ?(host = "nodeA") ?(pid = 7) ?(note = "") ?hold () =
     dropped = 2;
     note;
     counters = [ ("sweep.points", 3); ("zero", 0) ];
-    timers = [ ("t", 4, 5000) ];
     histograms = [ ("sweep.compile", h) ];
     hold;
     events =
@@ -213,14 +193,14 @@ let check_snapshot_eq a b =
   Alcotest.(check string) "note" a.Telemetry.note b.Telemetry.note;
   Alcotest.(check (list (pair string int)))
     "counters" a.Telemetry.counters b.Telemetry.counters;
-  Alcotest.(check bool) "timers" true (a.Telemetry.timers = b.Telemetry.timers);
   Alcotest.(check (list string))
     "histogram names"
     (List.map fst a.Telemetry.histograms)
     (List.map fst b.Telemetry.histograms);
   List.iter2
     (fun (_, ha) (_, hb) ->
-      Alcotest.(check bool) "histogram counts" true (H.counts ha = H.counts hb))
+      Alcotest.(check bool) "histogram counts" true (H.counts ha = H.counts hb);
+      Alcotest.(check int) "histogram sum" (H.sum_ns ha) (H.sum_ns hb))
     a.Telemetry.histograms b.Telemetry.histograms;
   Alcotest.(check bool) "hold" true (a.Telemetry.hold = b.Telemetry.hold);
   Alcotest.(check bool) "events" true (a.Telemetry.events = b.Telemetry.events)
@@ -280,12 +260,49 @@ let test_payload_rejects_malformed () =
           ~by:"anchor_wall_ns 9999999999999999999" good );
       ("header line missing", replace ~sub:"dropped 2\n" ~by:"" good);
       ("events line missing", replace ~sub:"events 2 " ~by:"" good);
+      ("format 1 header", replace ~sub:"gat-telem 2\n" ~by:"gat-telem 1\n" good);
+      ("timer line", replace ~sub:"events 2 " ~by:"timer t 4 5000\nevents 2 " good);
     ]
   in
   List.iter
     (fun (name, body) ->
       Alcotest.(check bool) name true (Telemetry.of_payload ~log body = None))
     cases
+
+(* A histogram's wire form is the record's [hist] line: it round-trips
+   through the payload alone, and a malformed one fails the record. *)
+let prop_serialize_roundtrip =
+  QCheck.Test.make ~count:100 ~name:"serialize/parse round-trips"
+    QCheck.(list_of_size Gen.(int_range 0 30) (int_bound 5_000_000))
+    (fun xs ->
+      let h = H.create () in
+      List.iter (H.record h) xs;
+      let snap =
+        { (sample_snapshot ()) with Telemetry.histograms = [ ("h", h) ]; events = [] }
+      in
+      match roundtrip snap with
+      | Some { Telemetry.histograms = [ ("h", h') ]; _ } ->
+          H.counts h = H.counts h' && H.sum_ns h = H.sum_ns h'
+      | _ -> false)
+
+let test_parse_rejects_garbage () =
+  let b, log = Telemetry.to_payload (sample_snapshot ()) in
+  let good = Buffer.contents b in
+  List.iter
+    (fun (what, line) ->
+      let body = replace ~sub:"events 2 " ~by:(line ^ "\nevents 2 ") good in
+      Alcotest.(check bool) ("hist " ^ what) true
+        (Telemetry.of_payload ~log body = None))
+    [
+      ("without a sum", "hist x");
+      ("with a negative sum", "hist x -1 3 1");
+      ("with an index past the buckets", "hist x 9 256 1");
+      ("with a negative index", "hist x 9 -1 1");
+      ("with a negative count", "hist x 9 3 -1");
+      ("with an odd pair count", "hist x 9 3 1 4");
+      ("with a non-integer field", "hist x 9 3 one");
+      ("in the old sparse form", "hist x sum=9 3:1");
+    ]
 
 (* Whole-snapshot equality; histograms compare by counts and sum. *)
 let snapshot_equal a b =
@@ -302,13 +319,16 @@ let prop_payload_roundtrip =
     map Int64.of_int
       (oneof [ int_bound 1_000_000; int_range 1_000_000_000_000_000_000 max_int ])
   in
+  (* Every duration rides in the record as a [hist] line: empty
+     histograms, one-sample ones, samples up to 2^50 ns. *)
   let hist =
     map
       (fun xs ->
         let h = H.create () in
         List.iter (H.record h) xs;
         h)
-      (list_size (int_bound 8) (int_bound 5_000_000))
+      (list_size (int_bound 30)
+         (oneof [ int_bound 5_000_000; int_bound (1 lsl 50) ]))
   in
   let hold =
     map3
@@ -319,7 +339,7 @@ let prop_payload_roundtrip =
   in
   let snapshot =
     map
-      (fun ((host, pid, mono, wall), (captured, dropped, note), (counters, timers, histograms), (hold, events)) ->
+      (fun ((host, pid, mono, wall), (captured, dropped, note), (counters, histograms), (hold, events)) ->
         {
           Telemetry.host;
           pid;
@@ -329,7 +349,6 @@ let prop_payload_roundtrip =
           dropped;
           note;
           counters;
-          timers;
           histograms;
           hold;
           events;
@@ -337,10 +356,9 @@ let prop_payload_roundtrip =
       (quad
          (quad line (int_bound 4_000_000) ns ns)
          (triple ns nat line)
-         (triple
+         (pair
             (list_size (int_bound 6) (pair word int))
-            (list_size (int_bound 4) (triple word nat nat))
-            (list_size (int_bound 3) (pair word hist)))
+            (list_size (int_bound 4) (pair word hist)))
          (pair (opt hold) (oneofl [ []; (sample_snapshot ()).Telemetry.events ])))
   in
   QCheck.Test.make ~count:300
@@ -371,7 +389,6 @@ let golden_snapshot =
     dropped = 1;
     note = "sweep interrupted at 16/32 points";
     counters = [ ("sweep.points", 16); ("shard.salvaged_points", 0) ];
-    timers = [ ("sweep.block", 2, 1_234_567) ];
     histograms = [ ("sweep.compile", h) ];
     hold =
       Some
@@ -401,7 +418,7 @@ let golden_snapshot =
       ];
   }
 
-let golden_telem_md5 = "724862406e86a77acbda733b7f9819ce"
+let golden_telem_md5 = "6ae78380d34cfd5eb9d1021d7f050e9b"
 let golden_events_md5 = "5876a02d71c4ad159841e6587866ebbb"
 
 let test_golden_bytes () =
@@ -425,6 +442,40 @@ let test_golden_bytes () =
   match Telemetry.read_file ~header_only:true fixture with
   | None -> Alcotest.fail "record fixture does not read header-only"
   | Some got -> check_snapshot_eq { golden_snapshot with events = [] } got
+
+(* ---- the coordinator's fleet-wide registry ---- *)
+
+(* A foreign record's durations join the live registry as its counters
+   do — a worker's pool busy time shows in the coordinator's
+   [GAT_STATS] — and this process's own record is skipped. *)
+let test_absorb_foreign_durations () =
+  let busy () =
+    match
+      List.find_opt
+        (fun (n, _, _) -> n = "pool.worker.busy")
+        (Metrics.timers_snapshot ())
+    with
+    | Some (_, k, s) -> (k, s)
+    | None -> (0, 0.0)
+  in
+  let h = H.create () in
+  List.iter (H.record h) [ 1_000_000; 2_000_000; 3_000_000 ];
+  let record ~host ~pid =
+    {
+      (sample_snapshot ~host ~pid ()) with
+      Telemetry.counters = [];
+      histograms = [ ("pool.worker.busy", h) ];
+    }
+  in
+  let k0, s0 = busy () in
+  Telemetry.absorb_foreign
+    [
+      record ~host:"nodeB" ~pid:9;
+      record ~host:(Unix.gethostname ()) ~pid:(Unix.getpid ());
+    ];
+  let k1, s1 = busy () in
+  Alcotest.(check int) "foreign samples absorbed, own skipped" (k0 + 3) k1;
+  Alcotest.(check (float 1e-9)) "foreign sum absorbed" (s0 +. 0.006) s1
 
 (* ---- sealed snapshots on disk: corruption is skipped-and-counted ---- *)
 
@@ -646,7 +697,7 @@ let test_header_only_read () =
   Telemetry.enable ~dir:d;
   Metrics.set (Metrics.counter "sweep.points") 12;
   Metrics.observe (Metrics.histogram "sweep.compile") 2_000;
-  Metrics.time (Metrics.timer "test.header_only") (fun () -> ());
+  Metrics.observe_timed (Metrics.histogram "test.header_only") (fun () -> ());
   Trace.span "test.header" (fun () -> ());
   Telemetry.flush ();
   Telemetry.disable ();
@@ -938,7 +989,7 @@ let test_monitor_rows () =
        Alcotest.(check bool) "p99 >= p50" true (r.Monitor.p99_ns >= r.Monitor.p50_ns);
        Alcotest.(check bool) "renewal age is the fresh record's" true
          (r.Monitor.snapshot_age_s < 5.);
-       Alcotest.(check bool) "not crashed" true (not r.Monitor.crashed);
+       Alcotest.(check bool) "not stopped" true (not r.Monitor.stopped);
        let line = Monitor.render_row r in
        Alcotest.(check bool) "line names the worker" true
          (contains line (Printf.sprintf "%s:%d" r.Monitor.host r.Monitor.pid));
@@ -956,19 +1007,34 @@ let test_monitor_rows () =
       Alcotest.(check bool) "line says idle" true (contains (Monitor.render_row r) "idle")
   | l, _ -> Alcotest.fail (Printf.sprintf "expected 1 row, got %d" (List.length l)));
   (* The crash republishes the record with the note and the hold: the
-     row is crashed and shows no shard, however fresh the record. *)
+     row is stopped and shows no shard, however fresh the record. *)
   Telemetry.crash_dump ~reason:"boom";
   Telemetry.disable ();
   let rows, _ = Monitor.rows d in
   match rows with
   | [ r ] ->
-      Alcotest.(check bool) "crashed flagged" true r.Monitor.crashed;
-      Alcotest.(check string) "crash note" "boom" r.Monitor.crash_note;
-      Alcotest.(check bool) "crashed row shows no shard" true
+      Alcotest.(check bool) "stopped flagged" true r.Monitor.stopped;
+      Alcotest.(check string) "note" "boom" r.Monitor.note;
+      Alcotest.(check bool) "stopped row shows no shard" true
         (r.Monitor.shard = None);
       let line = Monitor.render_row r in
-      Alcotest.(check bool) "line says crashed" true
-        (contains line "crashed: boom");
+      Alcotest.(check bool) "line says stopped" true
+        (contains line "stopped: boom");
+      (* A holder stopped cleanly by SIGINT leaves the interrupt as its
+         note: the row says it stopped, and why, not that it crashed. *)
+      let sigint = "sweep interrupted at 256/5120 points" in
+      publish_snapshot
+        (Telemetry.snapshot_path ~dir:d ~host:"nodeB" ~pid:9)
+        (sample_snapshot ~host:"nodeB" ~pid:9 ~note:sigint ());
+      let rows, _ = Monitor.rows d in
+      (match List.find_opt (fun r -> r.Monitor.host = "nodeB") rows with
+      | None -> Alcotest.fail "no row for the interrupted holder"
+      | Some r ->
+          let line = Monitor.render_row r in
+          Alcotest.(check bool) "interrupted line says stopped" true
+            (contains line ("stopped: " ^ sigint));
+          Alcotest.(check bool) "interrupted line does not say crashed" false
+            (contains line "crashed"));
       Alcotest.(check bool) "line shows no shard" true
         (contains line
            (Printf.sprintf "%-20s %6s"
@@ -1067,6 +1133,8 @@ let () =
             test_merged_trace_two_processes;
           Alcotest.test_case "epoch anchor alignment" `Quick
             test_epoch_anchor_alignment;
+          Alcotest.test_case "absorb_foreign folds durations" `Quick
+            test_absorb_foreign_durations;
         ] );
       ( "monitor",
         [ Alcotest.test_case "rows and rendering" `Quick test_monitor_rows ] );

@@ -50,20 +50,20 @@ let test_snapshot_sorted () =
   let names = List.map fst (Metrics.counters_snapshot ()) in
   Alcotest.(check (list string)) "sorted" (List.sort compare names) names
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let test_prometheus_render () =
   let c = Metrics.counter "test.render.dots" in
   Metrics.set c 3;
   let dump = Metrics.render_counters () in
   let want = "# TYPE gat_test_render_dots counter\ngat_test_render_dots 3\n" in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "mangled name and value present" true (contains dump want)
 
 let test_timer () =
-  let t = Metrics.timer "test.timer" in
+  let t = Metrics.histogram "test.timer" in
   let v, dt = Metrics.timed t (fun () -> 42) in
   Alcotest.(check int) "value" 42 v;
   Alcotest.(check bool) "nonnegative duration" true (dt >= 0.0);
@@ -75,7 +75,12 @@ let test_timer () =
       (fun (name, events, _) -> name = "test.timer" && events = 2)
       (Metrics.timers_snapshot ())
   in
-  Alcotest.(check bool) "both runs recorded (incl. the raising one)" true recorded
+  Alcotest.(check bool) "both runs recorded (incl. the raising one)" true recorded;
+  (* One section per duration: the summary lines, then percentiles. *)
+  let dump = Metrics.render () in
+  Alcotest.(check bool) "summary count" true
+    (contains dump "# TYPE gat_test_timer_seconds summary\ngat_test_timer_seconds_count 2\n");
+  Alcotest.(check bool) "percentile line" true (contains dump "# test.timer: p50 ")
 
 let test_pp_duration () =
   Alcotest.(check string) "sub-ms" "0.50 ms" (Metrics.pp_duration 0.0005);
