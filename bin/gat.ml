@@ -318,13 +318,16 @@ let trace_arg =
         ~doc:
           "Record compile/simulate/cache/pool spans and write them to \
            $(docv) as Chrome trace-event JSON on exit (open in Perfetto \
-           or chrome://tracing).  Results are unaffected.")
+           or chrome://tracing).  A sharded coordinator's $(docv) merges \
+           the spans of every process started with $(b,--trace) and the \
+           counters of every process.  Results are unaffected.")
 
 let set_trace path = Option.iter Gat_util.Trace.enable_to path
 
 (* Set by the sharded-sweep coordinator: at exit, --trace writes the
-   fleet-merged trace (every process's telemetry snapshot) instead of
-   this process's own events. *)
+   fleet-merged trace (every process's telemetry snapshot: spans from
+   the traced ones, counters from all) instead of this process's own
+   events. *)
 let fleet_merge = ref false
 
 (* ---- simulate ---- *)
@@ -1222,7 +1225,8 @@ let trace_merge_cmd =
          "Fold every telemetry snapshot under a coordination directory \
           into one Chrome trace: one process track per (host,pid), \
           domain tracks under each, clocks aligned via the snapshots' \
-          epoch anchors, counters summed fleet-wide.  Corrupt \
+          epoch anchors, spans from the processes run with \
+          $(b,--trace), counters summed fleet-wide.  Corrupt \
           snapshots are skipped and counted.")
     Term.(const trace_merge $ dir $ out)
 
@@ -1367,8 +1371,9 @@ let () =
     | Gat_util.Error.Error e ->
         (* Crash flight recorder: a fatal error during a telemetry
            session republishes its sealed record with the error as its
-           note (ring buffers, counters, the last hold) for the
-           coordinator to surface and merge. *)
+           note (counters, histograms, the last hold, and a traced
+           process's unflushed ring-buffer events) for the coordinator
+           to surface and merge. *)
         Gat_util.Telemetry.crash_dump ~reason:(Gat_util.Error.to_string e);
         Printf.eprintf "gat: %s\n" (Gat_util.Error.to_string e);
         Option.iter (Printf.eprintf "hint: %s\n") e.Gat_util.Error.hint;
@@ -1383,7 +1388,8 @@ let () =
      failed run still leaves its trace and metrics behind.  A sharded
      coordinator's --trace becomes the fleet-merged trace: every
      process's snapshot under the coordination directory, one Chrome
-     process per (host,pid), clocks aligned via the epoch anchors. *)
+     process per (host,pid), clocks aligned via the epoch anchors;
+     spans come only from processes started with --trace. *)
   (match (Gat_util.Telemetry.dir (), Gat_util.Trace.out_path ()) with
   | Some dir, Some path when !fleet_merge -> (
       let body, events, procs, skipped = Gat_util.Telemetry.merge_dir dir in

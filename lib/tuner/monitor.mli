@@ -32,9 +32,6 @@ val rows : ?now:float -> string -> row list * int
     plus the number of corrupt snapshots skipped.  [now] (default
     [Unix.gettimeofday ()]) is injectable for tests. *)
 
-val header : string
-(** The table's fixed-width column header. *)
-
 val render_row : row -> string
 (** One fixed-width, greppable line per worker (pure).  Its status is
     [stopped: NOTE], [gone], [running] (a held shard) or [idle Ns]

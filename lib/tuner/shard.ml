@@ -13,10 +13,11 @@
 
    Crash tolerance is lease-based: after every block a holder
    publishes its telemetry record, which holds the shard's flushed
-   prefix and whose mtime is the lease heartbeat (its trace events go
-   to a separate events log the salvage never reads), so a dead worker's
-   lease expires within one TTL and any observer may break it and take
-   over — resuming from the dead worker's prefix, not from scratch.
+   prefix and whose mtime is the lease heartbeat (a traced holder's
+   events go to a separate events log the salvage never reads), so a
+   dead worker's lease expires within one TTL and any observer may
+   break it and take over — resuming from the dead worker's prefix,
+   not from scratch.
    Breaking is advisory (two holders can briefly coexist); that is
    safe here because evaluation is deterministic per point, so
    duplicate holders publish byte-identical parts and the atomic

@@ -16,7 +16,8 @@
     shard-<i>.part     finished shard — a range-relative checkpoint
     <host>.<pid>.telem Gat_util.Telemetry record: held shard, its prefix;
                        its mtime is the lease heartbeat
-    <host>.<pid>.events the process's trace events, one batch per flush
+    <host>.<pid>.events a traced process's trace events, one batch per
+                       flush (an untraced process has none)
     done               coordinator finished; workers exit 0
     v}
 
@@ -26,7 +27,8 @@
     - a holder's one per-block sealed write is its record, carrying
       both the flushed prefix and the heartbeat, so a live lease
       implies fresh progress and a dead worker is detected within one
-      TTL (the block's trace events go to its events log first);
+      TTL (a traced holder's block events go to its events log
+      first);
     - a process holds one shard at a time (a second concurrent hold
       raises [Invalid_argument]), so one record per process suffices;
     - evaluation is deterministic per point, so a reclaimed shard —
@@ -133,8 +135,9 @@ val coordinate :
     Observability: the coordination runs a {!Gat_util.Telemetry}
     session in [dir] — every holder (this process and each worker)
     republishes its sealed [<host>.<pid>.telem] record after every
-    block and on exit, writing only the block's new trace events to
-    its [<host>.<pid>.events] log; after the merge the coordinator folds every
+    block and on exit; a holder started with [--trace] first writes
+    only the block's new trace events to its [<host>.<pid>.events]
+    log.  After the merge the coordinator folds every
     worker's counters and histograms into the live registries so the
     final [gat stats] is fleet-wide.  [log]
     (default: drop) receives one line per reclaimed lease, per prefix

@@ -68,11 +68,6 @@ let set_spec spec =
       Hashtbl.reset attempts;
       Atomic.set state (Some (match spec with None -> None | Some s -> parse s)))
 
-let reset () =
-  Mutex.protect lock (fun () ->
-      Hashtbl.reset attempts;
-      Atomic.set state None)
-
 let config () =
   match Atomic.get state with
   | Some c -> c

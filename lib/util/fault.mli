@@ -43,6 +43,3 @@ val set_spec : string option -> unit
 (** Programmatic override of [GAT_FAULT]; [None] disables injection.
     Also clears the per-(site, key) attempt counters.
     @raise Error.Error on a malformed spec ({!Error.Usage}). *)
-
-val reset : unit -> unit
-(** Clear attempt counters and re-read [GAT_FAULT] on next use. *)

@@ -4,9 +4,9 @@
     with [O_EXCL]: however many processes race for {!acquire}, the
     filesystem grants it to exactly one.  The body records the owner
     token, pid and host, written and read as lines by {!Store}.  The heartbeat is the holder's telemetry
-    record ([<host>.<pid>.telem] beside the lease; small, since its
-    trace events live in a separate events log), republished by
-    {!heartbeat} after every block; observers treat a lease whose
+    record ([<host>.<pid>.telem] beside the lease; small, since a
+    traced process's events live in a separate events log),
+    republished by {!heartbeat} after every block; observers treat a lease whose
     heartbeat has lapsed as dead ({!live}) and may
     {!break_if_expired} it to take over — this is how a sharded sweep
     survives a SIGKILLed worker.

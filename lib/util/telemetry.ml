@@ -3,7 +3,8 @@
    A sharded sweep is many processes on many machines; each one's
    trace buffers, counters and latency histograms die with it unless
    they are made durable.  This module gives every coordinator/worker
-   two files in the coordination directory:
+   a record in the coordination directory, and a traced one an events
+   log beside it:
 
    - the record [<host>.<pid>.telem]: small, sealed and atomically
      renamed, refreshed after every block (with the held shard's
@@ -11,7 +12,10 @@
      so a SIGKILLed worker's last flush survives its death;
    - the events log [<host>.<pid>.events]: every flush writes only the
      trace events recorded since the previous one, as one framed batch,
-     before it publishes the record that counts them.
+     before it publishes the record that counts them.  A session never
+     turns span recording on itself ([--trace] is the one switch), so
+     an untraced process records no events, opens no log and publishes
+     [events 0 0].
 
    The crash flight recorder republishes the same record with the
    failure as its note and the last flush's hold, from the fatal-error
@@ -82,17 +86,12 @@ type session = {
   s_anchor_mono_ns : int64;
   s_anchor_wall_ns : int64;
   mutable log : event_log;
-  mutable log_fd : Unix.file_descr option;  (* opened at the first publish *)
+  mutable log_fd : Unix.file_descr option;  (* opened by the first batch *)
   mutable held : hold option;  (* the last flush's hold, for a crash dump *)
 }
 
 let session : session option ref = ref None
 let lock = Mutex.create ()
-
-(* Whether this module turned span recording on (as opposed to the CLI
-   having registered a [--trace] output first); owned recording is
-   turned back off when the session ends. *)
-let trace_owned = ref false
 
 let close_log s =
   Option.iter
@@ -117,24 +116,12 @@ let enable ~dir =
   Mutex.lock lock;
   Option.iter close_log !session;
   session := Some s;
-  (* A telemetry session implies span recording: a worker started
-     without [--trace] still fills its (bounded) ring buffers, so its
-     snapshots carry events for the fleet merge.  [Trace.enable] never
-     clobbers an output file registered by [--trace]. *)
-  if not (Trace.on ()) then begin
-    Trace.enable ();
-    trace_owned := true
-  end;
   Mutex.unlock lock
 
 let disable () =
   Mutex.lock lock;
   Option.iter close_log !session;
   session := None;
-  if !trace_owned then begin
-    Trace.disable ();
-    trace_owned := false
-  end;
   Mutex.unlock lock
 
 let active () =
@@ -355,11 +342,9 @@ let log_fd s =
    the next publish. *)
 let publish s ~note ?hold path =
   match
-    let fd = log_fd s in
     let kind, evs, cursor = Trace.events_since s.log.cursor in
     let base = match kind with `Cleared -> no_log | `Appended -> s.log in
     let batch = if evs = [] then "" else frame evs in
-    if batch <> "" then write_at fd base.bytes batch;
     let log =
       {
         cursor;
@@ -367,8 +352,13 @@ let publish s ~note ?hold path =
         count = base.count + List.length evs;
       }
     in
-    (* A restart drops the earlier batches' bytes too. *)
-    if kind = `Cleared then Unix.ftruncate fd log.bytes;
+    (* The first batch opens the log: an untraced process never has one.
+       A restart drops the earlier batches' bytes too. *)
+    if batch <> "" || (kind = `Cleared && s.log_fd <> None) then begin
+      let fd = log_fd s in
+      write_at fd base.bytes batch;
+      if kind = `Cleared then Unix.ftruncate fd log.bytes
+    end;
     s.log <- log;
     let held = match hold with Some h -> String.length h.prefix | None -> 0 in
     let b = Buffer.create (16_384 + held) in

@@ -1,16 +1,20 @@
 (** Fleet telemetry snapshots: durable, mergeable per-process
     observability for sharded sweeps.
 
-    Every coordinator/worker keeps two files in the coordination
-    directory.  Its record, [<host>.<pid>.telem], is small, MD5-sealed
-    and atomically renamed — after every block, plus on every exit path
-    — and carries its counters, its log-bucketed duration histograms
-    (the one duration kind, {!Metrics.hist}), a monotonic→wall epoch
-    anchor and, last, [events N BYTES].  Its events log, [<host>.<pid>.events], holds the
-    trace ring buffers' events as framed batches ([batch LEN MD5] and
-    LEN bytes of event lines); the record's events are the log's first
-    BYTES bytes, N events in all.  While it holds a shard the record
-    carries a {!hold}, and its mtime is the lease heartbeat ({!Lease}).
+    Every coordinator/worker keeps a record in the coordination
+    directory, [<host>.<pid>.telem]: small, MD5-sealed and atomically
+    renamed — after every block, plus on every exit path — carrying
+    its counters, its log-bucketed duration histograms (the one
+    duration kind, {!Metrics.hist}), a monotonic→wall epoch anchor and,
+    last, [events N BYTES].  A session records no spans itself: only a
+    process with span recording on ([--trace], {!Trace.enable_to})
+    has events, and only it writes an events log,
+    [<host>.<pid>.events], holding the trace ring buffers' events as
+    framed batches ([batch LEN MD5] and LEN bytes of event lines); the
+    record's events are the log's first BYTES bytes, N events in all.
+    An untraced process publishes [events 0 0] and opens no log.  While
+    it holds a shard the record carries a {!hold}, and its mtime is the
+    lease heartbeat ({!Lease}).
     The crash flight recorder republishes the same record from the
     fatal-error and fatal-signal paths, with the failure as its [note]
     and the last flush's hold, so a process leaves one record whatever
@@ -64,14 +68,12 @@ type snapshot = {
 val enable : dir:string -> unit
 (** Start a telemetry session publishing into [dir]; samples this
     process's epoch anchor (back-to-back monotonic + wall reads) and
-    turns on span recording into the bounded ring buffers if it is not
-    already on — so a worker started without [--trace] still
-    contributes events to the fleet merge. *)
+    leaves span recording as it is: a worker started without
+    [--trace] contributes counters and histograms to the fleet merge,
+    but no events. *)
 
 val disable : unit -> unit
-(** End the session and close its events log; span recording that
-    {!enable} itself turned on is turned back off (a [--trace]
-    registration is left alone). *)
+(** End the session and close its events log, if it opened one. *)
 
 val dir : unit -> string option
 (** The active session's directory, if any. *)
@@ -79,7 +81,8 @@ val dir : unit -> string option
 val flush : ?hold:hold -> unit -> unit
 (** Write the events recorded since the session's previous publish to
     [<host>.<pid>.events] as one batch (at the log's end, never past
-    it: a crash dump interrupting a flush rewrites the same region),
+    it: a crash dump interrupting a flush rewrites the same region;
+    the first batch creates the log, so without events there is none),
     then capture and atomically publish [<host>.<pid>.telem] (with
     [hold], if any, which the session keeps for {!crash_dump})
     counting them.  A {!Trace.clear} in between
@@ -148,9 +151,6 @@ val dedupe : snapshot list -> snapshot list
     counter total (counters are cumulative), then the later
     [captured_wall_ns] — sorted by (host, pid).  Events are not
     weighed, so header-only and full reads pick the same snapshot. *)
-
-val to_process : snapshot -> Trace.process
-(** The snapshot as {!Trace.render_merged} input. *)
 
 val merge_dir : string -> string * int * int * int
 (** Fold every snapshot under a directory, crashed or not, into one

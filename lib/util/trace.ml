@@ -409,24 +409,14 @@ let out_path () =
   Mutex.unlock reg_lock;
   p
 
-let write_file path =
-  let body, events = render () in
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc body);
-  events
-
 let finish () =
-  let path =
-    Mutex.lock reg_lock;
-    let p = !out_file in
-    Mutex.unlock reg_lock;
-    p
-  in
-  match path with
+  match out_path () with
   | None ->
       Atomic.set enabled false;
       None
   | Some p ->
-      let events = write_file p in
+      let body, events = render () in
+      Out_channel.with_open_bin p (fun oc -> Out_channel.output_string oc body);
       disable ();
       clear ();
       Some (p, events)

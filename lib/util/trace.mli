@@ -124,9 +124,6 @@ val render : unit -> string * int
 val out_path : unit -> string option
 (** The output file registered by {!enable_to}, if any. *)
 
-val write_file : string -> int
-(** Render and write to a file; returns the event count. *)
-
 val finish : unit -> (string * int) option
 (** If tracing was started with {!enable_to}: write the file, disable
     tracing, clear the buffers, and return [(path, events)].

@@ -801,9 +801,12 @@ let test_events_logs_are_cache_files () =
   let record = record_in dir in
   let log = Telemetry.events_path record in
   let session () =
-    with_session dir (fun () ->
-        Gat_util.Trace.span "events-test" (fun () -> ());
-        Telemetry.flush ());
+    (* Only a traced process writes an events log. *)
+    Gat_util.Trace.enable ();
+    Fun.protect ~finally:Gat_util.Trace.disable (fun () ->
+        with_session dir (fun () ->
+            Gat_util.Trace.span "events-test" (fun () -> ());
+            Telemetry.flush ()));
     Alcotest.(check bool) "the flush wrote a log" true
       (Sys.file_exists log && (Unix.stat log).Unix.st_size > 0)
   in

@@ -42,6 +42,18 @@ let own_record d =
   Telemetry.snapshot_path ~dir:d ~host:(Unix.gethostname ())
     ~pid:(Unix.getpid ())
 
+(* A session in [d] that records spans: a session never turns span
+   recording on itself, so a traced process is the only one with an
+   events log.  [end_traced] ends both. *)
+let traced_session d =
+  Telemetry.disable ();
+  Trace.enable ();
+  Telemetry.enable ~dir:d
+
+let end_traced () =
+  Telemetry.disable ();
+  Trace.disable ()
+
 (* The files in [d] with extension [ext]. *)
 let files_with d ext =
   List.filter (fun f -> Filename.check_suffix f ext) (Array.to_list (Sys.readdir d))
@@ -481,12 +493,11 @@ let test_absorb_foreign_durations () =
 
 let test_corruption_skipped () =
   let d = temp_dir "corrupt" in
-  Telemetry.disable ();
-  Telemetry.enable ~dir:d;
+  traced_session d;
   Metrics.set (Metrics.counter "sweep.points") 20;
   Trace.span "corrupt.event" (fun () -> ());
   Telemetry.flush ();
-  Telemetry.disable ();
+  end_traced ();
   let good, skipped = Telemetry.load_dir d in
   Alcotest.(check int) "one good snapshot" 1 (List.length good);
   Alcotest.(check int) "nothing skipped yet" 0 skipped;
@@ -635,9 +646,8 @@ let sort_events evs = List.sort compare evs
 
 let test_incremental_flushes () =
   let d = temp_dir "incremental" in
-  Telemetry.disable ();
   Trace.clear ();
-  Telemetry.enable ~dir:d;
+  traced_session d;
   let host = Unix.gethostname () and pid = Unix.getpid () in
   let bytes = Metrics.counter "telem.bytes_written" in
   let check what path =
@@ -688,19 +698,18 @@ let test_incremental_flushes () =
   record 5;
   Telemetry.crash_dump ~reason:"end";
   check "crash dump" path;
-  Telemetry.disable ();
+  end_traced ();
   Trace.clear ()
 
 let test_header_only_read () =
   let d = temp_dir "header-only" in
-  Telemetry.disable ();
-  Telemetry.enable ~dir:d;
+  traced_session d;
   Metrics.set (Metrics.counter "sweep.points") 12;
   Metrics.observe (Metrics.histogram "sweep.compile") 2_000;
   Metrics.observe_timed (Metrics.histogram "test.header_only") (fun () -> ());
   Trace.span "test.header" (fun () -> ());
   Telemetry.flush ();
-  Telemetry.disable ();
+  end_traced ();
   let path =
     Telemetry.snapshot_path ~dir:d ~host:(Unix.gethostname ())
       ~pid:(Unix.getpid ())
@@ -720,13 +729,12 @@ let test_header_only_read () =
    new event: its record path. *)
 let flushed_session name =
   let d = temp_dir name in
-  Telemetry.disable ();
-  Telemetry.enable ~dir:d;
+  traced_session d;
   Trace.span "log.first" (fun () -> ());
   Telemetry.flush ();
   Trace.span "log.second" (fun () -> ());
   Telemetry.flush ();
-  Telemetry.disable ();
+  end_traced ();
   own_record d
 
 let append_file path s =
@@ -795,8 +803,7 @@ let test_header_only_without_log () =
 
 let test_clear_restarts_log () =
   let d = temp_dir "log-clear" in
-  Telemetry.disable ();
-  Telemetry.enable ~dir:d;
+  traced_session d;
   let path = own_record d in
   let log = Telemetry.events_path path in
   Trace.span "before.clear" (fun () -> ());
@@ -818,19 +825,18 @@ let test_clear_restarts_log () =
       Alcotest.(check bool) "events = Trace.events ()" true
         (sort_events snap.Telemetry.events = sort_events (Trace.events ()))
   | None -> Alcotest.fail "snapshot did not read");
-  Telemetry.disable ()
+  end_traced ()
 
 let test_crash_extends_log () =
   let d = temp_dir "log-shared" in
-  Telemetry.disable ();
-  Telemetry.enable ~dir:d;
+  traced_session d;
   let record = own_record d in
   Trace.span "shared.first" (fun () -> ());
   Telemetry.flush ();
   let flushed = Telemetry.read_file record in
   Trace.span "shared.second" (fun () -> ());
   Telemetry.crash_dump ~reason:"boom";
-  Telemetry.disable ();
+  end_traced ();
   Alcotest.(check int) "one log file" 1 (List.length (files_with d ".events"));
   match (flushed, Telemetry.read_file record) with
   | Some t, Some c ->
@@ -853,9 +859,8 @@ let test_bytes_written_bound () =
      session: rewriting every earlier batch on each flush overruns the
      bound by far. *)
   let d = temp_dir "log-bound" in
-  Telemetry.disable ();
   Trace.clear ();
-  Telemetry.enable ~dir:d;
+  traced_session d;
   let bytes = Metrics.counter "telem.bytes_written" in
   let before = Metrics.value bytes in
   let k = 20 in
@@ -868,7 +873,7 @@ let test_bytes_written_bound () =
     done;
     Telemetry.flush ()
   done;
-  Telemetry.disable ();
+  end_traced ();
   let log = file_size (Telemetry.events_path (own_record d)) in
   let written = Metrics.value bytes - before in
   Alcotest.(check bool)
@@ -884,16 +889,67 @@ let test_no_leaked_descriptors () =
     let d = temp_dir "log-fds" in
     Telemetry.disable ();
     let before = fd_count () in
+    Trace.enable ();
     for i = 1 to 50 do
       Telemetry.enable ~dir:d;
       Trace.span ~args:[ ("i", Trace.I i) ] "fds.event" (fun () -> ());
       Telemetry.flush ();
       Telemetry.disable ()
     done;
+    Trace.disable ();
     Alcotest.(check bool) "the sessions flushed" true
       (Telemetry.read_file (own_record d) <> None);
     Alcotest.(check int) "no more open descriptors" before (fd_count ())
   end
+
+(* A session leaves span recording to [--trace]: untraced, its flushes
+   and crash dump publish [events 0 0] and no log; the same flushes in a
+   traced process write batches that read back whole. *)
+let test_untraced_session_has_no_log () =
+  let flushes d =
+    let path = own_record d in
+    for i = 1 to 3 do
+      Trace.span ~args:[ ("i", Trace.I i) ] "untraced.event" (fun () -> ());
+      Telemetry.flush ()
+    done;
+    path
+  in
+  let d = temp_dir "untraced" in
+  Telemetry.disable ();
+  Trace.disable ();
+  Trace.clear ();
+  Telemetry.enable ~dir:d;
+  let path = flushes d in
+  Alcotest.(check (pair int int)) "flushes: events 0 0" (0, 0) (events_line path);
+  Telemetry.crash_dump ~reason:"end";
+  Alcotest.(check (pair int int)) "crash dump: events 0 0" (0, 0)
+    (events_line path);
+  Telemetry.disable ();
+  Alcotest.(check (list string)) "no events log" [] (files_with d ".events");
+  (match Telemetry.read_file path with
+  | Some snap ->
+      Alcotest.(check string) "the crash note" "end" snap.Telemetry.note;
+      Alcotest.(check int) "no events" 0 (List.length snap.Telemetry.events)
+  | None -> Alcotest.fail "the untraced record did not read");
+  let d = temp_dir "traced" in
+  traced_session d;
+  let path = flushes d in
+  end_traced ();
+  let n, bytes = events_line path in
+  Alcotest.(check int) "traced: three events" 3 n;
+  Alcotest.(check int) "traced: the log is BYTES long" bytes
+    (file_size (Telemetry.events_path path));
+  (match Telemetry.read_file path with
+  | Some snap ->
+      Alcotest.(check (list int)) "traced: every batch reads back" [ 1; 2; 3 ]
+        (List.map
+           (fun e ->
+             match List.assoc_opt "i" e.Trace.args with
+             | Some (Trace.I i) -> i
+             | _ -> -1)
+           snap.Telemetry.events)
+  | None -> Alcotest.fail "the traced record did not read");
+  Trace.clear ()
 
 (* ---- multi-process merge with epoch-anchor alignment ---- *)
 
@@ -1126,6 +1182,8 @@ let () =
             test_bytes_written_bound;
           Alcotest.test_case "no leaked log descriptors" `Quick
             test_no_leaked_descriptors;
+          Alcotest.test_case "untraced session has no log" `Quick
+            test_untraced_session_has_no_log;
         ] );
       ( "merge",
         [
