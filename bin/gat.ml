@@ -856,6 +856,8 @@ let sweep_worker dir jobs retries block no_cache show_progress trace =
         (* The coordinator finished and its state was cleaned up to the
            done marker: nothing left to help with — a clean success. *)
         print_endline "coordinator already finished; nothing to do"
+      else if Sys.file_exists (Gat_tuner.Shard.manifest_file dir) then
+        Gat_util.Error.failf Shard "unreadable shard manifest under %s" dir
       else
         Gat_util.Error.failf Shard
           ~hint:

@@ -2,11 +2,11 @@
     seed every report uses, so the whole evaluation is reproducible from
     one number.
 
-    Sweeps are memoized by {!Gat_tuner.Tuner}; the multi-size sweeps
-    run through the compile-sharing {!Gat_tuner.Tuner.sweep_multi}
-    engine (each variant is compiled once, then simulated at every
-    input size), and pooled rankings are computed once however many
-    figures and tables ask for them. *)
+    Sweeps are served by the tuner's sweep cache
+    ({!Gat_tuner.Tuner.cached}); the multi-size sweeps run through the
+    compile-sharing {!Gat_tuner.Tuner.sweep_multi} engine (each variant
+    is compiled once, then simulated at every input size it misses),
+    and pooled rankings are computed once however many reports ask. *)
 
 val seed : int
 (** 42. *)
@@ -23,7 +23,7 @@ val eval_size : Gat_ir.Kernel.t -> int
 
 val sweep : Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> Gat_tuner.Variant.t list
 (** The exhaustive 5,120-variant evaluation for a kernel/device pair
-    at {!eval_size} (memoized by the tuner). *)
+    at {!eval_size} (served by the tuner's sweep cache). *)
 
 val pruned :
   Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> Gat_tuner.Space.t -> float * float
@@ -36,7 +36,7 @@ val pruned :
 val sweeps :
   Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> (int * Gat_tuner.Variant.t list) list
 (** One exhaustive sweep per paper input size, sharing one compile
-    phase across all sizes (each sweep memoized by the tuner). *)
+    phase across all sizes (each served by the tuner's sweep cache). *)
 
 val pooled_ranking : Gat_ir.Kernel.t -> Gat_arch.Gpu.t -> Gat_tuner.Ranking.t
 (** Rank variants within each input size, then pool the rank-1 and

@@ -26,5 +26,8 @@ let render_all () =
   String.concat "\n"
     (List.map
        (fun e ->
+         Gat_util.Trace.span "experiment"
+           ~args:[ ("id", Gat_util.Trace.S e.id) ]
+         @@ fun () ->
          Printf.sprintf "==== %s: %s ====\n%s" e.id e.title (e.render ()))
        all)

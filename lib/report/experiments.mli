@@ -15,3 +15,5 @@ val find : string -> t option
 (** Case-insensitive id lookup. *)
 
 val render_all : unit -> string
+(** Every experiment in {!all}'s order, each under a header line and
+    inside its own [experiment] trace span (argument [id]). *)

@@ -23,10 +23,11 @@
    duplicate holders publish byte-identical parts and the atomic
    rename makes either one a correct answer.
 
-   The merge validates every part against its MD5 seal and its
-   range length, re-checks that the ranges partition the space, and
-   concatenates in shard order — producing a report byte-identical to
-   the single-process sweep by construction. *)
+   The manifest reader refuses ranges that do not partition the
+   space; the merge validates every part against its MD5 seal and its
+   range length and concatenates in shard order — producing a report
+   byte-identical to the single-process sweep by construction, which
+   the coordinator serves through the sweep cache ({!Tuner.cached}). *)
 
 open Gat_util
 
@@ -132,6 +133,16 @@ let read_manifest_body cur =
         | _ -> Store.bad ())
   in
   let space = { Space.tc; bc; uif; pl; sc; cflags } in
+  (* The ranges must partition the space: contiguous from 0, none
+     negative, covering every point. *)
+  let covered =
+    Array.fold_left
+      (fun pos (first, len) ->
+        if first <> pos || len < 0 then Store.bad ();
+        pos + len)
+      0 ranges
+  in
+  if covered <> Space.cardinality space then Store.bad ();
   { kernel; gpu; n; seed; ttl; space; ranges }
 
 let read_manifest dir =
@@ -288,185 +299,172 @@ let drain ?jobs ?retries ?max_failures ?block ?(log = ignore) ~dir ~owner
    parts) before it aborts. *)
 let shard_attempts = 5
 
+(* The coordination proper: adopt or write the manifest, run the claim
+   loop until every part is merged, and concatenate the parts. *)
+let coordinated_sweep ?jobs ?retries ?max_failures ?block ~ttl ?progress ~log
+    ~dir ~shards space kernel gpu ~n ~seed =
+  let total = Space.cardinality space in
+  Cache_dir.ensure dir;
+  let fresh =
+    {
+      kernel = kernel.Gat_ir.Kernel.name;
+      gpu = gpu.Gat_arch.Gpu.name;
+      n;
+      seed;
+      ttl;
+      space;
+      ranges = plan ~total ~shards;
+    }
+  in
+  let m =
+    match read_manifest dir with
+    | Some existing ->
+        (* The same sweep: every field but the lease ttl and the
+           partition. *)
+        if { existing with ttl; ranges = fresh.ranges } <> fresh then
+          Error.failf Shard
+            ~hint:
+              "point --coordinator at an empty directory, or let gat \
+               derive one under the cache root"
+            "shard directory %s already coordinates a different sweep \
+             (%s on %s, n=%d, seed=%d)"
+            dir existing.kernel existing.gpu existing.n existing.seed;
+        existing
+    | None ->
+        if Sys.file_exists (manifest_file dir) then
+          Error.failf Shard "unreadable shard manifest under %s" dir;
+        (try write_manifest ~dir fresh
+         with Sys_error msg ->
+           Error.failf Shard "cannot write shard manifest: %s" msg);
+        fresh
+  in
+  Telemetry.enable ~dir;
+  (* Attach snapshot: the coordinator is visible to [gat monitor]
+     (and to the merge) even if it dies before its first block. *)
+  Telemetry.flush ();
+  (* A done marker left by a previous completed coordination would
+     stop fresh workers from attaching; this run owns the
+     directory now. *)
+  (try Sys.remove (done_file dir) with Sys_error _ -> ());
+  let k = Array.length m.ranges in
+  Metrics.incr ~by:k m_planned;
+  let owner = Lease.make_owner () in
+  let parts : Disk_cache.checkpoint option array = Array.make k None in
+  let attempts = Array.make k 0 in
+  let reclaimed0 = Metrics.value m_reclaimed in
+  (* Progress is the merged parts' plus the shard in hand's. *)
+  let merged_done = ref 0 and merged_failures = ref 0 in
+  let local_done = ref 0 and local_failures = ref 0 in
+  let report_progress () =
+    match progress with
+    | None -> ()
+    | Some f ->
+        f ~done_:(!merged_done + !local_done) ~total
+          ~failures:(!merged_failures + !local_failures)
+          ~workers:(live_leases ~owner ~ttl:m.ttl dir)
+          ~reclaimed:(Metrics.value m_reclaimed - reclaimed0)
+  in
+  (* A shard whose part keeps arriving damaged, or whose lease this
+     process keeps losing, exhausts its budget and aborts the
+     coordination. *)
+  let failed i =
+    attempts.(i) <- attempts.(i) + 1;
+    if attempts.(i) > shard_attempts then
+      Error.failf Shard
+        ~hint:"inspect the shard directory, or remove it and re-run"
+        "shard %d exhausted its retry budget (%d attempts)" i
+        attempts.(i)
+  in
+  (* Merge every newly published part, this process's own included;
+     a damaged or mismatched part is removed, so the loop redoes
+     it. *)
+  let merged () =
+    Array.iteri
+      (fun i p ->
+        if Option.is_none p && Sys.file_exists (part_file dir i) then
+          match try_read_part dir i ~len:(snd m.ranges.(i)) with
+          | Some c ->
+              parts.(i) <- Some c;
+              merged_done := !merged_done + c.Disk_cache.done_points;
+              merged_failures :=
+                !merged_failures + List.length c.Disk_cache.failures;
+              Metrics.incr m_parts_merged;
+              report_progress ()
+          | None ->
+              (try Sys.remove (part_file dir i) with Sys_error _ -> ());
+              failed i)
+      parts;
+    Array.for_all Option.is_some parts
+  in
+  report_progress ();
+  drain ?jobs ?retries ?max_failures ?block ~log ~dir ~owner ~manifest:m
+    ~kernel ~gpu ~stop:merged
+    ~on_block:(fun _ ~done_ ~failures ->
+      local_done := done_;
+      local_failures := failures;
+      report_progress ())
+    ~on_claim:(fun i outcome ->
+      local_done := 0;
+      local_failures := 0;
+      if outcome = `Lost then failed i)
+    ();
+  (* Every part is merged once [drain] returns: the report is their
+     concatenation in shard order. *)
+  Trace.span "shard.merge" (fun () ->
+      let report =
+        Array.fold_right
+          (fun p (r : Tuner.report) ->
+            Option.fold p ~none:r ~some:(fun (c : Disk_cache.checkpoint) ->
+                {
+                  Tuner.variants = c.variants @ r.variants;
+                  failures = c.failures @ r.failures;
+                  unsafe = c.unsafe @ r.unsafe;
+                }))
+          parts
+          { Tuner.variants = []; failures = []; unsafe = [] }
+      in
+      publish_done dir;
+      report_progress ();
+      report)
+
+(* Fleet telemetry epilogue.  Order matters: publish this process's
+   own (purely local) final snapshot first — after the sweep cache
+   stored the report, so the record counts the store — then fold
+   foreign workers' counters and histograms into the live registries,
+   so the final [gat stats] is fleet-wide while the on-disk snapshots
+   stay per-process and sum cleanly.  Header-only reads: nothing here
+   needs the events, so no events log is opened. *)
+let fleet_epilogue ~log dir =
+  Telemetry.flush ();
+  let snaps, skipped = Telemetry.load_dir ~header_only:true dir in
+  Telemetry.absorb_foreign snaps;
+  if skipped > 0 then
+    log (Printf.sprintf "%d corrupt telemetry snapshot(s) skipped" skipped);
+  (* A note is the last word of a process that stopped early:
+     crashed, killed by SIGTERM, or interrupted. *)
+  List.iter
+    (fun (c : Telemetry.snapshot) ->
+      if c.note <> "" then
+        log (Printf.sprintf "%s:%d stopped early: %s" c.host c.pid c.note))
+    snaps
+
 let coordinate ?jobs ?retries ?max_failures ?block ?(ttl = default_ttl)
     ?progress ?(log = ignore) ?dir ~shards space kernel gpu ~n ~seed =
-  match Disk_cache.find space kernel gpu ~n ~seed with
-  | Some (variants, unsafe) ->
-      { Tuner.variants; failures = []; unsafe }
-  | None ->
-      let total = Space.cardinality space in
-      let dir =
-        match dir with
-        | Some d -> d
-        | None -> default_dir space kernel gpu ~n ~seed
-      in
-      Cache_dir.ensure dir;
-      let fresh =
-        {
-          kernel = kernel.Gat_ir.Kernel.name;
-          gpu = gpu.Gat_arch.Gpu.name;
-          n;
-          seed;
-          ttl;
-          space;
-          ranges = plan ~total ~shards;
-        }
-      in
-      let m =
-        match read_manifest dir with
-        | Some existing ->
-            if
-              existing.kernel <> fresh.kernel
-              || existing.gpu <> fresh.gpu
-              || existing.n <> n || existing.seed <> seed
-              || existing.space <> space
-            then
-              Error.failf Shard
-                ~hint:
-                  "point --coordinator at an empty directory, or let gat \
-                   derive one under the cache root"
-                "shard directory %s already coordinates a different sweep \
-                 (%s on %s, n=%d, seed=%d)"
-                dir existing.kernel existing.gpu existing.n existing.seed;
-            existing
-        | None ->
-            if Sys.file_exists (manifest_file dir) then
-              Error.failf Shard "unreadable shard manifest under %s" dir;
-            (try write_manifest ~dir fresh
-             with Sys_error msg ->
-               Error.failf Shard "cannot write shard manifest: %s" msg);
-            fresh
-      in
-      Telemetry.enable ~dir;
-      (* Attach snapshot: the coordinator is visible to [gat monitor]
-         (and to the merge) even if it dies before its first block. *)
-      Telemetry.flush ();
-      (* A done marker left by a previous completed coordination would
-         stop fresh workers from attaching; this run owns the
-         directory now. *)
-      (try Sys.remove (done_file dir) with Sys_error _ -> ());
-      let k = Array.length m.ranges in
-      let cover = Array.fold_left (fun a (_, l) -> a + l) 0 m.ranges in
-      let contiguous =
-        let pos = ref 0 and ok = ref true in
-        Array.iter
-          (fun (f, l) ->
-            if f <> !pos || l < 0 then ok := false;
-            pos := !pos + l)
-          m.ranges;
-        !ok
-      in
-      if cover <> total || not contiguous then
-        Error.failf Shard
-          "shard manifest ranges do not partition the %d-point space" total;
-      Metrics.incr ~by:k m_planned;
-      let owner = Lease.make_owner () in
-      let parts : Disk_cache.checkpoint option array = Array.make k None in
-      let attempts = Array.make k 0 in
-      let reclaimed0 = Metrics.value m_reclaimed in
-      let local_done = ref 0 and local_failures = ref 0 in
-      let sum f = Array.fold_left (fun a p -> a + f p) 0 parts in
-      let report_progress () =
-        match progress with
-        | None -> ()
-        | Some f ->
-            f
-              ~done_:
-                (!local_done
-                + sum (function
-                    | Some c -> c.Disk_cache.done_points
-                    | None -> 0))
-              ~total
-              ~failures:
-                (!local_failures
-                + sum (function
-                    | Some c -> List.length c.Disk_cache.failures
-                    | None -> 0))
-              ~workers:(live_leases ~owner ~ttl:m.ttl dir)
-              ~reclaimed:(Metrics.value m_reclaimed - reclaimed0)
-      in
-      (* A shard whose part keeps arriving damaged, or whose lease this
-         process keeps losing, exhausts its budget and aborts the
-         coordination. *)
-      let failed i =
-        attempts.(i) <- attempts.(i) + 1;
-        if attempts.(i) > shard_attempts then
-          Error.failf Shard
-            ~hint:"inspect the shard directory, or remove it and re-run"
-            "shard %d exhausted its retry budget (%d attempts)" i
-            attempts.(i)
-      in
-      (* Merge every newly published part, this process's own included;
-         a damaged or mismatched part is removed, so the loop redoes
-         it. *)
-      let merged () =
-        Array.iteri
-          (fun i p ->
-            if Option.is_none p && Sys.file_exists (part_file dir i) then
-              match try_read_part dir i ~len:(snd m.ranges.(i)) with
-              | Some c ->
-                  parts.(i) <- Some c;
-                  Metrics.incr m_parts_merged;
-                  report_progress ()
-              | None ->
-                  (try Sys.remove (part_file dir i) with Sys_error _ -> ());
-                  failed i)
-          parts;
-        Array.for_all Option.is_some parts
-      in
-      report_progress ();
-      drain ?jobs ?retries ?max_failures ?block ~log ~dir ~owner ~manifest:m
-        ~kernel ~gpu ~stop:merged
-        ~on_block:(fun _ ~done_ ~failures ->
-          local_done := done_;
-          local_failures := failures;
-          report_progress ())
-        ~on_claim:(fun i outcome ->
-          local_done := 0;
-          local_failures := 0;
-          if outcome = `Lost then failed i)
-        ();
-      let report =
-        Trace.span "shard.merge" (fun () ->
-            let parts_l =
-              Array.to_list parts
-              |> List.map (function Some c -> c | None -> assert false)
-            in
-            let variants =
-              List.concat_map (fun c -> c.Disk_cache.variants) parts_l
-            in
-            let failures =
-              List.concat_map (fun c -> c.Disk_cache.failures) parts_l
-            in
-            let unsafe =
-              List.concat_map (fun c -> c.Disk_cache.unsafe) parts_l
-            in
-            if failures = [] then
-              Disk_cache.store space kernel gpu ~n ~seed variants unsafe;
-            publish_done dir;
-            report_progress ();
-            { Tuner.variants; failures; unsafe })
-      in
-      (* Fleet telemetry epilogue.  Order matters: publish this
-         process's own (purely local) final snapshot first, then fold
-         foreign workers' counters and histograms into the live
-         registries — so the final [gat stats] is fleet-wide while
-         the on-disk snapshots stay per-process and sum cleanly.
-         Header-only reads: nothing here needs the events, so no
-         events log is opened. *)
-      Telemetry.flush ();
-      let snaps, skipped = Telemetry.load_dir ~header_only:true dir in
-      Telemetry.absorb_foreign snaps;
-      if skipped > 0 then
-        log (Printf.sprintf "%d corrupt telemetry snapshot(s) skipped" skipped);
-      (* A note is the last word of a process that stopped early:
-         crashed, killed by SIGTERM, or interrupted. *)
-      List.iter
-        (fun (c : Telemetry.snapshot) ->
-          if c.note <> "" then
-            log (Printf.sprintf "%s:%d stopped early: %s" c.host c.pid c.note))
-        snaps;
-      report
+  let dir =
+    match dir with Some d -> d | None -> default_dir space kernel gpu ~n ~seed
+  in
+  let coordinated = ref false in
+  let report =
+    List.hd
+    @@ Tuner.cached ~space kernel gpu ~ns:[ n ] ~seed (fun _ ->
+           coordinated := true;
+           [
+             coordinated_sweep ?jobs ?retries ?max_failures ?block ~ttl
+               ?progress ~log ~dir ~shards space kernel gpu ~n ~seed;
+           ])
+  in
+  if !coordinated then fleet_epilogue ~log dir;
+  report
 
 (* ---- worker ---- *)
 

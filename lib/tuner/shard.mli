@@ -74,8 +74,13 @@ val plan : total:int -> shards:int -> (int * int) array
 val read_manifest : string -> manifest option
 (** The sealed manifest under this directory, read with
     {!Gat_util.Store}'s cursor after a {!Disk_cache.header}; [None]
-    when absent, torn, corrupt, or sealed by a different
-    {!Disk_cache.model_version}. *)
+    when absent, torn, corrupt, sealed by a different
+    {!Disk_cache.model_version}, or when its ranges do not partition
+    its space (contiguous from 0, none negative, covering
+    {!Space.cardinality}). *)
+
+val manifest_file : string -> string
+(** The manifest's path under a directory. *)
 
 val write_manifest : dir:string -> manifest -> unit
 (** Atomically publish the sealed manifest (normally the coordinator's
@@ -108,12 +113,13 @@ val coordinate :
   n:int ->
   seed:int ->
   Tuner.report
-(** Run one sweep to completion as a sharded coordination.  Serves a
-    finished sweep straight from {!Disk_cache} when one exists;
-    otherwise writes (or adopts — same kernel/gpu/n/seed/space, else
-    stage [Shard]) the manifest, then runs the same claim loop as
-    {!work}: claim the first shard without a part whose lease it can
-    take (breaking expired leases on the way,
+(** Run one sweep to completion as a sharded coordination, through
+    the sweep cache's tiers ({!Tuner.cached}): a sweep held in memory
+    or on disk is returned at once, touching no directory.  Otherwise
+    it writes (or adopts — same kernel/gpu/n/seed/space, else stage
+    [Shard], as for an unreadable one) the manifest, then runs the
+    same claim loop as {!work}: claim the first shard without a part
+    whose lease it can take (breaking expired leases on the way,
     [shard.leases_reclaimed]) and evaluate it, polling every 50 ms
     while nothing is claimable — so a coordinator with no workers
     degrades gracefully to an ordinary in-process sweep.  Before each
@@ -124,9 +130,9 @@ val coordinate :
     stage [Shard].  Breaking a lease costs no attempt.
 
     The merged report is byte-identical to {!Tuner.sweep_report} of
-    the same sweep; when it has no failures it is stored to
-    {!Disk_cache} exactly like a single-process sweep, and the [done]
-    marker is published so late workers exit cleanly.
+    the same sweep, and is cached exactly like it: it enters the
+    in-process memo and, when it has no failures, {!Disk_cache}.  The
+    [done] marker is published so late workers exit cleanly.
 
     [max_failures] is enforced per shard (each range fails fast past
     the budget, stage [Tune]).  [progress] additionally reports the

@@ -89,7 +89,6 @@ type report = {
 module Sweeps = Gat_util.Memo.Make (String)
 
 let sweeps : report Sweeps.t = Sweeps.create ()
-let sweep_key = Disk_cache.key
 
 let clear_cache () =
   Sweeps.clear sweeps;
@@ -135,6 +134,14 @@ let m_unsafe = Gat_util.Metrics.counter "sweep.unsafe"
 let h_compile = Gat_util.Metrics.histogram "sweep.compile"
 let h_simulate = Gat_util.Metrics.histogram "sweep.simulate"
 
+let checkpoint ~done_points r =
+  {
+    Disk_cache.done_points;
+    variants = r.variants;
+    failures = r.failures;
+    unsafe = r.unsafe;
+  }
+
 (* Evaluation order over [Space.points] is fixed, so the accumulated
    variant and failure lists depend only on (space, kernel, gpu, n,
    seed) — never on the job count, the block size, whether a shard
@@ -146,7 +153,8 @@ let h_simulate = Gat_util.Metrics.histogram "sweep.simulate"
    of the space.  [init] restores an already-evaluated prefix of the
    range (its [done_points] is range-relative); [flush] is invoked
    after every completed block with the accumulated range-relative
-   checkpoint — the hook under per-shard heartbeats. *)
+   checkpoint — the hook under per-shard heartbeats.  The result is
+   one report per size of [ns], in order. *)
 let run_range ?jobs ?(retries = 1) ?max_failures
     ?(block = default_block_size) ?progress ?flush ?init ?interrupt_hint
     kernel gpu ~space ~first ~range_len ~ns ~seed =
@@ -170,22 +178,29 @@ let run_range ?jobs ?(retries = 1) ?max_failures
     Option.map (fun b -> max 0 (b - !failed_global)) max_failures
   in
   let start = ref 0 in
-  (match init with
-  | Some c
-    when c.Disk_cache.done_points > 0 && c.Disk_cache.done_points <= total
-    -> (
-      match acc with
-      | [ (_, variants_rev, failures_rev) ] ->
-          variants_rev := List.rev c.Disk_cache.variants;
-          failures_rev := List.rev c.Disk_cache.failures;
-          unsafe_rev := List.rev c.Disk_cache.unsafe;
-          failed_global := List.length c.Disk_cache.failures;
-          start := c.Disk_cache.done_points
-      | _ -> ())
+  (match (init, acc) with
+  | Some c, [ (_, variants_rev, failures_rev) ]
+    when c.Disk_cache.done_points > 0 && c.Disk_cache.done_points <= total ->
+      variants_rev := List.rev c.Disk_cache.variants;
+      failures_rev := List.rev c.Disk_cache.failures;
+      unsafe_rev := List.rev c.Disk_cache.unsafe;
+      failed_global := List.length c.Disk_cache.failures;
+      start := c.Disk_cache.done_points
   | _ -> ());
   (match progress with
   | Some f -> f ~done_:!start ~total ~failures:!failed_global
   | None -> ());
+  let reports () =
+    let unsafe = List.rev !unsafe_rev in
+    List.map
+      (fun (_, variants_rev, failures_rev) ->
+        {
+          variants = List.rev !variants_rev;
+          failures = List.rev !failures_rev;
+          unsafe;
+        })
+      acc
+  in
   while !start < total do
     (* Cooperative SIGINT: stop between blocks, after the previous
        block's [flush]. *)
@@ -306,40 +321,37 @@ let run_range ?jobs ?(retries = 1) ?max_failures
     (match progress with
     | Some f -> f ~done_:!start ~total ~failures:!failed_global
     | None -> ());
-    (match flush with
-    | Some f -> (
-        match acc with
-        | [ (_, variants_rev, failures_rev) ] ->
-            f
-              {
-                Disk_cache.done_points = !start;
-                variants = List.rev !variants_rev;
-                failures = List.rev !failures_rev;
-                unsafe = List.rev !unsafe_rev;
-              }
-        | _ -> ())
-    | None -> ())
+    Option.iter
+      (fun f -> f (checkpoint ~done_points:!start (List.hd (reports ()))))
+      flush
   done;
-  ( List.map
-      (fun (n, variants_rev, failures_rev) ->
-        (n, (List.rev !variants_rev, List.rev !failures_rev)))
-      acc,
-    List.rev !unsafe_rev )
+  reports ()
 
-(* A sweep missing from the in-process cache may still be on disk from
-   an earlier run; only sweeps absent from both are computed, and every
-   computed sweep is persisted for the next process.  Sweeps that
-   recorded failures are deliberately NOT persisted: a degraded result
-   must never masquerade as the complete sweep in a later process. *)
-let from_disk space kernel gpu ~n ~seed =
-  Option.map
-    (fun (variants, unsafe) -> { variants; failures = []; unsafe })
-    (Disk_cache.find space kernel gpu ~n ~seed)
-
-let persist space kernel gpu ~n ~seed r =
-  if r.failures = [] then
-    Disk_cache.store space kernel gpu ~n ~seed r.variants r.unsafe;
-  r
+(* The sweep cache's one policy.  A degraded sweep is never persisted:
+   it must not masquerade as the complete one in a later process.  No
+   single-flight: sweeps are requested sequentially, never from pool
+   workers. *)
+let cached ~space kernel gpu ~ns ~seed compute =
+  let key n = Disk_cache.key space kernel gpu ~n ~seed in
+  let held n =
+    Option.is_some (Sweeps.find sweeps (key n))
+    ||
+    match Disk_cache.find space kernel gpu ~n ~seed with
+    | Some (variants, unsafe) ->
+        ignore (Sweeps.add sweeps (key n) { variants; failures = []; unsafe });
+        true
+    | None -> false
+  in
+  (match List.filter (fun n -> not (held n)) ns with
+  | [] -> ()
+  | missing ->
+      List.iter2
+        (fun n r ->
+          if r.failures = [] then
+            Disk_cache.store space kernel gpu ~n ~seed r.variants r.unsafe;
+          ignore (Sweeps.add sweeps (key n) r))
+        missing (compute missing));
+  List.map (fun n -> Option.get (Sweeps.find sweeps (key n))) ns
 
 (* The unsharded sweep keeps its progress in memory only: a sharded
    sweep is the resumable one. *)
@@ -349,68 +361,30 @@ let interrupt_hint =
 
 let sweep_report ?(space = Space.paper) ?jobs ?retries ?max_failures ?block
     ?progress kernel gpu ~n ~seed =
-  Sweeps.find_or_compute sweeps (sweep_key space kernel gpu ~n ~seed)
-  @@ fun () ->
-  match from_disk space kernel gpu ~n ~seed with
-  | Some r -> r
-  | None -> (
-      match
-        run_range ?jobs ?retries ?max_failures ?block ?progress
-          ~interrupt_hint kernel gpu ~space ~first:0
-          ~range_len:(Space.cardinality space) ~ns:[ n ] ~seed
-      with
-      | [ (_, (variants, failures)) ], unsafe ->
-          persist space kernel gpu ~n ~seed { variants; failures; unsafe }
-      | _ -> assert false)
+  List.hd
+  @@ cached ~space kernel gpu ~ns:[ n ] ~seed (fun ns ->
+         run_range ?jobs ?retries ?max_failures ?block ?progress
+           ~interrupt_hint kernel gpu ~space ~first:0
+           ~range_len:(Space.cardinality space) ~ns ~seed)
 
-(* The distributed-sweep entry point: evaluate one contiguous range of
-   the space and return it as a range-relative checkpoint — exactly
-   the payload a shard worker publishes as its [.part] file.  [flush]
-   fires after every block (the shard layer's checkpoint-and-heartbeat
-   hook); [init] salvages a previously flushed prefix of the same
-   range. *)
+(* The distributed-sweep entry point: one range of the space as the
+   range-relative checkpoint a shard publishes as its [.part] file. *)
 let sweep_range ?jobs ?retries ?max_failures ?block ?flush ?init
     ?interrupt_hint ~space ~first ~len kernel gpu ~n ~seed =
-  match
-    run_range ?jobs ?retries ?max_failures ?block ?flush ?init ?interrupt_hint
-      kernel gpu ~space ~first ~range_len:len ~ns:[ n ] ~seed
-  with
-  | [ (_, (variants, failures)) ], unsafe ->
-      { Disk_cache.done_points = len; variants; failures; unsafe }
-  | _ -> assert false
+  checkpoint ~done_points:len
+    (List.hd
+       (run_range ?jobs ?retries ?max_failures ?block ?flush ?init
+          ?interrupt_hint kernel gpu ~space ~first ~range_len:len ~ns:[ n ]
+          ~seed))
 
 let sweep ?space ?jobs kernel gpu ~n ~seed =
   (sweep_report ?space ?jobs kernel gpu ~n ~seed).variants
 
 let sweep_multi ?(space = Space.paper) ?jobs kernel gpu ~ns ~seed =
-  let missing =
-    List.filter
-      (fun n ->
-        let key = sweep_key space kernel gpu ~n ~seed in
-        Option.is_none (Sweeps.find sweeps key)
-        &&
-        match from_disk space kernel gpu ~n ~seed with
-        | Some r ->
-            ignore (Sweeps.add sweeps key r);
-            false
-        | None -> true)
-      ns
-  in
-  (match missing with
-  | [] -> ()
-  | _ ->
-      let results, unsafe =
-        run_range ?jobs kernel gpu ~space ~first:0
-          ~range_len:(Space.cardinality space) ~ns:missing ~seed
-      in
-      List.iter
-        (fun (n, (variants, failures)) ->
-          let r = { variants; failures; unsafe } in
-          ignore
-            (persist space kernel gpu ~n ~seed
-               (Sweeps.add sweeps (sweep_key space kernel gpu ~n ~seed) r)))
-        results);
-  List.map (fun n -> (n, sweep ~space ?jobs kernel gpu ~n ~seed)) ns
+  cached ~space kernel gpu ~ns ~seed (fun ns ->
+      run_range ?jobs kernel gpu ~space ~first:0
+        ~range_len:(Space.cardinality space) ~ns ~seed)
+  |> List.map2 (fun n r -> (n, r.variants)) ns
 
 type strategy =
   | Exhaustive

@@ -13,14 +13,13 @@
     own RNG stream from [(seed, kernel, gpu, params)], so a parallel
     sweep returns variant lists identical to a sequential one.
 
-    Sweeps are cached per (kernel, device, size, seed) within the
-    process so reports that need the same sweep (Fig. 4, Table V,
-    Fig. 5, Table VI, Fig. 6) share one evaluation; the cache is a
-    single-flight {!Gat_util.Memo}, so concurrent requests for one
-    sweep compute it once.
-    Finished sweeps are additionally persisted through {!Disk_cache},
-    so a rerun of the same experiment in a fresh process skips the
-    compile-and-simulate work entirely (disable with
+    Every whole sweep — {!sweep_report}, {!sweep_multi} and the
+    sharded {!Shard.coordinate} — goes through one cache policy,
+    {!cached}: the in-process memo, keyed per (kernel, device, space,
+    size, seed), so reports that need the same sweep (Fig. 4, Table V,
+    Fig. 5, Table VI, Fig. 6) share one evaluation; then
+    {!Disk_cache}, so a rerun of the same experiment in a fresh
+    process skips the compile-and-simulate work entirely (disable with
     [Gat_util.Store.set_enabled Disk_cache.cache] or the CLI's
     [--no-cache]).
 
@@ -106,11 +105,11 @@ val sweep_report :
     recorded).  [block] (default 256) is the points per block.
     Results never depend on [jobs] or [block].
 
-    [progress] is invoked once before the first block and once after
-    every completed block — only when the sweep is actually computed, not when it is
-    answered from the in-process or on-disk cache.  It runs on the
-    coordinating domain; failures counts both compile and simulate
-    failures so far.
+    Served through {!cached}.  [progress] is invoked once before the
+    first block and once after every completed block — only when the
+    sweep is actually computed, not when a cache tier holds it.  It
+    runs on the coordinating domain; failures counts both compile and
+    simulate failures so far.
     @raise Gat_util.Error.Error (stage [Interrupted], with a hint
     naming [--shards]) when {!Gat_util.Cancel.requested} fires between
     blocks. *)
@@ -172,15 +171,28 @@ val sweep_multi :
   seed:int ->
   (int * Variant.t list) list
 (** [sweep_multi kernel gpu ~ns ~seed] sweeps the space at every size
-    in [ns], compiling each parameter point exactly once (compile
-    phase) and simulating it once per size (simulate phase).  Each
-    per-size result is identical to — and cached exactly like — the
-    corresponding {!sweep}. *)
+    in [ns] through {!cached}, compiling each parameter point exactly
+    once (compile phase) and simulating it once per missing size
+    (simulate phase).  Each per-size result is identical to — and
+    cached exactly like — the corresponding {!sweep}. *)
+
+val cached :
+  space:Space.t ->
+  Gat_ir.Kernel.t ->
+  Gat_arch.Gpu.t ->
+  ns:int list ->
+  seed:int ->
+  (int list -> report list) ->
+  report list
+(** The sweep cache: one report per size of [ns], in order, from the
+    in-process memo, else {!Disk_cache} (a hit enters the memo), else
+    [compute], called once with the missing sizes in order.  A computed
+    report enters the memo, and the disk only when it has no failures. *)
 
 val clear_cache : unit -> unit
-(** Drop the in-process sweep, verdict and code-class memos
-    (persistent stores, the branch-probability memo and the report
-    rankings survive). *)
+(** Drop the in-process sweep memo ({!cached}'s first tier, sharded
+    sweeps included), verdict and code-class memos (persistent stores,
+    the branch-probability memo and the report rankings survive). *)
 
 type strategy =
   | Exhaustive

@@ -344,6 +344,33 @@ let test_manifest_corruption_is_a_miss () =
   Alcotest.(check bool) "corrupt manifest reads as absent" true
     (Option.is_none (Shard.read_manifest dir))
 
+(* The reader refuses a manifest whose ranges do not partition its
+   space — a gap, an overlap, a negative length, a range past the last
+   point — as it refuses a torn one, and the coordinator then fails
+   with stage [Shard] rather than evaluating it. *)
+let test_manifest_bad_ranges_unreadable () =
+  reset ();
+  List.iter
+    (fun ranges ->
+      let dir = fresh_dir () in
+      Shard.write_manifest ~dir (manifest ranges);
+      Alcotest.(check bool) "ranges that do not partition read as absent" true
+        (Option.is_none (Shard.read_manifest dir)))
+    [
+      [| (0, 4); (6, total - 6) |];
+      [| (0, 6); (4, total - 4) |];
+      [| (0, total + 4); (total + 4, -4) |];
+      [| (0, total + 1) |];
+    ];
+  let dir = fresh_dir () in
+  Shard.write_manifest ~dir (manifest [| (0, 4); (6, total - 6) |]);
+  match
+    Shard.coordinate ~jobs:2 ~dir ~shards:2 space kernel gpu ~n:64 ~seed:42
+  with
+  | _ -> Alcotest.fail "coordinate evaluated a manifest with a gap"
+  | exception Error.Error e ->
+      Alcotest.(check string) "stage" "shard" (Error.stage_name e.Error.stage)
+
 (* The manifest's bytes are pinned like the cache entries': the copy
    in [fixtures/entries/] was written by an earlier build from these
    inputs. *)
@@ -470,6 +497,77 @@ let test_incompatible_manifest_rejected () =
   | _ -> Alcotest.fail "coordinate accepted a foreign manifest"
   | exception Error.Error e ->
       Alcotest.(check string) "stage" "shard" (Error.stage_name e.Error.stage)
+
+(* ---- the sweep cache ---- *)
+
+let sweep_points = Gat_util.Metrics.counter "sweep.points"
+
+(* [f] with the disk tier on, over a cache root of its own. *)
+let with_disk_tier f =
+  let root = fresh_dir () in
+  Unix.putenv "GAT_CACHE_DIR" root;
+  Gat_util.Store.set_enabled Disk_cache.cache true;
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.set_spec None;
+      Gat_util.Store.set_enabled Disk_cache.cache false;
+      Unix.putenv "GAT_CACHE_DIR" scratch)
+    f
+
+let disk_stats () = Gat_util.Store.stats Disk_cache.cache
+let disk_stores () = (disk_stats ()).Gat_util.Store.stores
+let disk_hits () = (disk_stats ()).Gat_util.Store.hits
+
+(* A sharded sweep goes through the same cache tiers as an unsharded
+   one: a clean coordination stores one entry that a later
+   [sweep_report] is served from, a memoized sweep is returned without
+   touching the shard directory, and a sweep that recorded failures is
+   never stored. *)
+let test_coordinate_shares_the_sweep_cache () =
+  reset ();
+  with_disk_tier (fun () ->
+      let stores0 = disk_stores () in
+      let r =
+        Shard.coordinate ~jobs:2 ~dir:(fresh_dir ()) ~shards:2 space kernel
+          gpu ~n:64 ~seed:42
+      in
+      Alcotest.(check int) "a clean coordination stores one entry" 1
+        (disk_stores () - stores0);
+      Tuner.clear_cache ();
+      let hits0 = disk_hits () in
+      let points0 = Gat_util.Metrics.value sweep_points in
+      let served =
+        Tuner.sweep_report ~space ~jobs:2 kernel gpu ~n:64 ~seed:42
+      in
+      Alcotest.(check int) "sweep_report is a disk hit" 1
+        (disk_hits () - hits0);
+      Alcotest.(check int) "and evaluates no point" 0
+        (Gat_util.Metrics.value sweep_points - points0);
+      check_report_eq r served);
+  reset ();
+  let clean = Tuner.sweep_report ~space ~jobs:2 kernel gpu ~n:64 ~seed:42 in
+  let dir = fresh_dir () in
+  let points0 = Gat_util.Metrics.value sweep_points in
+  let r =
+    Shard.coordinate ~jobs:2 ~dir ~shards:2 space kernel gpu ~n:64 ~seed:42
+  in
+  Alcotest.(check bool) "coordinate returns the memoized report" true
+    (r == clean);
+  Alcotest.(check int) "evaluating no point" 0
+    (Gat_util.Metrics.value sweep_points - points0);
+  Alcotest.(check bool) "and writes no manifest" false
+    (Sys.file_exists (Filename.concat dir "manifest"));
+  reset ();
+  with_disk_tier (fun () ->
+      Fault.set_spec (Some "simulate:1:sticky");
+      let stores0 = disk_stores () in
+      let r =
+        Shard.coordinate ~jobs:2 ~dir:(fresh_dir ()) ~shards:2 space kernel
+          gpu ~n:64 ~seed:42
+      in
+      Alcotest.(check bool) "the sweep recorded failures" true
+        (r.Tuner.failures <> []);
+      Alcotest.(check int) "and stored no entry" 0 (disk_stores () - stores0))
 
 (* ---- merge-time fault injection ---- *)
 
@@ -879,6 +977,8 @@ let () =
                 test_manifest_corruption_is_a_miss;
               Alcotest.test_case "golden bytes" `Quick
                 test_manifest_golden_bytes;
+              Alcotest.test_case "ranges that do not partition are unreadable"
+                `Quick test_manifest_bad_ranges_unreadable;
               QCheck_alcotest.to_alcotest test_manifest_roundtrip_property;
             ] );
           ( "coordinate",
@@ -889,6 +989,8 @@ let () =
                 test_worker_does_the_work;
               Alcotest.test_case "incompatible manifest rejected" `Quick
                 test_incompatible_manifest_rejected;
+              Alcotest.test_case "shares the sweep cache's tiers" `Quick
+                test_coordinate_shares_the_sweep_cache;
               Alcotest.test_case "transient merge faults recover" `Quick
                 test_merge_fault_transient_recovers;
               Alcotest.test_case "sticky merge faults exhaust the budget"
